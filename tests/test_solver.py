@@ -313,3 +313,69 @@ def test_solver_config_validation():
     cfg = SolverConfig(dt=0.01, duration=-1.0)
     assert cfg.signed_dt == -0.01
     assert cfg.n_steps == 100
+
+
+# -- golden values ---------------------------------------------------------------
+#
+# Mass and the pairing sum_x w(x) u(x) with a fixed random w, after 100 Strang
+# steps of every preset (and short rk4_mol runs). The values were recorded with
+# the solver that ran its inner RK4 on grid values and applied div((G-I) grad .)
+# through the generic d x d table. Any rewrite of the step that keeps the
+# discrete operator may change rounding only.
+
+GOLDEN_CASES = {
+    # id: (preset, dim, n, scheme, n_steps, dt, extra SolverConfig fields)
+    "identity-2d": ("identity", 2, 64, "strang", 100, 0.01, {}),
+    "conformal-2d": ("conformal_bump", 2, 64, "strang", 100, 0.01, {}),
+    "anisotropic-2d": ("anisotropic_bump", 2, 64, "strang", 100, 0.01, {}),
+    "uncontrolled-2d": ("uncontrolled_bump", 2, 64, "strang", 100, 0.01, {}),
+    "identity-3d": ("identity", 3, 24, "strang", 100, 0.01, {}),
+    "conformal-3d": ("conformal_bump", 3, 24, "strang", 100, 0.01, {}),
+    "anisotropic-3d": ("anisotropic_bump", 3, 24, "strang", 100, 0.01, {}),
+    "uncontrolled-3d": ("uncontrolled_bump", 3, 24, "strang", 100, 0.01, {}),
+    "conformal-2d-m2": ("conformal_bump", 2, 64, "strang", 100, 0.01,
+                        {"inner_perturbation_steps": 2}),
+    "anisotropic-2d-aliased": ("anisotropic_bump", 2, 64, "strang", 100, 0.01,
+                               {"dealias": False}),
+    "rk4-conformal-2d": ("conformal_bump", 2, 64, "rk4_mol", 20, 0.005, {}),
+    "rk4-anisotropic-3d": ("anisotropic_bump", 3, 24, "rk4_mol", 20, 0.005, {}),
+}
+
+GOLDEN = {
+    # id: (mass, Re sum w u, Im sum w u)
+    "anisotropic-2d": (0.3902285475698054, -0.6393272391066755, 1.3871271751397969),
+    "anisotropic-2d-aliased": (0.3902278807723074, -0.6385809076115543, 1.3874969992364994),
+    "anisotropic-3d": (2.0180203300751987, 0.6370446519666595, -0.31406195759314626),
+    "conformal-2d": (0.3939718753531697, -0.5794769507499697, 1.423352399158067),
+    "conformal-2d-m2": (0.3939718753778991, -0.5794769499139305, 1.4233524021162274),
+    "conformal-3d": (2.0302130103644442, 0.6301391618259712, -0.16834735071457818),
+    "identity-2d": (0.3722893670854466, -0.926441537255714, 1.0497698550515766),
+    "identity-3d": (1.9838960654339821, 0.6107417237756163, -0.3819816426542001),
+    "rk4-anisotropic-3d": (3.4481294587183267, 0.5710719119559801, -0.6558777380779094),
+    "rk4-conformal-2d": (1.021468291673313, 2.4464516974271873, -2.161111577338431),
+    "uncontrolled-2d": (1.192417044653518, 0.9952385777076949, -2.1786295884926545),
+    "uncontrolled-3d": (3.8478728220307907, 0.8714576936565995, -0.42997947650526536),
+}
+
+
+def _golden_run(case):
+    preset, dim, n, scheme, n_steps, dt, extra = GOLDEN_CASES[case]
+    spec = GridSpec(dim, n, 8.0)
+    metric, damping = build_preset(preset, spec)
+    packet = gaussian_field(spec, amplitude=0.5, width=1.2, momentum=1.0)
+    noise = band_limited_random(spec, seed=dim)
+    u0 = Field(packet.values + 0.05 * noise.values / np.abs(noise.values).max(), spec)
+    cfg = SolverConfig(dt=dt, duration=n_steps * dt, scheme=scheme, **extra)
+    u = simulate(u0, metric, damping, cfg).state.u
+    w = np.random.default_rng(11).standard_normal(spec.shape)
+    pairing = complex(np.sum(w * u.values))
+    return mass(u), pairing.real, pairing.imag
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_values_after_hundred_steps(case):
+    got_mass, got_re, got_im = _golden_run(case)
+    gold_mass, gold_re, gold_im = GOLDEN[case]
+    assert got_mass == pytest.approx(gold_mass, rel=1e-12, abs=0.0)
+    gold = complex(gold_re, gold_im)
+    assert abs(complex(got_re, got_im) - gold) <= 1e-12 * abs(gold)
