@@ -18,6 +18,7 @@ from .grid import (
     GridSpec,
     WeightTables,
     divergence,
+    flux_divergence,
     gradient,
     laplacian,
     laplacian_G,
@@ -37,6 +38,7 @@ from .geometry import (
 )
 from .solver import (
     Monitor,
+    Propagator,
     SimulationResult,
     SimulationState,
     SolverConfig,

@@ -117,17 +117,19 @@ class MetricField:
                     f"metric bump radius must lie in (0, L), got {self.radius}"
                 )
         if direction is None:
+            self.direction = None
             self.structure = np.eye(spec.dim)
             self.conformal = True
         else:
             v = np.asarray(direction, dtype=np.float64)
-            v = v / np.linalg.norm(v)
-            self.structure = np.outer(v, v)
+            self.direction = v / np.linalg.norm(v)
+            self.structure = np.outer(self.direction, self.direction)
             self.conformal = False
         self.is_identity = self.amplitude == 0.0
         self.support_radius = 0.0 if self.is_identity else self.radius
         self._table: np.ndarray | None = None
         self._factor: np.ndarray | None = None
+        self._perturbation: np.ndarray | None = None
 
     # -- closed-form evaluators ------------------------------------------------
 
@@ -162,6 +164,21 @@ class MetricField:
     # -- grid tables -----------------------------------------------------------
 
     @property
+    def perturbation(self) -> np.ndarray | None:
+        """Grid samples of the scalar p with G - I = p S; None when G = I.
+
+        S is the identity for a conformal metric and ``direction`` v gives
+        S = v v^T otherwise.
+        """
+        if self.is_identity:
+            return None
+        if self._perturbation is None:
+            self._perturbation = self.amplitude * bump_profile(
+                np.sqrt(self.spec.radius_squared), self.radius
+            )
+        return self._perturbation
+
+    @property
     def table(self) -> np.ndarray:
         """Grid samples of G, shape (dim, dim, n, ..., n)."""
         if self._table is None:
@@ -170,13 +187,10 @@ class MetricField:
             for i in range(d):
                 table[i, i] = 1.0
             if not self.is_identity:
-                bump = self.amplitude * bump_profile(
-                    np.sqrt(self.spec.radius_squared), self.radius
-                )
                 for i in range(d):
                     for j in range(d):
                         if self.structure[i, j] != 0.0:
-                            table[i, j] += self.structure[i, j] * bump
+                            table[i, j] += self.structure[i, j] * self.perturbation
             self._table = table
         return self._table
 
@@ -189,9 +203,7 @@ class MetricField:
             if self.is_identity:
                 self._factor = np.ones(self.spec.shape)
             else:
-                self._factor = 1.0 + self.amplitude * bump_profile(
-                    np.sqrt(self.spec.radius_squared), self.radius
-                )
+                self._factor = 1.0 + self.perturbation
         return self._factor
 
     def deviation_norm(self) -> np.ndarray:

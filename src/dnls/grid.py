@@ -32,6 +32,7 @@ __all__ = [
     "divergence",
     "laplacian",
     "laplacian_G",
+    "flux_divergence",
     "sobolev_norm",
     "localized_integral",
     "weight_tables",
@@ -236,31 +237,81 @@ def _metric_table(metric, spec: GridSpec) -> np.ndarray:
     return table
 
 
-def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
-    """Divergence-form operator div(G grad f) with optional 2/3-rule dealiasing.
+def flux_divergence(
+    coeffs: np.ndarray,
+    spec: GridSpec,
+    coefficient: np.ndarray,
+    direction: np.ndarray | None = None,
+    dealias: bool = False,
+) -> np.ndarray:
+    """Fourier coefficients of div(A grad u), given those of u.
 
-    The dealias mask is applied after the pointwise multiplication by G and
-    again after the final divergence.
+    The structure of A decides the cost in transforms:
+
+    * a scalar field p of shape ``spec.shape``: A = p I, 2d transforms;
+    * the same with a unit ``direction`` v: A = p v v^T, 2 transforms in any
+      dimension, since div(p v v^T grad u) = (v . grad)(p (v . grad u));
+    * a (d, d, ...) table: A itself, entries that vanish identically skipped.
+
+    With ``dealias`` each flux is projected onto the 2/3 band right after the
+    pointwise product; the mask is linear, so the three paths give the same
+    operator up to rounding.
     """
-    spec = f.spec
-    table = _metric_table(metric, spec)
-    if not np.all(np.isfinite(table)):
-        raise DomainError("metric table contains non-finite entries")
     mask = spec.dealias_mask
-    coeffs = spec.fft(f.values)
-    grads = [spec.ifft(1j * k * coeffs) for k in spec.wavenumbers]
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    for i in range(spec.dim):
-        flux = np.zeros(spec.shape, dtype=np.complex128)
-        for j in range(spec.dim):
-            flux += table[i, j] * grads[j]
+
+    def band(flux: np.ndarray) -> np.ndarray:
         flux_hat = spec.fft(flux)
         if dealias:
             flux_hat[~mask] = 0.0
-        acc += 1j * spec.wavenumbers[i] * flux_hat
+        return flux_hat
+
+    k = spec.wavenumbers
+    if coefficient.shape == spec.shape:
+        if direction is None:
+            out = np.zeros_like(coeffs)
+            for kj in k:
+                out += 1j * kj * band(coefficient * spec.ifft(1j * kj * coeffs))
+            return out
+        vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
+        return vk * band(coefficient * spec.ifft(vk * coeffs))
+    d = spec.dim
+    live = [[bool(np.any(coefficient[i, j])) for j in range(d)] for i in range(d)]
+    grads = [
+        spec.ifft(1j * k[j] * coeffs) if any(row[j] for row in live) else None
+        for j in range(d)
+    ]
+    out = np.zeros_like(coeffs)
+    for i in range(d):
+        if any(live[i]):
+            flux = sum(coefficient[i, j] * grads[j] for j in range(d) if live[i][j])
+            out += 1j * k[i] * band(flux)
+    return out
+
+
+def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
+    """Divergence-form operator div(G grad f) with optional 2/3-rule dealiasing.
+
+    A MetricField contributes its structure, G = I + p S with S = I or v v^T:
+    the free part is the exact -|k|^2 multiplier and the perturbation goes
+    through :func:`flux_divergence`. A bare (d,d,...) table takes the generic
+    path. The dealias mask is applied after the pointwise multiplication by G
+    and again after the final divergence.
+    """
+    spec = f.spec
+    coeffs = spec.fft(f.values)
+    if hasattr(metric, "perturbation"):
+        out = -spec.k_squared * coeffs
+        if metric.perturbation is not None:
+            out += flux_divergence(coeffs, spec, metric.perturbation,
+                                   metric.direction, dealias)
+    else:
+        table = _metric_table(metric, spec)
+        if not np.all(np.isfinite(table)):
+            raise DomainError("metric table contains non-finite entries")
+        out = flux_divergence(coeffs, spec, table, dealias=dealias)
     if dealias:
-        acc[~mask] = 0.0
-    return Field(spec.ifft(acc), spec)
+        out[~spec.dealias_mask] = 0.0
+    return Field(spec.ifft(out), spec)
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:

@@ -665,7 +665,8 @@ def stability_probe(
 ) -> StabilityReport:
     """Run u0 and u0 + delta * (unit smooth perturbation) in lockstep and report
     the sup-in-time L^2 difference and its amplification over delta."""
-    from .solver import SimulationState, step  # deferred to avoid an import cycle
+    # deferred to avoid an import cycle
+    from .solver import Propagator, SimulationState, step
 
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
@@ -682,9 +683,10 @@ def stability_probe(
                          damping)
     times = [0.0]
     diffs = [Field(s2.u.values - s1.u.values, spec).l2_norm()]
+    propagator = Propagator(spec, metric, damping, cfg)
     for _ in range(cfg.n_steps):
-        s1 = step(s1, cfg)
-        s2 = step(s2, cfg)
+        s1 = step(s1, cfg, propagator)
+        s2 = step(s2, cfg, propagator)
         times.append(s1.t)
         diffs.append(Field(s2.u.values - s1.u.values, spec).l2_norm())
     sup = float(np.max(diffs))

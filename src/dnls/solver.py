@@ -7,7 +7,17 @@ The default scheme is Strang splitting of two exactly solvable substeps:
 * the linear flow exp(i tau div(G grad .)), exact via the e^{-i |k|^2 tau}
   multiplier when G = I, otherwise an inner Strang sandwich: half free
   multiplier, fourth-order steps of u_t = i div((G-I) grad u), half free
-  multiplier.
+  multiplier. The inner RK4 runs on the masked Fourier coefficients, and the
+  flux uses the structure of G - I = p S (see ``grid.flux_divergence``).
+
+A :class:`Propagator`, built once per run, holds what every step shares: the
+damping decay and phase tables (on the bounding box of supp a), the free
+multipliers as d one-dimensional factors, and the structure of G - I.
+
+Transforms per Strang step with m = ``inner_perturbation_steps``: 4 for
+G = I (the multiplier and the trailing band limit); 5 + (8d + 1) m for a
+conformal G (2d per flux apply, four applies and one sup-norm guard per inner
+step, plus the guard at entry); 5 + 9 m for a rank-one G = I + p v v^T.
 
 An rk4_mol alternative applies the classical fourth-order method to the full
 dealiased right-hand side.
@@ -23,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, flux_divergence
 from .observables import Monitor, ObservableSeries
 
 __all__ = [
@@ -31,6 +41,7 @@ __all__ = [
     "SimulationState",
     "SimulationResult",
     "Monitor",
+    "Propagator",
     "nonlinear_damping_substep",
     "linear_substep",
     "step",
@@ -90,62 +101,51 @@ class SimulationResult:
     boundary_mass_warned: bool = False
 
 
-def nonlinear_damping_substep(
-    u: Field, damping: DampingField, tau: float, nonlinearity: bool = True
-) -> Field:
-    """Pointwise exact flow of u_t = -a u - i |u|^2 u over time tau.
+class _DampingFlow:
+    """The flow of :func:`nonlinear_damping_substep` over a fixed time tau.
 
-    With A = a(x): |u| picks up e^{-A tau} and the phase advances by
-    theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
-    Valid for negative tau (backward probes).
+    The decay and phase factors are tabulated once, on the bounding box of
+    supp a only; outside it the flow is the plain rotation by -|u0|^2 tau.
     """
-    a = damping.table
-    values = u.values
-    if nonlinearity:
-        mod2 = values.real**2 + values.imag**2
-        positive = a > 0.0
-        factor = np.where(
-            positive,
-            np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
-            -tau,
-        )
-        theta = mod2 * factor
-    else:
-        theta = 0.0
-    return Field(values * np.exp(-a * tau + 1j * theta), u.spec)
+
+    def __init__(self, damping: DampingField, tau: float, nonlinearity: bool):
+        self.tau = tau
+        self.nonlinearity = nonlinearity
+        a = damping.table
+        support = np.nonzero(a > 0.0)
+        self.box = None
+        if support[0].size:
+            self.box = tuple(slice(ix.min(), ix.max() + 1) for ix in support)
+            a = a[self.box]
+            positive = a > 0.0
+            self.decay = np.exp(-a * tau)
+            self.phase = np.where(
+                positive,
+                np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
+                -tau,
+            )
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.nonlinearity:
+            mod2 = values.real**2 + values.imag**2
+            theta = mod2 * -self.tau
+            if self.box is not None:
+                theta[self.box] = mod2[self.box] * self.phase
+            # e^{i theta} written part by part, cheaper than a complex exp
+            out = np.empty_like(values)
+            np.cos(theta, out=out.real)
+            np.sin(theta, out=out.imag)
+            out *= values
+        else:
+            out = values.copy()
+        if self.box is not None:
+            out[self.box] *= self.decay
+        return out
 
 
-def _perturbation_apply(
-    values: np.ndarray, metric: MetricField, spec: GridSpec, dealias: bool
-) -> np.ndarray:
-    """i div((G - I) grad u); the 2/3 mask is applied after each product."""
-    mask = spec.dealias_mask
-    coeffs = spec.fft(values)
-    grads = [spec.ifft(1j * k * coeffs) for k in spec.wavenumbers]
-    factor = metric.conformal_factor
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    if factor is not None:
-        pert = factor - 1.0
-        for k, g in zip(spec.wavenumbers, grads):
-            flux_hat = spec.fft(pert * g)
-            if dealias:
-                flux_hat[~mask] = 0.0
-            acc += 1j * k * flux_hat
-    else:
-        table = metric.table
-        eye = np.eye(spec.dim)
-        for i in range(spec.dim):
-            flux = np.zeros(spec.shape, dtype=np.complex128)
-            for j in range(spec.dim):
-                delta = table[i, j] - eye[i, j]
-                flux += delta * grads[j]
-            flux_hat = spec.fft(flux)
-            if dealias:
-                flux_hat[~mask] = 0.0
-            acc += 1j * spec.wavenumbers[i] * flux_hat
-    if dealias:
-        acc[~mask] = 0.0
-    return 1j * spec.ifft(acc)
+def _free_factors(spec: GridSpec, tau: float) -> list[np.ndarray]:
+    """e^{-i |k|^2 tau} as d broadcastable 1-D factors, one per axis."""
+    return [np.exp(-1j * k**2 * tau) for k in spec.wavenumbers]
 
 
 def _rk4(values: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float):
@@ -156,78 +156,171 @@ def _rk4(values: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float):
     return values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def linear_substep(u: Field, metric: MetricField, tau: float, cfg: SolverConfig) -> Field:
-    """Approximate exp(i tau div(G grad .)) u; exact when G = I."""
-    spec = u.spec
-    coeffs = spec.fft(u.values)
-    if cfg.dealias:
-        coeffs[~spec.dealias_mask] = 0.0
-    if metric.is_identity:
-        return Field(spec.ifft(coeffs * np.exp(-1j * spec.k_squared * tau)), spec)
+class _LinearFlow:
+    """exp(i tau div(G grad .)) over a fixed time tau; exact when G = I.
 
-    half = np.exp(-1j * spec.k_squared * (tau / 2.0))
-    values = spec.ifft(coeffs * half)
-    m = cfg.inner_perturbation_steps
-    h = tau / m
-    guard = np.abs(values).max()
-    rhs = lambda v: _perturbation_apply(v, metric, spec, cfg.dealias)
-    for _ in range(m):
-        values = _rk4(values, rhs, h)
-        if np.abs(values).max() > _BLOWUP_FACTOR * guard:
-            suggestion = cfl_suggestion(spec, metric, cfg.scheme, cfg.duration,
-                                        cfg.inner_perturbation_steps, cfg.dealias)
-            raise StabilityError(
-                "linear substep blew up; reduce dt toward the suggested bound "
-                f"{suggestion:.3g} or raise inner_perturbation_steps",
-                dt_suggestion=suggestion,
-            )
-    return Field(spec.ifft(spec.fft(values) * half), spec)
+    Otherwise an inner Strang sandwich on Fourier coefficients: half free
+    multiplier, ``inner_perturbation_steps`` RK4 steps of
+    u_t = i div((G-I) grad u), half free multiplier.
+    """
 
+    def __init__(self, spec: GridSpec, metric: MetricField, tau: float,
+                 cfg: SolverConfig):
+        self.spec = spec
+        self.metric = metric
+        self.tau = tau
+        self.cfg = cfg
+        if metric.is_identity:
+            self.full = _free_factors(spec, tau)
+        else:
+            self.half = _free_factors(spec, tau / 2.0)
 
-def _full_rhs(values: np.ndarray, state_metric: MetricField,
-              damping_table: np.ndarray, spec: GridSpec, cfg: SolverConfig):
-    """Right-hand side i div(G grad u) - a u - i |u|^2 u for the rk4_mol scheme."""
-    mask = spec.dealias_mask
-    coeffs = spec.fft(values)
-    lin_hat = -spec.k_squared * coeffs
-    if cfg.dealias:
-        lin_hat[~mask] = 0.0
-    out = 1j * spec.ifft(lin_hat)
-    if not state_metric.is_identity:
-        out = out + _perturbation_apply(values, state_metric, spec, cfg.dealias)
-    out = out - damping_table * values
-    if cfg.nonlinearity:
-        mod2 = values.real**2 + values.imag**2
+    def _rhs(self, coeffs: np.ndarray) -> np.ndarray:
+        metric = self.metric
+        return 1j * flux_divergence(coeffs, self.spec, metric.perturbation,
+                                    metric.direction, self.cfg.dealias)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        spec, cfg = self.spec, self.cfg
+        coeffs = spec.fft(values)
         if cfg.dealias:
-            mod2_hat = spec.fft(mod2)
-            mod2_hat[~mask] = 0.0
-            mod2 = spec.ifft(mod2_hat)
-        out = out - 1j * mod2 * values
-    if cfg.dealias:
-        out_hat = spec.fft(out)
-        out_hat[~mask] = 0.0
-        out = spec.ifft(out_hat)
-    return out
+            coeffs[~spec.dealias_mask] = 0.0
+        if self.metric.is_identity:
+            for factor in self.full:
+                coeffs *= factor
+            return spec.ifft(coeffs)
+        for factor in self.half:
+            coeffs *= factor
+        guard = np.abs(spec.ifft(coeffs)).max()
+        m = cfg.inner_perturbation_steps
+        for _ in range(m):
+            coeffs = _rk4(coeffs, self._rhs, self.tau / m)
+            if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
+                suggestion = cfl_suggestion(spec, self.metric, cfg.scheme,
+                                            cfg.duration, m, cfg.dealias)
+                raise StabilityError(
+                    "linear substep blew up; reduce dt toward the suggested bound "
+                    f"{suggestion:.3g} or raise inner_perturbation_steps",
+                    dt_suggestion=suggestion,
+                )
+        for factor in self.half:
+            coeffs *= factor
+        return spec.ifft(coeffs)
 
 
-def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
-    """Advance one time step with the configured scheme."""
+class Propagator:
+    """The time step of one run, with everything fixed for the run computed once.
+
+    Built from (spec, metric, damping, cfg): the damping decay and phase
+    tables, the free multipliers and the structure of G - I. It is meant to
+    live for one ``simulate`` call (or one stability probe), so its tables
+    are freed with it.
+    """
+
+    def __init__(self, spec: GridSpec, metric: MetricField, damping: DampingField,
+                 cfg: SolverConfig):
+        if metric.spec != spec or damping.spec != spec:
+            raise GridMismatchError("propagator grid differs from the coefficients'")
+        self.spec = spec
+        self.metric = metric
+        self.damping = damping
+        self.cfg = cfg
+        dt = cfg.signed_dt
+        if cfg.scheme == "strang":
+            self.half_damping = _DampingFlow(damping, dt / 2.0, cfg.nonlinearity)
+            self.linear = _LinearFlow(spec, metric, dt, cfg)
+
+    def full_rhs(self, values: np.ndarray) -> np.ndarray:
+        """Right-hand side i div(G grad u) - a u - i |u|^2 u for the rk4_mol scheme."""
+        spec, cfg, metric = self.spec, self.cfg, self.metric
+        mask = spec.dealias_mask
+        coeffs = spec.fft(values)
+        lin_hat = -spec.k_squared * coeffs
+        if cfg.dealias:
+            lin_hat[~mask] = 0.0
+        if not metric.is_identity:
+            lin_hat += flux_divergence(coeffs, spec, metric.perturbation,
+                                       metric.direction, cfg.dealias)
+        out = 1j * spec.ifft(lin_hat)
+        out = out - self.damping.table * values
+        if cfg.nonlinearity:
+            mod2 = values.real**2 + values.imag**2
+            if cfg.dealias:
+                mod2_hat = spec.fft(mod2)
+                mod2_hat[~mask] = 0.0
+                mod2 = spec.ifft(mod2_hat)
+            out = out - 1j * mod2 * values
+        if cfg.dealias:
+            out_hat = spec.fft(out)
+            out_hat[~mask] = 0.0
+            out = spec.ifft(out_hat)
+        return out
+
+
+def _matching(flow, tau: float):
+    """A propagator's precomputed flow, checked against the requested tau."""
+    if flow.tau != tau:
+        raise DomainError(
+            f"propagator was built for tau = {flow.tau}, substep asks for {tau}"
+        )
+    return flow
+
+
+def nonlinear_damping_substep(
+    u: Field, damping: DampingField, tau: float, nonlinearity: bool = True,
+    propagator: Propagator | None = None,
+) -> Field:
+    """Pointwise exact flow of u_t = -a u - i |u|^2 u over time tau.
+
+    With A = a(x): |u| picks up e^{-A tau} and the phase advances by
+    theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
+    Valid for negative tau (backward probes). A Strang ``propagator`` built
+    for the same damping and nonlinearity supplies its precomputed tables
+    (its half step, tau = dt/2).
+    """
+    if propagator is None:
+        flow = _DampingFlow(damping, tau, nonlinearity)
+    else:
+        flow = _matching(propagator.half_damping, tau)
+    return Field(flow(u.values), u.spec)
+
+
+def linear_substep(u: Field, metric: MetricField, tau: float, cfg: SolverConfig,
+                   propagator: Propagator | None = None) -> Field:
+    """Approximate exp(i tau div(G grad .)) u; exact when G = I.
+
+    A Strang ``propagator`` built for the same metric and cfg supplies its
+    precomputed multipliers (its full step, tau = dt).
+    """
+    if propagator is None:
+        flow = _LinearFlow(u.spec, metric, tau, cfg)
+    else:
+        flow = _matching(propagator.linear, tau)
+    return Field(flow(u.values), u.spec)
+
+
+def step(state: SimulationState, cfg: SolverConfig,
+         propagator: Propagator | None = None) -> SimulationState:
+    """Advance one time step with the configured scheme.
+
+    ``propagator`` is the run's Propagator for (state.metric, state.damping,
+    cfg); one is built for this step alone when it is omitted.
+    """
     dt = cfg.signed_dt
     spec = state.u.spec
+    if propagator is None:
+        propagator = Propagator(spec, state.metric, state.damping, cfg)
     if cfg.scheme == "strang":
         u = nonlinear_damping_substep(state.u, state.damping, dt / 2.0,
-                                      cfg.nonlinearity)
-        u = linear_substep(u, state.metric, dt, cfg)
-        u = nonlinear_damping_substep(u, state.damping, dt / 2.0, cfg.nonlinearity)
+                                      cfg.nonlinearity, propagator)
+        u = linear_substep(u, state.metric, dt, cfg, propagator)
+        u = nonlinear_damping_substep(u, state.damping, dt / 2.0, cfg.nonlinearity,
+                                      propagator)
         values = u.values
         if cfg.dealias:
             values = spec.band_limit(values)
     else:
-        values = _rk4(
-            state.u.values,
-            lambda v: _full_rhs(v, state.metric, state.damping.table, spec, cfg),
-            dt,
-        )
+        values = _rk4(state.u.values, propagator.full_rhs, dt)
     return SimulationState(
         u=Field(values, spec),
         t=state.t + dt,
@@ -296,6 +389,7 @@ def simulate(
     if cfg.dealias:
         values = spec.band_limit(values)
     state = SimulationState(Field(values, spec), t0, 0, metric, damping)
+    propagator = Propagator(spec, metric, damping, cfg)
 
     series: dict[str, ObservableSeries] = {
         mon.name: ObservableSeries(mon.name) for mon in monitors
@@ -334,7 +428,7 @@ def simulate(
     record(state, final=False)
     initial_peak = float(np.abs(state.u.values).max())
     for i in range(1, n_steps + 1):
-        state = step(state, cfg)
+        state = step(state, cfg, propagator)
         values_flat = state.u.values.view(np.float64)
         if not np.all(np.isfinite(values_flat)):
             raise StabilityError(f"solution became non-finite at step {i}")

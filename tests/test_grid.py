@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, GridMismatchError
@@ -7,6 +9,7 @@ from dnls.grid import (
     Field,
     GridSpec,
     divergence,
+    flux_divergence,
     gradient,
     laplacian,
     laplacian_G,
@@ -168,6 +171,57 @@ def test_laplacian_G_fused_vs_split_paths():
         / spec.quadrature(np.abs(fused.values) ** 2).real
     )
     assert rel < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    dealias=st.booleans(),
+    axis_aligned=st.booleans(),
+)
+def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
+    dim, seed, dealias, axis_aligned
+):
+    # the conformal (p I) and rank-one (p v v^T) paths are the generic d x d
+    # table path up to rounding, and every path is self-adjoint on the band
+    spec = GridSpec(dim, {1: 32, 2: 16, 3: 8}[dim], 5.0)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(spec.shape)
+    v = np.eye(dim)[0] if axis_aligned else rng.standard_normal(dim)
+    v = v / np.linalg.norm(v)
+    sym = rng.standard_normal((dim, dim) + spec.shape)
+    sym = sym + np.swapaxes(sym, 0, 1)
+
+    def band_coeffs():
+        c = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        c[~spec.dealias_mask] = 0.0
+        return c
+
+    f, g = band_coeffs(), band_coeffs()
+    for direction, structure in ((None, np.eye(dim)), (v, np.outer(v, v))):
+        table = np.multiply.outer(structure, p)
+        fast = flux_divergence(f, spec, p, direction, dealias)
+        generic = flux_divergence(f, spec, table, dealias=dealias)
+        assert np.max(np.abs(fast - generic)) <= 1e-12 * np.max(np.abs(generic))
+    for args in ((p, None), (p, v), (sym, None)):
+        kf = flux_divergence(f, spec, *args, dealias=dealias)
+        kg = flux_divergence(g, spec, *args, dealias=dealias)
+        bound = 1e-12 * np.linalg.norm(kf) * np.linalg.norm(g)
+        assert abs(np.vdot(g, kf) - np.vdot(kg, f)) <= bound
+
+
+@pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_laplacian_G_metric_structure_matches_its_table(preset, dealias):
+    from dnls.geometry import build_preset
+
+    spec = GridSpec(2, 32, 6.0)
+    metric, _ = build_preset(preset, spec)
+    f = band_limited_random(spec, seed=9)
+    structured = laplacian_G(f, metric, dealias).values
+    generic = laplacian_G(f, metric.table, dealias).values
+    assert np.max(np.abs(structured - generic)) < 1e-12 * np.max(np.abs(generic))
 
 
 def test_laplacian_G_self_adjoint_without_dealiasing():

@@ -8,6 +8,7 @@ from dnls.geometry import DampingField, MetricField, build_preset
 from dnls.grid import Field, GridSpec
 from dnls.observables import Monitor, mass
 from dnls.solver import (
+    Propagator,
     SimulationState,
     SolverConfig,
     cfl_suggestion,
@@ -197,6 +198,18 @@ def test_strang_self_convergence_order_two():
     assert err1 / err2 >= 3.5
 
 
+def test_step_reuses_a_propagator_built_for_its_dt_only():
+    metric, damping = build_preset("conformal_bump", SPEC)
+    state = SimulationState(gaussian_field(SPEC), 0.0, 0, metric, damping)
+    cfg = SolverConfig(dt=0.01, duration=1.0)
+    propagator = Propagator(SPEC, metric, damping, cfg)
+    assert np.array_equal(step(state, cfg).u.values,
+                          step(state, cfg, propagator).u.values)
+    other = Propagator(SPEC, metric, damping, SolverConfig(dt=0.02, duration=1.0))
+    with pytest.raises(DomainError):
+        step(state, cfg, other)
+
+
 # -- simulate ---------------------------------------------------------------------
 
 
@@ -379,3 +392,40 @@ def test_golden_values_after_hundred_steps(case):
     assert got_mass == pytest.approx(gold_mass, rel=1e-12, abs=0.0)
     gold = complex(gold_re, gold_im)
     assert abs(complex(got_re, got_im) - gold) <= 1e-12 * abs(gold)
+
+
+# -- transforms per step ------------------------------------------------------------
+
+
+def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
+    spec = GridSpec(dim, n, 8.0)
+    metric, damping = build_preset(preset, spec)
+    cfg = SolverConfig(dt=0.01, duration=1.0, inner_perturbation_steps=inner_steps)
+    state = SimulationState(gaussian_field(spec), 0.0, 0, metric, damping)
+    propagator = Propagator(spec, metric, damping, cfg)
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(GridSpec, name)
+
+        def counted(self, values, _original=original):
+            calls.append(1)
+            return _original(self, values)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    step(state, cfg, propagator)
+    return len(calls)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("inner_steps", [1, 2])
+def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps):
+    m = inner_steps
+    # identity: the exact multiplier (2) and the trailing band limit (2)
+    assert _transforms_per_step(monkeypatch, "identity", dim, n, m) == 4
+    # conformal: 2d transforms per flux apply, four applies and one guard
+    # transform per inner RK4 step, plus the guard at entry
+    assert _transforms_per_step(monkeypatch, "conformal_bump", dim, n, m) == (
+        5 + (8 * dim + 1) * m
+    )
+    # rank-one: (v . grad)(p (v . grad u)) costs 2 transforms in any dimension
+    assert _transforms_per_step(monkeypatch, "anisotropic_bump", dim, n, m) == 5 + 9 * m
