@@ -112,8 +112,7 @@ def _control_report_dict(report) -> dict:
 def _cmd_check_geometry(args, cfg) -> int:
     from .geometry import check_control, coercivity_constant, gradient_bound_constant
 
-    spec = cfg.grid_spec()
-    metric, damping = cfg.build_geometry(spec)
+    metric, damping = cfg.build_geometry()
     report = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
     payload = {
         "preset": cfg.geometry.preset,
@@ -139,8 +138,8 @@ def _cmd_rays(args, cfg) -> int:
     from .geometry import check_control
     from .rays import sample_ensemble, verify_exterior_control
 
-    spec = cfg.grid_spec()
-    metric, damping = cfg.build_geometry(spec)
+    metric, damping = cfg.build_geometry()
+    spec = metric.spec
     x0, xi0 = sample_ensemble(
         spec.dim, cfg.rays.count, cfg.rays.sample_radius,
         seed=cfg.run.seed, mode=cfg.rays.sampling,
@@ -203,8 +202,8 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
     from .snapshots import read_snapshot, write_snapshot
     from .solver import simulate
 
-    spec = cfg.grid_spec()
-    metric, damping = cfg.build_geometry(spec)
+    metric, damping = cfg.build_geometry()
+    spec = metric.spec
     tables = weight_tables(spec)
     control = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
     solver_cfg = cfg.solver_config()

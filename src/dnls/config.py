@@ -127,6 +127,10 @@ class RunConfig:
     scattering: ScatteringSection = field(default_factory=ScatteringSection)
     rays: RaysSection = field(default_factory=RaysSection)
     run: RunSection = field(default_factory=RunSection)
+    # (config_hash(), spec) and the (metric, damping) pair built for them
+    _built_geometry: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- resolved values -----------------------------------------------------
 
@@ -174,7 +178,18 @@ class RunConfig:
         return GridSpec(self.grid.dim, self.grid.n, self.grid.box_half_length)
 
     def build_geometry(self, spec: GridSpec | None = None):
+        """(MetricField, DampingField) of the configured preset on ``spec``.
+
+        The pair built last is handed out again while the config text and the
+        grid are unchanged, so validating a config and then running it builds
+        the preset once; any edit after validation changes the hash and
+        rebuilds. A caller that also needs the grid takes ``metric.spec``, so
+        the tables cached on the grid are computed once per run.
+        """
         spec = spec or self.grid_spec()
+        key = (self.config_hash(), spec)
+        if self._built_geometry is not None and self._built_geometry[0] == key:
+            return self._built_geometry[1]
         params = {
             "metric_amplitude": self.resolved_metric_amplitude(),
             "metric_radius": self.geometry.metric_radius,
@@ -185,7 +200,9 @@ class RunConfig:
             "damping_outer_radius": self.geometry.damping_outer_radius,
             "damping_center_offset": self.resolved_damping_offset(),
         }
-        return build_preset(self.geometry.preset, spec, params)
+        built = build_preset(self.geometry.preset, spec, params)
+        self._built_geometry = (key, built)
+        return built
 
     def solver_config(self):
         from .solver import SolverConfig

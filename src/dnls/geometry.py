@@ -218,11 +218,17 @@ class MetricField:
         return np.sqrt(dev)
 
     def min_eigenvalue(self) -> float:
-        if self.conformal:
-            factor = self.conformal_factor
-            return float(factor.min())
-        stacked = np.moveaxis(self.table, (0, 1), (-2, -1))
-        return float(np.linalg.eigvalsh(stacked)[..., 0].min())
+        """Smallest eigenvalue of G over the grid, in closed form.
+
+        G = I + p S has eigenvalue 1 + p on the range of S and 1 on its
+        complement, which is empty when S = I or d = 1.
+        """
+        if self.is_identity:
+            return 1.0
+        low = 1.0 + float(self.perturbation.min())
+        if self.conformal or self.spec.dim == 1:
+            return low
+        return min(1.0, low)
 
 
 class DampingField:

@@ -106,6 +106,23 @@ def test_simulate_tiny_run_completes_quickly(tmp_path):
     assert reports["energy_lambda_bound"]["passed"] is True
 
 
+def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
+    import dnls.config
+
+    calls = []
+    original = dnls.config.build_preset
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dnls.config, "build_preset", counted)
+    cfg = _write(tmp_path, TINY_1D)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    assert calls == ["identity"]
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = _write(tmp_path, TINY_1D)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -3,6 +3,7 @@ import pytest
 
 from dnls.config import RunConfig, parse_config, parse_config_text
 from dnls.errors import ConfigError
+from dnls.grid import GridSpec
 
 MINIMAL = """\
 [grid]
@@ -90,6 +91,21 @@ def test_uncontrolled_preset_resolves_shifted_damping():
     assert cfg.resolved_damping_offset() > 0.0
     metric, damping = cfg.build_geometry()
     assert damping.center[0] == pytest.approx(cfg.resolved_damping_offset())
+
+
+def test_build_geometry_reuses_validated_pair_until_config_changes():
+    cfg = parse_config_text(MINIMAL)
+    metric, damping = cfg.build_geometry()
+    assert cfg.build_geometry(cfg.grid_spec()) == (metric, damping)
+    assert cfg.build_geometry()[0] is metric
+    cfg.geometry.metric_amplitude = -0.5
+    rebuilt, _ = cfg.build_geometry()
+    assert rebuilt is not metric
+    assert rebuilt.amplitude == -0.5
+    coarse = GridSpec(2, 32, 10.0)
+    on_coarse, _ = cfg.build_geometry(coarse)
+    assert on_coarse.spec == coarse
+    assert on_coarse.perturbation.shape == (32, 32)
 
 
 def test_initial_field_kinds():

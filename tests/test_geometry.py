@@ -148,6 +148,34 @@ def test_coercivity_loss_rejected():
         build_preset("conformal_bump", SPEC, {"metric_amplitude": -1.05})
 
 
+_SPECS_BY_DIM = {1: GridSpec(1, 64, 10.0), 2: GridSpec(2, 32, 10.0),
+                 3: GridSpec(3, 16, 10.0)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("amplitude", [None, -0.5])
+def test_min_eigenvalue_matches_eigvalsh_on_table(dim, preset, amplitude):
+    params = {} if amplitude is None else {"metric_amplitude": amplitude}
+    if preset == "identity":
+        params = {}
+    metric, _ = build_preset(preset, _SPECS_BY_DIM[dim], params)
+    stacked = np.moveaxis(metric.table, (0, 1), (-2, -1))
+    reference = float(np.linalg.eigvalsh(stacked)[..., 0].min())
+    assert metric.min_eigenvalue() == pytest.approx(reference, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("amplitude", [-1.0, -1.3])
+def test_coercivity_loss_rejected_in_closed_form(dim, rank_one, amplitude):
+    spec = _SPECS_BY_DIM[dim]
+    direction = np.eye(dim)[0] if rank_one else None
+    metric = MetricField(spec, amplitude=amplitude, radius=2.0, direction=direction)
+    with pytest.raises(InvalidMetricError):
+        coercivity_constant(metric)
+
+
 def test_anisotropic_preset_symmetric_and_coercive():
     metric, _ = build_preset("anisotropic_bump", SPEC3,
                              {"metric_amplitude": 0.4, "metric_radius": 2.0})

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnls.errors import ConfigError, DomainError, SamplingError
+from dnls.errors import ConfigError, DomainError, GridMismatchError, SamplingError
 from dnls.geometry import DampingField, build_preset, cutoff_field
 from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm
 from dnls.scattering import (
+    _monotone_tail_verdict,
     cauchy_scan,
     commutator_with_cutoff,
     cutoff_diagnostics,
@@ -150,6 +153,129 @@ def test_extract_profile_mismatch_equals_cauchy_last_row():
                    snapshot_every=25)
     report = extract_profile(res.snapshots, s_values=(0.5,))
     assert np.allclose(report.mismatch[0.5], report.cauchy[0.5][-1], atol=1e-12)
+
+
+# -- reference: real-space pullbacks, one H^s norm per pair and exponent -------
+
+
+def _reference_report(snapshots, s_values, tol_mono=0.05):
+    """The real-space algorithm the Fourier scan replaces, built from the public
+    free_pullback / free_evolve / sobolev_norm."""
+    times = np.asarray([t for t, _ in snapshots])
+    pulled = [free_pullback(u, t) for t, u in snapshots]
+    spec = snapshots[0][1].spec
+    m = len(pulled)
+    t_final, u_final = snapshots[-1]
+    u_plus = free_pullback(u_final, t_final)
+    cauchy, verdicts, mismatch = {}, {}, {}
+    for s in s_values:
+        matrix = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                diff = Field(pulled[i].values - pulled[j].values, spec)
+                matrix[i, j] = matrix[j, i] = sobolev_norm(diff, s)
+        cauchy[s] = matrix
+        verdicts[s] = _monotone_tail_verdict(times, matrix[-1], tol_mono)
+        mismatch[s] = np.array([
+            sobolev_norm(Field(u.values - free_evolve(u_plus, t).values, spec), s)
+            for t, u in snapshots
+        ])
+    return cauchy, verdicts, mismatch, u_plus
+
+
+def _assert_matches_reference(snapshots, s_values, rel=1e-12):
+    report = extract_profile(snapshots, s_values=s_values)
+    scan = cauchy_scan(snapshots, s_values=s_values)
+    cauchy, verdicts, mismatch, u_plus = _reference_report(snapshots, s_values)
+    m = len(snapshots)
+    off = ~np.eye(m, dtype=bool)
+    assert np.max(np.abs(report.u_plus.values - u_plus.values)) <= 1e-14
+    for s in s_values:
+        ref = cauchy[s][off]
+        assert np.all(ref > 0.0)
+        for got in (report.cauchy[s], scan.cauchy[s]):
+            assert np.all(np.diag(got) == 0.0)
+            assert np.all(np.abs(got[off] - ref) <= rel * ref)
+        assert np.all(np.abs(report.mismatch[s][:-1] - mismatch[s][:-1])
+                      <= rel * mismatch[s][:-1])
+        profile_norm = sobolev_norm(u_plus, s)
+        assert report.final_mismatch[s] <= 1e-14 * profile_norm
+        assert mismatch[s][-1] <= 1e-14 * profile_norm
+        assert report.verdicts[s] == scan.verdicts[s] == verdicts[s]
+
+
+REFERENCE_S = (0.0, 0.25, 0.5, 0.75, 0.9)
+
+
+def test_fourier_scan_matches_reference_on_damped_2d_run():
+    metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
+    u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2, momentum=0.5)
+    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=2.0),
+                   snapshot_every=25)
+    assert len(res.snapshots) == 9
+    _assert_matches_reference(res.snapshots, REFERENCE_S)
+
+
+def test_fourier_scan_matches_reference_on_3d_run():
+    spec = GridSpec(3, 24, 8.0)
+    metric, damping = build_preset("identity", spec, {"damping_radius": 3.0})
+    u0 = gaussian_field(spec, amplitude=0.3, width=1.2)
+    res = simulate(u0, metric, damping, SolverConfig(dt=0.05, duration=2.0),
+                   snapshot_every=8)
+    assert len(res.snapshots) == 6
+    _assert_matches_reference(res.snapshots, REFERENCE_S)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    steps=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=6),
+    s_values=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=3, unique=True),
+)
+def test_fourier_scan_matches_reference_on_random_fields(seed, steps, s_values):
+    spec = GridSpec(2, 16, 5.0)
+    times = np.cumsum(steps)
+    snapshots = [(float(t), band_limited_random(spec, seed=seed + i))
+                 for i, t in enumerate(times)]
+    _assert_matches_reference(snapshots, tuple(s_values))
+
+
+def _count_transforms(monkeypatch):
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        original = getattr(GridSpec, name)
+
+        def counted(self, values, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(self, values)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_transform_counts_one_per_snapshot(monkeypatch, m):
+    spec = GridSpec(2, 16, 5.0)
+    snapshots = [(0.1 * (i + 1), band_limited_random(spec, seed=i))
+                 for i in range(m)]
+    counts = _count_transforms(monkeypatch)
+    cauchy_scan(snapshots, s_values=REFERENCE_S)
+    assert counts == {"fft": m, "ifft": 0}
+    counts.update(fft=0, ifft=0)
+    extract_profile(snapshots, s_values=REFERENCE_S)
+    assert counts == {"fft": m, "ifft": 1}
+
+
+def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():
+    snapshots = _linear_free_snapshots()
+    with pytest.raises(DomainError):
+        cauchy_scan(snapshots[::-1])
+    with pytest.raises(DomainError):
+        cauchy_scan(snapshots, s_values=(-0.5,))
+    other = GridSpec(2, 64, 12.0)
+    mixed = snapshots[:-1] + [(snapshots[-1][0], band_limited_random(other))]
+    with pytest.raises(GridMismatchError):
+        extract_profile(mixed)
 
 
 # -- cutoff diagnostics ---------------------------------------------------------------
