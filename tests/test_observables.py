@@ -25,7 +25,7 @@ from dnls.observables import (
     stability_probe,
     standard_monitors,
 )
-from dnls.solver import SolverConfig, simulate
+from dnls.solver import SimulationState, SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
 
@@ -513,3 +513,172 @@ def test_smooth_random_field_is_unit_norm_and_in_band():
     assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
     coeffs = SPEC.fft(f.values)
     assert np.max(np.abs(coeffs[~SPEC.dealias_mask])) < 1e-15
+
+
+# -- golden monitor values ----------------------------------------------------------
+#
+# Every monitor of the standard bundle (local radius and cutoff set) on a fixed
+# field without symmetry: an off-center boosted packet plus band-limited noise.
+# The values were recorded with the monitors that looped over the d x d table of
+# G and kept their own copies of the virial, the commutator and the local
+# energy. A rewrite that keeps each functional may change rounding only.
+
+GOLDEN_MONITOR_GRIDS = {2: 64, 3: 24}
+GOLDEN_MONITOR_PRESETS = ("identity", "conformal_bump", "anisotropic_bump")
+
+
+def _golden_monitor_values(preset, dim):
+    spec = GridSpec(dim, GOLDEN_MONITOR_GRIDS[dim], 8.0)
+    metric, damping = build_preset(preset, spec)
+    center = np.array([0.7, -0.4, 0.3][:dim])
+    momentum = np.array([1.0, 0.5, -0.3][:dim])
+    shifted = [x - c for x, c in zip(spec.coords, center)]
+    phase = sum(k * x for k, x in zip(momentum, spec.coords))
+    packet = 0.6 * np.exp(-sum(x**2 for x in shifted) / (2.0 * 1.1**2)) \
+        * np.exp(1j * phase)
+    noise = band_limited_random(spec, seed=5 + dim).values
+    u = Field(packet + 0.05 * noise / np.abs(noise).max(), spec)
+    monitors = standard_monitors(metric, damping, weight_tables(spec),
+                                 local_radius=2.5,
+                                 cutoff=cutoff_field(spec, 4.5, 6.5))
+    state = SimulationState(u, 0.0, 0, metric, damping)
+    cache: dict = {}
+    return {mon.name: float(mon.fn(state, cache)) for mon in monitors}
+
+
+GOLDEN_MONITORS = {
+    "anisotropic_bump-2d": {
+        "mass": 1.4420056418644345,
+        "energy": 1.6568906121406959,
+        "damping_mass": 1.1681144595336392,
+        "damping_energy": 2.820256098747056,
+        "mass_lapGa": -0.4104885479554824,
+        "energy_flux_alt": 0.20524427397775752,
+        "virial": 0.3505645493801439,
+        "virial_rhs": 2.4692147930600705,
+        "lambda_density": 3.2914464024069825,
+        "l4": 0.25278005501386713,
+        "h1_sq": 4.366558358247136,
+        "supp_a_h1": 4.143121332992263,
+        "interaction": 0.018050696249412017,
+        "morawetz_proxy": 3.693390551259788,
+        "local_energy": 3.944305475160964,
+        "local_mass": 1.2980937090373834,
+        "cutoff_hs_0": 1.169027657057693,
+        "cutoff_hs_0.5": 1.5221476131776575,
+        "commutator_l2_sq": 0.11894271367185752,
+    },
+    "anisotropic_bump-3d": {
+        "mass": 3.675078369565811,
+        "energy": 4.6582414100845035,
+        "damping_mass": 1.974703883741557,
+        "damping_energy": 5.659670290966356,
+        "mass_lapGa": -1.124548946408076,
+        "energy_flux_alt": 0.5626854353209567,
+        "virial": 0.5075167822639032,
+        "virial_rhs": 6.045052718412696,
+        "lambda_density": 2.8186894197954038,
+        "l4": 0.2773754782096671,
+        "h1_sq": 12.48749200617563,
+        "supp_a_h1": 9.096417348441602,
+        "interaction": -0.34628398368873814,
+        "morawetz_proxy": 6.31580564467793,
+        "local_energy": 8.346310818845856,
+        "local_mass": 2.307597139328263,
+        "cutoff_hs_0": 1.6053812740516096,
+        "cutoff_hs_0.5": 2.1951384865464676,
+        "commutator_l2_sq": 0.5860772008465049,
+    },
+    "conformal_bump-2d": {
+        "mass": 1.4420056418644345,
+        "energy": 1.7115988357046885,
+        "damping_mass": 1.1681144595336392,
+        "damping_energy": 2.922757222463323,
+        "mass_lapGa": -0.42461448347023484,
+        "energy_flux_alt": 0.21230724173513366,
+        "virial": 0.3505645493801439,
+        "virial_rhs": 2.4692147930600705,
+        "lambda_density": 3.2914464024069825,
+        "l4": 0.25278005501386713,
+        "h1_sq": 4.366558358247136,
+        "supp_a_h1": 4.143121332992263,
+        "interaction": 0.018050696249412017,
+        "morawetz_proxy": 3.693390551259788,
+        "local_energy": 3.944305475160964,
+        "local_mass": 1.2980937090373834,
+        "cutoff_hs_0": 1.169027657057693,
+        "cutoff_hs_0.5": 1.5221476131776575,
+        "commutator_l2_sq": 0.11894271367185752,
+    },
+    "conformal_bump-3d": {
+        "mass": 3.675078369565811,
+        "energy": 4.773748011983351,
+        "damping_mass": 1.974703883741557,
+        "damping_energy": 5.8717965284011635,
+        "mass_lapGa": -1.1578791157937018,
+        "energy_flux_alt": 0.5793520982217628,
+        "virial": 0.5075167822639032,
+        "virial_rhs": 6.045052718412696,
+        "lambda_density": 2.8186894197954038,
+        "l4": 0.2773754782096671,
+        "h1_sq": 12.48749200617563,
+        "supp_a_h1": 9.096417348441602,
+        "interaction": -0.34628398368873814,
+        "morawetz_proxy": 6.31580564467793,
+        "local_energy": 8.346310818845856,
+        "local_mass": 2.307597139328263,
+        "cutoff_hs_0": 1.6053812740516096,
+        "cutoff_hs_0.5": 2.1951384865464676,
+        "commutator_l2_sq": 0.5860772008465049,
+    },
+    "identity-2d": {
+        "mass": 1.4420056418644345,
+        "energy": 1.5254713719448176,
+        "damping_mass": 1.1681144595336392,
+        "damping_energy": 2.5716867123085128,
+        "mass_lapGa": -0.40028349866024,
+        "energy_flux_alt": 0.2001417493301397,
+        "virial": 0.3505645493801439,
+        "virial_rhs": 2.4692147930600705,
+        "lambda_density": 3.2914464024069825,
+        "l4": 0.25278005501386713,
+        "h1_sq": 4.366558358247136,
+        "supp_a_h1": 4.143121332992263,
+        "interaction": 0.018050696249412017,
+        "local_energy": 3.944305475160964,
+        "local_mass": 1.2980937090373834,
+        "cutoff_hs_0": 1.169027657057693,
+        "cutoff_hs_0.5": 1.5221476131776575,
+        "commutator_l2_sq": 0.11894271367185752,
+    },
+    "identity-3d": {
+        "mass": 3.675078369565811,
+        "energy": 4.475550687857323,
+        "damping_mass": 1.974703883741557,
+        "damping_energy": 5.320392349617797,
+        "mass_lapGa": -1.1146341257942292,
+        "energy_flux_alt": 0.5577213367280554,
+        "virial": 0.5075167822639032,
+        "virial_rhs": 6.045052718412696,
+        "lambda_density": 2.8186894197954038,
+        "l4": 0.2773754782096671,
+        "h1_sq": 12.48749200617563,
+        "supp_a_h1": 9.096417348441602,
+        "interaction": -0.34628398368873814,
+        "local_energy": 8.346310818845856,
+        "local_mass": 2.307597139328263,
+        "cutoff_hs_0": 1.6053812740516096,
+        "cutoff_hs_0.5": 2.1951384865464676,
+        "commutator_l2_sq": 0.5860772008465049,
+    },
+}
+
+
+@pytest.mark.parametrize("dim", sorted(GOLDEN_MONITOR_GRIDS))
+@pytest.mark.parametrize("preset", GOLDEN_MONITOR_PRESETS)
+def test_golden_monitor_values(preset, dim):
+    got = _golden_monitor_values(preset, dim)
+    gold = GOLDEN_MONITORS[f"{preset}-{dim}d"]
+    assert sorted(got) == sorted(gold)
+    for name, value in gold.items():
+        assert abs(got[name] - value) <= 1e-12 * abs(value), name
