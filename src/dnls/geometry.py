@@ -128,7 +128,6 @@ class MetricField:
         self.is_identity = self.amplitude == 0.0
         self.support_radius = 0.0 if self.is_identity else self.radius
         self._table: np.ndarray | None = None
-        self._factor: np.ndarray | None = None
         self._perturbation: np.ndarray | None = None
 
     # -- closed-form evaluators ------------------------------------------------
@@ -180,7 +179,11 @@ class MetricField:
 
     @property
     def table(self) -> np.ndarray:
-        """Grid samples of G, shape (dim, dim, n, ..., n)."""
+        """Grid samples of G, shape (dim, dim, n, ..., n).
+
+        The package works from ``perturbation`` and ``direction``; the table
+        is the generic reference the tests compare against.
+        """
         if self._table is None:
             d = self.spec.dim
             table = np.zeros((d, d) + self.spec.shape)
@@ -194,28 +197,13 @@ class MetricField:
             self._table = table
         return self._table
 
-    @property
-    def conformal_factor(self) -> np.ndarray | None:
-        """Scalar c(x) with G = c I when the perturbation is conformal, else None."""
-        if not self.conformal:
-            return None
-        if self._factor is None:
-            if self.is_identity:
-                self._factor = np.ones(self.spec.shape)
-            else:
-                self._factor = 1.0 + self.perturbation
-        return self._factor
-
     def deviation_norm(self) -> np.ndarray:
-        """Pointwise Frobenius norm of G - I on the grid."""
-        d = self.spec.dim
-        dev = np.zeros(self.spec.shape)
-        table = self.table
-        for i in range(d):
-            for j in range(d):
-                delta = table[i, j] - (1.0 if i == j else 0.0)
-                dev += delta**2
-        return np.sqrt(dev)
+        """Pointwise Frobenius norm of G - I = p S on the grid, in closed form:
+        |p| sqrt(d) for S = I and |p| for S = v v^T with unit v."""
+        if self.is_identity:
+            return np.zeros(self.spec.shape)
+        dev = np.abs(self.perturbation)
+        return dev * np.sqrt(self.spec.dim) if self.conformal else dev
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of G over the grid, in closed form.

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.fft as _fft
@@ -34,8 +34,10 @@ __all__ = [
     "laplacian_G",
     "flux_divergence",
     "sobolev_norm",
+    "h1_density",
     "localized_integral",
     "weight_tables",
+    "rk4",
 ]
 
 
@@ -220,6 +222,15 @@ def divergence(components: Sequence[Field]) -> Field:
     return Field(spec.ifft(acc), spec)
 
 
+def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of y' = rhs(y)."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def laplacian(f: Field) -> Field:
     """Free Laplacian via the -|k|^2 multiplier."""
     spec = f.spec
@@ -332,8 +343,21 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
 _LOCALIZED_MODES = ("density", "energy", "quartic")
 
 
-def localized_integral(f: Field, radius: float, mode: str = "density") -> float:
-    """Quadrature of |u|^2, |grad u|^2 + |u|^2 or |u|^4 over the ball B(0, R)."""
+def h1_density(f: Field, grads: Sequence[Field]) -> np.ndarray:
+    """Pointwise |u|^2 + |grad u|^2, given the spectral gradients of f."""
+    density = np.abs(f.values) ** 2
+    for g in grads:
+        density = density + np.abs(g.values) ** 2
+    return density
+
+
+def localized_integral(f: Field, radius: float, mode: str = "density",
+                       grads: Sequence[Field] | None = None) -> float:
+    """Quadrature of |u|^2, |grad u|^2 + |u|^2 or |u|^4 over the ball B(0, R).
+
+    ``grads`` (the spectral gradients of f) spare the energy mode its d + 1
+    transforms.
+    """
     if mode not in _LOCALIZED_MODES:
         raise DomainError(f"mode must be one of {_LOCALIZED_MODES}, got {mode!r}")
     spec = f.spec
@@ -343,9 +367,7 @@ def localized_integral(f: Field, radius: float, mode: str = "density") -> float:
     elif mode == "quartic":
         density = np.abs(f.values) ** 4
     else:
-        density = np.abs(f.values) ** 2
-        for g in gradient(f):
-            density = density + np.abs(g.values) ** 2
+        density = h1_density(f, gradient(f) if grads is None else grads)
     return float(np.sum(density[mask]) * spec.dx**spec.dim)
 
 

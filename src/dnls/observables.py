@@ -21,10 +21,12 @@ from .grid import (
     GridSpec,
     WeightTables,
     gradient,
+    h1_density,
     laplacian_G,
     localized_integral,
     sobolev_norm,
 )
+from .scattering import commutator_with_cutoff, cutoff_derivatives
 
 __all__ = [
     "ObservableSeries",
@@ -34,7 +36,6 @@ __all__ = [
     "morawetz_virial",
     "morawetz_rate_rhs",
     "bilinear_interaction",
-    "local_energy",
     "local_sobolev_decay",
     "smooth_random_field",
     "standard_monitors",
@@ -138,21 +139,29 @@ def mass(u: Field) -> float:
     return float(u.spec.quadrature(np.abs(u.values) ** 2).real)
 
 
+def _metric_contraction(metric: MetricField, a: Sequence[np.ndarray],
+                        b: Sequence[np.ndarray]) -> np.ndarray:
+    """Pointwise Re(G a . conj b) for vector fields given by their components.
+
+    Uses the structure G = I + p S: the plain product for G = I, times (1 + p)
+    for a conformal G, plus p Re((v . a) conj(v . b)) for G = I + p v v^T.
+    """
+    out = sum((ai * np.conj(bi)).real for ai, bi in zip(a, b))
+    p = metric.perturbation
+    if p is None:
+        return out
+    if metric.conformal:
+        return out * (1.0 + p)
+    v = metric.direction
+    va = sum(vj * aj for vj, aj in zip(v, a) if vj != 0.0)
+    vb = sum(vj * bj for vj, bj in zip(v, b) if vj != 0.0)
+    return out + p * (va * np.conj(vb)).real
+
+
 def _metric_energy_density(grads: Sequence[Field], metric: MetricField) -> np.ndarray:
     """Pointwise G grad u . grad conj(u); real and non-negative for PSD G."""
-    factor = metric.conformal_factor
-    if factor is not None:
-        out = np.zeros(grads[0].spec.shape)
-        for g in grads:
-            out += np.abs(g.values) ** 2
-        return factor * out
-    table = metric.table
-    d = len(grads)
-    out = np.zeros(grads[0].spec.shape)
-    for i in range(d):
-        for j in range(d):
-            out += table[i, j] * (np.conj(grads[i].values) * grads[j].values).real
-    return out
+    values = [g.values for g in grads]
+    return _metric_contraction(metric, values, values)
 
 
 def energy(u: Field, metric: MetricField, grads: Sequence[Field] | None = None) -> float:
@@ -165,18 +174,25 @@ def energy(u: Field, metric: MetricField, grads: Sequence[Field] | None = None) 
     return float(0.5 * kinetic + 0.25 * quartic)
 
 
+def _div_G_grad_a(metric: MetricField, damping: DampingField) -> np.ndarray:
+    """div(G grad a) on the grid, the source of the energy law's mass term."""
+    a = Field(damping.table.astype(complex), metric.spec)
+    return laplacian_G(a, metric).values.real
+
+
 def _momentum_density(u: Field, grads: Sequence[Field]) -> list[np.ndarray]:
     """Components of Im(conj(u) grad u)."""
     return [(np.conj(u.values) * g.values).imag for g in grads]
 
 
-def morawetz_virial(u: Field, tables: WeightTables) -> float:
+def morawetz_virial(u: Field, tables: WeightTables,
+                    grads: Sequence[Field] | None = None) -> float:
     """Virial moment V = Im int conj(u) grad u . grad chi; its rate carries the
     monotonicity information the decay monitors are built on."""
-    grads = gradient(u)
-    density = np.zeros(u.spec.shape)
-    for j, g in enumerate(grads):
-        density += (np.conj(u.values) * g.values).imag * tables.grad_chi[j]
+    if grads is None:
+        grads = gradient(u)
+    momentum = _momentum_density(u, grads)
+    density = sum(m * gc for m, gc in zip(momentum, tables.grad_chi))
     return float(u.spec.quadrature(density).real)
 
 
@@ -236,11 +252,6 @@ def bilinear_interaction(u: Field, tables: WeightTables) -> float:
     return total
 
 
-def local_energy(u: Field, radius: float) -> float:
-    """H^1 density |grad u|^2 + |u|^2 integrated over the ball B(0, R)."""
-    return localized_integral(u, radius, "energy")
-
-
 def local_sobolev_decay(u: Field, cutoff: np.ndarray, s: float) -> float:
     """H^s norm of the cutoff field, for 0 <= s < 1 (the decay range)."""
     if not 0.0 <= s < 1.0:
@@ -281,7 +292,7 @@ def standard_monitors(
     spec = metric.spec
     a = damping.table
     a_support = a > a_min
-    lap_G_a = laplacian_G(Field(a.astype(complex), spec), metric).values.real
+    lap_G_a = _div_G_grad_a(metric, damping)
     grad_a = [g.values.real for g in gradient(Field(a.astype(complex), spec))]
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
@@ -308,29 +319,12 @@ def standard_monitors(
 
     def mon_flux_alt(state, cache):
         # Re int G grad u . conj(u) grad a
-        grads = _grads(state, cache)
-        factor = metric.conformal_factor
-        density = np.zeros(spec.shape)
-        if factor is not None:
-            for j in range(spec.dim):
-                density += factor * (
-                    grads[j].values * np.conj(state.u.values)
-                ).real * grad_a[j]
-        else:
-            table = metric.table
-            for i in range(spec.dim):
-                for j in range(spec.dim):
-                    density += table[i, j] * (
-                        grads[j].values * np.conj(state.u.values)
-                    ).real * grad_a[i]
-        return float(spec.quadrature(density).real)
+        u_bar = np.conj(state.u.values)
+        fluxes = [g.values * u_bar for g in _grads(state, cache)]
+        return float(spec.quadrature(_metric_contraction(metric, fluxes, grad_a)).real)
 
     def mon_virial(state, cache):
-        grads = _grads(state, cache)
-        density = np.zeros(spec.shape)
-        for j, g in enumerate(grads):
-            density += (np.conj(state.u.values) * g.values).imag * tables.grad_chi[j]
-        return float(spec.quadrature(density).real)
+        return morawetz_virial(state.u, tables, _grads(state, cache))
 
     def mon_virial_rhs(state, cache):
         return morawetz_rate_rhs(
@@ -349,10 +343,7 @@ def standard_monitors(
         return sobolev_norm(state.u, 1.0) ** 2
 
     def mon_supp_a_h1(state, cache):
-        grads = _grads(state, cache)
-        density = np.abs(state.u.values) ** 2
-        for g in grads:
-            density = density + np.abs(g.values) ** 2
+        density = h1_density(state.u, _grads(state, cache))
         return float(density[a_support].sum() * spec.dx**spec.dim)
 
     def mon_interaction(state, cache):
@@ -376,17 +367,16 @@ def standard_monitors(
 
     if pert_support is not None:
         def mon_proxy(state, cache):
-            grads = _grads(state, cache)
-            density = np.abs(state.u.values) ** 2 + np.abs(state.u.values) ** 4
-            for g in grads:
-                density = density + np.abs(g.values) ** 2
+            density = h1_density(state.u, _grads(state, cache)) \
+                + np.abs(state.u.values) ** 4
             return float(density[pert_support].sum() * spec.dx**spec.dim)
 
         monitors.append(Monitor("morawetz_proxy", mon_proxy, record_every))
 
     if local_radius is not None:
         def mon_local_energy(state, cache):
-            return local_energy(state.u, local_radius)
+            return localized_integral(state.u, local_radius, "energy",
+                                      _grads(state, cache))
 
         def mon_local_mass(state, cache):
             return localized_integral(state.u, local_radius, "density")
@@ -395,12 +385,7 @@ def standard_monitors(
         monitors.append(Monitor("local_mass", mon_local_mass, record_every))
 
     if cutoff is not None:
-        grad_cut = [
-            g.values.real for g in gradient(Field(cutoff.astype(complex), spec))
-        ]
-        lap_cut = spec.ifft(
-            -spec.k_squared * spec.fft(cutoff.astype(complex))
-        ).real
+        cut_derivatives = cutoff_derivatives(cutoff, spec)
 
         for s in cutoff_exponents:
             def mon_cut(state, cache, s=s):
@@ -411,11 +396,9 @@ def standard_monitors(
             )
 
         def mon_commutator(state, cache):
-            grads = _grads(state, cache)
-            comm = lap_cut * state.u.values
-            for j in range(spec.dim):
-                comm = comm + 2.0 * grad_cut[j] * grads[j].values
-            return float(spec.quadrature(np.abs(comm) ** 2).real)
+            comm = commutator_with_cutoff(state.u, cutoff, _grads(state, cache),
+                                          cut_derivatives)
+            return float(spec.quadrature(np.abs(comm.values) ** 2).real)
 
         monitors.append(Monitor("commutator_l2_sq", mon_commutator, record_every))
 
@@ -544,10 +527,7 @@ def energy_lambda_bound_check(
     C0 = (1/2) max |div(G grad a)| / (15/chi^7) over the grid."""
     times = _check_aligned(energy_series, lambda_series)
     if constant is None:
-        spec = metric.spec
-        lap_G_a = laplacian_G(
-            Field(damping.table.astype(complex), spec), metric
-        ).values.real
+        lap_G_a = _div_G_grad_a(metric, damping)
         constant = float(0.5 * np.max(np.abs(lap_G_a) / tables.lambda_kernel))
     e = energy_series.values
     margins = e[0] + constant * lambda_series.values + tol - e

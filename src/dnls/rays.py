@@ -3,9 +3,14 @@
 The flow is
     dx/dt  = 2 G(x) xi,
     dxi/dt = - sum_ij (dG_ij/dx) xi_i xi_j,
-integrated with the classical fourth-order one-step method on closed-form
-coefficient evaluators (never grid interpolation). Rays in an ensemble are
-advanced together as (n, dim) arrays.
+integrated with the classical fourth-order one-step method (``grid.rk4``) on
+closed-form coefficient evaluators (never grid interpolation). A ray state is
+one row (x, xi) of an (n, 2 dim) array, and an ensemble advances its rays
+together.
+
+One rule, :class:`_FateRule`, turns states into a :class:`RayFate`: the
+ensemble feeds it from its RK4 loop, and :func:`classify_ray` replays a
+recorded trajectory through it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .geometry import DampingField, MetricField
+from .grid import rk4
 
 __all__ = [
-    "RayState",
     "RayFate",
     "Trajectory",
     "EnsembleSummary",
@@ -31,13 +36,6 @@ __all__ = [
 ]
 
 FATE_KINDS = ("escaped", "controlled", "trapped_at_horizon")
-
-
-@dataclass
-class RayState:
-    x: np.ndarray
-    xi: np.ndarray
-    t: float
 
 
 @dataclass
@@ -68,9 +66,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def state(self, i: int) -> RayState:
-        return RayState(self.positions[i], self.momenta[i], float(self.times[i]))
-
 
 def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField) -> np.ndarray:
     """G(x) xi . xi via the closed-form evaluator; works on (..., dim) stacks."""
@@ -81,25 +76,20 @@ def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField) -> np.ndarra
     return h[0] if h.shape == (1,) else h
 
 
-def _rhs(x: np.ndarray, xi: np.ndarray, metric: MetricField):
-    g = metric.eval_metric(x)
-    xdot = 2.0 * np.einsum("...ij,...j->...i", g, xi)
-    if metric.is_identity:
-        xidot = np.zeros_like(xi)
-    else:
-        dg = metric.eval_metric_grad(x)
-        xidot = -np.einsum("...kij,...i,...j->...k", dg, xi, xi)
-    return xdot, xidot
+def _hamilton_rhs(metric: MetricField):
+    """Right-hand side of the flow on stacked states y = (x, xi) of shape (n, 2d)."""
 
+    def rhs(y: np.ndarray) -> np.ndarray:
+        d = y.shape[1] // 2
+        x, xi = y[:, :d], y[:, d:]
+        out = np.zeros_like(y)
+        out[:, :d] = 2.0 * np.einsum("...ij,...j->...i", metric.eval_metric(x), xi)
+        if not metric.is_identity:
+            dg = metric.eval_metric_grad(x)
+            out[:, d:] = -np.einsum("...kij,...i,...j->...k", dg, xi, xi)
+        return out
 
-def _rk4_step(x: np.ndarray, xi: np.ndarray, metric: MetricField, dt: float):
-    k1x, k1p = _rhs(x, xi, metric)
-    k2x, k2p = _rhs(x + 0.5 * dt * k1x, xi + 0.5 * dt * k1p, metric)
-    k3x, k3p = _rhs(x + 0.5 * dt * k2x, xi + 0.5 * dt * k2p, metric)
-    k4x, k4p = _rhs(x + dt * k3x, xi + dt * k3p, metric)
-    x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    xi_new = xi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return x_new, xi_new
+    return rhs
 
 
 def integrate_ray(
@@ -112,27 +102,29 @@ def integrate_ray(
     """Integrate one ray to the horizon, recording every step."""
     if dt <= 0.0 or horizon <= 0.0:
         raise DomainError("integrate_ray needs dt > 0 and horizon > 0")
-    x = np.asarray(x0, dtype=float).reshape(1, -1).copy()
-    xi = np.asarray(xi0, dtype=float).reshape(1, -1).copy()
+    x = np.asarray(x0, dtype=float).reshape(1, -1)
+    xi = np.asarray(xi0, dtype=float).reshape(1, -1)
     if np.linalg.norm(xi) == 0.0:
         raise DomainError("ray momentum must be nonzero")
+    d = x.shape[1]
+    y = np.concatenate([x, xi], axis=1)
+    rhs = _hamilton_rhs(metric)
     n_steps = int(round(horizon / dt))
     times = np.empty(n_steps + 1)
-    positions = np.empty((n_steps + 1, x.shape[1]))
-    momenta = np.empty_like(positions)
+    states = np.empty((n_steps + 1, 2 * d))
     hams = np.empty(n_steps + 1)
-    times[0], positions[0], momenta[0] = 0.0, x[0], xi[0]
+    times[0], states[0] = 0.0, y[0]
     hams[0] = hamiltonian(x, xi, metric)
     for i in range(1, n_steps + 1):
-        x, xi = _rk4_step(x, xi, metric, dt)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+        y = rk4(y, rhs, dt)
+        if not np.all(np.isfinite(y)):
             raise StabilityError(
                 f"ray state became non-finite at t={i * dt:.6g} (dt={dt})"
             )
         times[i] = i * dt
-        positions[i], momenta[i] = x[0], xi[0]
-        hams[i] = hamiltonian(x, xi, metric)
-    return Trajectory(times, positions, momenta, hams)
+        states[i] = y[0]
+        hams[i] = hamiltonian(y[:, :d], y[:, d:], metric)
+    return Trajectory(times, states[:, :d], states[:, d:], hams)
 
 
 def _refine_exit_time(
@@ -150,19 +142,91 @@ def _refine_exit_time(
     return t_prev + float(np.clip(s, 0.0, dt))
 
 
+class _FateRule:
+    """The per-step rule behind every :class:`RayFate`, for n rays at once.
+
+    The state after step i (time t = i dt) of every ray still followed is
+    fed to :meth:`advance`:
+
+    * drift is the largest |h - h0| seen so far, reported relative to |h0|;
+    * a ray escapes on the first step whose endpoint lies beyond
+      ``escape_radius``. Its exit time is the root of |x| = escape_radius on
+      that step's segment, measured from t - dt, and the ray is followed no
+      further, so its drift and residence stop with that step;
+    * each step whose endpoint has a > a_min adds dt of control residence,
+      the exit step included (a vanishes beyond the escape radius), and the
+      first such step sets t_first_hit.
+
+    The starting point is tested for control (t_first_hit = 0) but not for
+    escape: a ray that starts beyond the escape radius escapes on its first
+    step if it is still outside then. Escape wins over control in ``kind``;
+    a ray that does neither is trapped at the horizon.
+    """
+
+    def __init__(self, damping: DampingField, x0: np.ndarray, h0: np.ndarray,
+                 dt: float, escape_radius: float, a_min: float):
+        n = x0.shape[0]
+        self.damping = damping
+        self.dt = dt
+        self.escape_radius = escape_radius
+        self.a_min = a_min
+        self.h0 = h0
+        self.drift = np.zeros(n)
+        self.escaped = np.zeros(n, dtype=bool)
+        self.t_exit = np.full(n, np.nan)
+        self.t_first_hit = np.full(n, np.nan)
+        self.t_first_hit[damping.eval_damping(x0) > a_min] = 0.0
+        self.control_steps = np.zeros(n, dtype=np.int64)
+
+    def live(self) -> np.ndarray:
+        """Indices of the rays still followed."""
+        return np.nonzero(~self.escaped)[0]
+
+    def advance(self, i: int, live: np.ndarray, x_prev: np.ndarray,
+                x: np.ndarray, h: np.ndarray) -> None:
+        """Step i of the rays ``live``: positions x_prev -> x, symbol values h."""
+        dt = self.dt
+        t = i * dt
+        self.drift[live] = np.maximum(self.drift[live], np.abs(h - self.h0[live]))
+        out = np.linalg.norm(x, axis=1) > self.escape_radius
+        for j in np.nonzero(out)[0]:
+            self.t_exit[live[j]] = _refine_exit_time(
+                x_prev[j], x[j], t - dt, dt, self.escape_radius
+            )
+        hits = live[self.damping.eval_damping(x) > self.a_min]
+        self.t_first_hit[hits[np.isnan(self.t_first_hit[hits])]] = t
+        self.control_steps[hits] += 1
+        self.escaped[live[out]] = True
+
+    def fates(self, horizon: float) -> list[RayFate]:
+        drift = self.drift / np.abs(self.h0)
+        fates = []
+        for ray in range(len(drift)):
+            if self.escaped[ray]:
+                kind = "escaped"
+            elif not np.isnan(self.t_first_hit[ray]):
+                kind = "controlled"
+            else:
+                kind = "trapped_at_horizon"
+            fates.append(RayFate(
+                kind, float(drift[ray]), t_exit=float(self.t_exit[ray]),
+                t_first_hit=float(self.t_first_hit[ray]),
+                time_in_control=float(self.control_steps[ray] * self.dt),
+                horizon=horizon if kind == "trapped_at_horizon" else np.nan,
+            ))
+        return fates
+
+
 def classify_ray(
     trajectory: Trajectory,
     damping: DampingField,
     escape_radius: float,
     a_min: float = 1e-8,
 ) -> RayFate:
-    """Classify one recorded trajectory.
+    """Classify one recorded trajectory by replaying it through the rule of
+    :class:`_FateRule`, so it gets the fate an ensemble of one would.
 
-    A ray is escaped at the first crossing of |x| = escape_radius (exit time
-    refined on the crossing segment); control residence is accumulated per step
-    whose endpoint satisfies a(x) > a_min. Escape wins over control in `kind`;
-    control times remain reported. A ray that never escapes and never meets the
-    control region is trapped at the horizon.
+    The trajectory's last time is the horizon of a trapped ray.
     """
     if escape_radius <= damping.support_radius:
         raise DomainError(
@@ -170,49 +234,16 @@ def classify_ray(
             f"{damping.support_radius}"
         )
     times = trajectory.times
+    positions, hams = trajectory.positions, trajectory.hamiltonians
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    radii = np.linalg.norm(trajectory.positions, axis=1)
-    a_vals = damping.eval_damping(trajectory.positions)
-    h0 = trajectory.hamiltonians[0]
-    drift = float(np.max(np.abs(trajectory.hamiltonians - h0)) / abs(h0))
-
-    outside = radii > escape_radius
-    exit_idx = int(np.argmax(outside)) if outside.any() else -1
-
-    in_control = a_vals > a_min
-    if exit_idx >= 0:
-        in_control = in_control.copy()
-        in_control[exit_idx:] = False  # residence only counted until escape
-    hit_idx = int(np.argmax(in_control)) if in_control.any() else -1
-    t_first_hit = float(times[hit_idx]) if hit_idx >= 0 else np.nan
-    time_in_control = float(dt * np.count_nonzero(in_control[1:]))
-
-    if exit_idx >= 0:
-        if exit_idx == 0:
-            t_exit = 0.0
-        else:
-            t_exit = _refine_exit_time(
-                trajectory.positions[exit_idx - 1],
-                trajectory.positions[exit_idx],
-                float(times[exit_idx - 1]),
-                dt,
-                escape_radius,
-            )
-        return RayFate(
-            "escaped",
-            drift,
-            t_exit=t_exit,
-            t_first_hit=t_first_hit,
-            time_in_control=time_in_control,
-        )
-    if hit_idx >= 0:
-        return RayFate(
-            "controlled",
-            drift,
-            t_first_hit=t_first_hit,
-            time_in_control=time_in_control,
-        )
-    return RayFate("trapped_at_horizon", drift, horizon=float(times[-1]))
+    rule = _FateRule(damping, positions[:1], hams[:1], dt, escape_radius, a_min)
+    for i in range(1, len(times)):
+        live = rule.live()
+        if not live.size:
+            break
+        rule.advance(i, live, positions[i - 1:i], positions[i:i + 1],
+                     hams[i:i + 1])
+    return rule.fates(float(times[-1]))[0]
 
 
 def sample_ensemble(
@@ -278,75 +309,27 @@ def verify_exterior_control(
         )
     x = np.array(x0, dtype=float)
     xi = np.array(xi0, dtype=float)
-    n = x.shape[0]
+    d = x.shape[1]
+    y = np.concatenate([x, xi], axis=1)
+    rhs = _hamilton_rhs(metric)
     n_steps = int(round(horizon / dt))
-
     h0 = np.atleast_1d(hamiltonian(x, xi, metric))
-    drift = np.zeros(n)
-    escaped = np.zeros(n, dtype=bool)
-    t_exit = np.full(n, np.nan)
-    t_first_hit = np.full(n, np.nan)
-    in_control_now = damping.eval_damping(x) > a_min
-    t_first_hit[in_control_now] = 0.0
-    control_steps = np.zeros(n, dtype=np.int64)
-
-    x_prev = x.copy()
+    rule = _FateRule(damping, x, h0, dt, escape_radius, a_min)
     for i in range(1, n_steps + 1):
-        live = ~escaped
-        if not live.any():
+        live = rule.live()
+        if not live.size:
             break
-        x_prev[live] = x[live]
-        x_live, xi_live = _rk4_step(x[live], xi[live], metric, dt)
-        if not (np.all(np.isfinite(x_live)) and np.all(np.isfinite(xi_live))):
+        y_prev = y[live]
+        y_live = rk4(y_prev, rhs, dt)
+        if not np.all(np.isfinite(y_live)):
             raise StabilityError(
                 f"ensemble state became non-finite at t={i * dt:.6g} (dt={dt})"
             )
-        x[live], xi[live] = x_live, xi_live
-        t = i * dt
+        y[live] = y_live
+        h_live = np.atleast_1d(hamiltonian(y_live[:, :d], y_live[:, d:], metric))
+        rule.advance(i, live, y_prev[:, :d], y_live[:, :d], h_live)
 
-        h_live = np.atleast_1d(hamiltonian(x[live], xi[live], metric))
-        drift[live] = np.maximum(drift[live], np.abs(h_live - h0[live]))
-
-        radii = np.linalg.norm(x[live], axis=1)
-        newly_out = np.zeros(n, dtype=bool)
-        newly_out[live] = radii > escape_radius
-        for ray in np.nonzero(newly_out)[0]:
-            t_exit[ray] = _refine_exit_time(
-                x_prev[ray], x[ray], t - dt, dt, escape_radius
-            )
-        hits = np.zeros(n, dtype=bool)
-        hits[live] = damping.eval_damping(x[live]) > a_min
-        first = hits & np.isnan(t_first_hit)
-        t_first_hit[first] = t
-        control_steps[hits] += 1
-        escaped |= newly_out
-
-    drift_rel = drift / np.abs(h0)
-    fates: list[RayFate] = []
-    for ray in range(n):
-        if escaped[ray]:
-            fates.append(
-                RayFate(
-                    "escaped",
-                    float(drift_rel[ray]),
-                    t_exit=float(t_exit[ray]),
-                    t_first_hit=float(t_first_hit[ray]),
-                    time_in_control=float(control_steps[ray] * dt),
-                )
-            )
-        elif not np.isnan(t_first_hit[ray]):
-            fates.append(
-                RayFate(
-                    "controlled",
-                    float(drift_rel[ray]),
-                    t_first_hit=float(t_first_hit[ray]),
-                    time_in_control=float(control_steps[ray] * dt),
-                )
-            )
-        else:
-            fates.append(
-                RayFate("trapped_at_horizon", float(drift_rel[ray]), horizon=horizon)
-            )
+    fates = rule.fates(horizon)
     counts = {kind: 0 for kind in FATE_KINDS}
     for fate in fates:
         counts[fate.kind] += 1

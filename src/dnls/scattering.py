@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, SamplingError
 from .geometry import DampingField
-from .grid import Field, GridSpec, gradient, laplacian, sobolev_norm
+from .grid import Field, GridSpec, gradient, sobolev_norm
 
 __all__ = [
     "ScatterReport",
@@ -35,6 +35,7 @@ __all__ = [
     "free_evolve",
     "cauchy_scan",
     "extract_profile",
+    "cutoff_derivatives",
     "commutator_with_cutoff",
     "cutoff_diagnostics",
 ]
@@ -166,17 +167,40 @@ def extract_profile(
     return report
 
 
-def commutator_with_cutoff(u: Field, cutoff: np.ndarray) -> Field:
-    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u."""
-    spec = u.spec
-    chi = Field(np.asarray(cutoff, dtype=np.complex128), spec)
-    lap_chi = laplacian(chi).values
-    grad_chi = [g.values for g in gradient(chi)]
-    grads = [g.values for g in gradient(u)]
+def cutoff_derivatives(
+    cutoff: np.ndarray, spec: GridSpec
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """lap chi and the components of grad chi for a real cutoff chi.
+
+    Only the real parts are kept: the spectral derivatives of a real field
+    carry an imaginary artifact from the unpaired Nyquist mode.
+    """
+    coeffs = spec.fft(np.asarray(cutoff, dtype=np.complex128))
+    lap = spec.ifft(-spec.k_squared * coeffs).real
+    grads = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
+    return lap, grads
+
+
+def commutator_with_cutoff(
+    u: Field,
+    cutoff: np.ndarray,
+    grads: Sequence[Field] | None = None,
+    derivatives: tuple[np.ndarray, list[np.ndarray]] | None = None,
+) -> Field:
+    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u.
+
+    ``grads`` (the spectral gradients of u) and ``derivatives`` (from
+    :func:`cutoff_derivatives`) are used when the caller already has them.
+    """
+    if derivatives is None:
+        derivatives = cutoff_derivatives(cutoff, u.spec)
+    if grads is None:
+        grads = gradient(u)
+    lap_chi, grad_chi = derivatives
     out = lap_chi * u.values
     for gc, gu in zip(grad_chi, grads):
-        out = out + 2.0 * gc * gu
-    return Field(out, spec)
+        out = out + 2.0 * gc * gu.values
+    return Field(out, u.spec)
 
 
 @dataclass

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import Field, GridSpec, flux_divergence
+from .grid import Field, GridSpec, flux_divergence, rk4
 from .observables import Monitor, ObservableSeries
 
 __all__ = [
@@ -148,14 +148,6 @@ def _free_factors(spec: GridSpec, tau: float) -> list[np.ndarray]:
     return [np.exp(-1j * k**2 * tau) for k in spec.wavenumbers]
 
 
-def _rk4(values: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float):
-    k1 = rhs(values)
-    k2 = rhs(values + 0.5 * h * k1)
-    k3 = rhs(values + 0.5 * h * k2)
-    k4 = rhs(values + h * k3)
-    return values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class _LinearFlow:
     """exp(i tau div(G grad .)) over a fixed time tau; exact when G = I.
 
@@ -194,7 +186,7 @@ class _LinearFlow:
         guard = np.abs(spec.ifft(coeffs)).max()
         m = cfg.inner_perturbation_steps
         for _ in range(m):
-            coeffs = _rk4(coeffs, self._rhs, self.tau / m)
+            coeffs = rk4(coeffs, self._rhs, self.tau / m)
             if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
                 suggestion = cfl_suggestion(spec, self.metric, cfg.scheme,
                                             cfg.duration, m, cfg.dealias)
@@ -320,7 +312,7 @@ def step(state: SimulationState, cfg: SolverConfig,
         if cfg.dealias:
             values = spec.band_limit(values)
     else:
-        values = _rk4(state.u.values, propagator.full_rhs, dt)
+        values = rk4(state.u.values, propagator.full_rhs, dt)
     return SimulationState(
         u=Field(values, spec),
         t=state.t + dt,

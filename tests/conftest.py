@@ -1,9 +1,16 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dnls.grid import Field, GridSpec
+
+# CI runs with HYPOTHESIS_PROFILE=ci: examples are derived from the test
+# itself, and a failure prints the blob that replays it locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def gaussian_field(spec: GridSpec, amplitude=0.5, width=1.0, momentum=0.0) -> Field:

@@ -123,6 +123,54 @@ def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
     assert calls == ["identity"]
 
 
+TABLE_FREE = """\
+[grid]
+dim = 2
+n = 32
+box_half_length = 12.0
+
+[geometry]
+preset = {preset}
+
+[solver]
+dt = 0.01
+duration = 0.05
+
+[rays]
+count = 4
+sample_radius = 2.0
+horizon = 1.0
+dt = 0.01
+
+[run]
+seed = 1
+"""
+
+
+@pytest.mark.parametrize("preset", ["identity", "conformal_bump",
+                                    "anisotropic_bump", "uncontrolled_bump"])
+def test_runs_never_build_the_metric_table(tmp_path, monkeypatch, preset):
+    # the package uses G only through its structure; the table is a test
+    # reference
+    import dnls.config
+
+    metrics = []
+    original = dnls.config.build_preset
+
+    def kept(*args, **kwargs):
+        pair = original(*args, **kwargs)
+        metrics.append(pair[0])
+        return pair
+
+    monkeypatch.setattr(dnls.config, "build_preset", kept)
+    cfg = _write(tmp_path, TABLE_FREE.format(preset=preset))
+    for sub in ("simulate", "check-geometry", "rays"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub),
+                     "--quiet"]) == EXIT_OK
+    assert len(metrics) == 3
+    assert all(metric._table is None for metric in metrics)
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = _write(tmp_path, TINY_1D)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -16,6 +16,7 @@ from dnls.geometry import (
     smooth_transition,
 )
 from dnls.grid import Field, GridSpec, gradient
+from dnls.solver import cfl_suggestion
 
 
 SPEC = GridSpec(2, 64, 10.0)
@@ -163,6 +164,46 @@ def test_min_eigenvalue_matches_eigvalsh_on_table(dim, preset, amplitude):
     stacked = np.moveaxis(metric.table, (0, 1), (-2, -1))
     reference = float(np.linalg.eigvalsh(stacked)[..., 0].min())
     assert metric.min_eigenvalue() == pytest.approx(reference, rel=1e-14, abs=1e-14)
+
+
+def _table_deviation(metric):
+    """Frobenius norm of G - I from the generic table: the reference for the
+    closed form."""
+    d = metric.spec.dim
+    table = metric.table
+    return np.sqrt(sum((table[i, j] - (1.0 if i == j else 0.0)) ** 2
+                       for i in range(d) for j in range(d)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("amplitude", [None, -0.5])
+def test_control_scan_and_cfl_match_the_table_reference(dim, preset, amplitude):
+    params = {} if amplitude is None or preset == "identity" else {
+        "metric_amplitude": amplitude}
+    spec = _SPECS_BY_DIM[dim]
+    metric, damping = build_preset(preset, spec, params)
+    report = check_control(metric, damping)
+    dev = metric.deviation_norm()
+    assert metric._table is None  # the closed form needs no table
+    reference = _table_deviation(metric)
+    assert np.max(np.abs(dev - reference)) <= 1e-15
+    support = reference > 1e-12
+    assert np.array_equal(dev > 1e-12, support)
+    assert report.support_count == int(support.sum())
+    if support.any():
+        assert report.delta0 == float(damping.table[support].min())
+    expected_bad = np.argwhere(support & (damping.table <= 1e-8))
+    assert report.violation_count == len(expected_bad)
+    pert = float(reference.max())
+    for scheme in ("strang", "rk4_mol"):
+        got = cfl_suggestion(spec, metric, scheme, 10.0)
+        k2max = dim * (np.pi / spec.length * (spec.n // 3)) ** 2
+        if scheme == "rk4_mol":
+            expected = min(2.0 / (k2max * (1.0 + pert)), 1.0)
+        else:
+            expected = 1.0 if pert == 0.0 else min(2.0 / (k2max * pert), 1.0)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

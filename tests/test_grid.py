@@ -14,6 +14,7 @@ from dnls.grid import (
     laplacian,
     laplacian_G,
     localized_integral,
+    rk4,
     sobolev_norm,
     weight_tables,
 )
@@ -398,3 +399,13 @@ def test_weight_tables_lap_chi_lower_dimensional_closed_forms(dim):
     t = weight_tables(spec)
     expected = (dim - 1) / t.chi + 1.0 / t.chi**3
     assert np.max(np.abs(t.lap_chi - expected)) < 1e-14
+
+
+def test_rk4_step_is_the_fourth_order_taylor_polynomial():
+    # for y' = lam y one classical step multiplies by sum_{j<=4} (h lam)^j / j!
+    lam = np.array([[-1.0 + 2.0j, 0.5j], [3.0, -0.25]])
+    y = np.array([[1.0 + 1.0j, 2.0], [0.5j, -1.0]])
+    h = 0.1
+    z = h * lam
+    expected = y * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    assert np.allclose(rk4(y, lambda v: lam * v, h), expected, rtol=1e-15, atol=0)

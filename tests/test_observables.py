@@ -4,7 +4,14 @@ from scipy.integrate import quad
 
 from dnls.errors import DomainError, SamplingError, SeriesAlignmentError
 from dnls.geometry import DampingField, build_preset, cutoff_field
-from dnls.grid import Field, GridSpec, gradient, sobolev_norm, weight_tables
+from dnls.grid import (
+    Field,
+    GridSpec,
+    gradient,
+    localized_integral,
+    sobolev_norm,
+    weight_tables,
+)
 from dnls.observables import (
     ObservableSeries,
     bilinear_interaction,
@@ -15,7 +22,6 @@ from dnls.observables import (
     interaction_inequality_check,
     l4_accumulator,
     lambda_accumulator,
-    local_energy,
     local_sobolev_decay,
     mass,
     mass_law_residual,
@@ -311,7 +317,8 @@ def test_energy_lambda_bound_negative_control():
 
 
 def test_local_energy_zero_field():
-    assert local_energy(Field(np.zeros(SPEC.shape, dtype=complex), SPEC), 2.0) == 0.0
+    zero = Field(np.zeros(SPEC.shape, dtype=complex), SPEC)
+    assert localized_integral(zero, 2.0, "energy") == 0.0
 
 
 def test_local_energy_decays_as_packet_exits_ball():
@@ -323,7 +330,8 @@ def test_local_energy_decays_as_packet_exits_ball():
     cfg = SolverConfig(dt=0.01, duration=2.0)  # group speed 2k = 4
     from dnls.observables import Monitor
 
-    mons = [Monitor("local_energy", lambda s, c: local_energy(s.u, R), 1)]
+    mons = [Monitor("local_energy",
+                    lambda s, c: localized_integral(s.u, R, "energy"), 1)]
     res = simulate(u0, metric, damping, cfg, monitors=mons)
     series = res.series["local_energy"].values
     assert series[-1] < 0.01 * series[0]

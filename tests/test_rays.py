@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls.errors import DomainError
 from dnls.geometry import DampingField, MetricField, build_preset
@@ -236,3 +238,85 @@ def test_escape_radius_must_clear_coefficient_support():
     x0, xi0 = sample_ensemble(2, 4, 1.0, seed=0)
     with pytest.raises(DomainError):
         verify_exterior_control(metric, damping, x0, xi0, 1.0, 1e-2, escape_radius=3.0)
+
+
+# -- one classification rule ------------------------------------------------------------
+
+ORACLE_GEOMETRIES = {
+    "identity": ("identity", {"damping_radius": 2.0}),
+    "conformal": ("conformal_bump", {"metric_amplitude": -0.95, "metric_radius": 2.0,
+                                     "damping_radius": 3.0}),
+    "uncontrolled": ("uncontrolled_bump", dict(TRAP_PARAMS)),
+}
+
+
+def _oracle_geometry(case):
+    preset, params = ORACLE_GEOMETRIES[case]
+    metric, damping = build_preset(preset, SPEC, params)
+    return metric, damping, default_escape_radius(metric, damping)
+
+
+def _assert_same_fate(single, ensemble):
+    assert single.kind == ensemble.kind
+    assert np.array_equal([single.t_first_hit], [ensemble.t_first_hit],
+                          equal_nan=True)
+    assert single.time_in_control == ensemble.time_in_control
+    assert single.t_exit == pytest.approx(ensemble.t_exit, rel=1e-12, abs=1e-12,
+                                          nan_ok=True)
+    assert single.hamiltonian_drift == pytest.approx(
+        ensemble.hamiltonian_drift, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GEOMETRIES))
+@settings(max_examples=15, deadline=None)
+@given(
+    radius=st.floats(0.0, 1.2),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    heading=st.floats(0.0, 2.0 * np.pi),
+    speed=st.floats(0.5, 1.5),
+)
+def test_recorded_ray_classifies_like_an_ensemble_of_one(case, radius, angle,
+                                                          heading, speed):
+    # radius is a fraction of the escape radius, so some rays start outside it
+    metric, damping, escape = _oracle_geometry(case)
+    x0 = radius * escape * np.array([np.cos(angle), np.sin(angle)])
+    xi0 = speed * np.array([np.cos(heading), np.sin(heading)])
+    horizon, dt = 6.0, 2e-2
+    single = classify_ray(integrate_ray(x0, xi0, metric, horizon, dt), damping,
+                          escape_radius=escape)
+    ensemble = verify_exterior_control(
+        metric, damping, x0[None, :], xi0[None, :], horizon=horizon, dt=dt,
+        escape_radius=escape,
+    ).fates[0]
+    _assert_same_fate(single, ensemble)
+
+
+def test_ray_starting_outside_escapes_on_its_first_step():
+    metric, _ = build_preset("identity", SPEC)
+    damping = DampingField(SPEC, amplitude=1.0, radius=2.0)
+    x0, xi0 = np.array([9.0, 0.0]), np.array([1.0, 0.0])
+    traj = integrate_ray(x0, xi0, metric, 2.0, 1e-2)
+    fate = classify_ray(traj, damping, escape_radius=8.0)
+    assert fate.kind == "escaped"
+    assert fate.t_exit == 0.0  # moving outward: the segment root clips to t = 0
+    assert np.isnan(fate.t_first_hit)
+    # heading inward, it is back inside after one step and escapes later
+    inward = classify_ray(integrate_ray(np.array([8.01, 0.0]), -xi0, metric, 20.0,
+                                        1e-2), damping, escape_radius=8.0)
+    assert inward.kind == "escaped"
+    assert inward.t_exit > 5.0
+    assert inward.time_in_control > 0.0
+
+
+def test_drift_stops_at_escape():
+    # a recorded trajectory that runs on after escape reports the drift up to
+    # the exit step only, as an ensemble does
+    metric, damping, escape = _oracle_geometry("conformal")
+    x0, xi0 = np.array([1.0, 0.5]), np.array([0.6, 0.8])
+    traj = integrate_ray(x0, xi0, metric, 20.0, 5e-2)
+    fate = classify_ray(traj, damping, escape_radius=escape)
+    assert fate.kind == "escaped"
+    exit_step = int(np.argmax(np.linalg.norm(traj.positions, axis=1) > escape))
+    h = traj.hamiltonians
+    expected = np.max(np.abs(h[:exit_step + 1] - h[0])) / abs(h[0])
+    assert fate.hamiltonian_drift == expected

@@ -5,17 +5,19 @@ from hypothesis import strategies as st
 
 from dnls.errors import ConfigError, DomainError, GridMismatchError, SamplingError
 from dnls.geometry import DampingField, build_preset, cutoff_field
-from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm
+from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm, weight_tables
+from dnls.observables import standard_monitors
 from dnls.scattering import (
     _monotone_tail_verdict,
     cauchy_scan,
     commutator_with_cutoff,
+    cutoff_derivatives,
     cutoff_diagnostics,
     extract_profile,
     free_evolve,
     free_pullback,
 )
-from dnls.solver import SolverConfig, simulate
+from dnls.solver import SimulationState, SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
 
@@ -328,3 +330,27 @@ def test_far_field_vanishes_when_data_sits_in_flat_region():
     u = gaussian_field(SPEC, amplitude=0.5, width=0.5)  # supported in r < 4
     w = (1.0 - chi) * u.values
     assert np.max(np.abs(w)) < 1e-9  # gaussian tail at the cutoff shoulder
+
+
+def test_cutoff_diagnostics_commutator_equals_the_monitor():
+    # one [lap, chi] u for both: the spectral derivatives of the real cutoff
+    # carry an imaginary Nyquist artifact (about 8e-5 here) that both drop
+    spec = GridSpec(2, 128, 12.0)
+    metric, damping = build_preset("identity", spec, {"damping_radius": 4.0})
+    chi = cutoff_field(spec, 4.5, 8.0)
+    u = gaussian_field(spec, amplitude=0.5, width=1.5, momentum=1.0)
+    monitor = {mon.name: mon for mon in standard_monitors(
+        metric, damping, weight_tables(spec), cutoff=chi)}["commutator_l2_sq"]
+    state = SimulationState(u, 0.0, 0, metric, damping)
+    from_monitor = monitor.fn(state, {})
+    diag = cutoff_diagnostics(u, chi, damping)
+    assert diag.commutator_l2**2 == pytest.approx(from_monitor, rel=1e-12, abs=0.0)
+
+
+def test_commutator_reuses_given_gradients_and_cutoff_derivatives():
+    chi = cutoff_field(SPEC, 3.0, 6.0)
+    u = band_limited_random(SPEC, seed=2)
+    plain = commutator_with_cutoff(u, chi)
+    cached = commutator_with_cutoff(u, chi, gradient(u),
+                                    cutoff_derivatives(chi, SPEC))
+    assert np.array_equal(plain.values, cached.values)

@@ -429,3 +429,57 @@ def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps):
     )
     # rank-one: (v . grad)(p (v . grad u)) costs 2 transforms in any dimension
     assert _transforms_per_step(monkeypatch, "anisotropic_bump", dim, n, m) == 5 + 9 * m
+
+
+# -- discrete invariants -----------------------------------------------------------
+#
+# They guard the RK4 shared with the ray tracer: the inner perturbation steps
+# of a conformal or rank-one metric run through it.
+
+INVARIANT_SPEC = GridSpec(2, 64, 8.0)
+
+
+def _smooth_field(kind, seed, amplitude, width, momentum):
+    spec = INVARIANT_SPEC
+    if kind == "packet":
+        return gaussian_field(spec, amplitude=amplitude, width=width,
+                              momentum=momentum)
+    noise = band_limited_random(spec, seed=seed, k_scale=1.0 / width).values
+    return Field(amplitude * noise / np.abs(noise).max(), spec)
+
+
+_SMOOTH_FIELDS = dict(
+    kind=st.sampled_from(["packet", "noise"]),
+    seed=st.integers(0, 50),
+    amplitude=st.floats(0.1, 0.6),
+    width=st.floats(1.2, 1.5),
+    momentum=st.floats(0.0, 0.5),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(preset=st.sampled_from(["identity", "conformal_bump", "anisotropic_bump"]),
+       **_SMOOTH_FIELDS)
+def test_undamped_strang_step_conserves_mass(preset, kind, seed, amplitude, width,
+                                             momentum):
+    spec = INVARIANT_SPEC
+    metric, damping = build_preset(preset, spec, {"damping_amplitude": 0.0})
+    u0 = _smooth_field(kind, seed, amplitude, width, momentum)
+    u0 = Field(spec.band_limit(u0.values), spec)
+    cfg = SolverConfig(dt=0.01, duration=1.0)
+    u1 = step(SimulationState(u0, 0.0, 0, metric, damping), cfg).u
+    assert abs(mass(u1) - mass(u0)) <= 1e-13 * mass(u0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_SMOOTH_FIELDS)
+def test_free_strang_step_is_time_reversible(kind, seed, amplitude, width,
+                                             momentum):
+    spec = INVARIANT_SPEC
+    metric, damping = build_preset("identity", spec, {"damping_amplitude": 0.0})
+    u0 = _smooth_field(kind, seed, amplitude, width, momentum)
+    forward = SolverConfig(dt=0.01, duration=1.0, dealias=False)
+    backward = SolverConfig(dt=0.01, duration=-1.0, dealias=False)
+    state = step(SimulationState(u0, 0.0, 0, metric, damping), forward)
+    back = step(state, backward).u
+    assert np.max(np.abs(back.values - u0.values)) <= 1e-14 * np.abs(u0.values).max()
