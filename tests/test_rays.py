@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,3 +323,67 @@ def test_drift_stops_at_escape():
     h = traj.hamiltonians
     expected = np.max(np.abs(h[:exit_step + 1] - h[0])) / abs(h[0])
     assert fate.hamiltonian_drift == expected
+
+
+# -- golden ray fates -------------------------------------------------------------------
+#
+# Every fate of the ensembles the criterion-9 ray workload runs (the trapping
+# uncontrolled bump and its controlled twin, seeds 1-3) plus one trapping
+# anisotropic ensemble in 2-d and in 3-d. The values in golden_ray_fates.json
+# were recorded with the flow that contracted the d x d x d table of dG/dx at
+# every RK4 stage. A rewrite of the flow that keeps its formula may change
+# rounding only.
+
+GOLDEN_RAY_FILE = Path(__file__).with_name("golden_ray_fates.json")
+
+GOLDEN_RAY_CASES = {
+    # id: (preset, dim, n, damping radius, seed)
+    **{f"uncontrolled-seed{s}": ("uncontrolled_bump", 2, 32, 2.0, s) for s in (1, 2, 3)},
+    **{f"conformal-seed{s}": ("conformal_bump", 2, 32, 3.0, s) for s in (1, 2, 3)},
+    "anisotropic-2d": ("anisotropic_bump", 2, 32, 3.0, 1),
+    "anisotropic-3d": ("anisotropic_bump", 3, 16, 3.0, 1),
+}
+
+GOLDEN_RAY_FIELDS = ("t_exit", "t_first_hit", "time_in_control", "hamiltonian_drift")
+
+
+def _golden_ray_fates(case):
+    preset, dim, n, damping_radius, seed = GOLDEN_RAY_CASES[case]
+    metric, damping = build_preset(
+        preset, GridSpec(dim, n, 12.0),
+        {"metric_amplitude": -0.95, "metric_radius": 2.0,
+         "damping_radius": damping_radius},
+    )
+    x0, xi0 = sample_ensemble(dim, 64, 2.0, seed=seed)
+    summary = verify_exterior_control(
+        metric, damping, x0, xi0, horizon=10.0, dt=0.01,
+        escape_radius=default_escape_radius(metric, damping),
+    )
+    fates = {"kind": [fate.kind for fate in summary.fates]}
+    for name in GOLDEN_RAY_FIELDS:
+        fates[name] = [getattr(fate, name) for fate in summary.fates]
+    return fates
+
+
+def _load_golden_ray_fates():
+    # NaN (no exit or no control hit) is stored as null
+    raw = json.loads(GOLDEN_RAY_FILE.read_text())
+    return {
+        case: {name: values if name == "kind"
+               else np.array([np.nan if v is None else v for v in values])
+               for name, values in fates.items()}
+        for case, fates in raw.items()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RAY_CASES))
+def test_golden_ray_fates(case):
+    got = _golden_ray_fates(case)
+    gold = _load_golden_ray_fates()[case]
+    assert got["kind"] == gold["kind"]
+    for name in ("t_exit", "t_first_hit", "time_in_control"):
+        assert np.array_equal(np.isnan(got[name]), np.isnan(gold[name])), name
+        assert np.allclose(got[name], gold[name], rtol=1e-12, atol=0.0,
+                           equal_nan=True), name
+    assert np.allclose(got["hamiltonian_drift"], gold["hamiltonian_drift"],
+                       rtol=0.0, atol=1e-12)
