@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .snapshots import atomic_open
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STABILITY = 3
@@ -73,7 +75,7 @@ class _RunDir:
         return self.dir / name
 
     def write_manifest(self) -> None:
-        with open(self.dir / "manifest.json", "w") as fh:
+        with atomic_open(self.dir / "manifest.json") as fh:
             json.dump(self.manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -85,7 +87,7 @@ class _RunDir:
 
 
 def _write_series_csv(run: _RunDir, name: str, times, values) -> None:
-    with open(run.path(f"series_{name}.csv"), "w", newline="") as fh:
+    with atomic_open(run.path(f"series_{name}.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
         for t, v in zip(times, values):
@@ -93,7 +95,7 @@ def _write_series_csv(run: _RunDir, name: str, times, values) -> None:
 
 
 def _write_matrix_csv(run: _RunDir, name: str, times, matrix) -> None:
-    with open(run.path(name), "w", newline="") as fh:
+    with atomic_open(run.path(name), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [_fmt(t) for t in times])
         for t, row in zip(times, matrix):
@@ -123,7 +125,7 @@ def _cmd_check_geometry(args, cfg) -> int:
     if args.out:
         run = _RunDir(Path(args.out), "check-geometry", cfg.config_hash(),
                       cfg.run.seed)
-        with open(run.path("geometry_report.json"), "w") as fh:
+        with atomic_open(run.path("geometry_report.json")) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         run.finalize()
@@ -151,9 +153,9 @@ def _cmd_rays(args, cfg) -> int:
         escape_radius=escape_radius, a_min=cfg.geometry.a_min,
     )
     run = _RunDir(Path(args.out), "rays", cfg.config_hash(), cfg.run.seed)
-    with open(run.path("config.ini"), "w") as fh:
+    with atomic_open(run.path("config.ini")) as fh:
         fh.write(cfg.to_text())
-    with open(run.path("rays.csv"), "w", newline="") as fh:
+    with atomic_open(run.path("rays.csv"), newline="") as fh:
         writer = csv.writer(fh)
         dim = spec.dim
         header = (
@@ -305,7 +307,7 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
         "fitted_constant": inter.fitted_constant,
         "worst_margin": inter.worst_margin,
     }
-    with open(run.path("reports.json"), "w") as fh:
+    with atomic_open(run.path("reports.json")) as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return result, control, reports, snapshot_files
@@ -315,7 +317,7 @@ def _cmd_simulate(args, cfg) -> int:
     from .errors import StabilityError
 
     run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
-    with open(run.path("config.ini"), "w") as fh:
+    with atomic_open(run.path("config.ini")) as fh:
         fh.write(cfg.to_text())
     try:
         result, control, reports, snapshot_files = _run_standard_simulation(
@@ -385,7 +387,7 @@ def _cmd_scatter(args, cfg_unused) -> int:
         "verdicts": {f"{s:g}": bool(v) for s, v in report.verdicts.items()},
         "final_mismatch": {f"{s:g}": report.final_mismatch[s] for s in report.s_values},
     }
-    with open(run.path("scatter_report.json"), "w") as fh:
+    with atomic_open(run.path("scatter_report.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     run.finalize(extra={"scatter": payload})

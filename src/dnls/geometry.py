@@ -40,28 +40,36 @@ DEFAULT_METRIC_AMPLITUDE = {
 }
 
 
+def _bump(s2: np.ndarray, slope: bool = False):
+    """b = exp(1 - 1/(1 - s2)) of the squared scaled radius s2 = (r/R)^2, and
+    with ``slope`` the pair (b, db/ds2) with db/ds2 = -b/(1 - s2)^2; both are
+    0 for s2 >= 1.
+
+    Only points inside the support are evaluated: on a grid most points lie
+    outside, and exp is slow where it underflows.
+    """
+    inside = s2 < 1.0
+    t = 1.0 - s2[inside]
+    b_in = np.exp(1.0 - 1.0 / t)
+    b = np.zeros_like(s2)
+    b[inside] = b_in
+    if not slope:
+        return b
+    b_s2 = np.zeros_like(s2)
+    b_s2[inside] = -b_in / t / t
+    return b, b_s2
+
+
 def bump_profile(r: np.ndarray, radius: float) -> np.ndarray:
     """b(r) = exp(1 - 1/(1-(r/R)^2)) for r < R, 0 otherwise; b(0) = 1."""
     r = np.asarray(r, dtype=np.float64)
-    s2 = (r / radius) ** 2
-    inside = s2 < 1.0
-    out = np.zeros_like(r)
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return out
+    return _bump((r / radius) ** 2)
 
 
 def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:
-    """db/dr; vanishes at r = 0 and outside the support."""
+    """db/dr = 2 r/R^2 db/ds2; vanishes at r = 0 and outside the support."""
     r = np.asarray(r, dtype=np.float64)
-    s = r / radius
-    inside = s**2 < 1.0
-    out = np.zeros_like(r)
-    si = s[inside]
-    out[inside] = (
-        bump_profile(r[inside], radius) * (-2.0 * si / radius) / (1.0 - si**2) ** 2
-    )
-    return out
+    return _bump((r / radius) ** 2, slope=True)[1] * (2.0 * r / radius**2)
 
 
 def smooth_transition(s: np.ndarray) -> np.ndarray:
@@ -97,8 +105,9 @@ class MetricField:
     """Symmetric coefficient matrix G(x) = I + amplitude * b(|x|) * S.
 
     S is the identity for conformal bumps or a fixed symmetric rank-one matrix
-    for anisotropic ones. Both the grid table and closed-form off-grid
-    evaluators (values and all first partials) are exposed.
+    for anisotropic ones. Off the grid, :meth:`eval_radial` gives p and grad p
+    in closed form; :meth:`eval_metric` and :meth:`eval_metric_grad` expand
+    them into the generic G and dG/dx tables.
     """
 
     def __init__(
@@ -132,33 +141,36 @@ class MetricField:
 
     # -- closed-form evaluators ------------------------------------------------
 
+    def eval_radial(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p(x) = amplitude b(|x|) and grad p = p'(r) x / r at arbitrary points.
+
+        points (..., dim) -> p (...), grad p (..., dim), from one bump
+        evaluation. With s2 = |x|^2 / R^2, grad p = 2 amplitude db/ds2 x / R^2,
+        so no radius is taken and the origin needs no special case.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if self.is_identity:
+            return np.zeros(points.shape[:-1]), np.zeros(points.shape)
+        scale = 1.0 / self.radius**2
+        b, b_s2 = _bump(np.einsum("...i,...i->...", points, points) * scale,
+                        slope=True)
+        grad_p = (2.0 * scale * self.amplitude * b_s2)[..., None] * points
+        return self.amplitude * b, grad_p
+
     def eval_metric(self, points: np.ndarray) -> np.ndarray:
-        """G at arbitrary points; points shape (..., dim) -> (..., dim, dim)."""
+        """G = I + p S at arbitrary points: (..., dim) -> (..., dim, dim)."""
         points = np.asarray(points, dtype=np.float64)
         d = self.spec.dim
-        out = np.broadcast_to(np.eye(d), points.shape[:-1] + (d, d)).copy()
-        if not self.is_identity:
-            r = np.linalg.norm(points, axis=-1)
-            b = bump_profile(r, self.radius)
-            out += (self.amplitude * b)[..., None, None] * self.structure
-        return out
+        if self.is_identity:
+            return np.broadcast_to(np.eye(d), points.shape[:-1] + (d, d)).copy()
+        p, _ = self.eval_radial(points)
+        return np.eye(d) + p[..., None, None] * self.structure
 
     def eval_metric_grad(self, points: np.ndarray) -> np.ndarray:
-        """All partials dG_ij/dx_k; result indexed [..., k, i, j]."""
+        """All partials dG_ij/dx_k = (dp/dx_k) S_ij, indexed [..., k, i, j]."""
         points = np.asarray(points, dtype=np.float64)
-        d = self.spec.dim
-        out = np.zeros(points.shape[:-1] + (d, d, d))
-        if not self.is_identity:
-            r = np.linalg.norm(points, axis=-1)
-            db = bump_profile_derivative(r, self.radius)
-            safe_r = np.where(r == 0.0, 1.0, r)
-            unit = points / safe_r[..., None]
-            radial = self.amplitude * db  # zero at the origin since b'(0) = 0
-            out += (
-                (radial[..., None] * unit)[..., :, None, None]
-                * self.structure[None, :, :]
-            )
-        return out
+        _, grad_p = self.eval_radial(points)
+        return grad_p[..., :, None, None] * self.structure
 
     # -- grid tables -----------------------------------------------------------
 

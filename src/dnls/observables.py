@@ -340,7 +340,8 @@ def standard_monitors(
         return float(spec.quadrature(np.abs(state.u.values) ** 4).real)
 
     def mon_h1_sq(state, cache):
-        return sobolev_norm(state.u, 1.0) ** 2
+        # ||u||_{H^1}^2 by Parseval, from the record's gradients
+        return float(spec.quadrature(h1_density(state.u, _grads(state, cache))))
 
     def mon_supp_a_h1(state, cache):
         density = h1_density(state.u, _grads(state, cache))

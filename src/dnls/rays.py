@@ -1,10 +1,16 @@
-"""Hamiltonian ray tracing for the principal symbol p(x, xi) = G(x) xi . xi.
+"""Hamiltonian ray tracing for the principal symbol h(x, xi) = G(x) xi . xi.
 
 The flow is
     dx/dt  = 2 G(x) xi,
-    dxi/dt = - sum_ij (dG_ij/dx) xi_i xi_j,
-integrated with the classical fourth-order one-step method (``grid.rk4``) on
-closed-form coefficient evaluators (never grid interpolation). A ray state is
+    dxi/dt = - sum_ij (dG_ij/dx) xi_i xi_j.
+With G = I + p(|x|) S it is written in closed form on the structure, from one
+radial evaluation ``MetricField.eval_radial`` (p and grad p = p'(r) x / r) per
+stage and never from the d x d or d x d x d coefficient tables:
+    identity:             dx/dt = 2 xi,                 dxi/dt = 0;
+    conformal, S = I:     dx/dt = 2 (1 + p) xi,         dxi/dt = -|xi|^2 grad p;
+    rank-one, S = v v^T:  dx/dt = 2 (xi + p (v.xi) v), dxi/dt = -(v.xi)^2 grad p.
+It is integrated with the classical fourth-order one-step method
+(``grid.rk4``); coefficients are never interpolated from a grid. A ray state is
 one row (x, xi) of an (n, 2 dim) array, and an ensemble advances its rays
 together.
 
@@ -77,17 +83,36 @@ def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField) -> np.ndarra
 
 
 def _hamilton_rhs(metric: MetricField):
-    """Right-hand side of the flow on stacked states y = (x, xi) of shape (n, 2d)."""
+    """Right-hand side of the flow on stacked states y = (x, xi) of shape (n, 2d).
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        d = y.shape[1] // 2
-        x, xi = y[:, :d], y[:, d:]
-        out = np.zeros_like(y)
-        out[:, :d] = 2.0 * np.einsum("...ij,...j->...i", metric.eval_metric(x), xi)
-        if not metric.is_identity:
-            dg = metric.eval_metric_grad(x)
-            out[:, d:] = -np.einsum("...kij,...i,...j->...k", dg, xi, xi)
-        return out
+    G = I + p S is used through its structure, with one radial evaluation
+    (p, grad p) per call: see the module docstring for the three forms.
+    """
+    d = metric.spec.dim
+    if metric.is_identity:
+        def rhs(y: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(y)
+            out[:, :d] = 2.0 * y[:, d:]
+            return out
+    elif metric.conformal:
+        def rhs(y: np.ndarray) -> np.ndarray:
+            x, xi = y[:, :d], y[:, d:]
+            p, grad_p = metric.eval_radial(x)
+            out = np.empty_like(y)
+            out[:, :d] = 2.0 * (1.0 + p)[:, None] * xi
+            out[:, d:] = -np.einsum("ij,ij->i", xi, xi)[:, None] * grad_p
+            return out
+    else:
+        v = metric.direction
+
+        def rhs(y: np.ndarray) -> np.ndarray:
+            x, xi = y[:, :d], y[:, d:]
+            p, grad_p = metric.eval_radial(x)
+            v_xi = xi @ v
+            out = np.empty_like(y)
+            out[:, :d] = 2.0 * (xi + (p * v_xi)[:, None] * v)
+            out[:, d:] = -(v_xi * v_xi)[:, None] * grad_p
+            return out
 
     return rhs
 

@@ -289,3 +289,36 @@ def test_scatter_default_output_preserves_run_manifest(tmp_path):
                  "--quiet"]) == EXIT_OK
     assert (run_dir / "manifest.json").read_bytes() == before
     assert (run_dir / "scatter" / "scatter_report.json").exists()
+
+
+# -- atomic writes -----------------------------------------------------------------
+
+
+def test_failed_manifest_rewrite_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    from dnls import cli
+
+    run = cli._RunDir(tmp_path / "run", "rays", "abc123", 1)
+    run.path("rays.csv").write_text("x0_0,fate\n")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"status": "comp')  # a partial document, then the crash
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run.finalize(extra={"counts": {"escaped": 1}})
+    monkeypatch.undo()
+
+    manifest = json.loads((run.dir / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["config_hash"] == "abc123"
+    assert sorted(p.name for p in run.dir.iterdir()) == ["manifest.json", "rays.csv"]
+
+
+def test_failed_series_write_leaves_no_file(tmp_path):
+    from dnls import cli
+
+    run = cli._RunDir(tmp_path / "run", "simulate", "abc123", 1)
+    with pytest.raises(TypeError):
+        cli._write_series_csv(run, "mass", [0.0, 0.1], [1.0, "not a number"])
+    assert sorted(p.name for p in run.dir.iterdir()) == ["manifest.json"]

@@ -295,6 +295,29 @@ def test_metric_grad_evaluator_matches_finite_differences():
         assert np.max(np.abs(fd - dg[:, k])) < 1e-6
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_evaluator_matches_the_bump_profile(dim):
+    metric = MetricField(GridSpec(dim, 16, 10.0), amplitude=-0.7, radius=2.0)
+    rng = np.random.default_rng(dim)
+    dirs = rng.standard_normal((40, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    x = np.linspace(0.0, 3.0, 40)[:, None] * dirs
+    r = np.linalg.norm(x, axis=1)
+    p, grad_p = metric.eval_radial(x)
+    radial = -0.7 * bump_profile_derivative(r, 2.0) / np.where(r == 0.0, 1.0, r)
+    # at the support edge 1/(1 - s^2)^2 amplifies the rounding of |x|^2
+    inside = r < 1.9
+    assert np.allclose(p[inside], -0.7 * bump_profile(r[inside], 2.0),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(grad_p[inside], radial[inside, None] * x[inside],
+                       rtol=1e-13, atol=0.0)
+    assert np.all(p[r >= 2.0] == 0.0) and np.all(grad_p[r >= 2.0] == 0.0)
+    assert p[0] == -0.7 and np.all(grad_p[0] == 0.0)  # the origin
+    p_id, grad_id = MetricField(GridSpec(dim, 16, 10.0)).eval_radial(x)
+    assert p_id.shape == (40,) and not p_id.any()
+    assert grad_id.shape == x.shape and not grad_id.any()
+
+
 def test_damping_annulus_shape():
     damping = DampingField(SPEC, amplitude=2.0, shape="annulus",
                            inner_radius=2.0, outer_radius=6.0)

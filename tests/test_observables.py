@@ -523,6 +523,31 @@ def test_smooth_random_field_is_unit_norm_and_in_band():
     assert np.max(np.abs(coeffs[~SPEC.dealias_mask])) < 1e-15
 
 
+def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
+    spec = GridSpec(2, 64, 8.0)
+    metric, damping = build_preset("conformal_bump", spec)
+    monitors = {mon.name: mon for mon in standard_monitors(
+        metric, damping, weight_tables(spec))}
+    u = band_limited_random(spec, seed=3)
+    state = SimulationState(u, 0.0, 0, metric, damping)
+    cache: dict = {}
+    monitors["energy"].fn(state, cache)  # computes the record's gradients
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(GridSpec, name)
+
+        def counted(self, values, _original=original):
+            calls.append(name)
+            return _original(self, values)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    value = monitors["h1_sq"].fn(state, cache)
+    assert calls == []
+    monkeypatch.undo()
+    # Parseval: the gradients' quadrature equals the Fourier-multiplier norm
+    assert value == pytest.approx(sobolev_norm(u, 1.0) ** 2, rel=1e-13)
+
+
 # -- golden monitor values ----------------------------------------------------------
 #
 # Every monitor of the standard bundle (local radius and cutoff set) on a fixed

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.errors import DomainError
-from dnls.geometry import DampingField, MetricField, build_preset
+from dnls.geometry import PRESET_NAMES, DampingField, MetricField, build_preset
 from dnls.grid import GridSpec
 from dnls.rays import (
+    _hamilton_rhs,
     classify_ray,
     default_escape_radius,
     hamiltonian,
@@ -108,6 +109,76 @@ def test_integrate_ray_input_validation():
         integrate_ray(np.zeros(2), np.zeros(2), metric, 1.0, 1e-2)
     with pytest.raises(DomainError):
         integrate_ray(np.zeros(2), np.ones(2), metric, -1.0, 1e-2)
+
+
+# -- the structure-aware flow ---------------------------------------------------------
+#
+# The flow uses G = I + p S through one radial evaluation. Its references are
+# the generic contraction of the d x d and d x d x d tables, and Hamilton's
+# equations taken by central differences of the symbol.
+
+FLOW_GRIDS = {1: GridSpec(1, 32, 12.0), 2: SPEC, 3: SPEC3}
+
+
+def _flow_case(preset, dim, amplitude, radii, x_dirs, xis):
+    params = {} if preset == "identity" else {"metric_amplitude": amplitude}
+    metric, _ = build_preset(preset, FLOW_GRIDS[dim], params)
+    dirs = np.array(x_dirs)[:, :dim]
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    # radii are fractions of the bump radius (2): inside, outside, the origin
+    x = np.concatenate([2.0 * np.array(radii)[:, None] * dirs, np.zeros((1, dim))])
+    xi = np.concatenate([np.array(xis)[:, :dim], np.ones((1, dim))])
+    return metric, x, xi
+
+
+def _table_flow(metric, x, xi):
+    dx = 2.0 * np.einsum("nij,nj->ni", metric.eval_metric(x), xi)
+    dxi = -np.einsum("nkij,ni,nj->nk", metric.eval_metric_grad(x), xi, xi)
+    return dx, dxi
+
+
+_vectors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+_flow_draws = dict(
+    preset=st.sampled_from(PRESET_NAMES),
+    dim=st.sampled_from(sorted(FLOW_GRIDS)),
+    amplitude=st.floats(-0.9, 0.9),
+    radii=st.lists(st.floats(0.0, 1.5), min_size=4, max_size=4),
+    x_dirs=st.lists(_vectors, min_size=4, max_size=4),
+    xis=st.lists(_vectors, min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_flow_draws)
+def test_structure_flow_equals_the_table_flow(preset, dim, amplitude, radii,
+                                             x_dirs, xis):
+    metric, x, xi = _flow_case(preset, dim, amplitude, radii, x_dirs, xis)
+    flow = _hamilton_rhs(metric)(np.concatenate([x, xi], axis=1))
+    dx, dxi = _table_flow(metric, x, xi)
+    # the floor admits the roundoff of subnormal bump values at the support edge
+    for got, ref in ((flow[:, :dim], dx), (flow[:, dim:], dxi)):
+        assert np.all(np.linalg.norm(got - ref, axis=1)
+                      <= 1e-13 * np.linalg.norm(ref, axis=1) + 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_flow_draws)
+def test_flow_is_hamiltons_equations_of_the_symbol(preset, dim, amplitude, radii,
+                                                  x_dirs, xis):
+    metric, x, xi = _flow_case(preset, dim, amplitude, radii, x_dirs, xis)
+    flow = _hamilton_rhs(metric)(np.concatenate([x, xi], axis=1))
+    step = 1e-5
+    dh_dx, dh_dxi = np.empty_like(x), np.empty_like(xi)
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = step
+        dh_dx[:, k] = (hamiltonian(x + e, xi, metric)
+                       - hamiltonian(x - e, xi, metric)) / (2.0 * step)
+        dh_dxi[:, k] = (hamiltonian(x, xi + e, metric)
+                        - hamiltonian(x, xi - e, metric)) / (2.0 * step)
+    scale = 1.0 + np.linalg.norm(xi, axis=1)[:, None] ** 2
+    assert np.all(np.abs(flow[:, :dim] - dh_dxi) <= 1e-8 * scale)
+    assert np.all(np.abs(flow[:, dim:] + dh_dx) <= 1e-7 * scale)
 
 
 # -- classification ----------------------------------------------------------------

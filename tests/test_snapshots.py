@@ -56,3 +56,38 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad_magic.write_bytes(bytes(raw))
     with pytest.raises(DomainError):
         read_snapshot(bad_magic)
+
+
+def test_failed_snapshot_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    import dnls.snapshots as snapshots
+
+    spec = GridSpec(2, 16, 5.0)
+    path = tmp_path / "state.dnls"
+    write_snapshot(path, band_limited_random(spec, seed=1), 0.5)
+    original = path.read_bytes()
+
+    class _BrokenFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(snapshots, "open",
+                        lambda *a, **k: _BrokenFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_snapshot(path, band_limited_random(spec, seed=2), 1.0)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == original
+    assert [p.name for p in tmp_path.iterdir()] == ["state.dnls"]
+    assert read_snapshot(path)[1] == 0.5
