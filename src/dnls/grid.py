@@ -33,6 +33,8 @@ __all__ = [
     "laplacian",
     "laplacian_G",
     "flux_divergence",
+    "power_spectrum",
+    "sobolev_norms_from_power",
     "sobolev_norm",
     "h1_density",
     "localized_integral",
@@ -200,10 +202,15 @@ def _same_spec(fields: Iterable[Field]) -> GridSpec:
     return specs.pop()
 
 
-def gradient(f: Field) -> list[Field]:
-    """Spectral gradient; exact on band-limited fields."""
+def gradient(f: Field, coeffs: np.ndarray | None = None) -> list[Field]:
+    """Spectral gradient; exact on band-limited fields.
+
+    ``coeffs`` (the transform of f, when the caller has it) spares the
+    forward transform, leaving d inverse ones.
+    """
     spec = f.spec
-    coeffs = spec.fft(f.values)
+    if coeffs is None:
+        coeffs = spec.fft(f.values)
     return [
         Field(spec.ifft(1j * k * coeffs), spec) for k in spec.wavenumbers
     ]
@@ -325,19 +332,34 @@ def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
     return Field(spec.ifft(out), spec)
 
 
+def power_spectrum(f: Field) -> np.ndarray:
+    """|c_k|^2, the squared moduli of the Fourier coefficients of f."""
+    return np.abs(f.spec.fft(f.values)) ** 2
+
+
+def sobolev_norms_from_power(
+    power: np.ndarray, spec: GridSpec, s_values: Sequence[float],
+    homogeneous: bool = False,
+) -> dict[float, float]:
+    """H^s (or homogeneous H^s) norms of a field, one per exponent, given its
+    :func:`power_spectrum`: one transform serves every exponent."""
+    k2 = spec.k_squared
+    norms = {}
+    for s in s_values:
+        if s < 0:
+            raise DomainError(f"Sobolev index must be >= 0, got {s}")
+        if homogeneous:
+            weight = k2**s  # 0**0 == 1, so s=0 reduces to the L^2 norm
+        else:
+            weight = (1.0 + k2) ** s
+        norms[float(s)] = float(np.sqrt(np.sum(weight * power) * spec.volume))
+    return norms
+
+
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous H^s) norm via the Fourier multiplier."""
-    if s < 0:
-        raise DomainError(f"Sobolev index must be >= 0, got {s}")
-    spec = f.spec
-    coeffs = spec.fft(f.values)
-    k2 = spec.k_squared
-    if homogeneous:
-        weight = k2**s  # 0**0 == 1, so s=0 reduces to the L^2 norm
-    else:
-        weight = (1.0 + k2) ** s
-    total = np.sum(weight * np.abs(coeffs) ** 2) * spec.volume
-    return float(np.sqrt(total))
+    return sobolev_norms_from_power(power_spectrum(f), f.spec, (s,),
+                                    homogeneous)[float(s)]
 
 
 _LOCALIZED_MODES = ("density", "energy", "quartic")
@@ -371,28 +393,93 @@ def localized_integral(f: Field, radius: float, mode: str = "density",
     return float(np.sum(density[mask]) * spec.dx**spec.dim)
 
 
+def _rho_kernels(spec: GridSpec, kind: str) -> np.ndarray:
+    """grad|x| ("grad"), lap|x| ("lap") or grad lap|x| ("grad_lap") on the grid.
+
+    The origin node, where the closed forms are singular, takes their mean
+    over the 2^d half-grid offsets.
+    """
+    d = spec.dim
+    r = np.sqrt(spec.radius_squared)
+    origin = tuple([spec.n // 2] * d)
+    assert r[origin] == 0.0
+    safe_r = np.where(r == 0.0, 1.0, r)
+    corners = np.array(list(product((-0.5, 0.5), repeat=d))) * spec.dx
+    norms = np.linalg.norm(corners, axis=1)
+    if kind == "lap":
+        table = (d - 1) / safe_r
+        table[origin] = ((d - 1) / norms).mean()
+        return table
+    power, scale = {"grad": (1, 1.0), "grad_lap": (3, -(d - 1))}[kind]
+    table = np.stack(
+        [scale * np.broadcast_to(x, spec.shape) / safe_r**power for x in spec.coords]
+    )
+    table[(slice(None),) + origin] = (
+        scale * corners / norms[:, None] ** power
+    ).mean(axis=0)
+    return table
+
+
 @dataclass
 class WeightTables:
     """On-grid samples of the virial weight chi = sqrt(1+|x|^2) and |x| kernels.
 
     ``lambda_kernel`` is the positive weight 15/chi^7 driving the localized-mass
     accumulator; in three dimensions it coincides with ``-bilap_chi``.
+
+    :func:`weight_tables` fills the fields. The other tables are built on
+    first use and kept: ``grad_rho_hat``, the transforms of the ifftshifted
+    ``grad_rho`` kernels that the bilinear interaction convolves with, and
+    the references ``hess_chi``, ``grad_rho``, ``lap_rho`` and
+    ``grad_lap_rho``, which no monitor reads (the virial rate uses the closed
+    form of D^2 chi).
     """
 
     spec: GridSpec
     chi: np.ndarray
     grad_chi: np.ndarray       # (dim, ...)
-    hess_chi: np.ndarray       # (dim, dim, ...)
     lap_chi: np.ndarray
     bilap_chi: np.ndarray
     lambda_kernel: np.ndarray
-    grad_rho: np.ndarray       # (dim, ...)
-    lap_rho: np.ndarray
-    grad_lap_rho: np.ndarray   # (dim, ...)
+
+    @cached_property
+    def hess_chi(self) -> np.ndarray:
+        """(dim, dim, ...) table of D^2 chi = I/chi - x x^T/chi^3."""
+        spec = self.spec
+        d = spec.dim
+        chi3 = self.chi**3
+        hess = np.empty((d, d) + spec.shape)
+        for i in range(d):
+            for j in range(d):
+                hess[i, j] = -spec.coords[i] * spec.coords[j] / chi3
+                if i == j:
+                    hess[i, j] += 1.0 / self.chi
+        return hess
+
+    @cached_property
+    def grad_rho(self) -> np.ndarray:
+        """(dim, ...) table of grad|x| = x/|x|."""
+        return _rho_kernels(self.spec, "grad")
+
+    @cached_property
+    def lap_rho(self) -> np.ndarray:
+        return _rho_kernels(self.spec, "lap")
+
+    @cached_property
+    def grad_lap_rho(self) -> np.ndarray:
+        """(dim, ...) table of grad lap|x| = -(d-1) x/|x|^3."""
+        return _rho_kernels(self.spec, "grad_lap")
+
+    @cached_property
+    def grad_rho_hat(self) -> list[np.ndarray]:
+        """Transforms of the ifftshifted grad|x| kernels, index 0 carrying the
+        zero displacement; the kernel table itself is not kept."""
+        spec = self.spec
+        return [spec.fft(np.fft.ifftshift(k)) for k in _rho_kernels(spec, "grad")]
 
 
 def weight_tables(spec: GridSpec) -> WeightTables:
-    """Populate all weight tables from closed forms.
+    """Populate the weight tables from closed forms.
 
     For chi = sqrt(1+r^2) in dimension d:
         grad chi = x/chi,    D^2 chi = I/chi - x x^T / chi^3,
@@ -412,46 +499,15 @@ def weight_tables(spec: GridSpec) -> WeightTables:
     grad_chi = np.stack(
         [np.broadcast_to(x, spec.shape) / chi for x in spec.coords]
     )
-    hess_chi = np.empty((d, d) + spec.shape)
-    for i in range(d):
-        for j in range(d):
-            hess_chi[i, j] = -spec.coords[i] * spec.coords[j] / chi3
-            if i == j:
-                hess_chi[i, j] += 1.0 / chi
     lap_chi = (d - 1) / chi + 1.0 / chi3
     bilap_chi = (d - 1) * ((3 - d) * r2 - d) / chi5 + ((15 - 3 * d) * r2 - 3 * d) / chi7
     lambda_kernel = 15.0 / chi7
-
-    r = np.sqrt(r2)
-    origin = tuple([spec.n // 2] * d)
-    assert r[origin] == 0.0
-    safe_r = np.where(r == 0.0, 1.0, r)
-    grad_rho = np.stack(
-        [np.broadcast_to(x, spec.shape) / safe_r for x in spec.coords]
-    )
-    lap_rho = (d - 1) / safe_r
-    grad_lap_rho = np.stack(
-        [-(d - 1) * np.broadcast_to(x, spec.shape) / safe_r**3 for x in spec.coords]
-    )
-
-    # origin node: mean of the kernels over the 2^d half-offset corners
-    corners = np.array(list(product((-0.5, 0.5), repeat=d))) * spec.dx
-    norms = np.linalg.norm(corners, axis=1)
-    grad_rho[(slice(None),) + origin] = (corners / norms[:, None]).mean(axis=0)
-    lap_rho[origin] = ((d - 1) / norms).mean()
-    grad_lap_rho[(slice(None),) + origin] = (
-        -(d - 1) * corners / norms[:, None] ** 3
-    ).mean(axis=0)
 
     return WeightTables(
         spec=spec,
         chi=chi,
         grad_chi=grad_chi,
-        hess_chi=hess_chi,
         lap_chi=lap_chi,
         bilap_chi=bilap_chi,
         lambda_kernel=lambda_kernel,
-        grad_rho=grad_rho,
-        lap_rho=lap_rho,
-        grad_lap_rho=grad_lap_rho,
     )

@@ -9,6 +9,7 @@ cadence squared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,13 +24,17 @@ from .grid import (
     gradient,
     h1_density,
     laplacian_G,
-    localized_integral,
-    sobolev_norm,
+    power_spectrum,
 )
-from .scattering import commutator_with_cutoff, cutoff_derivatives
+from .scattering import (
+    commutator_with_cutoff,
+    cutoff_derivatives,
+    cutoff_sobolev_norms,
+)
 
 __all__ = [
     "ObservableSeries",
+    "Frame",
     "Monitor",
     "mass",
     "energy",
@@ -100,12 +105,74 @@ class ObservableSeries:
         return cumulative_trapezoid(self.values, self.times, initial=0.0)
 
 
+class Frame:
+    """The quantities of one field that several monitors read, each computed
+    on first use and kept while the frame lives.
+
+    A run builds one frame per record, so a record pays only for what the
+    monitors that fire read. Transforms: ``u_hat`` 1, ``grads`` d (after
+    ``u_hat``), ``mod2_hat`` 1, ``cutoff_power`` 1. With the full standard
+    bundle a record costs 2d + 3 transforms (7 at 2-d, 9 at 3-d), and d + 2
+    when the interaction (``mod2_hat`` and d inverse transforms) does not
+    fire.
+    """
+
+    def __init__(self, u: Field):
+        self.u = u
+        self.spec = u.spec
+        self._cutoff = self._cutoff_power = None
+
+    @cached_property
+    def u_hat(self) -> np.ndarray:
+        return self.spec.fft(self.u.values)
+
+    @cached_property
+    def grads(self) -> list[Field]:
+        """The d spectral gradients."""
+        return gradient(self.u, self.u_hat)
+
+    @cached_property
+    def mod2(self) -> np.ndarray:
+        """|u|^2."""
+        return np.abs(self.u.values) ** 2
+
+    @cached_property
+    def mod4(self) -> np.ndarray:
+        """|u|^4."""
+        return self.mod2**2
+
+    @cached_property
+    def momentum(self) -> list[np.ndarray]:
+        """Components of Im(conj(u) grad u)."""
+        u_bar = np.conj(self.u.values)
+        return [(u_bar * g.values).imag for g in self.grads]
+
+    @cached_property
+    def h1_density(self) -> np.ndarray:
+        """|u|^2 + |grad u|^2."""
+        return h1_density(self.u, self.grads)
+
+    @cached_property
+    def mod2_hat(self) -> np.ndarray:
+        """Fourier coefficients of |u|^2."""
+        return self.spec.fft(self.mod2)
+
+    def cutoff_power(self, cutoff: np.ndarray) -> np.ndarray:
+        """:func:`power_spectrum` of cutoff*u, one transform for all exponents
+        (kept for the last cutoff asked for)."""
+        if self._cutoff is not cutoff:
+            self._cutoff = cutoff
+            self._cutoff_power = power_spectrum(Field(cutoff * self.u.values,
+                                                      self.spec))
+        return self._cutoff_power
+
+
 @dataclass
 class Monitor:
     """Named scalar hook recorded during a run at its own cadence.
 
-    ``fn(state, cache)`` may stash shared intermediates (spectral gradients)
-    in ``cache``; the cache is discarded after each record.
+    ``fn(state, frame)`` reads the record's shared quantities from ``frame``,
+    the :class:`Frame` of ``state.u``, which is discarded after each record.
     """
 
     name: str
@@ -128,15 +195,10 @@ def _check_aligned(*series: ObservableSeries) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def _grads(state, cache: dict) -> list[Field]:
-    if "grads" not in cache:
-        cache["grads"] = gradient(state.u)
-    return cache["grads"]
-
-
-def mass(u: Field) -> float:
+def mass(u: Field, frame: Frame | None = None) -> float:
     """Total mass int |u|^2."""
-    return float(u.spec.quadrature(np.abs(u.values) ** 2).real)
+    frame = Frame(u) if frame is None else frame
+    return float(u.spec.quadrature(frame.mod2).real)
 
 
 def _metric_contraction(metric: MetricField, a: Sequence[np.ndarray],
@@ -164,13 +226,16 @@ def _metric_energy_density(grads: Sequence[Field], metric: MetricField) -> np.nd
     return _metric_contraction(metric, values, values)
 
 
-def energy(u: Field, metric: MetricField, grads: Sequence[Field] | None = None) -> float:
-    """E[u] = 1/2 int G grad u . grad conj(u) + 1/4 int |u|^4."""
+def energy(u: Field, metric: MetricField, frame: Frame | None = None) -> float:
+    """E[u] = 1/2 int G grad u . grad conj(u) + 1/4 int |u|^4.
+
+    ``frame`` (a :class:`Frame` of u) supplies the gradients and |u|^4; the
+    functionals below take it the same way.
+    """
     spec = u.spec
-    if grads is None:
-        grads = gradient(u)
-    kinetic = spec.quadrature(_metric_energy_density(grads, metric)).real
-    quartic = spec.quadrature(np.abs(u.values) ** 4).real
+    frame = Frame(u) if frame is None else frame
+    kinetic = spec.quadrature(_metric_energy_density(frame.grads, metric)).real
+    quartic = spec.quadrature(frame.mod4).real
     return float(0.5 * kinetic + 0.25 * quartic)
 
 
@@ -180,19 +245,12 @@ def _div_G_grad_a(metric: MetricField, damping: DampingField) -> np.ndarray:
     return laplacian_G(a, metric).values.real
 
 
-def _momentum_density(u: Field, grads: Sequence[Field]) -> list[np.ndarray]:
-    """Components of Im(conj(u) grad u)."""
-    return [(np.conj(u.values) * g.values).imag for g in grads]
-
-
 def morawetz_virial(u: Field, tables: WeightTables,
-                    grads: Sequence[Field] | None = None) -> float:
+                    frame: Frame | None = None) -> float:
     """Virial moment V = Im int conj(u) grad u . grad chi; its rate carries the
     monotonicity information the decay monitors are built on."""
-    if grads is None:
-        grads = gradient(u)
-    momentum = _momentum_density(u, grads)
-    density = sum(m * gc for m, gc in zip(momentum, tables.grad_chi))
+    frame = Frame(u) if frame is None else frame
+    density = sum(m * gc for m, gc in zip(frame.momentum, tables.grad_chi))
     return float(u.spec.quadrature(density).real)
 
 
@@ -201,62 +259,64 @@ def morawetz_rate_rhs(
     tables: WeightTables,
     damping: DampingField,
     nonlinearity: bool = True,
-    grads: Sequence[Field] | None = None,
+    frame: Frame | None = None,
 ) -> float:
     """Right-hand side of the virial rate identity:
 
     int 2 D^2chi grad u . grad conj(u) - 1/2 lap^2 chi |u|^2 + 1/2 lap chi |u|^4
         - 2 a Im(conj(u) grad u) . grad chi.
 
-    The quartic term is dropped when the run had the nonlinearity disabled.
+    The Hessian term uses the closed form D^2 chi = I/chi - x x^T/chi^3, so
+    with grad chi = x/chi its density is
+
+        sum_ij 2 D^2chi_ij Re(conj(g_i) g_j) = 2/chi (|grad u|^2 - |grad chi . grad u|^2),
+
+    and no d x d table is read. The quartic term is dropped when the run had
+    the nonlinearity disabled.
     """
     spec = u.spec
-    if grads is None:
-        grads = gradient(u)
-    d = spec.dim
-    density = np.zeros(spec.shape)
-    for i in range(d):
-        for j in range(d):
-            density += 2.0 * tables.hess_chi[i, j] * (
-                np.conj(grads[i].values) * grads[j].values
-            ).real
-    mod2 = np.abs(u.values) ** 2
-    density -= 0.5 * tables.bilap_chi * mod2
+    frame = Frame(u) if frame is None else frame
+    grads = [g.values for g in frame.grads]
+    grad_sq = sum(np.abs(g) ** 2 for g in grads)
+    radial = sum(gc * g for gc, g in zip(tables.grad_chi, grads))
+    density = 2.0 * (grad_sq - np.abs(radial) ** 2) / tables.chi
+    density -= 0.5 * tables.bilap_chi * frame.mod2
     if nonlinearity:
-        density += 0.5 * tables.lap_chi * mod2**2
+        density += 0.5 * tables.lap_chi * frame.mod4
     a = damping.table
-    momentum = _momentum_density(u, grads)
-    for j in range(d):
-        density -= 2.0 * a * momentum[j] * tables.grad_chi[j]
+    for m, gc in zip(frame.momentum, tables.grad_chi):
+        density -= 2.0 * a * m * gc
     return float(spec.quadrature(density).real)
 
 
-def bilinear_interaction(u: Field, tables: WeightTables) -> float:
+def bilinear_interaction(u: Field, tables: WeightTables,
+                         frame: Frame | None = None) -> float:
     """Two-point functional int |u(y)|^2 Im(conj(u) grad u)(x) . grad_rho(x-y) dx dy.
 
     The inner integral is the circular convolution of |u|^2 with the
-    periodized grad|x| kernel table, evaluated spectrally. The kernel table is
-    ifftshifted so that index 0 carries the zero displacement and wrapped
-    indices carry displacements in [-L, L).
+    periodized grad|x| kernel table, evaluated spectrally against the kernel
+    transforms ``tables.grad_rho_hat`` (taken once per set of tables): one
+    transform of |u|^2 and d inverse ones, on top of the frame's gradients.
+    The kernel table is ifftshifted so that index 0 carries the zero
+    displacement and wrapped indices carry displacements in [-L, L).
     """
     spec = u.spec
-    grads = gradient(u)
-    momentum = _momentum_density(u, grads)
-    mod2_hat = spec.fft(np.abs(u.values) ** 2)
+    frame = Frame(u) if frame is None else frame
     total = 0.0
     scale = spec.size * spec.dx**spec.dim  # unnormalized circular conv * dx^d
-    for j in range(spec.dim):
-        kernel_hat = spec.fft(np.fft.ifftshift(tables.grad_rho[j]))
-        conv = spec.ifft(kernel_hat * mod2_hat).real * scale
-        total += float(spec.quadrature(momentum[j] * conv).real)
+    for m, kernel_hat in zip(frame.momentum, tables.grad_rho_hat):
+        conv = spec.ifft(kernel_hat * frame.mod2_hat).real * scale
+        total += float(spec.quadrature(m * conv).real)
     return total
 
 
-def local_sobolev_decay(u: Field, cutoff: np.ndarray, s: float) -> float:
+def local_sobolev_decay(u: Field, cutoff: np.ndarray, s: float,
+                        frame: Frame | None = None) -> float:
     """H^s norm of the cutoff field, for 0 <= s < 1 (the decay range)."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"local Sobolev decay is monitored for 0 <= s < 1, got {s}")
-    return sobolev_norm(Field(cutoff * u.values, u.spec), s)
+    power = frame.cutoff_power(cutoff) if frame is not None else None
+    return cutoff_sobolev_norms(u, cutoff, (s,), power)[float(s)]
 
 
 def smooth_random_field(spec: GridSpec, seed: int = 0, k_scale: float = 2.0) -> Field:
@@ -288,67 +348,62 @@ def standard_monitors(
     g_tol: float = 1e-12,
     a_min: float = 1e-8,
 ) -> list[Monitor]:
-    """Monitors for every law and functional the workbench verifies."""
+    """Monitors for every law and functional the workbench verifies.
+
+    Each reads the record's :class:`Frame`; the tables fixed for the run
+    (damping support, balls, cutoff derivatives) are built here, once.
+    """
     spec = metric.spec
+    dv = spec.dx**spec.dim
     a = damping.table
     a_support = a > a_min
     lap_G_a = _div_G_grad_a(metric, damping)
     grad_a = [g.values.real for g in gradient(Field(a.astype(complex), spec))]
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
-    def mon_mass(state, cache):
-        return mass(state.u)
+    def mon_mass(state, frame):
+        return mass(state.u, frame)
 
-    def mon_energy(state, cache):
-        return energy(state.u, metric, _grads(state, cache))
+    def mon_energy(state, frame):
+        return energy(state.u, metric, frame)
 
-    def mon_damping_mass(state, cache):
-        return float(spec.quadrature(a * np.abs(state.u.values) ** 2).real)
+    def mon_damping_mass(state, frame):
+        return float(spec.quadrature(a * frame.mod2).real)
 
-    def mon_damping_energy(state, cache):
-        grads = _grads(state, cache)
-        density = a * (
-            np.abs(state.u.values) ** 4 + _metric_energy_density(grads, metric)
-        )
+    def mon_damping_energy(state, frame):
+        density = a * (frame.mod4 + _metric_energy_density(frame.grads, metric))
         return float(spec.quadrature(density).real)
 
-    def mon_mass_lapGa(state, cache):
-        return float(
-            spec.quadrature(np.abs(state.u.values) ** 2 * lap_G_a).real
-        )
+    def mon_mass_lapGa(state, frame):
+        return float(spec.quadrature(frame.mod2 * lap_G_a).real)
 
-    def mon_flux_alt(state, cache):
+    def mon_flux_alt(state, frame):
         # Re int G grad u . conj(u) grad a
         u_bar = np.conj(state.u.values)
-        fluxes = [g.values * u_bar for g in _grads(state, cache)]
+        fluxes = [g.values * u_bar for g in frame.grads]
         return float(spec.quadrature(_metric_contraction(metric, fluxes, grad_a)).real)
 
-    def mon_virial(state, cache):
-        return morawetz_virial(state.u, tables, _grads(state, cache))
+    def mon_virial(state, frame):
+        return morawetz_virial(state.u, tables, frame)
 
-    def mon_virial_rhs(state, cache):
-        return morawetz_rate_rhs(
-            state.u, tables, damping, nonlinearity, _grads(state, cache)
-        )
+    def mon_virial_rhs(state, frame):
+        return morawetz_rate_rhs(state.u, tables, damping, nonlinearity, frame)
 
-    def mon_lambda_density(state, cache):
-        return float(
-            spec.quadrature(tables.lambda_kernel * np.abs(state.u.values) ** 2).real
-        )
+    def mon_lambda_density(state, frame):
+        return float(spec.quadrature(tables.lambda_kernel * frame.mod2).real)
 
-    def mon_l4(state, cache):
-        return float(spec.quadrature(np.abs(state.u.values) ** 4).real)
+    def mon_l4(state, frame):
+        return float(spec.quadrature(frame.mod4).real)
 
-    def mon_h1_sq(state, cache):
+    def mon_h1_sq(state, frame):
         # ||u||_{H^1}^2 by Parseval, from the record's gradients
-        return float(spec.quadrature(h1_density(state.u, _grads(state, cache))))
+        return float(spec.quadrature(frame.h1_density))
 
-    def mon_supp_a_h1(state, cache):
-        density = h1_density(state.u, _grads(state, cache))
-        return float(density[a_support].sum() * spec.dx**spec.dim)
+    def mon_supp_a_h1(state, frame):
+        return float(frame.h1_density[a_support].sum() * dv)
 
-    def mon_interaction(state, cache):
-        return bilinear_interaction(state.u, tables)
+    def mon_interaction(state, frame):
+        return bilinear_interaction(state.u, tables, frame)
 
     monitors = [
         Monitor("mass", mon_mass, record_every),
@@ -367,20 +422,21 @@ def standard_monitors(
     ]
 
     if pert_support is not None:
-        def mon_proxy(state, cache):
-            density = h1_density(state.u, _grads(state, cache)) \
-                + np.abs(state.u.values) ** 4
-            return float(density[pert_support].sum() * spec.dx**spec.dim)
+        def mon_proxy(state, frame):
+            density = frame.h1_density + frame.mod4
+            return float(density[pert_support].sum() * dv)
 
         monitors.append(Monitor("morawetz_proxy", mon_proxy, record_every))
 
     if local_radius is not None:
-        def mon_local_energy(state, cache):
-            return localized_integral(state.u, local_radius, "energy",
-                                      _grads(state, cache))
+        ball = spec.ball_mask(local_radius)
 
-        def mon_local_mass(state, cache):
-            return localized_integral(state.u, local_radius, "density")
+        # the quadratures of localized_integral's "energy" and "density" modes
+        def mon_local_energy(state, frame):
+            return float(frame.h1_density[ball].sum() * dv)
+
+        def mon_local_mass(state, frame):
+            return float(frame.mod2[ball].sum() * dv)
 
         monitors.append(Monitor("local_energy", mon_local_energy, record_every))
         monitors.append(Monitor("local_mass", mon_local_mass, record_every))
@@ -389,15 +445,15 @@ def standard_monitors(
         cut_derivatives = cutoff_derivatives(cutoff, spec)
 
         for s in cutoff_exponents:
-            def mon_cut(state, cache, s=s):
-                return local_sobolev_decay(state.u, cutoff, s)
+            def mon_cut(state, frame, s=s):
+                return local_sobolev_decay(state.u, cutoff, s, frame)
 
             monitors.append(
                 Monitor(f"cutoff_hs_{s:g}", mon_cut, record_every)
             )
 
-        def mon_commutator(state, cache):
-            comm = commutator_with_cutoff(state.u, cutoff, _grads(state, cache),
+        def mon_commutator(state, frame):
+            comm = commutator_with_cutoff(state.u, cutoff, frame.grads,
                                           cut_derivatives)
             return float(spec.quadrature(np.abs(comm.values) ** 2).real)
 

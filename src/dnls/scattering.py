@@ -26,7 +26,14 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, SamplingError
 from .geometry import DampingField
-from .grid import Field, GridSpec, gradient, sobolev_norm
+from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
+    Field,
+    GridSpec,
+    gradient,
+    power_spectrum,
+    sobolev_norm,
+    sobolev_norms_from_power,
+)
 
 __all__ = [
     "ScatterReport",
@@ -37,6 +44,7 @@ __all__ = [
     "extract_profile",
     "cutoff_derivatives",
     "commutator_with_cutoff",
+    "cutoff_sobolev_norms",
     "cutoff_diagnostics",
 ]
 
@@ -203,6 +211,22 @@ def commutator_with_cutoff(
     return Field(out, u.spec)
 
 
+def cutoff_sobolev_norms(
+    u: Field,
+    cutoff: np.ndarray,
+    s_values: Sequence[float],
+    power: np.ndarray | None = None,
+) -> dict[float, float]:
+    """||chi u||_{H^s} for every s in ``s_values`` from one transform of chi u.
+
+    ``power`` (the :func:`power_spectrum` of chi u, when the caller has it)
+    spares that transform.
+    """
+    if power is None:
+        power = power_spectrum(Field(cutoff * u.values, u.spec))
+    return sobolev_norms_from_power(power, u.spec, s_values)
+
+
 @dataclass
 class CutoffDiagnostics:
     cutoff_hs: dict[float, float]
@@ -228,8 +252,6 @@ def cutoff_diagnostics(
             "cutoff must equal 1 on the damping support "
             f"(max deviation {np.max(np.abs(cutoff[active] - 1.0)):.3e})"
         )
-    cutoff_hs = {
-        float(s): sobolev_norm(Field(cutoff * u.values, u.spec), s) for s in s_values
-    }
+    cutoff_hs = cutoff_sobolev_norms(u, cutoff, s_values)
     comm = commutator_with_cutoff(u, cutoff)
     return CutoffDiagnostics(cutoff_hs=cutoff_hs, commutator_l2=comm.l2_norm())

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
 from .grid import Field, GridSpec, flux_divergence, rk4
-from .observables import Monitor, ObservableSeries
+from .observables import Frame, Monitor, ObservableSeries
 
 __all__ = [
     "SolverConfig",
@@ -393,10 +393,10 @@ def simulate(
 
     def record(st: SimulationState, final: bool):
         nonlocal warned
-        cache: dict = {}
+        frame = Frame(st.u)
         for mon in monitors:
             if st.step % mon.every == 0 or final:
-                value = float(mon.fn(st, cache))
+                value = float(mon.fn(st, frame))
                 if not np.isfinite(value):
                     raise StabilityError(
                         f"observable {mon.name!r} became non-finite at t={st.t:.6g}"
@@ -405,7 +405,7 @@ def simulate(
         if snapshot_every > 0 and (st.step % snapshot_every == 0 or final):
             snapshots.append((st.t, st.u.copy()))
         if not warned and cfg.boundary_mass_warn > 0:
-            total = np.abs(st.u.values) ** 2
+            total = frame.mod2
             shell_mass = float(total[shell].sum())
             full_mass = float(total.sum())
             if full_mass > 0 and shell_mass > cfg.boundary_mass_warn * full_mass:

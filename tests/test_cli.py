@@ -171,6 +171,28 @@ def test_runs_never_build_the_metric_table(tmp_path, monkeypatch, preset):
     assert all(metric._table is None for metric in metrics)
 
 
+def test_simulate_leaves_the_reference_weight_tables_unbuilt(tmp_path, monkeypatch):
+    # the virial rate uses the closed form of D^2 chi and the interaction
+    # only the kernel transforms
+    import dnls.grid
+
+    built = []
+    original = dnls.grid.weight_tables
+
+    def kept(spec):
+        built.append(original(spec))
+        return built[-1]
+
+    monkeypatch.setattr(dnls.grid, "weight_tables", kept)
+    cfg = _write(tmp_path, TABLE_FREE.format(preset="conformal_bump"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    (tables,) = built
+    assert "grad_rho_hat" in vars(tables)
+    for name in ("hess_chi", "grad_rho", "lap_rho", "grad_lap_rho"):
+        assert name not in vars(tables), name
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = _write(tmp_path, TINY_1D)
     out1, out2 = tmp_path / "a", tmp_path / "b"

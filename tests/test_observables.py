@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, SamplingError, SeriesAlignmentError
@@ -13,6 +15,7 @@ from dnls.grid import (
     weight_tables,
 )
 from dnls.observables import (
+    Frame,
     ObservableSeries,
     bilinear_interaction,
     energy,
@@ -26,6 +29,7 @@ from dnls.observables import (
     mass,
     mass_law_residual,
     morawetz_rate_residual,
+    morawetz_rate_rhs,
     morawetz_virial,
     smooth_random_field,
     stability_probe,
@@ -247,6 +251,52 @@ def test_morawetz_residual_refuses_sparse_sampling():
     rhs = ObservableSeries("virial_rhs", [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(SamplingError):
         morawetz_rate_residual(v, rhs)
+
+
+def _rate_rhs_by_tables(u, tables, damping, nonlinearity):
+    """The virial rate right-hand side with its Hessian term contracted
+    against the d x d table of D^2 chi, entry by entry."""
+    spec = u.spec
+    grads = gradient(u)
+    density = np.zeros(spec.shape)
+    for i in range(spec.dim):
+        for j in range(spec.dim):
+            density += 2.0 * tables.hess_chi[i, j] * (
+                np.conj(grads[i].values) * grads[j].values
+            ).real
+    mod2 = np.abs(u.values) ** 2
+    density -= 0.5 * tables.bilap_chi * mod2
+    if nonlinearity:
+        density += 0.5 * tables.lap_chi * mod2**2
+    for j in range(spec.dim):
+        momentum = (np.conj(u.values) * grads[j].values).imag
+        density -= 2.0 * damping.table * momentum * tables.grad_chi[j]
+    return float(spec.quadrature(density).real)
+
+
+_RATE_GRIDS = {2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
+_RATE_TABLES = {d: weight_tables(spec) for d, spec in _RATE_GRIDS.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    k_scale=st.floats(0.5, 3.0),
+    amplitude=st.floats(0.1, 10.0),
+    nonlinearity=st.booleans(),
+)
+def test_virial_rate_hessian_closed_form_matches_the_table(
+        dim, seed, k_scale, amplitude, nonlinearity):
+    # sum_ij 2 D^2chi_ij Re(conj g_i g_j) = 2/chi (|g|^2 - |grad chi . g|^2)
+    spec = _RATE_GRIDS[dim]
+    tables = _RATE_TABLES[dim]
+    damping = DampingField(spec, amplitude=1.0, radius=3.0)
+    u = band_limited_random(spec, seed=seed, k_scale=k_scale)
+    u = Field(amplitude * u.values, spec)
+    got = morawetz_rate_rhs(u, tables, damping, nonlinearity)
+    want = _rate_rhs_by_tables(u, tables, damping, nonlinearity)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # -- lambda accumulator and the energy bound ----------------------------------------
@@ -530,8 +580,8 @@ def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
         metric, damping, weight_tables(spec))}
     u = band_limited_random(spec, seed=3)
     state = SimulationState(u, 0.0, 0, metric, damping)
-    cache: dict = {}
-    monitors["energy"].fn(state, cache)  # computes the record's gradients
+    frame = Frame(u)
+    monitors["energy"].fn(state, frame)  # computes the record's gradients
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(GridSpec, name)
@@ -541,11 +591,57 @@ def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
             return _original(self, values)
 
         monkeypatch.setattr(GridSpec, name, counted)
-    value = monitors["h1_sq"].fn(state, cache)
+    value = monitors["h1_sq"].fn(state, frame)
     assert calls == []
     monkeypatch.undo()
     # Parseval: the gradients' quadrature equals the Fourier-multiplier norm
     assert value == pytest.approx(sobolev_norm(u, 1.0) ** 2, rel=1e-13)
+
+
+def _transforms_per_record(monkeypatch, dim, n, interaction_every):
+    """Transforms each record of a run makes inside its monitors, by step."""
+    spec = GridSpec(dim, n, 8.0)
+    metric, damping = build_preset("conformal_bump", spec)
+    tables = weight_tables(spec)
+    monitors = standard_monitors(metric, damping, tables,
+                                 interaction_every=interaction_every,
+                                 local_radius=2.5,
+                                 cutoff=cutoff_field(spec, 4.5, 6.5))
+    tables.grad_rho_hat  # the kernel transforms, taken once per set of tables
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(GridSpec, name)
+
+        def counted(self, values, _original=original):
+            calls.append(1)
+            return _original(self, values)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    per_record = {}
+    for mon in monitors:
+        def fn(state, frame, _fn=mon.fn):
+            before = len(calls)
+            value = _fn(state, frame)
+            per_record[state.step] = per_record.get(state.step, 0) \
+                + len(calls) - before
+            return value
+
+        mon.fn = fn
+    simulate(gaussian_field(spec, momentum=1.0), metric, damping,
+             SolverConfig(dt=0.01, duration=0.02), monitors=monitors)
+    monkeypatch.undo()
+    return per_record
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_fft_count_per_record(monkeypatch, dim, n):
+    # one frame per record: u_hat (1), its gradients (d), fft(|u|^2) (1), the
+    # interaction's convolutions (d) and one transform of cutoff*u for all
+    # exponents; a record without the interaction pays for neither of its
+    # parts, so the frame is lazy
+    full = {2: 7, 3: 9}[dim]
+    per_record = _transforms_per_record(monkeypatch, dim, n, interaction_every=2)
+    assert per_record == {0: full, 1: dim + 2, 2: full}
 
 
 # -- golden monitor values ----------------------------------------------------------
@@ -575,8 +671,8 @@ def _golden_monitor_values(preset, dim):
                                  local_radius=2.5,
                                  cutoff=cutoff_field(spec, 4.5, 6.5))
     state = SimulationState(u, 0.0, 0, metric, damping)
-    cache: dict = {}
-    return {mon.name: float(mon.fn(state, cache)) for mon in monitors}
+    frame = Frame(u)
+    return {mon.name: float(mon.fn(state, frame)) for mon in monitors}
 
 
 GOLDEN_MONITORS = {

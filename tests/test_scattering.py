@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dnls.errors import ConfigError, DomainError, GridMismatchError, SamplingError
 from dnls.geometry import DampingField, build_preset, cutoff_field
 from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm, weight_tables
-from dnls.observables import standard_monitors
+from dnls.observables import Frame, standard_monitors
 from dnls.scattering import (
     _monotone_tail_verdict,
     cauchy_scan,
@@ -334,17 +334,23 @@ def test_far_field_vanishes_when_data_sits_in_flat_region():
 
 def test_cutoff_diagnostics_commutator_equals_the_monitor():
     # one [lap, chi] u for both: the spectral derivatives of the real cutoff
-    # carry an imaginary Nyquist artifact (about 8e-5 here) that both drop
+    # carry an imaginary Nyquist artifact (about 8e-5 here) that both drop;
+    # and one H^s helper, on one transform of chi u, for both
     spec = GridSpec(2, 128, 12.0)
     metric, damping = build_preset("identity", spec, {"damping_radius": 4.0})
     chi = cutoff_field(spec, 4.5, 8.0)
     u = gaussian_field(spec, amplitude=0.5, width=1.5, momentum=1.0)
-    monitor = {mon.name: mon for mon in standard_monitors(
-        metric, damping, weight_tables(spec), cutoff=chi)}["commutator_l2_sq"]
+    monitors = {mon.name: mon for mon in standard_monitors(
+        metric, damping, weight_tables(spec), cutoff=chi)}
     state = SimulationState(u, 0.0, 0, metric, damping)
-    from_monitor = monitor.fn(state, {})
+    frame = Frame(u)
+    from_monitor = monitors["commutator_l2_sq"].fn(state, frame)
     diag = cutoff_diagnostics(u, chi, damping)
     assert diag.commutator_l2**2 == pytest.approx(from_monitor, rel=1e-12, abs=0.0)
+    assert sorted(diag.cutoff_hs) == [0.0, 0.5]
+    for s, value in diag.cutoff_hs.items():
+        from_monitor = monitors[f"cutoff_hs_{s:g}"].fn(state, frame)
+        assert value == pytest.approx(from_monitor, rel=1e-12, abs=0.0)
 
 
 def test_commutator_reuses_given_gradients_and_cutoff_derivatives():
