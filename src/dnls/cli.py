@@ -405,11 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, needs_out=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run configuration file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+    def common(p):
+        p.add_argument("--config", required=True, help="run configuration file")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--strict", action="store_true",
                        help="nonzero exit on negative verdicts")
         p.add_argument("--quiet", action="store_true")

@@ -155,9 +155,10 @@ class RunConfig:
 
     def resolved_cutoff_radii(self) -> tuple[float, float]:
         L = self.grid.box_half_length
-        damping_reach = self.resolved_damping_radius() + abs(
-            self.resolved_damping_offset()
-        )
+        geo = self.geometry
+        outer = (geo.damping_outer_radius if geo.damping_shape == "annulus"
+                 else self.resolved_damping_radius())
+        damping_reach = outer + abs(self.resolved_damping_offset())
         flat = self.observables.cutoff_flat_radius
         if np.isnan(flat):
             flat = damping_reach + 0.5
@@ -168,9 +169,11 @@ class RunConfig:
 
     def resolved_escape_radius(self, metric: MetricField,
                                damping: DampingField) -> float:
+        from .rays import default_escape_radius  # only ray runs load the tracer
+
         if not np.isnan(self.rays.escape_radius):
             return self.rays.escape_radius
-        return 1.5 * max(metric.support_radius, damping.support_radius) + 5.0
+        return default_escape_radius(metric, damping)
 
     # -- builders --------------------------------------------------------------
 

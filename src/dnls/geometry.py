@@ -105,9 +105,12 @@ class MetricField:
     """Symmetric coefficient matrix G(x) = I + amplitude * b(|x|) * S.
 
     S is the identity for conformal bumps or a fixed symmetric rank-one matrix
-    for anisotropic ones. Off the grid, :meth:`eval_radial` gives p and grad p
-    in closed form; :meth:`eval_metric` and :meth:`eval_metric_grad` expand
-    them into the generic G and dG/dx tables.
+    for anisotropic ones, and the package uses G only through that structure:
+    on the grid through ``perturbation`` p and ``direction`` v (S = v v^T, or
+    S = I when v is None), off the grid through :meth:`eval_radial`, which
+    gives p and grad p in closed form. :meth:`eval_metric` and
+    :meth:`eval_metric_grad` expand them into the generic G and dG/dx arrays
+    at given points.
     """
 
     def __init__(
@@ -120,6 +123,8 @@ class MetricField:
         self.spec = spec
         self.amplitude = float(amplitude)
         self.radius = float(radius)
+        if not np.isfinite(self.amplitude):
+            raise DomainError(f"metric amplitude must be finite, got {self.amplitude}")
         if self.amplitude != 0.0:
             if not 0.0 < self.radius < spec.length:
                 raise DomainError(
@@ -136,7 +141,6 @@ class MetricField:
             self.conformal = False
         self.is_identity = self.amplitude == 0.0
         self.support_radius = 0.0 if self.is_identity else self.radius
-        self._table: np.ndarray | None = None
         self._perturbation: np.ndarray | None = None
 
     # -- closed-form evaluators ------------------------------------------------
@@ -188,26 +192,6 @@ class MetricField:
                 np.sqrt(self.spec.radius_squared), self.radius
             )
         return self._perturbation
-
-    @property
-    def table(self) -> np.ndarray:
-        """Grid samples of G, shape (dim, dim, n, ..., n).
-
-        The package works from ``perturbation`` and ``direction``; the table
-        is the generic reference the tests compare against.
-        """
-        if self._table is None:
-            d = self.spec.dim
-            table = np.zeros((d, d) + self.spec.shape)
-            for i in range(d):
-                table[i, i] = 1.0
-            if not self.is_identity:
-                for i in range(d):
-                    for j in range(d):
-                        if self.structure[i, j] != 0.0:
-                            table[i, j] += self.structure[i, j] * self.perturbation
-            self._table = table
-        return self._table
 
     def deviation_norm(self) -> np.ndarray:
         """Pointwise Frobenius norm of G - I = p S on the grid, in closed form:

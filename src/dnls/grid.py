@@ -244,36 +244,24 @@ def laplacian(f: Field) -> Field:
     return Field(spec.ifft(-spec.k_squared * spec.fft(f.values)), spec)
 
 
-def _metric_table(metric, spec: GridSpec) -> np.ndarray:
-    """Accept a MetricField-like object (with .table) or a bare (d,d,...) array."""
-    table = np.asarray(getattr(metric, "table", metric), dtype=np.float64)
-    expected = (spec.dim, spec.dim) + spec.shape
-    if table.shape != expected:
-        raise GridMismatchError(
-            f"metric table shape {table.shape} != expected {expected}"
-        )
-    return table
-
-
 def flux_divergence(
     coeffs: np.ndarray,
     spec: GridSpec,
-    coefficient: np.ndarray,
+    p: np.ndarray,
     direction: np.ndarray | None = None,
     dealias: bool = False,
 ) -> np.ndarray:
-    """Fourier coefficients of div(A grad u), given those of u.
+    """Fourier coefficients of div(p S grad u), given those of u.
 
-    The structure of A decides the cost in transforms:
+    p is a scalar field of shape ``spec.shape``, and the structure S decides
+    the cost in transforms:
 
-    * a scalar field p of shape ``spec.shape``: A = p I, 2d transforms;
-    * the same with a unit ``direction`` v: A = p v v^T, 2 transforms in any
-      dimension, since div(p v v^T grad u) = (v . grad)(p (v . grad u));
-    * a (d, d, ...) table: A itself, entries that vanish identically skipped.
+    * S = I (no ``direction``): 2d transforms;
+    * S = v v^T for a unit ``direction`` v: 2 transforms in any dimension,
+      since div(p v v^T grad u) = (v . grad)(p (v . grad u)).
 
     With ``dealias`` each flux is projected onto the 2/3 band right after the
-    pointwise product; the mask is linear, so the three paths give the same
-    operator up to rounding.
+    pointwise product.
     """
     mask = spec.dealias_mask
 
@@ -284,49 +272,31 @@ def flux_divergence(
         return flux_hat
 
     k = spec.wavenumbers
-    if coefficient.shape == spec.shape:
-        if direction is None:
-            out = np.zeros_like(coeffs)
-            for kj in k:
-                out += 1j * kj * band(coefficient * spec.ifft(1j * kj * coeffs))
-            return out
-        vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
-        return vk * band(coefficient * spec.ifft(vk * coeffs))
-    d = spec.dim
-    live = [[bool(np.any(coefficient[i, j])) for j in range(d)] for i in range(d)]
-    grads = [
-        spec.ifft(1j * k[j] * coeffs) if any(row[j] for row in live) else None
-        for j in range(d)
-    ]
-    out = np.zeros_like(coeffs)
-    for i in range(d):
-        if any(live[i]):
-            flux = sum(coefficient[i, j] * grads[j] for j in range(d) if live[i][j])
-            out += 1j * k[i] * band(flux)
-    return out
+    if direction is None:
+        out = np.zeros_like(coeffs)
+        for kj in k:
+            out += 1j * kj * band(p * spec.ifft(1j * kj * coeffs))
+        return out
+    vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
+    return vk * band(p * spec.ifft(vk * coeffs))
 
 
 def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
-    """Divergence-form operator div(G grad f) with optional 2/3-rule dealiasing.
+    """Divergence-form operator div(G grad f) of a MetricField, with optional
+    2/3-rule dealiasing.
 
-    A MetricField contributes its structure, G = I + p S with S = I or v v^T:
-    the free part is the exact -|k|^2 multiplier and the perturbation goes
-    through :func:`flux_divergence`. A bare (d,d,...) table takes the generic
-    path. The dealias mask is applied after the pointwise multiplication by G
-    and again after the final divergence.
+    G = I + p S is used through its structure (``metric.perturbation`` p and
+    ``metric.direction``): the free part is the exact -|k|^2 multiplier and
+    the perturbation goes through :func:`flux_divergence`. The dealias mask is
+    applied after the pointwise multiplication by p and again after the final
+    divergence.
     """
     spec = f.spec
     coeffs = spec.fft(f.values)
-    if hasattr(metric, "perturbation"):
-        out = -spec.k_squared * coeffs
-        if metric.perturbation is not None:
-            out += flux_divergence(coeffs, spec, metric.perturbation,
-                                   metric.direction, dealias)
-    else:
-        table = _metric_table(metric, spec)
-        if not np.all(np.isfinite(table)):
-            raise DomainError("metric table contains non-finite entries")
-        out = flux_divergence(coeffs, spec, table, dealias=dealias)
+    out = -spec.k_squared * coeffs
+    if metric.perturbation is not None:
+        out += flux_divergence(coeffs, spec, metric.perturbation,
+                               metric.direction, dealias)
     if dealias:
         out[~spec.dealias_mask] = 0.0
     return Field(spec.ifft(out), spec)
@@ -373,13 +343,8 @@ def h1_density(f: Field, grads: Sequence[Field]) -> np.ndarray:
     return density
 
 
-def localized_integral(f: Field, radius: float, mode: str = "density",
-                       grads: Sequence[Field] | None = None) -> float:
-    """Quadrature of |u|^2, |grad u|^2 + |u|^2 or |u|^4 over the ball B(0, R).
-
-    ``grads`` (the spectral gradients of f) spare the energy mode its d + 1
-    transforms.
-    """
+def localized_integral(f: Field, radius: float, mode: str = "density") -> float:
+    """Quadrature of |u|^2, |grad u|^2 + |u|^2 or |u|^4 over the ball B(0, R)."""
     if mode not in _LOCALIZED_MODES:
         raise DomainError(f"mode must be one of {_LOCALIZED_MODES}, got {mode!r}")
     spec = f.spec
@@ -389,15 +354,15 @@ def localized_integral(f: Field, radius: float, mode: str = "density",
     elif mode == "quartic":
         density = np.abs(f.values) ** 4
     else:
-        density = h1_density(f, gradient(f) if grads is None else grads)
+        density = h1_density(f, gradient(f))
     return float(np.sum(density[mask]) * spec.dx**spec.dim)
 
 
-def _rho_kernels(spec: GridSpec, kind: str) -> np.ndarray:
-    """grad|x| ("grad"), lap|x| ("lap") or grad lap|x| ("grad_lap") on the grid.
+def _grad_rho(spec: GridSpec) -> np.ndarray:
+    """(dim, ...) table of grad|x| = x/|x| on the grid.
 
-    The origin node, where the closed forms are singular, takes their mean
-    over the 2^d half-grid offsets.
+    The origin node, where the closed form is singular, takes its mean over
+    the 2^d half-grid offsets.
     """
     d = spec.dim
     r = np.sqrt(spec.radius_squared)
@@ -406,17 +371,8 @@ def _rho_kernels(spec: GridSpec, kind: str) -> np.ndarray:
     safe_r = np.where(r == 0.0, 1.0, r)
     corners = np.array(list(product((-0.5, 0.5), repeat=d))) * spec.dx
     norms = np.linalg.norm(corners, axis=1)
-    if kind == "lap":
-        table = (d - 1) / safe_r
-        table[origin] = ((d - 1) / norms).mean()
-        return table
-    power, scale = {"grad": (1, 1.0), "grad_lap": (3, -(d - 1))}[kind]
-    table = np.stack(
-        [scale * np.broadcast_to(x, spec.shape) / safe_r**power for x in spec.coords]
-    )
-    table[(slice(None),) + origin] = (
-        scale * corners / norms[:, None] ** power
-    ).mean(axis=0)
+    table = np.stack([np.broadcast_to(x, spec.shape) / safe_r for x in spec.coords])
+    table[(slice(None),) + origin] = (corners / norms[:, None]).mean(axis=0)
     return table
 
 
@@ -427,12 +383,10 @@ class WeightTables:
     ``lambda_kernel`` is the positive weight 15/chi^7 driving the localized-mass
     accumulator; in three dimensions it coincides with ``-bilap_chi``.
 
-    :func:`weight_tables` fills the fields. The other tables are built on
-    first use and kept: ``grad_rho_hat``, the transforms of the ifftshifted
-    ``grad_rho`` kernels that the bilinear interaction convolves with, and
-    the references ``hess_chi``, ``grad_rho``, ``lap_rho`` and
-    ``grad_lap_rho``, which no monitor reads (the virial rate uses the closed
-    form of D^2 chi).
+    :func:`weight_tables` fills the fields. ``grad_rho``, the grad|x| table,
+    and ``grad_rho_hat``, the transforms of its ifftshifted components that
+    the bilinear interaction convolves with, are built on first use and kept.
+    The virial rate needs no D^2 chi table: it uses the closed form.
     """
 
     spec: GridSpec
@@ -443,39 +397,16 @@ class WeightTables:
     lambda_kernel: np.ndarray
 
     @cached_property
-    def hess_chi(self) -> np.ndarray:
-        """(dim, dim, ...) table of D^2 chi = I/chi - x x^T/chi^3."""
-        spec = self.spec
-        d = spec.dim
-        chi3 = self.chi**3
-        hess = np.empty((d, d) + spec.shape)
-        for i in range(d):
-            for j in range(d):
-                hess[i, j] = -spec.coords[i] * spec.coords[j] / chi3
-                if i == j:
-                    hess[i, j] += 1.0 / self.chi
-        return hess
-
-    @cached_property
     def grad_rho(self) -> np.ndarray:
         """(dim, ...) table of grad|x| = x/|x|."""
-        return _rho_kernels(self.spec, "grad")
-
-    @cached_property
-    def lap_rho(self) -> np.ndarray:
-        return _rho_kernels(self.spec, "lap")
-
-    @cached_property
-    def grad_lap_rho(self) -> np.ndarray:
-        """(dim, ...) table of grad lap|x| = -(d-1) x/|x|^3."""
-        return _rho_kernels(self.spec, "grad_lap")
+        return _grad_rho(self.spec)
 
     @cached_property
     def grad_rho_hat(self) -> list[np.ndarray]:
         """Transforms of the ifftshifted grad|x| kernels, index 0 carrying the
         zero displacement; the kernel table itself is not kept."""
         spec = self.spec
-        return [spec.fft(np.fft.ifftshift(k)) for k in _rho_kernels(spec, "grad")]
+        return [spec.fft(np.fft.ifftshift(k)) for k in _grad_rho(spec)]
 
 
 def weight_tables(spec: GridSpec) -> WeightTables:

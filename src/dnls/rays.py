@@ -9,6 +9,7 @@ stage and never from the d x d or d x d x d coefficient tables:
     identity:             dx/dt = 2 xi,                 dxi/dt = 0;
     conformal, S = I:     dx/dt = 2 (1 + p) xi,         dxi/dt = -|xi|^2 grad p;
     rank-one, S = v v^T:  dx/dt = 2 (xi + p (v.xi) v), dxi/dt = -(v.xi)^2 grad p.
+The symbol itself, :func:`hamiltonian`, comes from the same evaluator.
 It is integrated with the classical fourth-order one-step method
 (``grid.rk4``); coefficients are never interpolated from a grid. A ray state is
 one row (x, xi) of an (n, 2 dim) array, and an ensemble advances its rays
@@ -74,11 +75,14 @@ class Trajectory:
 
 
 def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField) -> np.ndarray:
-    """G(x) xi . xi via the closed-form evaluator; works on (..., dim) stacks."""
+    """G(x) xi . xi on the structure, from one radial evaluation: |xi|^2 + p |xi|^2
+    conformal, |xi|^2 + p (v.xi)^2 rank-one; works on (..., dim) stacks."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    g = metric.eval_metric(x)
-    h = np.einsum("...ij,...i,...j->...", g, xi, xi)
+    h = np.einsum("...i,...i->...", xi, xi)
+    if not metric.is_identity:
+        p, _ = metric.eval_radial(x)
+        h = h + p * (h if metric.conformal else (xi @ metric.direction) ** 2)
     return h[0] if h.shape == (1,) else h
 
 

@@ -150,9 +150,13 @@ seed = 1
 @pytest.mark.parametrize("preset", ["identity", "conformal_bump",
                                     "anisotropic_bump", "uncontrolled_bump"])
 def test_runs_never_build_the_metric_table(tmp_path, monkeypatch, preset):
-    # the package uses G only through its structure; the table is a test
-    # reference
+    # the package uses G only through its structure, p and v: no run expands
+    # it into the generic d x d arrays of G or dG/dx, on or off the grid
     import dnls.config
+    from dnls.geometry import MetricField
+
+    def refuse(self, points):
+        raise AssertionError("a run expanded the metric into its d x d table")
 
     metrics = []
     original = dnls.config.build_preset
@@ -163,17 +167,17 @@ def test_runs_never_build_the_metric_table(tmp_path, monkeypatch, preset):
         return pair
 
     monkeypatch.setattr(dnls.config, "build_preset", kept)
+    monkeypatch.setattr(MetricField, "eval_metric", refuse)
+    monkeypatch.setattr(MetricField, "eval_metric_grad", refuse)
     cfg = _write(tmp_path, TABLE_FREE.format(preset=preset))
     for sub in ("simulate", "check-geometry", "rays"):
         assert main([sub, "--config", cfg, "--out", str(tmp_path / sub),
                      "--quiet"]) == EXIT_OK
     assert len(metrics) == 3
-    assert all(metric._table is None for metric in metrics)
 
 
 def test_simulate_leaves_the_reference_weight_tables_unbuilt(tmp_path, monkeypatch):
-    # the virial rate uses the closed form of D^2 chi and the interaction
-    # only the kernel transforms
+    # the interaction uses only the kernel transforms, not the grad|x| table
     import dnls.grid
 
     built = []
@@ -189,8 +193,7 @@ def test_simulate_leaves_the_reference_weight_tables_unbuilt(tmp_path, monkeypat
                  "--quiet"]) == EXIT_OK
     (tables,) = built
     assert "grad_rho_hat" in vars(tables)
-    for name in ("hess_chi", "grad_rho", "lap_rho", "grad_lap_rho"):
-        assert name not in vars(tables), name
+    assert "grad_rho" not in vars(tables)
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):

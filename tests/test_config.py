@@ -140,3 +140,21 @@ def test_cutoff_radii_resolution():
     chi = cfg.cutoff()
     assert chi.max() == 1.0
     assert chi.min() == 0.0
+
+
+def test_default_cutoff_covers_an_annulus_damping():
+    # the default flat radius comes from the annulus' outer radius, not from
+    # the ball radius the annulus ignores
+    from dnls.scattering import cutoff_diagnostics
+
+    cfg = parse_config_text(
+        "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
+        "[geometry]\npreset = conformal_bump\ndamping_shape = annulus\n"
+        "damping_inner_radius = 3.0\ndamping_outer_radius = 6.0\n"
+    )
+    assert cfg.resolved_cutoff_radii() == (6.5, 9.25)
+    spec = cfg.grid_spec()
+    _, damping = cfg.build_geometry(spec)
+    chi = cfg.cutoff(spec)
+    assert np.all(chi[damping.table > 0.0] == 1.0)
+    cutoff_diagnostics(cfg.initial_field(spec), chi, damping)

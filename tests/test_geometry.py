@@ -18,6 +18,8 @@ from dnls.geometry import (
 from dnls.grid import Field, GridSpec, gradient
 from dnls.solver import cfl_suggestion
 
+from reference import metric_table
+
 
 SPEC = GridSpec(2, 64, 10.0)
 SPEC3 = GridSpec(3, 24, 10.0)
@@ -161,7 +163,7 @@ def test_min_eigenvalue_matches_eigvalsh_on_table(dim, preset, amplitude):
     if preset == "identity":
         params = {}
     metric, _ = build_preset(preset, _SPECS_BY_DIM[dim], params)
-    stacked = np.moveaxis(metric.table, (0, 1), (-2, -1))
+    stacked = np.moveaxis(metric_table(metric), (0, 1), (-2, -1))
     reference = float(np.linalg.eigvalsh(stacked)[..., 0].min())
     assert metric.min_eigenvalue() == pytest.approx(reference, rel=1e-14, abs=1e-14)
 
@@ -170,7 +172,7 @@ def _table_deviation(metric):
     """Frobenius norm of G - I from the generic table: the reference for the
     closed form."""
     d = metric.spec.dim
-    table = metric.table
+    table = metric_table(metric)
     return np.sqrt(sum((table[i, j] - (1.0 if i == j else 0.0)) ** 2
                        for i in range(d) for j in range(d)))
 
@@ -185,7 +187,6 @@ def test_control_scan_and_cfl_match_the_table_reference(dim, preset, amplitude):
     metric, damping = build_preset(preset, spec, params)
     report = check_control(metric, damping)
     dev = metric.deviation_norm()
-    assert metric._table is None  # the closed form needs no table
     reference = _table_deviation(metric)
     assert np.max(np.abs(dev - reference)) <= 1e-15
     support = reference > 1e-12
@@ -220,7 +221,7 @@ def test_coercivity_loss_rejected_in_closed_form(dim, rank_one, amplitude):
 def test_anisotropic_preset_symmetric_and_coercive():
     metric, _ = build_preset("anisotropic_bump", SPEC3,
                              {"metric_amplitude": 0.4, "metric_radius": 2.0})
-    table = metric.table
+    table = metric_table(metric)
     for i in range(3):
         for j in range(3):
             assert np.array_equal(table[i, j], table[j, i])
@@ -273,9 +274,10 @@ def test_offgrid_evaluator_matches_tables_at_grid_points(name):
         [np.broadcast_to(x, SPEC3.shape) for x in SPEC3.coords], axis=-1
     ).reshape(-1, 3)
     g = metric.eval_metric(pts).reshape(SPEC3.shape + (3, 3))
+    table = metric_table(metric)
     for i in range(3):
         for j in range(3):
-            assert np.max(np.abs(g[..., i, j] - metric.table[i, j])) < 1e-12
+            assert np.max(np.abs(g[..., i, j] - table[i, j])) < 1e-12
     a = damping.eval_damping(pts).reshape(SPEC3.shape)
     assert np.max(np.abs(a - damping.table)) < 1e-12
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, GridMismatchError
+from dnls.geometry import MetricField, build_preset
 from dnls.grid import (
     Field,
     GridSpec,
@@ -20,6 +21,7 @@ from dnls.grid import (
 )
 
 from conftest import band_limited_random, gaussian_field
+from reference import flux_divergence_table, hess_chi, metric_table
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
@@ -129,49 +131,45 @@ def test_divergence_rejects_mismatched_specs():
 # -- variable-coefficient Laplacian --------------------------------------------
 
 
-def _identity_table(spec):
-    table = np.zeros((spec.dim, spec.dim) + spec.shape)
-    for i in range(spec.dim):
-        table[i, i] = 1.0
-    return table
-
-
 def test_laplacian_G_identity_matches_multiplier():
     spec = GridSpec(2, 32, 5.0)
     f = band_limited_random(spec, seed=3)
-    via_tables = laplacian_G(f, _identity_table(spec))
+    via_metric = laplacian_G(f, MetricField(spec))
     via_multiplier = laplacian(f)
     scale = np.max(np.abs(via_multiplier.values))
-    assert np.max(np.abs(via_tables.values - via_multiplier.values)) < 1e-12 * scale
+    assert np.max(np.abs(via_metric.values - via_multiplier.values)) < 1e-12 * scale
 
 
 def test_laplacian_G_constant_scaling():
+    # div(G grad f) - lap f is linear in G - I = amplitude b S: doubling the
+    # amplitude doubles it, for S = I and for S = v v^T
     spec = GridSpec(3, 16, 4.0)
-    k = np.pi / 4.0
-    f = Field(np.exp(1j * k * np.broadcast_to(spec.coords[0], spec.shape)), spec)
-    table = 2.0 * _identity_table(spec)
-    out = laplacian_G(f, table)
-    assert np.max(np.abs(out.values - (-2.0 * k**2) * f.values)) < 1e-11
+    f = band_limited_random(spec, seed=4)
+    free = laplacian(f).values
+    for direction in (None, (1.0, 2.0, -0.5)):
+        once, twice = (
+            laplacian_G(f, MetricField(spec, amplitude=c * 0.3, radius=2.5,
+                                       direction=direction)).values - free
+            for c in (1.0, 2.0)
+        )
+        assert np.max(np.abs(twice - 2.0 * once)) < 1e-12 * np.max(np.abs(twice))
 
 
 def test_laplacian_G_fused_vs_split_paths():
     # div(G grad f) must equal lap f + div((G - I) grad f) computed separately
     spec = GridSpec(2, 64, 8.0)
-    from dnls.geometry import bump_profile
-
-    bump = 0.4 * bump_profile(np.sqrt(spec.radius_squared), 3.0)
-    table = _identity_table(spec)
-    for i in range(spec.dim):
-        table[i, i] += bump
     f = gaussian_field(spec, amplitude=1.0, width=1.5)
-    fused = laplacian_G(f, table)
-    pert_table = table - _identity_table(spec)
-    split = laplacian(f).values + laplacian_G(f, pert_table).values
-    rel = np.sqrt(
-        spec.quadrature(np.abs(fused.values - split) ** 2).real
-        / spec.quadrature(np.abs(fused.values) ** 2).real
-    )
-    assert rel < 1e-11
+    for preset in ("conformal_bump", "anisotropic_bump"):
+        metric, _ = build_preset(preset, spec)
+        fused = laplacian_G(f, metric)
+        pert = flux_divergence(spec.fft(f.values), spec, metric.perturbation,
+                               metric.direction)
+        split = laplacian(f).values + spec.ifft(pert)
+        rel = np.sqrt(
+            spec.quadrature(np.abs(fused.values - split) ** 2).real
+            / spec.quadrature(np.abs(fused.values) ** 2).real
+        )
+        assert rel < 1e-11
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,7 +183,8 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
     dim, seed, dealias, axis_aligned
 ):
     # the conformal (p I) and rank-one (p v v^T) paths are the generic d x d
-    # table path up to rounding, and every path is self-adjoint on the band
+    # table path up to rounding, and every path, the generic one on a full
+    # symmetric table included, is self-adjoint on the band
     spec = GridSpec(dim, {1: 32, 2: 16, 3: 8}[dim], 5.0)
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(spec.shape)
@@ -203,11 +202,12 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
     for direction, structure in ((None, np.eye(dim)), (v, np.outer(v, v))):
         table = np.multiply.outer(structure, p)
         fast = flux_divergence(f, spec, p, direction, dealias)
-        generic = flux_divergence(f, spec, table, dealias=dealias)
+        generic = flux_divergence_table(f, spec, table, dealias)
         assert np.max(np.abs(fast - generic)) <= 1e-12 * np.max(np.abs(generic))
-    for args in ((p, None), (p, v), (sym, None)):
-        kf = flux_divergence(f, spec, *args, dealias=dealias)
-        kg = flux_divergence(g, spec, *args, dealias=dealias)
+    for op, args in ((flux_divergence, (p, None)), (flux_divergence, (p, v)),
+                     (flux_divergence_table, (sym,))):
+        kf = op(f, spec, *args, dealias=dealias)
+        kg = op(g, spec, *args, dealias=dealias)
         bound = 1e-12 * np.linalg.norm(kf) * np.linalg.norm(g)
         assert abs(np.vdot(g, kf) - np.vdot(kg, f)) <= bound
 
@@ -215,39 +215,39 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
 @pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])
 @pytest.mark.parametrize("dealias", [False, True])
 def test_laplacian_G_metric_structure_matches_its_table(preset, dealias):
-    from dnls.geometry import build_preset
-
     spec = GridSpec(2, 32, 6.0)
     metric, _ = build_preset(preset, spec)
     f = band_limited_random(spec, seed=9)
     structured = laplacian_G(f, metric, dealias).values
-    generic = laplacian_G(f, metric.table, dealias).values
+    generic_hat = flux_divergence_table(spec.fft(f.values), spec,
+                                        metric_table(metric), dealias)
+    if dealias:
+        generic_hat[~spec.dealias_mask] = 0.0
+    generic = spec.ifft(generic_hat)
     assert np.max(np.abs(structured - generic)) < 1e-12 * np.max(np.abs(generic))
 
 
 def test_laplacian_G_self_adjoint_without_dealiasing():
     spec = GridSpec(2, 32, 6.0)
-    from dnls.geometry import bump_profile
-
-    table = _identity_table(spec)
-    bump = 0.3 * bump_profile(np.sqrt(spec.radius_squared), 2.5)
-    table[0, 0] += bump
-    table[0, 1] += 0.1 * bump
-    table[1, 0] += 0.1 * bump
     f = band_limited_random(spec, seed=5)
     g = band_limited_random(spec, seed=6)
-    lhs = spec.quadrature(laplacian_G(f, table).values * np.conj(g.values))
-    rhs = spec.quadrature(f.values * np.conj(laplacian_G(g, table).values))
     bound = 1e-10 * f.l2_norm() * g.l2_norm()
-    assert abs(lhs - rhs) <= bound
+    # the oblique direction gives G off-diagonal entries
+    for direction in (None, (1.0, 0.1)):
+        metric = MetricField(spec, amplitude=0.3, radius=2.5, direction=direction)
+        lhs = spec.quadrature(laplacian_G(f, metric).values * np.conj(g.values))
+        rhs = spec.quadrature(f.values * np.conj(laplacian_G(g, metric).values))
+        assert abs(lhs - rhs) <= bound
 
 
 def test_laplacian_G_rejects_nonfinite_metric():
+    # a non-finite amplitude would reach laplacian_G as a NaN perturbation;
+    # the MetricField refuses it
     spec = GridSpec(1, 16, 2.0)
-    table = _identity_table(spec)
-    table[0, 0, 3] = np.inf
-    with pytest.raises(DomainError):
-        laplacian_G(Field(np.ones(spec.shape, dtype=complex), spec), table)
+    f = Field(np.ones(spec.shape, dtype=complex), spec)
+    for amplitude in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            laplacian_G(f, MetricField(spec, amplitude=amplitude, radius=1.0))
 
 
 # -- Sobolev norms --------------------------------------------------------------
@@ -358,24 +358,19 @@ def test_weight_tables_bilap_matches_closed_form_everywhere_3d():
 def test_weight_tables_rho_kernels_3d():
     spec = GridSpec(3, 32, 8.0)
     t = weight_tables(spec)
-    # lap |x| = 2/|x|: equals 1 at |x| = 2
-    idx = (16 + 4, 16, 16)  # x = (2, 0, 0) with dx = 0.5
-    assert t.lap_rho[idx] == pytest.approx(1.0, rel=1e-14)
     # |grad rho| = 1 away from the origin
     mag = np.sqrt(sum(t.grad_rho[j] ** 2 for j in range(3)))
     mask = spec.radius_squared > 0
     assert np.max(np.abs(mag[mask] - 1.0)) < 1e-13
-    # regularized origin: odd kernels average to zero, lap to the corner mean
+    # regularized origin: the odd kernel averages to zero
     origin = (16, 16, 16)
     assert abs(mag[origin]) < 1e-13
-    assert t.lap_rho[origin] == pytest.approx(2.0 * 2.0 / (np.sqrt(3.0) * spec.dx))
-    assert np.max(np.abs(t.grad_lap_rho[(slice(None),) + origin])) < 1e-13
 
 
 def test_weight_tables_hessian_positive_semidefinite():
     spec = GridSpec(3, 16, 8.0)
     t = weight_tables(spec)
-    stacked = np.moveaxis(t.hess_chi, (0, 1), (-2, -1))
+    stacked = np.moveaxis(hess_chi(spec, t.chi), (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(stacked)
     assert eigs.min() >= -1e-12
 
@@ -388,9 +383,10 @@ def test_weight_tables_derivative_growth_bounds(dim):
     bracket = t.chi  # <x> = chi
     for j in range(dim):
         assert np.max(np.abs(t.grad_chi[j])) <= 1.0 + 1e-12
+    hess = hess_chi(spec, t.chi)
     for i in range(dim):
         for j in range(dim):
-            assert np.max(np.abs(t.hess_chi[i, j]) * bracket) <= 2.0
+            assert np.max(np.abs(hess[i, j]) * bracket) <= 2.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -38,6 +38,7 @@ from dnls.observables import (
 from dnls.solver import SimulationState, SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
+from reference import hess_chi
 
 SPEC = GridSpec(2, 64, 10.0)
 TABLES = weight_tables(SPEC)
@@ -258,10 +259,11 @@ def _rate_rhs_by_tables(u, tables, damping, nonlinearity):
     against the d x d table of D^2 chi, entry by entry."""
     spec = u.spec
     grads = gradient(u)
+    hess = hess_chi(spec, tables.chi)
     density = np.zeros(spec.shape)
     for i in range(spec.dim):
         for j in range(spec.dim):
-            density += 2.0 * tables.hess_chi[i, j] * (
+            density += 2.0 * hess[i, j] * (
                 np.conj(grads[i].values) * grads[j].values
             ).real
     mod2 = np.abs(u.values) ** 2

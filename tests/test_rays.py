@@ -25,28 +25,15 @@ SPEC3 = GridSpec(3, 16, 12.0)
 TRAP_PARAMS = {"metric_amplitude": -0.95, "metric_radius": 2.0, "damping_radius": 2.0}
 
 
-class _ScaledIdentity:
-    """Stub metric G = c I for symbol spot checks."""
-
-    def __init__(self, c, dim):
-        self.c, self.dim = c, dim
-        self.is_identity = c == 1.0
-
-    def eval_metric(self, points):
-        points = np.asarray(points, dtype=float)
-        return self.c * np.broadcast_to(
-            np.eye(self.dim), points.shape[:-1] + (self.dim, self.dim)
-        )
-
-
 def test_hamiltonian_identity_unit_momentum():
     metric, _ = build_preset("identity", SPEC3)
     assert hamiltonian(np.zeros(3), np.array([1.0, 0, 0]), metric) == pytest.approx(1.0)
 
 
 def test_hamiltonian_scaled_identity():
-    stub = _ScaledIdentity(2.0, 3)
-    h = hamiltonian(np.zeros(3), np.array([1.0, 1.0, 0.0]), stub)
+    # at the apex of a conformal bump of amplitude 1, G = 2 I
+    metric = MetricField(SPEC3, amplitude=1.0, radius=2.0)
+    h = hamiltonian(np.zeros(3), np.array([1.0, 1.0, 0.0]), metric)
     assert h == pytest.approx(4.0)
 
 
@@ -113,9 +100,9 @@ def test_integrate_ray_input_validation():
 
 # -- the structure-aware flow ---------------------------------------------------------
 #
-# The flow uses G = I + p S through one radial evaluation. Its references are
-# the generic contraction of the d x d and d x d x d tables, and Hamilton's
-# equations taken by central differences of the symbol.
+# The flow and the symbol use G = I + p S through one radial evaluation. Their
+# references are the generic contraction of the d x d and d x d x d arrays,
+# and Hamilton's equations taken by central differences of the symbol.
 
 FLOW_GRIDS = {1: GridSpec(1, 32, 12.0), 2: SPEC, 3: SPEC3}
 
@@ -159,6 +146,10 @@ def test_structure_flow_equals_the_table_flow(preset, dim, amplitude, radii,
     for got, ref in ((flow[:, :dim], dx), (flow[:, dim:], dxi)):
         assert np.all(np.linalg.norm(got - ref, axis=1)
                       <= 1e-13 * np.linalg.norm(ref, axis=1) + 1e-300)
+    # the symbol itself, against G xi . xi from the d x d evaluator
+    h = hamiltonian(x, xi, metric)
+    h_ref = np.einsum("nij,ni,nj->n", metric.eval_metric(x), xi, xi)
+    assert np.all(np.abs(h - h_ref) <= 1e-13 * np.abs(h_ref) + 1e-300)
 
 
 @settings(max_examples=40, deadline=None)
