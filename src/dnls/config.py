@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DnlsError, DomainError
 from .geometry import (
-    DEFAULT_METRIC_AMPLITUDE,
     DampingField,
     MetricField,
     PRESET_NAMES,
@@ -39,14 +38,16 @@ class GridSection:
 @dataclass
 class GeometrySection:
     preset: str = "conformal_bump"
-    metric_amplitude: float = np.nan  # nan = preset default
+    # the keys up to damping_center_offset go to geometry.build_preset;
+    # nan = the preset's default
+    metric_amplitude: float = np.nan
     metric_radius: float = 2.0
     damping_amplitude: float = 1.0
     damping_shape: str = "ball"
-    damping_radius: float = np.nan    # nan = metric_radius + 2
+    damping_radius: float = np.nan
     damping_inner_radius: float = 0.0
     damping_outer_radius: float = 0.0
-    damping_center_offset: float = np.nan  # nan = preset default
+    damping_center_offset: float = np.nan
     g_tol: float = 1e-12
     a_min: float = 1e-8
 
@@ -63,7 +64,6 @@ class InitialDataSection:
 
 @dataclass
 class SolverSection:
-    scheme: str = "strang"
     dt: float = 0.01
     duration: float = 1.0
     dealias: bool = True
@@ -134,34 +134,14 @@ class RunConfig:
 
     # -- resolved values -----------------------------------------------------
 
-    def resolved_metric_amplitude(self) -> float:
-        if np.isnan(self.geometry.metric_amplitude):
-            return DEFAULT_METRIC_AMPLITUDE[self.geometry.preset]
-        return self.geometry.metric_amplitude
-
-    def resolved_damping_radius(self) -> float:
-        if np.isnan(self.geometry.damping_radius):
-            if self.geometry.preset == "uncontrolled_bump":
-                return self.geometry.metric_radius
-            return self.geometry.metric_radius + 2.0
-        return self.geometry.damping_radius
-
-    def resolved_damping_offset(self) -> float:
-        if not np.isnan(self.geometry.damping_center_offset):
-            return self.geometry.damping_center_offset
-        if self.geometry.preset == "uncontrolled_bump":
-            return self.geometry.metric_radius + self.resolved_damping_radius() + 1.0
-        return 0.0
-
-    def resolved_cutoff_radii(self) -> tuple[float, float]:
+    def resolved_cutoff_radii(self, damping: DampingField) -> tuple[float, float]:
+        """(flat, support) radii of the cutoff; by default flat clears the
+        reach of the built ``damping`` (its shape's, also at zero amplitude)
+        by 0.5 and support lies midway from there to the box edge."""
         L = self.grid.box_half_length
-        geo = self.geometry
-        outer = (geo.damping_outer_radius if geo.damping_shape == "annulus"
-                 else self.resolved_damping_radius())
-        damping_reach = outer + abs(self.resolved_damping_offset())
         flat = self.observables.cutoff_flat_radius
         if np.isnan(flat):
-            flat = damping_reach + 0.5
+            flat = damping.reach + 0.5
         support = self.observables.cutoff_support_radius
         if np.isnan(support):
             support = flat + 0.5 * (L - flat)
@@ -193,32 +173,18 @@ class RunConfig:
         key = (self.config_hash(), spec)
         if self._built_geometry is not None and self._built_geometry[0] == key:
             return self._built_geometry[1]
-        params = {
-            "metric_amplitude": self.resolved_metric_amplitude(),
-            "metric_radius": self.geometry.metric_radius,
-            "damping_amplitude": self.geometry.damping_amplitude,
-            "damping_shape": self.geometry.damping_shape,
-            "damping_radius": self.resolved_damping_radius(),
-            "damping_inner_radius": self.geometry.damping_inner_radius,
-            "damping_outer_radius": self.geometry.damping_outer_radius,
-            "damping_center_offset": self.resolved_damping_offset(),
-        }
-        built = build_preset(self.geometry.preset, spec, params)
+        params = dict(vars(self.geometry))
+        preset = params.pop("preset")
+        del params["g_tol"], params["a_min"]
+        params = {k: v for k, v in params.items() if v == v}  # drop the nans
+        built = build_preset(preset, spec, params)
         self._built_geometry = (key, built)
         return built
 
     def solver_config(self):
         from .solver import SolverConfig
 
-        return SolverConfig(
-            dt=self.solver.dt,
-            duration=self.solver.duration,
-            scheme=self.solver.scheme,
-            dealias=self.solver.dealias,
-            nonlinearity=self.solver.nonlinearity,
-            inner_perturbation_steps=self.solver.inner_perturbation_steps,
-            boundary_mass_warn=self.solver.boundary_mass_warn,
-        )
+        return SolverConfig(**vars(self.solver))
 
     def initial_field(self, spec: GridSpec | None = None) -> Field:
         spec = spec or self.grid_spec()
@@ -240,9 +206,8 @@ class RunConfig:
         raise ConfigError(f"[initial_data] unknown kind {ic.kind!r}")
 
     def cutoff(self, spec: GridSpec | None = None) -> np.ndarray:
-        spec = spec or self.grid_spec()
-        flat, support = self.resolved_cutoff_radii()
-        return cutoff_field(spec, flat, support)
+        metric, damping = self.build_geometry(spec)
+        return cutoff_field(metric.spec, *self.resolved_cutoff_radii(damping))
 
     # -- serialization ---------------------------------------------------------
 
@@ -276,7 +241,6 @@ class RunConfig:
             )
         for label, radius in (
             ("metric_radius", geo.metric_radius),
-            ("damping_radius", self.resolved_damping_radius()),
             ("local_radius", self.observables.local_radius),
         ):
             if not 0.0 < radius < L:
@@ -284,32 +248,20 @@ class RunConfig:
                     f"[geometry] {label} = {radius} must lie inside the box "
                     f"(0, {L}) so that balls fit in the box"
                 )
-        flat, support = self.resolved_cutoff_radii()
+        try:
+            _, damping = self.build_geometry(spec)
+        except DnlsError as exc:
+            raise ConfigError(f"[geometry] {exc}") from exc
+        flat, support = self.resolved_cutoff_radii(damping)
         if not 0.0 < flat < support < L:
             raise ConfigError(
                 f"[observables] cutoff radii (flat={flat}, support={support}) must "
                 f"satisfy 0 < flat < support < {L}"
             )
         try:
-            metric, damping = self.build_geometry(spec)
-        except DnlsError as exc:
-            raise ConfigError(f"[geometry] {exc}") from exc
-        try:
-            solver_cfg = self.solver_config()
+            self.solver_config()
         except DomainError as exc:
             raise ConfigError(f"[solver] {exc}") from exc
-        if solver_cfg.scheme == "rk4_mol":
-            from .solver import cfl_suggestion
-
-            bound = cfl_suggestion(
-                spec, metric, "rk4_mol", solver_cfg.duration,
-                solver_cfg.inner_perturbation_steps, solver_cfg.dealias,
-            )
-            if solver_cfg.dt > bound * (1.0 + 1e-12):
-                raise ConfigError(
-                    f"[solver] dt = {solver_cfg.dt} exceeds the rk4_mol stability "
-                    f"suggestion {bound:.6g}"
-                )
         for s in self.scattering.s_values:
             if s < 0:
                 raise ConfigError(f"[scattering] s_values must be >= 0, got {s}")

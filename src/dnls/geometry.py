@@ -216,7 +216,8 @@ class MetricField:
 
 
 class DampingField:
-    """Non-negative compactly supported damping potential a(x)."""
+    """Non-negative compactly supported damping potential a(x): a bump of the
+    given finite amplitude on a ball or an annulus about ``center``."""
 
     def __init__(
         self,
@@ -228,8 +229,10 @@ class DampingField:
         outer_radius: float = 0.0,
         center: np.ndarray | None = None,
     ):
-        if amplitude < 0.0:
-            raise DomainError(f"damping amplitude must be >= 0, got {amplitude}")
+        if not 0.0 <= amplitude < np.inf:
+            raise DomainError(
+                f"damping amplitude must be finite and >= 0, got {amplitude}"
+            )
         if shape not in ("ball", "annulus"):
             raise DomainError(f"damping shape must be ball or annulus, got {shape!r}")
         self.spec = spec
@@ -239,6 +242,10 @@ class DampingField:
             np.zeros(spec.dim) if center is None else np.asarray(center, dtype=float)
         )
         if shape == "ball":
+            if not 0.0 < radius < np.inf:
+                raise DomainError(
+                    f"damping ball radius must be finite and positive, got {radius}"
+                )
             self.radius = float(radius)
             reach = self.radius
         else:
@@ -251,13 +258,11 @@ class DampingField:
             self.radius = 0.5 * (outer_radius - inner_radius)
             self._mid = 0.5 * (outer_radius + inner_radius)
             reach = self.outer_radius
-        if self.amplitude > 0.0 and not (
-            reach + np.abs(self.center).max() < spec.length
-        ):
+        # how far the shape reaches from the origin, whatever the amplitude
+        self.reach = reach + float(np.abs(self.center).max())
+        if self.amplitude > 0.0 and not self.reach < spec.length:
             raise DomainError("damping support must fit inside the box")
-        self.support_radius = 0.0 if self.amplitude == 0.0 else reach + float(
-            np.abs(self.center).max()
-        )
+        self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
         self._table: np.ndarray | None = None
 
     def eval_damping(self, points: np.ndarray) -> np.ndarray:

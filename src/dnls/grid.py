@@ -34,6 +34,7 @@ __all__ = [
     "laplacian_G",
     "flux_divergence",
     "power_spectrum",
+    "sobolev_weights",
     "sobolev_norms_from_power",
     "sobolev_norm",
     "h1_density",
@@ -307,23 +308,30 @@ def power_spectrum(f: Field) -> np.ndarray:
     return np.abs(f.spec.fft(f.values)) ** 2
 
 
+def sobolev_weights(spec: GridSpec, s_values: Sequence[float],
+                    homogeneous: bool = False) -> np.ndarray:
+    """The H^s multipliers (1+|k|^2)^s, or |k|^(2s) when ``homogeneous``, one
+    grid-shaped row per exponent: shape (len(s_values),) + spec.shape."""
+    for s in s_values:
+        if s < 0:
+            raise DomainError(f"Sobolev index must be >= 0, got {s}")
+    # 0**0 == 1, so s = 0 reduces to the L^2 norm in both cases
+    base = spec.k_squared if homogeneous else 1.0 + spec.k_squared
+    weights = np.empty((len(s_values),) + spec.shape)
+    for row, s in zip(weights, s_values):
+        row[...] = base**s
+    return weights
+
+
 def sobolev_norms_from_power(
     power: np.ndarray, spec: GridSpec, s_values: Sequence[float],
     homogeneous: bool = False,
 ) -> dict[float, float]:
     """H^s (or homogeneous H^s) norms of a field, one per exponent, given its
     :func:`power_spectrum`: one transform serves every exponent."""
-    k2 = spec.k_squared
-    norms = {}
-    for s in s_values:
-        if s < 0:
-            raise DomainError(f"Sobolev index must be >= 0, got {s}")
-        if homogeneous:
-            weight = k2**s  # 0**0 == 1, so s=0 reduces to the L^2 norm
-        else:
-            weight = (1.0 + k2) ** s
-        norms[float(s)] = float(np.sqrt(np.sum(weight * power) * spec.volume))
-    return norms
+    weights = sobolev_weights(spec, s_values, homogeneous)
+    return {float(s): float(np.sqrt(np.sum(weight * power) * spec.volume))
+            for s, weight in zip(s_values, weights)}
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:

@@ -33,6 +33,7 @@ from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     power_spectrum,
     sobolev_norm,
     sobolev_norms_from_power,
+    sobolev_weights,
 )
 
 __all__ = [
@@ -127,13 +128,7 @@ def _scan(
     (1+|k|^2)^s rows of every exponent in one matrix-vector product.
     """
     s_values = tuple(float(s) for s in s_values)
-    for s in s_values:
-        if s < 0:
-            raise DomainError(f"Sobolev index must be >= 0, got {s}")
-    one_plus_k2 = 1.0 + spec.k_squared.ravel()
-    weights = np.array([one_plus_k2**s for s in s_values]).reshape(
-        len(s_values), one_plus_k2.size
-    )
+    weights = sobolev_weights(spec, s_values).reshape(len(s_values), spec.size)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):

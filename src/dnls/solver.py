@@ -1,6 +1,6 @@
 """Time integration of i u_t + div(G grad u) + i a u = |u|^2 u by operator splitting.
 
-The default scheme is Strang splitting of two exactly solvable substeps:
+A step is Strang splitting of two exactly solvable substeps:
 
 * nonlinear + damping, u_t = -a u - i |u|^2 u, solved pointwise in closed form
   (the modulus obeys |u(tau)| = |u0| e^{-a tau} exactly);
@@ -19,8 +19,10 @@ G = I (the multiplier and the trailing band limit); 5 + (8d + 1) m for a
 conformal G (2d per flux apply, four applies and one sup-norm guard per inner
 step, plus the guard at entry); 5 + 9 m for a rank-one G = I + p v v^T.
 
-An rk4_mol alternative applies the classical fourth-order method to the full
-dealiased right-hand side.
+Strang splitting is second order for cubic NLS (Lubich, Math. Comp. 77,
+2008). The tests cross-check it against a method-of-lines reference, the
+classical RK4 on the full dealiased right-hand side, kept in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "cfl_suggestion",
 ]
 
-SCHEMES = ("strang", "rk4_mol")
 _BLOWUP_FACTOR = 1e6
 
 
@@ -57,15 +58,12 @@ _BLOWUP_FACTOR = 1e6
 class SolverConfig:
     dt: float
     duration: float  # simulated horizon T; negative runs the backward probe
-    scheme: str = "strang"
     dealias: bool = True
     nonlinearity: bool = True
     inner_perturbation_steps: int = 1
     boundary_mass_warn: float = 1e-6
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not self.dt > 0.0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if abs(self.duration) < self.dt:
@@ -188,8 +186,8 @@ class _LinearFlow:
         for _ in range(m):
             coeffs = rk4(coeffs, self._rhs, self.tau / m)
             if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
-                suggestion = cfl_suggestion(spec, self.metric, cfg.scheme,
-                                            cfg.duration, m, cfg.dealias)
+                suggestion = cfl_suggestion(spec, self.metric, cfg.duration, m,
+                                            cfg.dealias)
                 raise StabilityError(
                     "linear substep blew up; reduce dt toward the suggested bound "
                     f"{suggestion:.3g} or raise inner_perturbation_steps",
@@ -213,40 +211,12 @@ class Propagator:
                  cfg: SolverConfig):
         if metric.spec != spec or damping.spec != spec:
             raise GridMismatchError("propagator grid differs from the coefficients'")
-        self.spec = spec
         self.metric = metric
         self.damping = damping
         self.cfg = cfg
         dt = cfg.signed_dt
-        if cfg.scheme == "strang":
-            self.half_damping = _DampingFlow(damping, dt / 2.0, cfg.nonlinearity)
-            self.linear = _LinearFlow(spec, metric, dt, cfg)
-
-    def full_rhs(self, values: np.ndarray) -> np.ndarray:
-        """Right-hand side i div(G grad u) - a u - i |u|^2 u for the rk4_mol scheme."""
-        spec, cfg, metric = self.spec, self.cfg, self.metric
-        mask = spec.dealias_mask
-        coeffs = spec.fft(values)
-        lin_hat = -spec.k_squared * coeffs
-        if cfg.dealias:
-            lin_hat[~mask] = 0.0
-        if not metric.is_identity:
-            lin_hat += flux_divergence(coeffs, spec, metric.perturbation,
-                                       metric.direction, cfg.dealias)
-        out = 1j * spec.ifft(lin_hat)
-        out = out - self.damping.table * values
-        if cfg.nonlinearity:
-            mod2 = values.real**2 + values.imag**2
-            if cfg.dealias:
-                mod2_hat = spec.fft(mod2)
-                mod2_hat[~mask] = 0.0
-                mod2 = spec.ifft(mod2_hat)
-            out = out - 1j * mod2 * values
-        if cfg.dealias:
-            out_hat = spec.fft(out)
-            out_hat[~mask] = 0.0
-            out = spec.ifft(out_hat)
-        return out
+        self.half_damping = _DampingFlow(damping, dt / 2.0, cfg.nonlinearity)
+        self.linear = _LinearFlow(spec, metric, dt, cfg)
 
 
 def _matching(flow, tau: float):
@@ -266,7 +236,7 @@ def nonlinear_damping_substep(
 
     With A = a(x): |u| picks up e^{-A tau} and the phase advances by
     theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
-    Valid for negative tau (backward probes). A Strang ``propagator`` built
+    Valid for negative tau (backward probes). A ``propagator`` built
     for the same damping and nonlinearity supplies its precomputed tables
     (its half step, tau = dt/2).
     """
@@ -281,7 +251,7 @@ def linear_substep(u: Field, metric: MetricField, tau: float, cfg: SolverConfig,
                    propagator: Propagator | None = None) -> Field:
     """Approximate exp(i tau div(G grad .)) u; exact when G = I.
 
-    A Strang ``propagator`` built for the same metric and cfg supplies its
+    A ``propagator`` built for the same metric and cfg supplies its
     precomputed multipliers (its full step, tau = dt).
     """
     if propagator is None:
@@ -293,26 +263,29 @@ def linear_substep(u: Field, metric: MetricField, tau: float, cfg: SolverConfig,
 
 def step(state: SimulationState, cfg: SolverConfig,
          propagator: Propagator | None = None) -> SimulationState:
-    """Advance one time step with the configured scheme.
+    """Advance one Strang step.
 
     ``propagator`` is the run's Propagator for (state.metric, state.damping,
-    cfg); one is built for this step alone when it is omitted.
+    cfg); one is built for this step alone when it is omitted, and one built
+    for anything else is refused.
     """
     dt = cfg.signed_dt
     spec = state.u.spec
     if propagator is None:
         propagator = Propagator(spec, state.metric, state.damping, cfg)
-    if cfg.scheme == "strang":
-        u = nonlinear_damping_substep(state.u, state.damping, dt / 2.0,
-                                      cfg.nonlinearity, propagator)
-        u = linear_substep(u, state.metric, dt, cfg, propagator)
-        u = nonlinear_damping_substep(u, state.damping, dt / 2.0, cfg.nonlinearity,
-                                      propagator)
-        values = u.values
-        if cfg.dealias:
-            values = spec.band_limit(values)
-    else:
-        values = rk4(state.u.values, propagator.full_rhs, dt)
+    elif (propagator.metric is not state.metric
+          or propagator.damping is not state.damping or propagator.cfg != cfg):
+        raise DomainError(
+            "propagator was built for another metric, damping or solver config"
+        )
+    u = nonlinear_damping_substep(state.u, state.damping, dt / 2.0,
+                                  cfg.nonlinearity, propagator)
+    u = linear_substep(u, state.metric, dt, cfg, propagator)
+    u = nonlinear_damping_substep(u, state.damping, dt / 2.0, cfg.nonlinearity,
+                                  propagator)
+    values = u.values
+    if cfg.dealias:
+        values = spec.band_limit(values)
     return SimulationState(
         u=Field(values, spec),
         t=state.t + dt,
@@ -325,29 +298,23 @@ def step(state: SimulationState, cfg: SolverConfig,
 def cfl_suggestion(
     spec: GridSpec,
     metric: MetricField,
-    scheme: str,
     horizon: float,
     inner_steps: int = 1,
     dealias: bool = True,
 ) -> float:
-    """Suggested dt bound.
+    """Suggested dt bound for the Strang step.
 
-    For rk4_mol: C / |k|_max^2 scaled down by (1 + sup|G - I|). For Strang only
-    the metric-perturbation substep constrains dt; with G = I it is exact and
-    the suggestion is capped at |horizon|/10.
+    Only the metric-perturbation substep constrains dt: its inner RK4 steps
+    need dt / inner_steps * |k|_max^2 sup|G - I| under a constant. With G = I
+    the step is exact and the suggestion is the cap |horizon|/10.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    m_axis = spec.n // 3 if dealias else spec.n // 2
-    k_axis = np.pi / spec.length * m_axis
-    k2max = spec.dim * k_axis**2
     cap = abs(horizon) / 10.0
-    stability_const = 2.0  # under the 2*sqrt(2) RK4 imaginary-axis limit
     pert = float(metric.deviation_norm().max()) if not metric.is_identity else 0.0
-    if scheme == "rk4_mol":
-        return min(stability_const / (k2max * (1.0 + pert)), cap)
     if pert == 0.0:
         return cap
+    m_axis = spec.n // 3 if dealias else spec.n // 2
+    k2max = spec.dim * (np.pi / spec.length * m_axis) ** 2
+    stability_const = 2.0  # under the 2*sqrt(2) RK4 imaginary-axis limit
     return min(inner_steps * stability_const / (k2max * pert), cap)
 
 
@@ -426,7 +393,7 @@ def simulate(
             raise StabilityError(f"solution became non-finite at step {i}")
         # defocusing dynamics cannot blow up; norm explosion means instability
         if initial_peak > 0 and np.abs(state.u.values).max() > _BLOWUP_FACTOR * initial_peak:
-            suggestion = cfl_suggestion(spec, metric, cfg.scheme, cfg.duration,
+            suggestion = cfl_suggestion(spec, metric, cfg.duration,
                                         cfg.inner_perturbation_steps, cfg.dealias)
             raise StabilityError(
                 f"norm explosion at step {i} (t={state.t:.6g}); "

@@ -1,12 +1,20 @@
-"""Generic d x d references for the structured operators of the package.
+"""References the tests compare the package against; the package does not
+ship them.
 
-The package uses G = I + p S only through its structure: the scalar p
-(``MetricField.perturbation``) and S = I or v v^T (``MetricField.direction``).
-The dense tables below are what that structure stands for; the tests compare
-the package against them, so the package does not ship them.
+* Generic d x d tables for the structured operators. The package uses
+  G = I + p S only through its structure: the scalar p
+  (``MetricField.perturbation``) and S = I or v v^T
+  (``MetricField.direction``). The dense tables below are what that
+  structure stands for.
+* A second integrator: the method of lines, the classical RK4 on the full
+  dealiased right-hand side. The package integrates only by Strang
+  splitting; this reference checks its order and pins the two ``rk4-*``
+  golden cases.
 """
 
 import numpy as np
+
+from dnls.grid import Field, flux_divergence, rk4
 
 
 def metric_table(metric) -> np.ndarray:
@@ -61,3 +69,45 @@ def hess_chi(spec, chi: np.ndarray) -> np.ndarray:
             if i == j:
                 hess[i, j] += 1.0 / chi
     return hess
+
+
+def mol_rhs(values: np.ndarray, metric, damping, cfg) -> np.ndarray:
+    """Right-hand side i div(G grad u) - a u - i |u|^2 u on grid values, with
+    the 2/3 rule around every product when ``cfg.dealias``."""
+    spec = metric.spec
+    mask = spec.dealias_mask
+    coeffs = spec.fft(values)
+    lin_hat = -spec.k_squared * coeffs
+    if cfg.dealias:
+        lin_hat[~mask] = 0.0
+    if not metric.is_identity:
+        lin_hat += flux_divergence(coeffs, spec, metric.perturbation,
+                                   metric.direction, cfg.dealias)
+    out = 1j * spec.ifft(lin_hat)
+    out = out - damping.table * values
+    if cfg.nonlinearity:
+        mod2 = values.real**2 + values.imag**2
+        if cfg.dealias:
+            mod2_hat = spec.fft(mod2)
+            mod2_hat[~mask] = 0.0
+            mod2 = spec.ifft(mod2_hat)
+        out = out - 1j * mod2 * values
+    if cfg.dealias:
+        out_hat = spec.fft(out)
+        out_hat[~mask] = 0.0
+        out = spec.ifft(out_hat)
+    return out
+
+
+def mol_solve(u0: Field, metric, damping, cfg) -> Field:
+    """``cfg.n_steps`` RK4 steps of :func:`mol_rhs` from u0 (band-limited
+    first when ``cfg.dealias``, as ``solver.simulate`` does)."""
+    spec = u0.spec
+    values = spec.band_limit(u0.values) if cfg.dealias else u0.values
+
+    def rhs(v):
+        return mol_rhs(v, metric, damping, cfg)
+
+    for _ in range(cfg.n_steps):
+        values = rk4(values, rhs, cfg.signed_dt)
+    return Field(values, spec)

@@ -96,7 +96,7 @@ def test_criterion_1_conservation():
                             "damping_amplitude": 0.0, "damping_radius": 4.0}),
     ):
         metric, damping = build_preset(preset, spec, params)
-        dt = cfl_suggestion(spec, metric, "strang", 1.0) / 4.0
+        dt = cfl_suggestion(spec, metric, 1.0) / 4.0
         monitors = [
             Monitor("mass", lambda s, c: mass(s.u), 1),
             Monitor("energy", lambda s, c, m=metric: energy(s.u, m), 1),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,24 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config_text(MINIMAL)
     assert cfg.grid.n == 64
     assert cfg.geometry.preset == "conformal_bump"
-    assert cfg.solver.scheme == "strang"
     assert cfg.solver.dealias is True
-    assert cfg.resolved_metric_amplitude() == 0.3
-    assert cfg.resolved_damping_radius() == 4.0
+    metric, damping = cfg.build_geometry()
+    assert metric.amplitude == 0.3  # the preset's defaults
+    assert damping.radius == 4.0
     assert cfg.scattering.s_values == (0.0, 0.25, 0.5, 0.75, 0.9)
+
+
+def test_solver_section_keys_are_the_solver_config_fields():
+    from dataclasses import fields
+
+    from dnls.config import SolverSection
+    from dnls.solver import SolverConfig
+
+    keys = [f.name for f in fields(SolverSection)]
+    assert keys == [f.name for f in fields(SolverConfig)]
+    assert len(keys) == 6
+    assert parse_config_text(MINIMAL).solver_config() == SolverConfig(
+        dt=0.01, duration=1.0)
 
 
 def test_config_roundtrip_is_lossless():
@@ -74,9 +89,10 @@ def test_bad_preset_rejected():
         parse_config_text(bad)
 
 
-def test_rk4_dt_must_respect_stability_suggestion():
-    bad = MINIMAL + "\n[solver]\nscheme = rk4_mol\ndt = 1.0\nduration = 2.0\n"
-    with pytest.raises(ConfigError, match="stability"):
+def test_scheme_key_rejected_with_location():
+    # Strang splitting is the only integrator; the key that chose it is gone
+    bad = MINIMAL + "\n[solver]\ndt = 0.01\nscheme = strang\n"
+    with pytest.raises(ConfigError, match=r"unknown key 'scheme' in \[solver\] \(line 8\)"):
         parse_config_text(bad)
 
 
@@ -88,9 +104,12 @@ def test_cutoff_exponent_range_validated():
 
 def test_uncontrolled_preset_resolves_shifted_damping():
     cfg = parse_config_text(MINIMAL + "\n[geometry]\npreset = uncontrolled_bump\n")
-    assert cfg.resolved_damping_offset() > 0.0
     metric, damping = cfg.build_geometry()
-    assert damping.center[0] == pytest.approx(cfg.resolved_damping_offset())
+    # the preset's defaults: a damping ball of the metric's radius, centred
+    # one unit clear of the metric bump
+    assert damping.radius == metric.radius == 2.0
+    assert damping.center[0] == 5.0
+    assert damping.reach == 7.0
 
 
 def test_build_geometry_reuses_validated_pair_until_config_changes():
@@ -134,12 +153,18 @@ def test_config_file_not_found(tmp_path):
 
 def test_cutoff_radii_resolution():
     cfg = parse_config_text(MINIMAL)
-    flat, support = cfg.resolved_cutoff_radii()
+    flat, support = cfg.resolved_cutoff_radii(cfg.build_geometry()[1])
     assert flat == pytest.approx(4.5)  # damping radius 4 + 0.5
     assert flat < support < cfg.grid.box_half_length
     chi = cfg.cutoff()
     assert chi.max() == 1.0
     assert chi.min() == 0.0
+    # a switched-off damping has no support, yet the default cutoff still
+    # clears the ball the config describes
+    off = parse_config_text(MINIMAL + "\n[geometry]\ndamping_amplitude = 0.0\n")
+    _, damping = off.build_geometry()
+    assert damping.support_radius == 0.0
+    assert off.resolved_cutoff_radii(damping) == (flat, support)
 
 
 def test_default_cutoff_covers_an_annulus_damping():
@@ -152,9 +177,35 @@ def test_default_cutoff_covers_an_annulus_damping():
         "[geometry]\npreset = conformal_bump\ndamping_shape = annulus\n"
         "damping_inner_radius = 3.0\ndamping_outer_radius = 6.0\n"
     )
-    assert cfg.resolved_cutoff_radii() == (6.5, 9.25)
     spec = cfg.grid_spec()
     _, damping = cfg.build_geometry(spec)
+    assert cfg.resolved_cutoff_radii(damping) == (6.5, 9.25)
     chi = cfg.cutoff(spec)
     assert np.all(chi[damping.table > 0.0] == 1.0)
     cutoff_diagnostics(cfg.initial_field(spec), chi, damping)
+
+
+@pytest.mark.parametrize("line", ["damping_amplitude = inf",
+                                  "damping_radius = -1.0",
+                                  "damping_radius = 0.0",
+                                  "damping_radius = inf"])
+def test_bad_damping_rejected(line):
+    with pytest.raises(ConfigError, match=r"\[geometry\] damping"):
+        parse_config_text(MINIMAL + f"\n[geometry]\n{line}\n")
+
+
+def test_nan_geometry_values_take_the_preset_defaults():
+    cfg = parse_config_text(MINIMAL + "\n[geometry]\ndamping_amplitude = nan\n"
+                            "metric_amplitude = auto\n")
+    metric, damping = cfg.build_geometry()
+    assert damping.amplitude == 1.0 and metric.amplitude == 0.3
+    assert np.all(np.isfinite(damping.table))
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    cfg = parse_config_text(blocks[0].split("```")[0], source="README.md")
+    assert cfg.geometry.metric_amplitude == -0.5
+    assert cfg.solver.duration == 10.0

@@ -197,14 +197,10 @@ def test_control_scan_and_cfl_match_the_table_reference(dim, preset, amplitude):
     expected_bad = np.argwhere(support & (damping.table <= 1e-8))
     assert report.violation_count == len(expected_bad)
     pert = float(reference.max())
-    for scheme in ("strang", "rk4_mol"):
-        got = cfl_suggestion(spec, metric, scheme, 10.0)
-        k2max = dim * (np.pi / spec.length * (spec.n // 3)) ** 2
-        if scheme == "rk4_mol":
-            expected = min(2.0 / (k2max * (1.0 + pert)), 1.0)
-        else:
-            expected = 1.0 if pert == 0.0 else min(2.0 / (k2max * pert), 1.0)
-        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+    k2max = dim * (np.pi / spec.length * (spec.n // 3)) ** 2
+    expected = 1.0 if pert == 0.0 else min(2.0 / (k2max * pert), 1.0)
+    assert cfl_suggestion(spec, metric, 10.0) == pytest.approx(expected, rel=1e-15,
+                                                               abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -338,3 +334,19 @@ def test_damping_support_must_fit_in_box():
         DampingField(SPEC, amplitude=1.0, radius=11.0)
     with pytest.raises(DomainError):
         DampingField(SPEC, amplitude=1.0, radius=4.0, center=np.array([8.0, 0.0]))
+
+
+@pytest.mark.parametrize("amplitude", [np.inf, np.nan])
+def test_damping_refuses_a_nonfinite_amplitude(amplitude):
+    with pytest.raises(DomainError, match="amplitude"):
+        DampingField(SPEC, amplitude=amplitude, radius=3.0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan])
+def test_damping_refuses_a_bad_ball_radius(radius):
+    with pytest.raises(DomainError, match="radius"):
+        DampingField(SPEC, amplitude=1.0, radius=radius)
+    with pytest.raises(DomainError, match="radius"):
+        DampingField(SPEC, amplitude=0.0, radius=radius)
+    with pytest.raises(DomainError, match="radius"):
+        build_preset("identity", SPEC, {"damping_radius": radius})

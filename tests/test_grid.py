@@ -17,6 +17,7 @@ from dnls.grid import (
     localized_integral,
     rk4,
     sobolev_norm,
+    sobolev_weights,
     weight_tables,
 )
 
@@ -284,6 +285,23 @@ def test_sobolev_rejects_negative_index():
     spec = GridSpec(1, 16, 2.0)
     with pytest.raises(DomainError):
         sobolev_norm(Field(np.ones(spec.shape, dtype=complex), spec), -0.5)
+
+
+def test_sobolev_weights_rows_are_the_multipliers():
+    spec = GridSpec(2, 16, 3.0)
+    k = np.pi / 3.0 * np.fft.fftfreq(16, d=1.0 / 16)  # k = (pi/L) m
+    k2 = np.add.outer(k**2, k**2)
+    rows = sobolev_weights(spec, (0.0, 0.5, 1.3))
+    assert rows.shape == (3, 16, 16)
+    assert np.array_equal(rows[0], np.ones((16, 16)))
+    assert np.allclose(rows[1:], [np.sqrt(1 + k2), (1 + k2) ** 1.3],
+                       rtol=1e-14, atol=0.0)
+    homogeneous = sobolev_weights(spec, (0.0, 1.0), homogeneous=True)
+    assert np.array_equal(homogeneous[0], np.ones((16, 16)))  # 0**0 == 1
+    assert np.allclose(homogeneous[1], k2, rtol=1e-14, atol=0.0)
+    assert sobolev_weights(spec, ()).shape == (0, 16, 16)
+    with pytest.raises(DomainError, match="Sobolev index"):
+        sobolev_weights(spec, (0.5, -0.1))
 
 
 def test_parseval_quadrature_vs_spectrum():

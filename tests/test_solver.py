@@ -19,6 +19,7 @@ from dnls.solver import (
 )
 
 from conftest import band_limited_random, gaussian_field
+from reference import mol_solve
 
 SPEC = GridSpec(2, 64, 10.0)
 
@@ -159,11 +160,8 @@ def test_zero_field_stays_zero():
     state = SimulationState(
         Field(np.zeros(SPEC.shape, dtype=complex), SPEC), 0.0, 0, metric, damping
     )
-    for scheme in ("strang", "rk4_mol"):
-        out = step(state, SolverConfig(dt=0.01, duration=1.0, scheme=scheme))
-        assert np.all(out.values == 0.0) if isinstance(out, Field) else np.all(
-            out.u.values == 0.0
-        )
+    out = step(state, SolverConfig(dt=0.01, duration=1.0))
+    assert np.all(out.u.values == 0.0)
 
 
 def test_schemes_agree_at_second_order():
@@ -172,17 +170,10 @@ def test_schemes_agree_at_second_order():
     u0 = Field(0.4 * u0.values / u0.l2_norm(), SPEC)
     diffs = []
     for dt in (0.02, 0.01):
-        results = {}
-        for scheme in ("strang", "rk4_mol"):
-            cfg = SolverConfig(dt=dt, duration=0.2, scheme=scheme)
-            results[scheme] = simulate(u0, metric, damping, cfg).state.u.values
-        diffs.append(
-            np.sqrt(
-                SPEC.quadrature(
-                    np.abs(results["strang"] - results["rk4_mol"]) ** 2
-                ).real
-            )
-        )
+        cfg = SolverConfig(dt=dt, duration=0.2)
+        strang = simulate(u0, metric, damping, cfg).state.u.values
+        mol = mol_solve(u0, metric, damping, cfg).values
+        diffs.append(np.sqrt(SPEC.quadrature(np.abs(strang - mol) ** 2).real))
     assert diffs[0] / diffs[1] > 3.0  # strang error dominates at O(dt^2)
 
 
@@ -205,9 +196,25 @@ def test_step_reuses_a_propagator_built_for_its_dt_only():
     propagator = Propagator(SPEC, metric, damping, cfg)
     assert np.array_equal(step(state, cfg).u.values,
                           step(state, cfg, propagator).u.values)
-    other = Propagator(SPEC, metric, damping, SolverConfig(dt=0.02, duration=1.0))
-    with pytest.raises(DomainError):
-        step(state, cfg, other)
+    flat, no_damping = build_preset("identity", SPEC, {"damping_amplitude": 0.0})
+    others = [
+        Propagator(SPEC, metric, damping, SolverConfig(dt=0.02, duration=1.0)),
+        # same dt, another solver config
+        Propagator(SPEC, metric, damping,
+                   SolverConfig(dt=0.01, duration=1.0, dealias=False)),
+        Propagator(SPEC, metric, damping,
+                   SolverConfig(dt=0.01, duration=1.0, nonlinearity=False)),
+        # same cfg, another metric or damping
+        Propagator(SPEC, flat, damping, cfg),
+        Propagator(SPEC, metric, no_damping, cfg),
+    ]
+    for other in others:
+        with pytest.raises(DomainError, match="propagator"):
+            step(state, cfg, other)
+    # a conformal propagator applied to a state on the identity metric
+    flat_state = SimulationState(gaussian_field(SPEC), 0.0, 0, flat, damping)
+    with pytest.raises(DomainError, match="propagator"):
+        step(flat_state, cfg, propagator)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -292,26 +299,26 @@ def test_simulate_boundary_mass_warning():
 
 def test_cfl_identity_strang_capped_by_horizon():
     metric, _ = build_preset("identity", SPEC)
-    assert cfl_suggestion(SPEC, metric, "strang", 1.0) == pytest.approx(0.1)
-    assert cfl_suggestion(SPEC, metric, "strang", 5.0) == pytest.approx(0.5)
+    assert cfl_suggestion(SPEC, metric, 1.0) == pytest.approx(0.1)
+    assert cfl_suggestion(SPEC, metric, 5.0) == pytest.approx(0.5)
 
 
-def test_cfl_rk4_scales_with_resolution():
-    metric, _ = build_preset("identity", SPEC)
-    coarse = cfl_suggestion(SPEC, metric, "rk4_mol", 100.0)
-    fine = cfl_suggestion(GridSpec(2, 128, 10.0), metric_for(128), "rk4_mol", 100.0)
-    assert coarse / fine == pytest.approx(4.0, rel=0.3)
+def test_cfl_strang_scales_with_resolution():
+    # the inner RK4 of a bump metric needs dt |k|_max^2 sup|G - I| bounded;
+    # the bump's peak sits on a grid node at both resolutions
+    def suggestion(n):
+        spec = GridSpec(2, n, 10.0)
+        return cfl_suggestion(spec, MetricField(spec, amplitude=0.3, radius=2.0),
+                              100.0)
 
-
-def metric_for(n):
-    return MetricField(GridSpec(2, n, 10.0))
+    assert suggestion(64) / suggestion(128) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_cfl_shrinks_with_bump_amplitude():
     values = []
     for amp in (0.2, 0.4, 0.8):
         metric = MetricField(SPEC, amplitude=amp, radius=2.0)
-        values.append(cfl_suggestion(SPEC, metric, "strang", 1000.0))
+        values.append(cfl_suggestion(SPEC, metric, 1000.0))
     assert values[0] > values[1] > values[2]
     assert values[0] / values[1] == pytest.approx(2.0, rel=1e-6)
 
@@ -321,8 +328,6 @@ def test_solver_config_validation():
         SolverConfig(dt=-0.1, duration=1.0)
     with pytest.raises(DomainError):
         SolverConfig(dt=0.5, duration=0.1)
-    with pytest.raises(DomainError):
-        SolverConfig(dt=0.01, duration=1.0, scheme="leapfrog")
     cfg = SolverConfig(dt=0.01, duration=-1.0)
     assert cfg.signed_dt == -0.01
     assert cfg.n_steps == 100
@@ -331,13 +336,15 @@ def test_solver_config_validation():
 # -- golden values ---------------------------------------------------------------
 #
 # Mass and the pairing sum_x w(x) u(x) with a fixed random w, after 100 Strang
-# steps of every preset (and short rk4_mol runs). The values were recorded with
-# the solver that ran its inner RK4 on grid values and applied div((G-I) grad .)
-# through the generic d x d table. Any rewrite of the step that keeps the
+# steps of every preset (and 20 steps of the method-of-lines reference,
+# ``reference.mol_solve``, in the two rk4-* cases). The values were recorded
+# with the solver that ran its inner RK4 on grid values and applied
+# div((G-I) grad .) through the generic d x d table, and that still shipped
+# the method of lines as a scheme. Any rewrite of the step that keeps the
 # discrete operator may change rounding only.
 
 GOLDEN_CASES = {
-    # id: (preset, dim, n, scheme, n_steps, dt, extra SolverConfig fields)
+    # id: (preset, dim, n, integrator, n_steps, dt, extra SolverConfig fields)
     "identity-2d": ("identity", 2, 64, "strang", 100, 0.01, {}),
     "conformal-2d": ("conformal_bump", 2, 64, "strang", 100, 0.01, {}),
     "anisotropic-2d": ("anisotropic_bump", 2, 64, "strang", 100, 0.01, {}),
@@ -350,8 +357,8 @@ GOLDEN_CASES = {
                         {"inner_perturbation_steps": 2}),
     "anisotropic-2d-aliased": ("anisotropic_bump", 2, 64, "strang", 100, 0.01,
                                {"dealias": False}),
-    "rk4-conformal-2d": ("conformal_bump", 2, 64, "rk4_mol", 20, 0.005, {}),
-    "rk4-anisotropic-3d": ("anisotropic_bump", 3, 24, "rk4_mol", 20, 0.005, {}),
+    "rk4-conformal-2d": ("conformal_bump", 2, 64, "mol", 20, 0.005, {}),
+    "rk4-anisotropic-3d": ("anisotropic_bump", 3, 24, "mol", 20, 0.005, {}),
 }
 
 GOLDEN = {
@@ -372,14 +379,17 @@ GOLDEN = {
 
 
 def _golden_run(case):
-    preset, dim, n, scheme, n_steps, dt, extra = GOLDEN_CASES[case]
+    preset, dim, n, integrator, n_steps, dt, extra = GOLDEN_CASES[case]
     spec = GridSpec(dim, n, 8.0)
     metric, damping = build_preset(preset, spec)
     packet = gaussian_field(spec, amplitude=0.5, width=1.2, momentum=1.0)
     noise = band_limited_random(spec, seed=dim)
     u0 = Field(packet.values + 0.05 * noise.values / np.abs(noise.values).max(), spec)
-    cfg = SolverConfig(dt=dt, duration=n_steps * dt, scheme=scheme, **extra)
-    u = simulate(u0, metric, damping, cfg).state.u
+    cfg = SolverConfig(dt=dt, duration=n_steps * dt, **extra)
+    if integrator == "strang":
+        u = simulate(u0, metric, damping, cfg).state.u
+    else:
+        u = mol_solve(u0, metric, damping, cfg)
     w = np.random.default_rng(11).standard_normal(spec.shape)
     pairing = complex(np.sum(w * u.values))
     return mass(u), pairing.real, pairing.imag
