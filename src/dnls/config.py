@@ -239,15 +239,14 @@ class RunConfig:
             raise ConfigError(
                 f"[geometry] preset must be one of {PRESET_NAMES}, got {geo.preset!r}"
             )
-        for label, radius in (
-            ("metric_radius", geo.metric_radius),
-            ("local_radius", self.observables.local_radius),
-        ):
-            if not 0.0 < radius < L:
-                raise ConfigError(
-                    f"[geometry] {label} = {radius} must lie inside the box "
-                    f"(0, {L}) so that balls fit in the box"
-                )
+        # metric_radius is left to build_preset and MetricField: nan means the
+        # preset default, and the identity preset has no bump to fit
+        radius = self.observables.local_radius
+        if not 0.0 < radius < L:
+            raise ConfigError(
+                f"[observables] local_radius = {radius} must lie inside the box "
+                f"(0, {L}) so that balls fit in the box"
+            )
         try:
             _, damping = self.build_geometry(spec)
         except DnlsError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +33,8 @@ __all__ = [
     "laplacian",
     "laplacian_G",
     "flux_divergence",
+    "abs2",
+    "norm_sq",
     "power_spectrum",
     "sobolev_weights",
     "sobolev_norms_from_power",
@@ -156,6 +158,16 @@ class GridSpec:
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         return _fft.ifftn(coeffs, norm="forward", workers=_fft_workers())
 
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field: the coefficients of :meth:`fft` with
+        the last wave-number index in 0..n/2, shape (n, ..., n/2 + 1)."""
+        return _fft.rfftn(values, norm="forward", workers=_fft_workers())
+
+    def irfft(self, coeffs: np.ndarray) -> np.ndarray:
+        """The real field of a half spectrum, the inverse of :meth:`rfft`."""
+        return _fft.irfftn(coeffs, s=self.shape, norm="forward",
+                           workers=_fft_workers())
+
     def quadrature(self, values: np.ndarray) -> complex | float:
         return values.sum() * self.dx**self.dim
 
@@ -193,7 +205,7 @@ class Field:
         return Field(self.values.copy(), self.spec)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.spec.quadrature(np.abs(self.values) ** 2).real))
+        return float(np.sqrt(norm_sq(self.values) * self.spec.dx**self.spec.dim))
 
 
 def _same_spec(fields: Iterable[Field]) -> GridSpec:
@@ -203,15 +215,11 @@ def _same_spec(fields: Iterable[Field]) -> GridSpec:
     return specs.pop()
 
 
-def gradient(f: Field, coeffs: np.ndarray | None = None) -> list[Field]:
-    """Spectral gradient; exact on band-limited fields.
-
-    ``coeffs`` (the transform of f, when the caller has it) spares the
-    forward transform, leaving d inverse ones.
-    """
+def gradient(f: Field) -> list[Field]:
+    """Spectral gradient, one forward and d inverse transforms; exact on
+    band-limited fields."""
     spec = f.spec
-    if coeffs is None:
-        coeffs = spec.fft(f.values)
+    coeffs = spec.fft(f.values)
     return [
         Field(spec.ifft(1j * k * coeffs), spec) for k in spec.wavenumbers
     ]
@@ -303,9 +311,23 @@ def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
     return Field(spec.ifft(out), spec)
 
 
+def abs2(values: np.ndarray) -> np.ndarray:
+    """|z|^2 of complex samples in real arithmetic, re^2 + im^2."""
+    out = np.square(values.real)
+    out += np.square(values.imag)
+    return out
+
+
+def norm_sq(values: np.ndarray) -> float:
+    """sum |z|^2 over the samples, in real arithmetic: one dot product of the
+    interleaved (re, im) pairs, with no temporary array."""
+    flat = np.ascontiguousarray(values).view(np.float64).ravel()
+    return float(flat @ flat)
+
+
 def power_spectrum(f: Field) -> np.ndarray:
     """|c_k|^2, the squared moduli of the Fourier coefficients of f."""
-    return np.abs(f.spec.fft(f.values)) ** 2
+    return abs2(f.spec.fft(f.values))
 
 
 def sobolev_weights(spec: GridSpec, s_values: Sequence[float],
@@ -323,15 +345,27 @@ def sobolev_weights(spec: GridSpec, s_values: Sequence[float],
     return weights
 
 
+@lru_cache(maxsize=8)
+def _weight_rows(spec: GridSpec, s_values: tuple[float, ...],
+                 homogeneous: bool) -> np.ndarray:
+    """:func:`sobolev_weights` flattened to (len(s_values), spec.size) and kept
+    read-only for the grid and exponents, so a run builds each row once."""
+    rows = sobolev_weights(spec, s_values, homogeneous).reshape(len(s_values), -1)
+    rows.flags.writeable = False
+    return rows
+
+
 def sobolev_norms_from_power(
     power: np.ndarray, spec: GridSpec, s_values: Sequence[float],
     homogeneous: bool = False,
 ) -> dict[float, float]:
     """H^s (or homogeneous H^s) norms of a field, one per exponent, given its
-    :func:`power_spectrum`: one transform serves every exponent."""
-    weights = sobolev_weights(spec, s_values, homogeneous)
-    return {float(s): float(np.sqrt(np.sum(weight * power) * spec.volume))
-            for s, weight in zip(s_values, weights)}
+    :func:`power_spectrum`: one transform serves every exponent, and the
+    weight rows of a grid and exponent set are built once and kept."""
+    s_values = tuple(float(s) for s in s_values)
+    sums = _weight_rows(spec, s_values, homogeneous) @ power.ravel()
+    return {s: float(np.sqrt(total * spec.volume))
+            for s, total in zip(s_values, sums)}
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
@@ -345,9 +379,9 @@ _LOCALIZED_MODES = ("density", "energy", "quartic")
 
 def h1_density(f: Field, grads: Sequence[Field]) -> np.ndarray:
     """Pointwise |u|^2 + |grad u|^2, given the spectral gradients of f."""
-    density = np.abs(f.values) ** 2
+    density = abs2(f.values)
     for g in grads:
-        density = density + np.abs(g.values) ** 2
+        density += abs2(g.values)
     return density
 
 
@@ -358,30 +392,42 @@ def localized_integral(f: Field, radius: float, mode: str = "density") -> float:
     spec = f.spec
     mask = spec.ball_mask(radius)
     if mode == "density":
-        density = np.abs(f.values) ** 2
+        density = abs2(f.values)
     elif mode == "quartic":
-        density = np.abs(f.values) ** 4
+        density = abs2(f.values) ** 2
     else:
         density = h1_density(f, gradient(f))
     return float(np.sum(density[mask]) * spec.dx**spec.dim)
 
 
-def _grad_rho(spec: GridSpec) -> np.ndarray:
-    """(dim, ...) table of grad|x| = x/|x| on the grid.
+def _grad_rho_components(spec: GridSpec, shifted: bool = False):
+    """The d components of grad|x| = x/|x| on the grid, one at a time.
 
     The origin node, where the closed form is singular, takes its mean over
-    the 2^d half-grid offsets.
+    the 2^d half-grid offsets. ``shifted`` samples the ifftshifted grid, so
+    that index 0 carries x = 0 and wrapped indices carry x in [-L, L).
     """
     d = spec.dim
-    r = np.sqrt(spec.radius_squared)
-    origin = tuple([spec.n // 2] * d)
+    if shifted:
+        coords = [np.fft.ifftshift(x) for x in spec.coords]
+        r = np.zeros(spec.shape)
+        for x in coords:
+            r += x**2
+        origin = (0,) * d
+    else:
+        coords = spec.coords
+        r = spec.radius_squared.copy()
+        origin = (spec.n // 2,) * d
+    np.sqrt(r, out=r)
     assert r[origin] == 0.0
-    safe_r = np.where(r == 0.0, 1.0, r)
+    r[origin] = 1.0
     corners = np.array(list(product((-0.5, 0.5), repeat=d))) * spec.dx
     norms = np.linalg.norm(corners, axis=1)
-    table = np.stack([np.broadcast_to(x, spec.shape) / safe_r for x in spec.coords])
-    table[(slice(None),) + origin] = (corners / norms[:, None]).mean(axis=0)
-    return table
+    at_origin = (corners / norms[:, None]).mean(axis=0)
+    for x, value in zip(coords, at_origin):
+        component = x / r
+        component[origin] = value
+        yield component
 
 
 @dataclass
@@ -391,9 +437,9 @@ class WeightTables:
     ``lambda_kernel`` is the positive weight 15/chi^7 driving the localized-mass
     accumulator; in three dimensions it coincides with ``-bilap_chi``.
 
-    :func:`weight_tables` fills the fields. ``grad_rho``, the grad|x| table,
-    and ``grad_rho_hat``, the transforms of its ifftshifted components that
-    the bilinear interaction convolves with, are built on first use and kept.
+    :func:`weight_tables` fills the fields. ``grad_rho_hat``, the kernels the
+    bilinear interaction convolves with, is built on first use and kept; the
+    grad|x| table ``grad_rho`` is a reference the package does not read.
     The virial rate needs no D^2 chi table: it uses the closed form.
     """
 
@@ -407,14 +453,22 @@ class WeightTables:
     @cached_property
     def grad_rho(self) -> np.ndarray:
         """(dim, ...) table of grad|x| = x/|x|."""
-        return _grad_rho(self.spec)
+        return np.stack(list(_grad_rho_components(self.spec)))
 
     @cached_property
     def grad_rho_hat(self) -> list[np.ndarray]:
-        """Transforms of the ifftshifted grad|x| kernels, index 0 carrying the
-        zero displacement; the kernel table itself is not kept."""
+        """Half spectra (:meth:`GridSpec.rfft`) of the ifftshifted grad|x|
+        components, times size * dx^dim, so that ``irfft(kernel * rfft(f))``
+        samples the quadrature of the circular convolution of f with grad|x|.
+
+        Built one component at a time, without the grad|x| table."""
         spec = self.spec
-        return [spec.fft(np.fft.ifftshift(k)) for k in _grad_rho(spec)]
+        kernels = []
+        for component in _grad_rho_components(spec, shifted=True):
+            kernel = spec.rfft(component)
+            kernel *= spec.size * spec.dx**spec.dim
+            kernels.append(kernel)
+        return kernels
 
 
 def weight_tables(spec: GridSpec) -> WeightTables:

@@ -21,10 +21,10 @@ from .grid import (
     Field,
     GridSpec,
     WeightTables,
+    abs2,
     gradient,
-    h1_density,
     laplacian_G,
-    power_spectrum,
+    norm_sq,
 )
 from .scattering import (
     commutator_with_cutoff,
@@ -106,65 +106,119 @@ class ObservableSeries:
 
 
 class Frame:
-    """The quantities of one field that several monitors read, each computed
-    on first use and kept while the frame lives.
+    """The densities of one field that the monitors read, each built once, in
+    real arithmetic, on first use, and kept while the frame lives.
 
     A run builds one frame per record, so a record pays only for what the
-    monitors that fire read. Transforms: ``u_hat`` 1, ``grads`` d (after
-    ``u_hat``), ``mod2_hat`` 1, ``cutoff_power`` 1. With the full standard
-    bundle a record costs 2d + 3 transforms (7 at 2-d, 9 at 3-d), and d + 2
-    when the interaction (``mod2_hat`` and d inverse transforms) does not
-    fire.
+    monitors that fire read, and every monitor is a reduction over these:
+
+    * ``mod2`` |u|^2 = re^2 + im^2 and ``mod4`` |u|^4;
+    * ``grads``, the d spectral gradients, and ``grad_sq`` |grad u|^2;
+    * ``momentum``, the d components of Im(conj(u) grad u), and their
+      contraction :meth:`momentum_along` with a vector field w; the real
+      parts Re(conj(u) grad u) enter only through :meth:`current_along`;
+    * ``h1_density`` |u|^2 + |grad u|^2;
+    * :meth:`energy_density` G grad u . conj(grad u), which is ``grad_sq``
+      itself for G = I;
+    * ``mod2_hat``, the half spectrum of |u|^2, and :meth:`cutoff_power`.
+
+    Transforms: ``grads`` 1 + d complex (the transform of u is not kept),
+    ``cutoff_power`` 1 complex, ``mod2_hat`` 1 real. With the full standard
+    bundle a record costs d + 2 complex transforms (4 at 2-d, 5 at 3-d) and
+    1 + d real ones (the interaction's d inverse transforms on half spectra);
+    without the interaction it makes no real transform.
     """
 
     def __init__(self, u: Field):
         self.u = u
         self.spec = u.spec
-        self._cutoff = self._cutoff_power = None
+        self._held: dict[str, tuple[object, np.ndarray]] = {}
 
-    @cached_property
-    def u_hat(self) -> np.ndarray:
-        return self.spec.fft(self.u.values)
+    def _held_for(self, slot: str, key, build) -> np.ndarray:
+        """``build()``, kept for the last ``key`` asked for under ``slot``."""
+        held = self._held.get(slot)
+        if held is None or held[0] is not key:
+            held = self._held[slot] = (key, build())
+        return held[1]
 
     @cached_property
     def grads(self) -> list[Field]:
         """The d spectral gradients."""
-        return gradient(self.u, self.u_hat)
+        return gradient(self.u)
 
     @cached_property
     def mod2(self) -> np.ndarray:
         """|u|^2."""
-        return np.abs(self.u.values) ** 2
+        return abs2(self.u.values)
 
     @cached_property
     def mod4(self) -> np.ndarray:
         """|u|^4."""
-        return self.mod2**2
+        return np.square(self.mod2)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """|grad u|^2."""
+        out = abs2(self.grads[0].values)
+        for g in self.grads[1:]:
+            out += abs2(g.values)
+        return out
 
     @cached_property
     def momentum(self) -> list[np.ndarray]:
-        """Components of Im(conj(u) grad u)."""
-        u_bar = np.conj(self.u.values)
-        return [(u_bar * g.values).imag for g in self.grads]
+        """Components of Im(conj(u) grad u) = re grad im - im grad re."""
+        re, im = self.u.values.real, self.u.values.imag
+        out = []
+        for g in self.grads:
+            m = re * g.values.imag
+            m -= im * g.values.real
+            out.append(m)
+        return out
 
     @cached_property
     def h1_density(self) -> np.ndarray:
         """|u|^2 + |grad u|^2."""
-        return h1_density(self.u, self.grads)
+        return self.mod2 + self.grad_sq
 
     @cached_property
     def mod2_hat(self) -> np.ndarray:
-        """Fourier coefficients of |u|^2."""
-        return self.spec.fft(self.mod2)
+        """Half spectrum of |u|^2 (:meth:`GridSpec.rfft`)."""
+        return self.spec.rfft(self.mod2)
+
+    def energy_density(self, metric: MetricField) -> np.ndarray:
+        """G grad u . conj(grad u) of ``metric`` (kept for the last metric)."""
+        return self._held_for("energy", metric,
+                              lambda: _metric_energy_density(self, metric))
+
+    def momentum_along(self, w: Sequence[np.ndarray]) -> np.ndarray:
+        """Im(conj(u) grad u) . w for a real vector field w given by its
+        components (kept for the last w asked for)."""
+        def build():
+            out = self.momentum[0] * w[0]
+            for m, wj in zip(self.momentum[1:], w[1:]):
+                out += m * wj
+            return out
+
+        return self._held_for("momentum_along", w, build)
+
+    def current_along(self, w: Sequence[np.ndarray]) -> np.ndarray:
+        """Re(conj(u) grad u) . w = sum_j (re d_j re + im d_j im) w_j for a
+        real vector field w; one monitor reads it, so it is not kept."""
+        re, im = self.u.values.real, self.u.values.imag
+        out = np.zeros(self.spec.shape)
+        for g, wj in zip(self.grads, w):
+            c = re * g.values.real
+            c += im * g.values.imag
+            c *= wj
+            out += c
+        return out
 
     def cutoff_power(self, cutoff: np.ndarray) -> np.ndarray:
         """:func:`power_spectrum` of cutoff*u, one transform for all exponents
         (kept for the last cutoff asked for)."""
-        if self._cutoff is not cutoff:
-            self._cutoff = cutoff
-            self._cutoff_power = power_spectrum(Field(cutoff * self.u.values,
-                                                      self.spec))
-        return self._cutoff_power
+        return self._held_for(
+            "cutoff", cutoff,
+            lambda: abs2(self.spec.fft(cutoff * self.u.values)))
 
 
 @dataclass
@@ -195,47 +249,57 @@ def _check_aligned(*series: ObservableSeries) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
+def _integral(a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
+    """Quadrature of the product of two real grid arrays, int a b, as one dot
+    product."""
+    return float(np.vdot(a, b)) * spec.dx**spec.dim
+
+
 def mass(u: Field, frame: Frame | None = None) -> float:
     """Total mass int |u|^2."""
     frame = Frame(u) if frame is None else frame
-    return float(u.spec.quadrature(frame.mod2).real)
+    return float(u.spec.quadrature(frame.mod2))
 
 
-def _metric_contraction(metric: MetricField, a: Sequence[np.ndarray],
-                        b: Sequence[np.ndarray]) -> np.ndarray:
-    """Pointwise Re(G a . conj b) for vector fields given by their components.
+def _metric_energy_density(frame: Frame, metric: MetricField) -> np.ndarray:
+    """Pointwise G grad u . grad conj(u); real and non-negative for PSD G.
 
-    Uses the structure G = I + p S: the plain product for G = I, times (1 + p)
-    for a conformal G, plus p Re((v . a) conj(v . b)) for G = I + p v v^T.
+    Uses the structure G = I + p S: |grad u|^2 for G = I, times (1 + p) for a
+    conformal G, plus p |v . grad u|^2 for G = I + p v v^T.
     """
-    out = sum((ai * np.conj(bi)).real for ai, bi in zip(a, b))
     p = metric.perturbation
     if p is None:
-        return out
+        return frame.grad_sq
     if metric.conformal:
-        return out * (1.0 + p)
+        return frame.grad_sq * (1.0 + p)
     v = metric.direction
-    va = sum(vj * aj for vj, aj in zip(v, a) if vj != 0.0)
-    vb = sum(vj * bj for vj, bj in zip(v, b) if vj != 0.0)
-    return out + p * (va * np.conj(vb)).real
+    vg = sum(vj * g.values for vj, g in zip(v, frame.grads) if vj != 0.0)
+    return frame.grad_sq + p * abs2(vg)
 
 
-def _metric_energy_density(grads: Sequence[Field], metric: MetricField) -> np.ndarray:
-    """Pointwise G grad u . grad conj(u); real and non-negative for PSD G."""
-    values = [g.values for g in grads]
-    return _metric_contraction(metric, values, values)
+def _metric_apply(metric: MetricField, w: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """G w for a real vector field w given by its components, by the structure
+    G = I + p S."""
+    p = metric.perturbation
+    if p is None:
+        return list(w)
+    if metric.conformal:
+        return [(1.0 + p) * wj for wj in w]
+    v = metric.direction
+    pvw = p * sum(vj * wj for vj, wj in zip(v, w) if vj != 0.0)
+    return [wj + vj * pvw if vj != 0.0 else wj for vj, wj in zip(v, w)]
 
 
 def energy(u: Field, metric: MetricField, frame: Frame | None = None) -> float:
     """E[u] = 1/2 int G grad u . grad conj(u) + 1/4 int |u|^4.
 
-    ``frame`` (a :class:`Frame` of u) supplies the gradients and |u|^4; the
-    functionals below take it the same way.
+    ``frame`` (a :class:`Frame` of u) supplies the energy density and |u|^4;
+    the functionals below take it the same way.
     """
     spec = u.spec
     frame = Frame(u) if frame is None else frame
-    kinetic = spec.quadrature(_metric_energy_density(frame.grads, metric)).real
-    quartic = spec.quadrature(frame.mod4).real
+    kinetic = spec.quadrature(frame.energy_density(metric))
+    quartic = spec.quadrature(frame.mod4)
     return float(0.5 * kinetic + 0.25 * quartic)
 
 
@@ -250,8 +314,7 @@ def morawetz_virial(u: Field, tables: WeightTables,
     """Virial moment V = Im int conj(u) grad u . grad chi; its rate carries the
     monotonicity information the decay monitors are built on."""
     frame = Frame(u) if frame is None else frame
-    density = sum(m * gc for m, gc in zip(frame.momentum, tables.grad_chi))
-    return float(u.spec.quadrature(density).real)
+    return float(u.spec.quadrature(frame.momentum_along(tables.grad_chi)))
 
 
 def morawetz_rate_rhs(
@@ -276,17 +339,25 @@ def morawetz_rate_rhs(
     """
     spec = u.spec
     frame = Frame(u) if frame is None else frame
-    grads = [g.values for g in frame.grads]
-    grad_sq = sum(np.abs(g) ** 2 for g in grads)
-    radial = sum(gc * g for gc, g in zip(tables.grad_chi, grads))
-    density = 2.0 * (grad_sq - np.abs(radial) ** 2) / tables.chi
-    density -= 0.5 * tables.bilap_chi * frame.mod2
+    # |grad chi . grad u|^2 from its real and imaginary parts, in place: a
+    # complex sum here raised the peak resident memory of 128^2 runs
+    pairs = zip(tables.grad_chi, frame.grads)
+    gc, g = next(pairs)
+    radial_re, radial_im = gc * g.values.real, gc * g.values.imag
+    for gc, g in pairs:
+        radial_re += gc * g.values.real
+        radial_im += gc * g.values.imag
+    hessian = np.square(radial_re, out=radial_re)
+    hessian += np.square(radial_im, out=radial_im)
+    np.subtract(frame.grad_sq, hessian, out=hessian)
+    hessian /= tables.chi
+    total = 2.0 * float(spec.quadrature(hessian))
+    total -= 0.5 * _integral(tables.bilap_chi, frame.mod2, spec)
     if nonlinearity:
-        density += 0.5 * tables.lap_chi * frame.mod4
-    a = damping.table
-    for m, gc in zip(frame.momentum, tables.grad_chi):
-        density -= 2.0 * a * m * gc
-    return float(spec.quadrature(density).real)
+        total += 0.5 * _integral(tables.lap_chi, frame.mod4, spec)
+    total -= 2.0 * _integral(damping.table,
+                             frame.momentum_along(tables.grad_chi), spec)
+    return total
 
 
 def bilinear_interaction(u: Field, tables: WeightTables,
@@ -294,19 +365,18 @@ def bilinear_interaction(u: Field, tables: WeightTables,
     """Two-point functional int |u(y)|^2 Im(conj(u) grad u)(x) . grad_rho(x-y) dx dy.
 
     The inner integral is the circular convolution of |u|^2 with the
-    periodized grad|x| kernel table, evaluated spectrally against the kernel
-    transforms ``tables.grad_rho_hat`` (taken once per set of tables): one
-    transform of |u|^2 and d inverse ones, on top of the frame's gradients.
-    The kernel table is ifftshifted so that index 0 carries the zero
-    displacement and wrapped indices carry displacements in [-L, L).
+    periodized grad|x| kernels. Both are real, so it runs on half spectra:
+    the kernels ``tables.grad_rho_hat`` (taken once per set of tables), one
+    real transform of |u|^2 (``frame.mod2_hat``) and d inverse ones, on top
+    of the frame's gradients. The kernels are ifftshifted so that index 0
+    carries the zero displacement and wrapped indices carry displacements in
+    [-L, L).
     """
     spec = u.spec
     frame = Frame(u) if frame is None else frame
     total = 0.0
-    scale = spec.size * spec.dx**spec.dim  # unnormalized circular conv * dx^d
     for m, kernel_hat in zip(frame.momentum, tables.grad_rho_hat):
-        conv = spec.ifft(kernel_hat * frame.mod2_hat).real * scale
-        total += float(spec.quadrature(m * conv).real)
+        total += _integral(m, spec.irfft(kernel_hat * frame.mod2_hat), spec)
     return total
 
 
@@ -359,6 +429,7 @@ def standard_monitors(
     a_support = a > a_min
     lap_G_a = _div_G_grad_a(metric, damping)
     grad_a = [g.values.real for g in gradient(Field(a.astype(complex), spec))]
+    G_grad_a = _metric_apply(metric, grad_a)
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
     def mon_mass(state, frame):
@@ -368,20 +439,18 @@ def standard_monitors(
         return energy(state.u, metric, frame)
 
     def mon_damping_mass(state, frame):
-        return float(spec.quadrature(a * frame.mod2).real)
+        return _integral(a, frame.mod2, spec)
 
     def mon_damping_energy(state, frame):
-        density = a * (frame.mod4 + _metric_energy_density(frame.grads, metric))
-        return float(spec.quadrature(density).real)
+        return (_integral(a, frame.mod4, spec)
+                + _integral(a, frame.energy_density(metric), spec))
 
     def mon_mass_lapGa(state, frame):
-        return float(spec.quadrature(frame.mod2 * lap_G_a).real)
+        return _integral(frame.mod2, lap_G_a, spec)
 
     def mon_flux_alt(state, frame):
-        # Re int G grad u . conj(u) grad a
-        u_bar = np.conj(state.u.values)
-        fluxes = [g.values * u_bar for g in frame.grads]
-        return float(spec.quadrature(_metric_contraction(metric, fluxes, grad_a)).real)
+        # Re int G grad u . conj(u) grad a = int Re(conj(u) grad u) . G grad a
+        return float(spec.quadrature(frame.current_along(G_grad_a)))
 
     def mon_virial(state, frame):
         return morawetz_virial(state.u, tables, frame)
@@ -390,10 +459,10 @@ def standard_monitors(
         return morawetz_rate_rhs(state.u, tables, damping, nonlinearity, frame)
 
     def mon_lambda_density(state, frame):
-        return float(spec.quadrature(tables.lambda_kernel * frame.mod2).real)
+        return _integral(tables.lambda_kernel, frame.mod2, spec)
 
     def mon_l4(state, frame):
-        return float(spec.quadrature(frame.mod4).real)
+        return float(spec.quadrature(frame.mod4))
 
     def mon_h1_sq(state, frame):
         # ||u||_{H^1}^2 by Parseval, from the record's gradients
@@ -423,8 +492,8 @@ def standard_monitors(
 
     if pert_support is not None:
         def mon_proxy(state, frame):
-            density = frame.h1_density + frame.mod4
-            return float(density[pert_support].sum() * dv)
+            return float((frame.h1_density[pert_support].sum()
+                          + frame.mod4[pert_support].sum()) * dv)
 
         monitors.append(Monitor("morawetz_proxy", mon_proxy, record_every))
 
@@ -455,7 +524,7 @@ def standard_monitors(
         def mon_commutator(state, frame):
             comm = commutator_with_cutoff(state.u, cutoff, frame.grads,
                                           cut_derivatives)
-            return float(spec.quadrature(np.abs(comm.values) ** 2).real)
+            return norm_sq(comm.values) * dv
 
         monitors.append(Monitor("commutator_l2_sq", mon_commutator, record_every))
 

@@ -29,8 +29,8 @@ from .geometry import DampingField
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
+    abs2,
     gradient,
-    power_spectrum,
     sobolev_norm,
     sobolev_norms_from_power,
     sobolev_weights,
@@ -201,8 +201,10 @@ def commutator_with_cutoff(
         grads = gradient(u)
     lap_chi, grad_chi = derivatives
     out = lap_chi * u.values
-    for gc, gu in zip(grad_chi, grads):
-        out = out + 2.0 * gc * gu.values
+    for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place
+        two_gc = 2.0 * gc
+        out.real += two_gc * gu.values.real
+        out.imag += two_gc * gu.values.imag
     return Field(out, u.spec)
 
 
@@ -214,11 +216,12 @@ def cutoff_sobolev_norms(
 ) -> dict[float, float]:
     """||chi u||_{H^s} for every s in ``s_values`` from one transform of chi u.
 
-    ``power`` (the :func:`power_spectrum` of chi u, when the caller has it)
-    spares that transform.
+    ``power`` (the power spectrum |c_k|^2 of chi u, when the caller has it)
+    spares that transform. The weight rows of each grid and exponent set are
+    built once (see :func:`grid.sobolev_norms_from_power`).
     """
     if power is None:
-        power = power_spectrum(Field(cutoff * u.values, u.spec))
+        power = abs2(u.spec.fft(cutoff * u.values))
     return sobolev_norms_from_power(power, u.spec, s_values)
 
 

@@ -14,7 +14,7 @@ ship them.
 
 import numpy as np
 
-from dnls.grid import Field, flux_divergence, rk4
+from dnls.grid import Field, flux_divergence, gradient, rk4
 
 
 def metric_table(metric) -> np.ndarray:
@@ -111,3 +111,21 @@ def mol_solve(u0: Field, metric, damping, cfg) -> Field:
     for _ in range(cfg.n_steps):
         values = rk4(values, rhs, cfg.signed_dt)
     return Field(values, spec)
+
+
+def bilinear_interaction_full_spectrum(u: Field, tables) -> float:
+    """The bilinear interaction int |u(y)|^2 Im(conj(u) grad u)(x) .
+    grad_rho(x-y) dx dy by full complex transforms: the circular convolution
+    of |u|^2 with the ifftshifted grad|x| table (``tables.grad_rho``),
+    evaluated against the kernels' complex spectra. The package runs the same
+    convolution on half spectra."""
+    spec = u.spec
+    mod2_hat = spec.fft(np.abs(u.values) ** 2)
+    momentum = [(np.conj(u.values) * g.values).imag for g in gradient(u)]
+    scale = spec.size * spec.dx**spec.dim  # unnormalized circular conv * dx^d
+    total = 0.0
+    for m, kernel in zip(momentum, tables.grad_rho):
+        kernel_hat = spec.fft(np.fft.ifftshift(kernel))
+        conv = spec.ifft(kernel_hat * mod2_hat).real * scale
+        total += float(spec.quadrature(m * conv).real)
+    return total

@@ -202,6 +202,29 @@ def test_nan_geometry_values_take_the_preset_defaults():
     assert np.all(np.isfinite(damping.table))
 
 
+def test_metric_radius_is_left_to_the_preset():
+    # nan (or auto) takes the preset default, as every other geometry value
+    for value in ("nan", "auto"):
+        cfg = parse_config_text(MINIMAL + f"\n[geometry]\nmetric_radius = {value}\n")
+        metric, damping = cfg.build_geometry()
+        assert metric.radius == 2.0
+        assert damping.radius == 4.0
+    # the identity preset has no bump, so its radius need not fit the box
+    cfg = parse_config_text(
+        "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
+        "[geometry]\npreset = identity\nmetric_radius = 20.0\n"
+        "damping_radius = 4.0\n"
+    )
+    metric, _ = cfg.build_geometry()
+    assert metric.is_identity
+    # a bump must still fit
+    with pytest.raises(ConfigError, match=r"\[geometry\] metric bump radius"):
+        parse_config_text(
+            "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
+            "[geometry]\npreset = conformal_bump\nmetric_radius = 20.0\n"
+        )
+
+
 def test_readme_example_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = readme.split("```ini\n")[1:]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ from dnls.observables import (
 from dnls.solver import SimulationState, SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
-from reference import hess_chi
+from reference import bilinear_interaction_full_spectrum, hess_chi
 
 SPEC = GridSpec(2, 64, 10.0)
 TABLES = weight_tables(SPEC)
@@ -495,6 +497,50 @@ def test_bilinear_matches_direct_double_sum_oracle():
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
+_INTERACTION_GRIDS = {2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
+_INTERACTION_TABLES = {d: weight_tables(spec) for d, spec in _INTERACTION_GRIDS.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    k_scale=st.floats(0.5, 3.0),
+    amplitude=st.floats(0.1, 10.0),
+)
+def test_half_spectrum_interaction_matches_the_full_spectrum(
+        dim, seed, k_scale, amplitude):
+    # the same circular convolution on rfft half spectra and on complex
+    # spectra. B cancels: for nearly real fields it is as small as 2e-4 of
+    # the sum of its absolute contributions, so the rounding of either path
+    # is measured against that sum, which bounds |B|
+    spec = _INTERACTION_GRIDS[dim]
+    tables = _INTERACTION_TABLES[dim]
+    u = band_limited_random(spec, seed=seed, k_scale=k_scale)
+    u = Field(amplitude * u.values, spec)
+    got = bilinear_interaction(u, tables)
+    want = bilinear_interaction_full_spectrum(u, tables)
+    frame = Frame(u)
+    terms = sum(
+        float(np.abs(m * spec.irfft(kernel * frame.mod2_hat)).sum())
+        for m, kernel in zip(frame.momentum, tables.grad_rho_hat)
+    ) * spec.dx**dim
+    assert abs(want) <= terms
+    assert abs(got - want) <= 1e-13 * terms
+
+
+def test_interaction_kernels_are_the_half_spectra_of_the_table():
+    # built one component at a time on the shifted grid, without the table
+    for spec in _INTERACTION_GRIDS.values():
+        tables = weight_tables(spec)
+        scale = spec.size * spec.dx**spec.dim
+        for kernel, component in zip(tables.grad_rho_hat, tables.grad_rho):
+            full = spec.fft(np.fft.ifftshift(component)) * scale
+            assert kernel.shape == spec.shape[:-1] + (spec.n // 2 + 1,)
+            assert np.allclose(kernel, full[..., : spec.n // 2 + 1],
+                               rtol=0.0, atol=1e-13 * np.abs(full).max())
+
+
 def test_interaction_inequality_zero_field():
     times = [0.0, 0.5, 1.0]
     zeros = [0.0, 0.0, 0.0]
@@ -600,8 +646,87 @@ def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
     assert value == pytest.approx(sobolev_norm(u, 1.0) ** 2, rel=1e-13)
 
 
+def test_records_build_each_sobolev_weight_row_once(monkeypatch):
+    import dnls.grid
+
+    built = []
+    original = dnls.grid.sobolev_weights
+
+    def counted(spec, s_values, homogeneous=False):
+        built.append((spec, tuple(s_values), homogeneous))
+        return original(spec, s_values, homogeneous)
+
+    monkeypatch.setattr(dnls.grid, "sobolev_weights", counted)
+    dnls.grid._weight_rows.cache_clear()
+    spec = GridSpec(2, 32, 8.0)
+    metric, damping = build_preset("identity", spec, {"damping_radius": 3.0})
+    monitors = standard_monitors(metric, damping, weight_tables(spec),
+                                 cutoff=cutoff_field(spec, 4.5, 6.5),
+                                 cutoff_exponents=(0.0, 0.5))
+    res = simulate(gaussian_field(spec, momentum=1.0), metric, damping,
+                   SolverConfig(dt=0.01, duration=0.05), monitors=monitors)
+    assert len(res.series["cutoff_hs_0.5"]) == 6
+    assert built == [(spec, (0.0,), False), (spec, (0.5,), False)]
+    # keyed on the grid and the exponents, not on arrays: an equal grid built
+    # anew, another field and another cutoff array reuse the rows
+    other = GridSpec(2, 32, 8.0)
+    local_sobolev_decay(band_limited_random(other, seed=4),
+                        cutoff_field(other, 4.0, 7.0), 0.5)
+    assert len(built) == 2
+    # another exponent set or grid builds its own rows, in a bounded cache
+    sobolev_norm(band_limited_random(other, seed=4), 0.25)
+    sobolev_norm(band_limited_random(GridSpec(2, 16, 8.0), seed=4), 0.5)
+    assert [key[:2] for key in built[2:]] == [(other, (0.25,)),
+                                             (GridSpec(2, 16, 8.0), (0.5,))]
+    assert dnls.grid._weight_rows.cache_info().maxsize == 8
+    rows = dnls.grid._weight_rows(spec, (0.5,), False)
+    assert not rows.flags.writeable
+
+
+def _record_peaks_3d():
+    """Peak traced allocation of the first (cold tables) and a later record
+    of the full bundle at 24^3, conformal, in units of one real field."""
+    import dnls.grid
+
+    dnls.grid._weight_rows.cache_clear()
+    spec = GridSpec(3, 24, 8.0)
+    metric, damping = build_preset("conformal_bump", spec)
+    tables = weight_tables(spec)
+    monitors = standard_monitors(metric, damping, tables, local_radius=2.5,
+                                 cutoff=cutoff_field(spec, 4.5, 6.5))
+    u = smooth_random_field(spec, seed=1)
+    state = SimulationState(u, 0.0, 0, metric, damping)
+    unit = spec.size * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            frame = Frame(u)
+            for mon in monitors:
+                mon.fn(state, frame)
+            del frame
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / unit)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_full_record_peak_allocation_3d():
+    # the peak of the 48^3 runs sits in a record. With the complex-spectrum
+    # interaction kernels, u_hat kept in the frame and complex products for
+    # the monitors, these read 32.3 (first record) and 26.2 (later records)
+    # real fields; the half-spectrum kernels, the real-arithmetic densities
+    # and the in-place commutator bring them to 26.4 and 21.1
+    cold, warm = _record_peaks_3d()
+    assert cold <= 27.0
+    assert warm <= 22.0
+
+
 def _transforms_per_record(monkeypatch, dim, n, interaction_every):
-    """Transforms each record of a run makes inside its monitors, by step."""
+    """Complex and real transforms each record of a run makes inside its
+    monitors, by step: {step: (complex, real)}."""
     spec = GridSpec(dim, n, 8.0)
     metric, damping = build_preset("conformal_bump", spec)
     tables = weight_tables(spec)
@@ -611,11 +736,11 @@ def _transforms_per_record(monkeypatch, dim, n, interaction_every):
                                  cutoff=cutoff_field(spec, 4.5, 6.5))
     tables.grad_rho_hat  # the kernel transforms, taken once per set of tables
     calls = []
-    for name in ("fft", "ifft"):
+    for name, kind in (("fft", 0), ("ifft", 0), ("rfft", 1), ("irfft", 1)):
         original = getattr(GridSpec, name)
 
-        def counted(self, values, _original=original):
-            calls.append(1)
+        def counted(self, values, _original=original, _kind=kind):
+            calls.append(_kind)
             return _original(self, values)
 
         monkeypatch.setattr(GridSpec, name, counted)
@@ -624,8 +749,10 @@ def _transforms_per_record(monkeypatch, dim, n, interaction_every):
         def fn(state, frame, _fn=mon.fn):
             before = len(calls)
             value = _fn(state, frame)
-            per_record[state.step] = per_record.get(state.step, 0) \
-                + len(calls) - before
+            made = calls[before:]
+            old = per_record.get(state.step, (0, 0))
+            per_record[state.step] = (old[0] + made.count(0),
+                                      old[1] + made.count(1))
             return value
 
         mon.fn = fn
@@ -637,13 +764,14 @@ def _transforms_per_record(monkeypatch, dim, n, interaction_every):
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 def test_fft_count_per_record(monkeypatch, dim, n):
-    # one frame per record: u_hat (1), its gradients (d), fft(|u|^2) (1), the
-    # interaction's convolutions (d) and one transform of cutoff*u for all
-    # exponents; a record without the interaction pays for neither of its
-    # parts, so the frame is lazy
-    full = {2: 7, 3: 9}[dim]
+    # one frame per record. Complex: u_hat and its d gradients (1 + d) and
+    # one transform of cutoff*u for all exponents. Real, for the interaction
+    # only: the half spectrum of |u|^2 (1) and its d convolutions. A record
+    # without the interaction pays for none of the real ones, so the frame
+    # is lazy
+    full = (dim + 2, 1 + dim)
     per_record = _transforms_per_record(monkeypatch, dim, n, interaction_every=2)
-    assert per_record == {0: full, 1: dim + 2, 2: full}
+    assert per_record == {0: full, 1: (dim + 2, 0), 2: full}
 
 
 # -- golden monitor values ----------------------------------------------------------
