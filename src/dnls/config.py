@@ -257,6 +257,16 @@ class RunConfig:
                 f"[observables] cutoff radii (flat={flat}, support={support}) must "
                 f"satisfy 0 < flat < support < {L}"
             )
+        # the far field (1 - chi) u solves the free equation only where a = 0
+        active = damping.table > geo.a_min
+        if active.any():
+            chi = cutoff_field(spec, flat, support)
+            deviation = float(np.max(np.abs(chi[active] - 1.0)))
+            if deviation > 1e-12:
+                raise ConfigError(
+                    "[observables] cutoff must equal 1 on the damping support "
+                    f"(max deviation {deviation:.3e} at flat={flat})"
+                )
         try:
             self.solver_config()
         except DomainError as exc:

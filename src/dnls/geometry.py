@@ -380,9 +380,12 @@ def build_preset(
     )
     damping_amplitude = float(p.pop("damping_amplitude", 1.0))
     damping_shape = str(p.pop("damping_shape", "ball"))
-    default_radius = (
-        metric_radius if name == "uncontrolled_bump" else metric_radius + 2.0
-    )
+    if name == "uncontrolled_bump":
+        default_radius = metric_radius
+    elif name == "identity":
+        default_radius = 4.0  # no bump to clear; the bumps' default at radius 2
+    else:
+        default_radius = metric_radius + 2.0
     damping_radius = float(p.pop("damping_radius", default_radius))
     damping_inner = float(p.pop("damping_inner_radius", 0.0))
     damping_outer = float(p.pop("damping_outer_radius", 0.0))

@@ -25,12 +25,9 @@ from .grid import (
     gradient,
     laplacian_G,
     norm_sq,
+    sobolev_norms_from_power,
 )
-from .scattering import (
-    commutator_with_cutoff,
-    cutoff_derivatives,
-    cutoff_sobolev_norms,
-)
+from .scattering import commutator_with_cutoff, cutoff_derivatives
 
 __all__ = [
     "ObservableSeries",
@@ -255,10 +252,9 @@ def _integral(a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
     return float(np.vdot(a, b)) * spec.dx**spec.dim
 
 
-def mass(u: Field, frame: Frame | None = None) -> float:
-    """Total mass int |u|^2."""
-    frame = Frame(u) if frame is None else frame
-    return float(u.spec.quadrature(frame.mod2))
+def mass(frame: Frame) -> float:
+    """Total mass int |u|^2 of the frame's field."""
+    return float(frame.spec.quadrature(frame.mod2))
 
 
 def _metric_energy_density(frame: Frame, metric: MetricField) -> np.ndarray:
@@ -290,14 +286,13 @@ def _metric_apply(metric: MetricField, w: Sequence[np.ndarray]) -> list[np.ndarr
     return [wj + vj * pvw if vj != 0.0 else wj for vj, wj in zip(v, w)]
 
 
-def energy(u: Field, metric: MetricField, frame: Frame | None = None) -> float:
+def energy(frame: Frame, metric: MetricField) -> float:
     """E[u] = 1/2 int G grad u . grad conj(u) + 1/4 int |u|^4.
 
-    ``frame`` (a :class:`Frame` of u) supplies the energy density and |u|^4;
-    the functionals below take it the same way.
+    The :class:`Frame` of u supplies the energy density and |u|^4; the
+    functionals below take it the same way, as their first argument.
     """
-    spec = u.spec
-    frame = Frame(u) if frame is None else frame
+    spec = frame.spec
     kinetic = spec.quadrature(frame.energy_density(metric))
     quartic = spec.quadrature(frame.mod4)
     return float(0.5 * kinetic + 0.25 * quartic)
@@ -309,20 +304,17 @@ def _div_G_grad_a(metric: MetricField, damping: DampingField) -> np.ndarray:
     return laplacian_G(a, metric).values.real
 
 
-def morawetz_virial(u: Field, tables: WeightTables,
-                    frame: Frame | None = None) -> float:
+def morawetz_virial(frame: Frame, tables: WeightTables) -> float:
     """Virial moment V = Im int conj(u) grad u . grad chi; its rate carries the
     monotonicity information the decay monitors are built on."""
-    frame = Frame(u) if frame is None else frame
-    return float(u.spec.quadrature(frame.momentum_along(tables.grad_chi)))
+    return float(frame.spec.quadrature(frame.momentum_along(tables.grad_chi)))
 
 
 def morawetz_rate_rhs(
-    u: Field,
+    frame: Frame,
     tables: WeightTables,
     damping: DampingField,
     nonlinearity: bool = True,
-    frame: Frame | None = None,
 ) -> float:
     """Right-hand side of the virial rate identity:
 
@@ -337,8 +329,7 @@ def morawetz_rate_rhs(
     and no d x d table is read. The quartic term is dropped when the run had
     the nonlinearity disabled.
     """
-    spec = u.spec
-    frame = Frame(u) if frame is None else frame
+    spec = frame.spec
     # |grad chi . grad u|^2 from its real and imaginary parts, in place: a
     # complex sum here raised the peak resident memory of 128^2 runs
     pairs = zip(tables.grad_chi, frame.grads)
@@ -360,8 +351,7 @@ def morawetz_rate_rhs(
     return total
 
 
-def bilinear_interaction(u: Field, tables: WeightTables,
-                         frame: Frame | None = None) -> float:
+def bilinear_interaction(frame: Frame, tables: WeightTables) -> float:
     """Two-point functional int |u(y)|^2 Im(conj(u) grad u)(x) . grad_rho(x-y) dx dy.
 
     The inner integral is the circular convolution of |u|^2 with the
@@ -372,21 +362,20 @@ def bilinear_interaction(u: Field, tables: WeightTables,
     carries the zero displacement and wrapped indices carry displacements in
     [-L, L).
     """
-    spec = u.spec
-    frame = Frame(u) if frame is None else frame
+    spec = frame.spec
     total = 0.0
     for m, kernel_hat in zip(frame.momentum, tables.grad_rho_hat):
         total += _integral(m, spec.irfft(kernel_hat * frame.mod2_hat), spec)
     return total
 
 
-def local_sobolev_decay(u: Field, cutoff: np.ndarray, s: float,
-                        frame: Frame | None = None) -> float:
-    """H^s norm of the cutoff field, for 0 <= s < 1 (the decay range)."""
+def local_sobolev_decay(frame: Frame, cutoff: np.ndarray, s: float) -> float:
+    """H^s norm of the cutoff field cutoff*u, for 0 <= s < 1 (the decay range),
+    from the frame's power spectrum of cutoff*u."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"local Sobolev decay is monitored for 0 <= s < 1, got {s}")
-    power = frame.cutoff_power(cutoff) if frame is not None else None
-    return cutoff_sobolev_norms(u, cutoff, (s,), power)[float(s)]
+    return sobolev_norms_from_power(frame.cutoff_power(cutoff), frame.spec,
+                                    (s,))[float(s)]
 
 
 def smooth_random_field(spec: GridSpec, seed: int = 0, k_scale: float = 2.0) -> Field:
@@ -433,10 +422,10 @@ def standard_monitors(
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
     def mon_mass(state, frame):
-        return mass(state.u, frame)
+        return mass(frame)
 
     def mon_energy(state, frame):
-        return energy(state.u, metric, frame)
+        return energy(frame, metric)
 
     def mon_damping_mass(state, frame):
         return _integral(a, frame.mod2, spec)
@@ -453,10 +442,10 @@ def standard_monitors(
         return float(spec.quadrature(frame.current_along(G_grad_a)))
 
     def mon_virial(state, frame):
-        return morawetz_virial(state.u, tables, frame)
+        return morawetz_virial(frame, tables)
 
     def mon_virial_rhs(state, frame):
-        return morawetz_rate_rhs(state.u, tables, damping, nonlinearity, frame)
+        return morawetz_rate_rhs(frame, tables, damping, nonlinearity)
 
     def mon_lambda_density(state, frame):
         return _integral(tables.lambda_kernel, frame.mod2, spec)
@@ -472,7 +461,7 @@ def standard_monitors(
         return float(frame.h1_density[a_support].sum() * dv)
 
     def mon_interaction(state, frame):
-        return bilinear_interaction(state.u, tables, frame)
+        return bilinear_interaction(frame, tables)
 
     monitors = [
         Monitor("mass", mon_mass, record_every),
@@ -515,15 +504,14 @@ def standard_monitors(
 
         for s in cutoff_exponents:
             def mon_cut(state, frame, s=s):
-                return local_sobolev_decay(state.u, cutoff, s, frame)
+                return local_sobolev_decay(frame, cutoff, s)
 
             monitors.append(
                 Monitor(f"cutoff_hs_{s:g}", mon_cut, record_every)
             )
 
         def mon_commutator(state, frame):
-            comm = commutator_with_cutoff(state.u, cutoff, frame.grads,
-                                          cut_derivatives)
+            comm = commutator_with_cutoff(state.u, frame.grads, cut_derivatives)
             return norm_sq(comm.values) * dv
 
         monitors.append(Monitor("commutator_l2_sq", mon_commutator, record_every))
@@ -784,15 +772,14 @@ def stability_probe(
         pert_vals = spec.band_limit(pert.values)
     else:
         pert_vals = pert.values
-    s1 = SimulationState(Field(base.copy(), spec), 0.0, 0, metric, damping)
-    s2 = SimulationState(Field(base + delta * pert_vals, spec), 0.0, 0, metric,
-                         damping)
+    s1 = SimulationState(Field(base.copy(), spec), 0.0, 0)
+    s2 = SimulationState(Field(base + delta * pert_vals, spec), 0.0, 0)
     times = [0.0]
     diffs = [Field(s2.u.values - s1.u.values, spec).l2_norm()]
-    propagator = Propagator(spec, metric, damping, cfg)
+    propagator = Propagator(metric, damping, cfg)
     for _ in range(cfg.n_steps):
-        s1 = step(s1, cfg, propagator)
-        s2 = step(s2, cfg, propagator)
+        s1 = step(s1, propagator)
+        s2 = step(s2, propagator)
         times.append(s1.t)
         diffs.append(Field(s2.u.values - s1.u.values, spec).l2_norm())
     sup = float(np.max(diffs))

@@ -24,29 +24,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridMismatchError, SamplingError
-from .geometry import DampingField
+from .errors import DomainError, GridMismatchError, SamplingError
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
-    abs2,
-    gradient,
     sobolev_norm,
-    sobolev_norms_from_power,
     sobolev_weights,
 )
 
 __all__ = [
     "ScatterReport",
-    "CutoffDiagnostics",
     "free_pullback",
     "free_evolve",
     "cauchy_scan",
     "extract_profile",
     "cutoff_derivatives",
     "commutator_with_cutoff",
-    "cutoff_sobolev_norms",
-    "cutoff_diagnostics",
 ]
 
 Snapshot = tuple[float, Field]
@@ -186,19 +179,12 @@ def cutoff_derivatives(
 
 def commutator_with_cutoff(
     u: Field,
-    cutoff: np.ndarray,
-    grads: Sequence[Field] | None = None,
-    derivatives: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    grads: Sequence[Field],
+    derivatives: tuple[np.ndarray, list[np.ndarray]],
 ) -> Field:
-    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u.
-
-    ``grads`` (the spectral gradients of u) and ``derivatives`` (from
-    :func:`cutoff_derivatives`) are used when the caller already has them.
-    """
-    if derivatives is None:
-        derivatives = cutoff_derivatives(cutoff, u.spec)
-    if grads is None:
-        grads = gradient(u)
+    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u,
+    given ``grads``, the spectral gradients of u, and ``derivatives``, the
+    :func:`cutoff_derivatives` of chi."""
     lap_chi, grad_chi = derivatives
     out = lap_chi * u.values
     for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place
@@ -206,50 +192,3 @@ def commutator_with_cutoff(
         out.real += two_gc * gu.values.real
         out.imag += two_gc * gu.values.imag
     return Field(out, u.spec)
-
-
-def cutoff_sobolev_norms(
-    u: Field,
-    cutoff: np.ndarray,
-    s_values: Sequence[float],
-    power: np.ndarray | None = None,
-) -> dict[float, float]:
-    """||chi u||_{H^s} for every s in ``s_values`` from one transform of chi u.
-
-    ``power`` (the power spectrum |c_k|^2 of chi u, when the caller has it)
-    spares that transform. The weight rows of each grid and exponent set are
-    built once (see :func:`grid.sobolev_norms_from_power`).
-    """
-    if power is None:
-        power = abs2(u.spec.fft(cutoff * u.values))
-    return sobolev_norms_from_power(power, u.spec, s_values)
-
-
-@dataclass
-class CutoffDiagnostics:
-    cutoff_hs: dict[float, float]
-    commutator_l2: float
-
-
-def cutoff_diagnostics(
-    u: Field,
-    cutoff: np.ndarray,
-    damping: DampingField,
-    s_values: Sequence[float] = (0.0, 0.5),
-    a_min: float = 1e-8,
-) -> CutoffDiagnostics:
-    """Near-field norms ||chi u||_{H^s} and the commutator source ||[lap,chi]u||_L2.
-
-    The cutoff must equal 1 (to rounding) everywhere the damping is active,
-    mirroring the decomposition where the far field w = (1-chi) u solves the
-    free-Laplacian equation.
-    """
-    active = damping.table > a_min
-    if active.any() and np.max(np.abs(cutoff[active] - 1.0)) > 1e-12:
-        raise ConfigError(
-            "cutoff must equal 1 on the damping support "
-            f"(max deviation {np.max(np.abs(cutoff[active] - 1.0)):.3e})"
-        )
-    cutoff_hs = cutoff_sobolev_norms(u, cutoff, s_values)
-    comm = commutator_with_cutoff(u, cutoff)
-    return CutoffDiagnostics(cutoff_hs=cutoff_hs, commutator_l2=comm.l2_norm())

@@ -10,9 +10,10 @@ A step is Strang splitting of two exactly solvable substeps:
   multiplier. The inner RK4 runs on the masked Fourier coefficients, and the
   flux uses the structure of G - I = p S (see ``grid.flux_divergence``).
 
-A :class:`Propagator`, built once per run, holds what every step shares: the
-damping decay and phase tables (on the bounding box of supp a), the free
-multipliers as d one-dimensional factors, and the structure of G - I.
+A :class:`Propagator`, built once per run from (metric, damping, cfg), holds
+what every step shares: the damping decay and phase tables (on the bounding
+box of supp a), the free multipliers as d one-dimensional factors, and the
+structure of G - I. The step and both substeps read everything from it.
 
 Transforms per Strang step with m = ``inner_perturbation_steps``: 4 for
 G = I (the multiplier and the trailing band limit); 5 + (8d + 1) m for a
@@ -87,8 +88,6 @@ class SimulationState:
     u: Field
     t: float
     step: int
-    metric: MetricField
-    damping: DampingField
 
 
 @dataclass
@@ -99,16 +98,35 @@ class SimulationResult:
     boundary_mass_warned: bool = False
 
 
-class _DampingFlow:
-    """The flow of :func:`nonlinear_damping_substep` over a fixed time tau.
+class Propagator:
+    """The time step dt = ``cfg.signed_dt`` of one run, with everything fixed
+    for the run computed once.
 
-    The decay and phase factors are tabulated once, on the bounding box of
-    supp a only; outside it the flow is the plain rotation by -|u0|^2 tau.
+    Built from (metric, damping, cfg) on the metric's grid, it holds:
+
+    * the decay and phase factors of the half step dt/2 of
+      :func:`nonlinear_damping_substep`, tabulated on the bounding box of
+      supp a only (outside it the flow is the plain rotation by
+      -|u0|^2 dt/2);
+    * the free multiplier e^{-i |k|^2 tau} as d one-dimensional factors, one
+      per axis: over tau = dt when G = I, over tau = dt/2 (each half of the
+      inner sandwich) otherwise;
+    * the metric, whose structure G - I = p S the inner RK4 uses.
+
+    It lives for one ``simulate`` call (or one stability probe), so its tables
+    are freed with it.
     """
 
-    def __init__(self, damping: DampingField, tau: float, nonlinearity: bool):
-        self.tau = tau
-        self.nonlinearity = nonlinearity
+    def __init__(self, metric: MetricField, damping: DampingField,
+                 cfg: SolverConfig):
+        spec = metric.spec
+        if damping.spec != spec:
+            raise GridMismatchError("metric and damping live on different grids")
+        self.spec = spec
+        self.metric = metric
+        self.cfg = cfg
+        self.dt = cfg.signed_dt
+        self.half_dt = self.dt / 2.0
         a = damping.table
         support = np.nonzero(a > 0.0)
         self.box = None
@@ -116,183 +134,93 @@ class _DampingFlow:
             self.box = tuple(slice(ix.min(), ix.max() + 1) for ix in support)
             a = a[self.box]
             positive = a > 0.0
-            self.decay = np.exp(-a * tau)
+            self.decay = np.exp(-a * self.half_dt)
             self.phase = np.where(
                 positive,
-                np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
-                -tau,
+                np.expm1(-2.0 * a * self.half_dt) / np.where(positive, 2.0 * a, 1.0),
+                -self.half_dt,
             )
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        if self.nonlinearity:
-            mod2 = values.real**2 + values.imag**2
-            theta = mod2 * -self.tau
-            if self.box is not None:
-                theta[self.box] = mod2[self.box] * self.phase
-            # e^{i theta} written part by part, cheaper than a complex exp
-            out = np.empty_like(values)
-            np.cos(theta, out=out.real)
-            np.sin(theta, out=out.imag)
-            out *= values
-        else:
-            out = values.copy()
-        if self.box is not None:
-            out[self.box] *= self.decay
-        return out
+        tau = self.dt if metric.is_identity else self.half_dt
+        self.free = [np.exp(-1j * k**2 * tau) for k in spec.wavenumbers]
 
 
-def _free_factors(spec: GridSpec, tau: float) -> list[np.ndarray]:
-    """e^{-i |k|^2 tau} as d broadcastable 1-D factors, one per axis."""
-    return [np.exp(-1j * k**2 * tau) for k in spec.wavenumbers]
+def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
+    """Pointwise exact flow of u_t = -a u - i |u|^2 u over the half step
+    tau = dt/2 of ``propagator``.
+
+    With A = a(x): |u| picks up e^{-A tau} and the phase advances by
+    theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
+    Valid for negative tau (backward probes).
+    """
+    p = propagator
+    values = u.values
+    if p.cfg.nonlinearity:
+        mod2 = values.real**2 + values.imag**2
+        theta = mod2 * -p.half_dt
+        if p.box is not None:
+            theta[p.box] = mod2[p.box] * p.phase
+        # e^{i theta} written part by part, cheaper than a complex exp
+        out = np.empty_like(values)
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        out *= values
+    else:
+        out = values.copy()
+    if p.box is not None:
+        out[p.box] *= p.decay
+    return Field(out, u.spec)
 
 
-class _LinearFlow:
-    """exp(i tau div(G grad .)) over a fixed time tau; exact when G = I.
+def linear_substep(u: Field, propagator: Propagator) -> Field:
+    """exp(i dt div(G grad .)) u over the step dt of ``propagator``; exact
+    when G = I.
 
     Otherwise an inner Strang sandwich on Fourier coefficients: half free
     multiplier, ``inner_perturbation_steps`` RK4 steps of
     u_t = i div((G-I) grad u), half free multiplier.
     """
-
-    def __init__(self, spec: GridSpec, metric: MetricField, tau: float,
-                 cfg: SolverConfig):
-        self.spec = spec
-        self.metric = metric
-        self.tau = tau
-        self.cfg = cfg
-        if metric.is_identity:
-            self.full = _free_factors(spec, tau)
-        else:
-            self.half = _free_factors(spec, tau / 2.0)
-
-    def _rhs(self, coeffs: np.ndarray) -> np.ndarray:
-        metric = self.metric
-        return 1j * flux_divergence(coeffs, self.spec, metric.perturbation,
-                                    metric.direction, self.cfg.dealias)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        spec, cfg = self.spec, self.cfg
-        coeffs = spec.fft(values)
-        if cfg.dealias:
-            coeffs[~spec.dealias_mask] = 0.0
-        if self.metric.is_identity:
-            for factor in self.full:
-                coeffs *= factor
-            return spec.ifft(coeffs)
-        for factor in self.half:
-            coeffs *= factor
-        guard = np.abs(spec.ifft(coeffs)).max()
-        m = cfg.inner_perturbation_steps
-        for _ in range(m):
-            coeffs = rk4(coeffs, self._rhs, self.tau / m)
-            if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
-                suggestion = cfl_suggestion(spec, self.metric, cfg.duration, m,
-                                            cfg.dealias)
-                raise StabilityError(
-                    "linear substep blew up; reduce dt toward the suggested bound "
-                    f"{suggestion:.3g} or raise inner_perturbation_steps",
-                    dt_suggestion=suggestion,
-                )
-        for factor in self.half:
-            coeffs *= factor
-        return spec.ifft(coeffs)
-
-
-class Propagator:
-    """The time step of one run, with everything fixed for the run computed once.
-
-    Built from (spec, metric, damping, cfg): the damping decay and phase
-    tables, the free multipliers and the structure of G - I. It is meant to
-    live for one ``simulate`` call (or one stability probe), so its tables
-    are freed with it.
-    """
-
-    def __init__(self, spec: GridSpec, metric: MetricField, damping: DampingField,
-                 cfg: SolverConfig):
-        if metric.spec != spec or damping.spec != spec:
-            raise GridMismatchError("propagator grid differs from the coefficients'")
-        self.metric = metric
-        self.damping = damping
-        self.cfg = cfg
-        dt = cfg.signed_dt
-        self.half_damping = _DampingFlow(damping, dt / 2.0, cfg.nonlinearity)
-        self.linear = _LinearFlow(spec, metric, dt, cfg)
-
-
-def _matching(flow, tau: float):
-    """A propagator's precomputed flow, checked against the requested tau."""
-    if flow.tau != tau:
-        raise DomainError(
-            f"propagator was built for tau = {flow.tau}, substep asks for {tau}"
-        )
-    return flow
-
-
-def nonlinear_damping_substep(
-    u: Field, damping: DampingField, tau: float, nonlinearity: bool = True,
-    propagator: Propagator | None = None,
-) -> Field:
-    """Pointwise exact flow of u_t = -a u - i |u|^2 u over time tau.
-
-    With A = a(x): |u| picks up e^{-A tau} and the phase advances by
-    theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
-    Valid for negative tau (backward probes). A ``propagator`` built
-    for the same damping and nonlinearity supplies its precomputed tables
-    (its half step, tau = dt/2).
-    """
-    if propagator is None:
-        flow = _DampingFlow(damping, tau, nonlinearity)
-    else:
-        flow = _matching(propagator.half_damping, tau)
-    return Field(flow(u.values), u.spec)
-
-
-def linear_substep(u: Field, metric: MetricField, tau: float, cfg: SolverConfig,
-                   propagator: Propagator | None = None) -> Field:
-    """Approximate exp(i tau div(G grad .)) u; exact when G = I.
-
-    A ``propagator`` built for the same metric and cfg supplies its
-    precomputed multipliers (its full step, tau = dt).
-    """
-    if propagator is None:
-        flow = _LinearFlow(u.spec, metric, tau, cfg)
-    else:
-        flow = _matching(propagator.linear, tau)
-    return Field(flow(u.values), u.spec)
-
-
-def step(state: SimulationState, cfg: SolverConfig,
-         propagator: Propagator | None = None) -> SimulationState:
-    """Advance one Strang step.
-
-    ``propagator`` is the run's Propagator for (state.metric, state.damping,
-    cfg); one is built for this step alone when it is omitted, and one built
-    for anything else is refused.
-    """
-    dt = cfg.signed_dt
-    spec = state.u.spec
-    if propagator is None:
-        propagator = Propagator(spec, state.metric, state.damping, cfg)
-    elif (propagator.metric is not state.metric
-          or propagator.damping is not state.damping or propagator.cfg != cfg):
-        raise DomainError(
-            "propagator was built for another metric, damping or solver config"
-        )
-    u = nonlinear_damping_substep(state.u, state.damping, dt / 2.0,
-                                  cfg.nonlinearity, propagator)
-    u = linear_substep(u, state.metric, dt, cfg, propagator)
-    u = nonlinear_damping_substep(u, state.damping, dt / 2.0, cfg.nonlinearity,
-                                  propagator)
-    values = u.values
+    spec, metric, cfg = propagator.spec, propagator.metric, propagator.cfg
+    coeffs = spec.fft(u.values)
     if cfg.dealias:
-        values = spec.band_limit(values)
-    return SimulationState(
-        u=Field(values, spec),
-        t=state.t + dt,
-        step=state.step + 1,
-        metric=state.metric,
-        damping=state.damping,
-    )
+        coeffs[~spec.dealias_mask] = 0.0
+    if metric.is_identity:
+        for factor in propagator.free:
+            coeffs *= factor
+        return Field(spec.ifft(coeffs), spec)
+
+    def rhs(c: np.ndarray) -> np.ndarray:
+        return 1j * flux_divergence(c, spec, metric.perturbation,
+                                    metric.direction, cfg.dealias)
+
+    for factor in propagator.free:
+        coeffs *= factor
+    guard = np.abs(spec.ifft(coeffs)).max()
+    m = cfg.inner_perturbation_steps
+    for _ in range(m):
+        coeffs = rk4(coeffs, rhs, propagator.dt / m)
+        if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
+            suggestion = cfl_suggestion(spec, metric, cfg.duration, m,
+                                        cfg.dealias)
+            raise StabilityError(
+                "linear substep blew up; reduce dt toward the suggested bound "
+                f"{suggestion:.3g} or raise inner_perturbation_steps",
+                dt_suggestion=suggestion,
+            )
+    for factor in propagator.free:
+        coeffs *= factor
+    return Field(spec.ifft(coeffs), spec)
+
+
+def step(state: SimulationState, propagator: Propagator) -> SimulationState:
+    """Advance one Strang step of the run's ``propagator``."""
+    u = nonlinear_damping_substep(state.u, propagator)
+    u = linear_substep(u, propagator)
+    u = nonlinear_damping_substep(u, propagator)
+    values = u.values
+    if propagator.cfg.dealias:
+        values = u.spec.band_limit(values)
+    return SimulationState(Field(values, u.spec), state.t + propagator.dt,
+                           state.step + 1)
 
 
 def cfl_suggestion(
@@ -335,7 +263,8 @@ def simulate(
     ``cfg.boundary_mass_warn`` of the total triggers a one-shot warning.
     """
     spec = u0.spec
-    if metric.spec != spec or damping.spec != spec:
+    propagator = Propagator(metric, damping, cfg)
+    if propagator.spec != spec:
         raise GridMismatchError("initial data and coefficients on different grids")
     u0.validate()
     if control_satisfied is False:
@@ -347,8 +276,7 @@ def simulate(
     values = u0.values
     if cfg.dealias:
         values = spec.band_limit(values)
-    state = SimulationState(Field(values, spec), t0, 0, metric, damping)
-    propagator = Propagator(spec, metric, damping, cfg)
+    state = SimulationState(Field(values, spec), t0, 0)
 
     series: dict[str, ObservableSeries] = {
         mon.name: ObservableSeries(mon.name) for mon in monitors
@@ -387,12 +315,13 @@ def simulate(
     record(state, final=False)
     initial_peak = float(np.abs(state.u.values).max())
     for i in range(1, n_steps + 1):
-        state = step(state, cfg, propagator)
-        values_flat = state.u.values.view(np.float64)
-        if not np.all(np.isfinite(values_flat)):
+        state = step(state, propagator)
+        # one pass: NaN and inf reach the peak through max
+        peak = np.abs(state.u.values).max()
+        if not np.isfinite(peak):
             raise StabilityError(f"solution became non-finite at step {i}")
         # defocusing dynamics cannot blow up; norm explosion means instability
-        if initial_peak > 0 and np.abs(state.u.values).max() > _BLOWUP_FACTOR * initial_peak:
+        if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
             suggestion = cfl_suggestion(spec, metric, cfg.duration,
                                         cfg.inner_perturbation_steps, cfg.dealias)
             raise StabilityError(

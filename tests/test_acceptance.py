@@ -12,6 +12,7 @@ import pytest
 from dnls.geometry import build_preset, check_control, cutoff_field
 from dnls.grid import Field, GridSpec, gradient, sobolev_norm, weight_tables
 from dnls.observables import (
+    Frame,
     Monitor,
     bilinear_interaction,
     energy,
@@ -98,8 +99,8 @@ def test_criterion_1_conservation():
         metric, damping = build_preset(preset, spec, params)
         dt = cfl_suggestion(spec, metric, 1.0) / 4.0
         monitors = [
-            Monitor("mass", lambda s, c: mass(s.u), 1),
-            Monitor("energy", lambda s, c, m=metric: energy(s.u, m), 1),
+            Monitor("mass", lambda s, frame: mass(frame), 1),
+            Monitor("energy", lambda s, frame, m=metric: energy(frame, m), 1),
         ]
         start = time.perf_counter()
         res = simulate(u0, metric, damping, SolverConfig(dt=dt, duration=1.0),
@@ -221,7 +222,7 @@ def test_criterion_8_bilinear_functional():
     spec = GridSpec(3, 16, 6.0)
     tables = weight_tables(spec)
     u = band_limited_random(spec, seed=11)
-    fft_value = bilinear_interaction(u, tables)
+    fft_value = bilinear_interaction(Frame(u), tables)
     momentum = [(np.conj(u.values) * g.values).imag for g in gradient(u)]
     mod2 = np.abs(u.values) ** 2
     oracle = 0.0
@@ -337,7 +338,7 @@ def test_criterion_11_backward_mass_bound():
     metric, damping = build_preset("identity", spec, {"damping_radius": 4.0})
     u0 = gaussian_field(spec, amplitude=0.5, width=1.0)
     res = simulate(u0, metric, damping, SolverConfig(dt=0.005, duration=-0.5),
-                   monitors=[Monitor("mass", lambda s, c: mass(s.u), 1)])
+                   monitors=[Monitor("mass", lambda s, frame: mass(frame), 1)])
     M = res.series["mass"]
     bound = M.values[0] * np.exp(2.0 * damping.sup * np.abs(M.times)) * (1 + 1e-6)
     worst = np.max(M.values / bound)

@@ -84,6 +84,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_simulate_refuses_a_cutoff_that_misses_the_damping(tmp_path, capsys):
+    cfg = _write(tmp_path, "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
+                 "[geometry]\npreset = conformal_bump\ndamping_radius = 4.0\n"
+                 "[observables]\ncutoff_flat_radius = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "[observables] cutoff must equal 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_tiny_run_completes_quickly(tmp_path):
     cfg = _write(tmp_path, TINY_1D)
     out = tmp_path / "run1"

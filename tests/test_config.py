@@ -170,8 +170,6 @@ def test_cutoff_radii_resolution():
 def test_default_cutoff_covers_an_annulus_damping():
     # the default flat radius comes from the annulus' outer radius, not from
     # the ball radius the annulus ignores
-    from dnls.scattering import cutoff_diagnostics
-
     cfg = parse_config_text(
         "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
         "[geometry]\npreset = conformal_bump\ndamping_shape = annulus\n"
@@ -182,7 +180,37 @@ def test_default_cutoff_covers_an_annulus_damping():
     assert cfg.resolved_cutoff_radii(damping) == (6.5, 9.25)
     chi = cfg.cutoff(spec)
     assert np.all(chi[damping.table > 0.0] == 1.0)
-    cutoff_diagnostics(cfg.initial_field(spec), chi, damping)
+
+
+NARROW_CUTOFF = """\
+[grid]
+dim = 2
+n = 64
+box_half_length = 12.0
+
+[geometry]
+preset = conformal_bump
+damping_radius = 4.0
+
+[observables]
+cutoff_flat_radius = 1.0
+"""
+
+
+def test_cutoff_must_cover_the_damping():
+    # chi = 1 on B(0, 1) only, while a > a_min out to radius 4: the far field
+    # (1 - chi) u would not solve the free equation
+    with pytest.raises(ConfigError, match=r"\[observables\] cutoff must equal 1 "
+                       r"on the damping support \(max deviation 5\.40"):
+        parse_config_text(NARROW_CUTOFF)
+    # a flat radius that clears the damping ball passes
+    cfg = parse_config_text(NARROW_CUTOFF.replace("= 1.0", "= 4.0"))
+    chi = cfg.cutoff()
+    _, damping = cfg.build_geometry()
+    assert np.all(chi[damping.table > cfg.geometry.a_min] == 1.0)
+    # the cover is asked only where the damping is active
+    parse_config_text(NARROW_CUTOFF.replace("damping_radius = 4.0",
+                                            "damping_amplitude = 0.0"))
 
 
 @pytest.mark.parametrize("line", ["damping_amplitude = inf",
@@ -209,14 +237,15 @@ def test_metric_radius_is_left_to_the_preset():
         metric, damping = cfg.build_geometry()
         assert metric.radius == 2.0
         assert damping.radius == 4.0
-    # the identity preset has no bump, so its radius need not fit the box
+    # the identity preset has no bump, so its radius need not fit the box,
+    # and its default damping radius does not follow it
     cfg = parse_config_text(
         "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
         "[geometry]\npreset = identity\nmetric_radius = 20.0\n"
-        "damping_radius = 4.0\n"
     )
-    metric, _ = cfg.build_geometry()
+    metric, damping = cfg.build_geometry()
     assert metric.is_identity
+    assert damping.radius == 4.0
     # a bump must still fit
     with pytest.raises(ConfigError, match=r"\[geometry\] metric bump radius"):
         parse_config_text(

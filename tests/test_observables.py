@@ -90,14 +90,14 @@ def test_residual_rejects_misaligned_series():
 def test_mass_of_plane_wave_is_box_volume():
     f = Field(np.exp(1j * np.pi / 10.0 * np.broadcast_to(SPEC.coords[0], SPEC.shape)),
               SPEC)
-    assert mass(f) == pytest.approx(20.0**2, rel=1e-13)
-    assert mass(Field(np.zeros(SPEC.shape, dtype=complex), SPEC)) == 0.0
+    assert mass(Frame(f)) == pytest.approx(20.0**2, rel=1e-13)
+    assert mass(Frame(Field(np.zeros(SPEC.shape, dtype=complex), SPEC))) == 0.0
 
 
 def test_mass_of_3d_gaussian():
     spec = GridSpec(3, 64, 10.0)
     f = gaussian_field(spec, amplitude=1.0, width=1.0)  # int e^{-r^2} = pi^{3/2}
-    assert mass(f) == pytest.approx(np.pi**1.5, rel=1e-8)
+    assert mass(Frame(f)) == pytest.approx(np.pi**1.5, rel=1e-8)
 
 
 def test_energy_single_mode_closed_form():
@@ -107,14 +107,14 @@ def test_energy_single_mode_closed_form():
     f = Field(eps * np.exp(1j * k * np.broadcast_to(SPEC.coords[0], SPEC.shape)), SPEC)
     vol = 20.0**2
     expected = 0.5 * eps**2 * k**2 * vol + 0.25 * eps**4 * vol
-    assert energy(f, metric) == pytest.approx(expected, rel=1e-12)
+    assert energy(Frame(f), metric) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_of_real_constant_is_quartic_only():
     metric, _ = build_preset("conformal_bump", SPEC)
     c = 0.7
     f = Field(np.full(SPEC.shape, c, dtype=complex), SPEC)
-    assert energy(f, metric) == pytest.approx(0.25 * c**4 * 20.0**2, rel=1e-12)
+    assert energy(Frame(f), metric) == pytest.approx(0.25 * c**4 * 20.0**2, rel=1e-12)
 
 
 def test_energy_gaussian_matches_dense_quadrature_1d():
@@ -123,7 +123,7 @@ def test_energy_gaussian_matches_dense_quadrature_1d():
     f = Field(np.exp(-spec.x1d**2 / 2.0).astype(complex), spec)
     kinetic, _ = quad(lambda x: 0.5 * x**2 * np.exp(-(x**2)), -14, 14)
     quartic, _ = quad(lambda x: 0.25 * np.exp(-2 * x**2), -14, 14)
-    assert energy(f, metric) == pytest.approx(kinetic + quartic, rel=1e-8)
+    assert energy(Frame(f), metric) == pytest.approx(kinetic + quartic, rel=1e-8)
 
 
 # -- virial -----------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_energy_gaussian_matches_dense_quadrature_1d():
 
 def test_virial_vanishes_for_real_fields():
     f = gaussian_field(SPEC, amplitude=1.0)
-    assert abs(morawetz_virial(f, TABLES)) < 1e-14
+    assert abs(morawetz_virial(Frame(f), TABLES)) < 1e-14
 
 
 def test_virial_of_plane_wave_suppressed_by_parity():
@@ -139,7 +139,7 @@ def test_virial_of_plane_wave_suppressed_by_parity():
     # unpaired x1 = -L plane of the half-open grid, an O(1/n) defect
     k = 2 * np.pi / 10.0
     f = Field(np.exp(1j * k * np.broadcast_to(SPEC.coords[0], SPEC.shape)), SPEC)
-    got = morawetz_virial(f, TABLES)
+    got = morawetz_virial(Frame(f), TABLES)
     exact_discrete = k * float(SPEC.quadrature(TABLES.grad_chi[0]).real)
     assert got == pytest.approx(exact_discrete, rel=1e-10)
     no_cancellation = k * float(SPEC.quadrature(np.abs(TABLES.grad_chi[0])).real)
@@ -152,7 +152,7 @@ def test_virial_of_boosted_packet_matches_dense_quadrature():
     # separable dense quadrature.
     k = 1.0
     f = gaussian_field(SPEC, amplitude=1.0, width=1.0, momentum=k)
-    got = morawetz_virial(f, TABLES)
+    got = morawetz_virial(Frame(f), TABLES)
 
     def integrand_x(x, y):
         return np.exp(-(x**2 + y**2)) * k * x / np.sqrt(1 + x**2 + y**2)
@@ -298,7 +298,7 @@ def test_virial_rate_hessian_closed_form_matches_the_table(
     damping = DampingField(spec, amplitude=1.0, radius=3.0)
     u = band_limited_random(spec, seed=seed, k_scale=k_scale)
     u = Field(amplitude * u.values, spec)
-    got = morawetz_rate_rhs(u, tables, damping, nonlinearity)
+    got = morawetz_rate_rhs(Frame(u), tables, damping, nonlinearity)
     want = _rate_rhs_by_tables(u, tables, damping, nonlinearity)
     assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -395,8 +395,8 @@ def test_local_sobolev_decay_validation_and_l2_case():
     u = gaussian_field(SPEC, amplitude=0.5)
     chi = cutoff_field(SPEC, 3.0, 6.0)
     with pytest.raises(DomainError):
-        local_sobolev_decay(u, chi, 1.0)
-    got = local_sobolev_decay(u, chi, 0.0)
+        local_sobolev_decay(Frame(u), chi, 1.0)
+    got = local_sobolev_decay(Frame(u), chi, 0.0)
     assert got == pytest.approx(
         np.sqrt(SPEC.quadrature(np.abs(chi * u.values) ** 2).real), rel=1e-12
     )
@@ -456,8 +456,8 @@ def test_bilinear_vanishes_for_real_field():
     tables = weight_tables(spec)
     u = gaussian_field(spec, amplitude=1.0)
     # Im(conj u grad u) is pure rounding noise for real data
-    scale = mass(u) ** 2
-    assert abs(bilinear_interaction(u, tables)) < 1e-8 * scale
+    scale = mass(Frame(u)) ** 2
+    assert abs(bilinear_interaction(Frame(u), tables)) < 1e-8 * scale
 
 
 def test_bilinear_plane_wave_reduces_to_kernel_mean():
@@ -467,7 +467,7 @@ def test_bilinear_plane_wave_reduces_to_kernel_mean():
     tables = weight_tables(spec)
     k = np.pi / 6.0
     u = Field(np.exp(1j * k * np.broadcast_to(spec.coords[0], spec.shape)), spec)
-    got = bilinear_interaction(u, tables)
+    got = bilinear_interaction(Frame(u), tables)
     kernel_mean = float(spec.quadrature(tables.grad_rho[0]).real)
     assert got == pytest.approx(k * kernel_mean * spec.volume, rel=1e-10)
     no_cancellation = float(spec.quadrature(np.abs(tables.grad_rho[0])).real)
@@ -478,7 +478,7 @@ def test_bilinear_matches_direct_double_sum_oracle():
     spec = GridSpec(3, 16, 6.0)
     tables = weight_tables(spec)
     u = band_limited_random(spec, seed=11)
-    got = bilinear_interaction(u, tables)
+    got = bilinear_interaction(Frame(u), tables)
     grads = gradient(u)
     momentum = [(np.conj(u.values) * g.values).imag for g in grads]
     mod2 = np.abs(u.values) ** 2
@@ -518,7 +518,7 @@ def test_half_spectrum_interaction_matches_the_full_spectrum(
     tables = _INTERACTION_TABLES[dim]
     u = band_limited_random(spec, seed=seed, k_scale=k_scale)
     u = Field(amplitude * u.values, spec)
-    got = bilinear_interaction(u, tables)
+    got = bilinear_interaction(Frame(u), tables)
     want = bilinear_interaction_full_spectrum(u, tables)
     frame = Frame(u)
     terms = sum(
@@ -627,7 +627,7 @@ def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
     monitors = {mon.name: mon for mon in standard_monitors(
         metric, damping, weight_tables(spec))}
     u = band_limited_random(spec, seed=3)
-    state = SimulationState(u, 0.0, 0, metric, damping)
+    state = SimulationState(u, 0.0, 0)
     frame = Frame(u)
     monitors["energy"].fn(state, frame)  # computes the record's gradients
     calls = []
@@ -670,7 +670,7 @@ def test_records_build_each_sobolev_weight_row_once(monkeypatch):
     # keyed on the grid and the exponents, not on arrays: an equal grid built
     # anew, another field and another cutoff array reuse the rows
     other = GridSpec(2, 32, 8.0)
-    local_sobolev_decay(band_limited_random(other, seed=4),
+    local_sobolev_decay(Frame(band_limited_random(other, seed=4)),
                         cutoff_field(other, 4.0, 7.0), 0.5)
     assert len(built) == 2
     # another exponent set or grid builds its own rows, in a bounded cache
@@ -695,7 +695,7 @@ def _record_peaks_3d():
     monitors = standard_monitors(metric, damping, tables, local_radius=2.5,
                                  cutoff=cutoff_field(spec, 4.5, 6.5))
     u = smooth_random_field(spec, seed=1)
-    state = SimulationState(u, 0.0, 0, metric, damping)
+    state = SimulationState(u, 0.0, 0)
     unit = spec.size * 8
     peaks = []
     tracemalloc.start()
@@ -800,7 +800,7 @@ def _golden_monitor_values(preset, dim):
     monitors = standard_monitors(metric, damping, weight_tables(spec),
                                  local_radius=2.5,
                                  cutoff=cutoff_field(spec, 4.5, 6.5))
-    state = SimulationState(u, 0.0, 0, metric, damping)
+    state = SimulationState(u, 0.0, 0)
     frame = Frame(u)
     return {mon.name: float(mon.fn(state, frame)) for mon in monitors}
 

@@ -3,21 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.errors import ConfigError, DomainError, GridMismatchError, SamplingError
+from dnls.errors import DomainError, GridMismatchError, SamplingError
 from dnls.geometry import DampingField, build_preset, cutoff_field
-from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm, weight_tables
-from dnls.observables import Frame, standard_monitors
+from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm
 from dnls.scattering import (
     _monotone_tail_verdict,
     cauchy_scan,
     commutator_with_cutoff,
     cutoff_derivatives,
-    cutoff_diagnostics,
     extract_profile,
     free_evolve,
     free_pullback,
 )
-from dnls.solver import SimulationState, SolverConfig, simulate
+from dnls.solver import SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
 
@@ -285,7 +283,8 @@ def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():
 
 def test_commutator_vanishes_for_constant_cutoff():
     u = band_limited_random(SPEC, seed=5)
-    comm = commutator_with_cutoff(u, np.ones(SPEC.shape))
+    comm = commutator_with_cutoff(u, gradient(u),
+                                  cutoff_derivatives(np.ones(SPEC.shape), SPEC))
     assert np.max(np.abs(comm.values)) < 1e-12
 
 
@@ -297,31 +296,12 @@ def test_commutator_two_path_identity():
     chi = np.exp(-spec.radius_squared / (2 * 1.2**2))
     for seed in range(3):
         u = band_limited_random(spec, seed=seed)
-        via_rule = commutator_with_cutoff(u, chi)
+        via_rule = commutator_with_cutoff(u, gradient(u),
+                                          cutoff_derivatives(chi, spec))
         chi_u = Field(chi * u.values, spec)
         direct = laplacian(chi_u).values - chi * laplacian(u).values
         scale = np.max(np.abs(direct)) + 1.0
         assert np.max(np.abs(via_rule.values - direct)) < 1e-10 * scale
-
-
-def test_cutoff_diagnostics_requires_cover_of_damping():
-    damping = DampingField(SPEC, amplitude=1.0, radius=3.0)
-    u = gaussian_field(SPEC, amplitude=0.5)
-    small = cutoff_field(SPEC, 1.0, 2.0)  # not 1 on all of supp a
-    with pytest.raises(ConfigError):
-        cutoff_diagnostics(u, small, damping)
-
-
-def test_cutoff_diagnostics_values():
-    damping = DampingField(SPEC, amplitude=1.0, radius=3.0)
-    chi = cutoff_field(SPEC, 3.5, 7.0)
-    u = gaussian_field(SPEC, amplitude=0.5)
-    diag = cutoff_diagnostics(u, chi, damping, s_values=(0.0, 0.5))
-    assert diag.cutoff_hs[0.0] == pytest.approx(
-        np.sqrt(SPEC.quadrature(np.abs(chi * u.values) ** 2).real), rel=1e-12
-    )
-    assert diag.cutoff_hs[0.5] >= diag.cutoff_hs[0.0]
-    assert diag.commutator_l2 > 0.0
 
 
 def test_far_field_vanishes_when_data_sits_in_flat_region():
@@ -330,33 +310,3 @@ def test_far_field_vanishes_when_data_sits_in_flat_region():
     u = gaussian_field(SPEC, amplitude=0.5, width=0.5)  # supported in r < 4
     w = (1.0 - chi) * u.values
     assert np.max(np.abs(w)) < 1e-9  # gaussian tail at the cutoff shoulder
-
-
-def test_cutoff_diagnostics_commutator_equals_the_monitor():
-    # one [lap, chi] u for both: the spectral derivatives of the real cutoff
-    # carry an imaginary Nyquist artifact (about 8e-5 here) that both drop;
-    # and one H^s helper, on one transform of chi u, for both
-    spec = GridSpec(2, 128, 12.0)
-    metric, damping = build_preset("identity", spec, {"damping_radius": 4.0})
-    chi = cutoff_field(spec, 4.5, 8.0)
-    u = gaussian_field(spec, amplitude=0.5, width=1.5, momentum=1.0)
-    monitors = {mon.name: mon for mon in standard_monitors(
-        metric, damping, weight_tables(spec), cutoff=chi)}
-    state = SimulationState(u, 0.0, 0, metric, damping)
-    frame = Frame(u)
-    from_monitor = monitors["commutator_l2_sq"].fn(state, frame)
-    diag = cutoff_diagnostics(u, chi, damping)
-    assert diag.commutator_l2**2 == pytest.approx(from_monitor, rel=1e-12, abs=0.0)
-    assert sorted(diag.cutoff_hs) == [0.0, 0.5]
-    for s, value in diag.cutoff_hs.items():
-        from_monitor = monitors[f"cutoff_hs_{s:g}"].fn(state, frame)
-        assert value == pytest.approx(from_monitor, rel=1e-12, abs=0.0)
-
-
-def test_commutator_reuses_given_gradients_and_cutoff_derivatives():
-    chi = cutoff_field(SPEC, 3.0, 6.0)
-    u = band_limited_random(SPEC, seed=2)
-    plain = commutator_with_cutoff(u, chi)
-    cached = commutator_with_cutoff(u, chi, gradient(u),
-                                    cutoff_derivatives(chi, SPEC))
-    assert np.array_equal(plain.values, cached.values)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.errors import DomainError, StabilityError
+import dnls.solver
+from dnls.errors import DomainError, GridMismatchError, StabilityError
 from dnls.geometry import DampingField, MetricField, build_preset
 from dnls.grid import Field, GridSpec
-from dnls.observables import Monitor, mass
+from dnls.observables import Frame, Monitor, mass
 from dnls.solver import (
     Propagator,
     SimulationState,
@@ -25,7 +26,20 @@ SPEC = GridSpec(2, 64, 10.0)
 
 
 def _mass_monitor():
-    return [Monitor("mass", lambda st_, c: mass(st_.u), 1)]
+    return [Monitor("mass", lambda st_, frame: mass(frame), 1)]
+
+
+def _half_step(damping, tau, nonlinearity=True):
+    """A propagator whose damping half step is tau (negative runs backward)."""
+    cfg = SolverConfig(dt=2.0 * abs(tau), duration=2.0 * tau,
+                       nonlinearity=nonlinearity)
+    return Propagator(MetricField(damping.spec), damping, cfg)
+
+
+def _linear(metric, cfg):
+    """A propagator for the linear flow of ``metric`` over cfg.dt, undamped."""
+    return Propagator(metric, DampingField(metric.spec, amplitude=0.0, radius=1.0),
+                      cfg)
 
 
 # -- nonlinear + damping substep -----------------------------------------------
@@ -34,14 +48,15 @@ def _mass_monitor():
 def test_substep_pure_phase_rotation_without_damping():
     damping = DampingField(SPEC, amplitude=0.0, radius=3.0)
     u = Field(np.ones(SPEC.shape, dtype=complex), SPEC)  # |u|^2 = 1
-    out = nonlinear_damping_substep(u, damping, 1.0)
+    out = nonlinear_damping_substep(u, _half_step(damping, 1.0))
     assert np.max(np.abs(out.values - np.exp(-1j))) < 1e-14
 
 
 def test_substep_pure_decay_with_nonlinearity_off():
     damping = DampingField(SPEC, amplitude=0.7, radius=3.0)
     u = band_limited_random(SPEC, seed=1)
-    out = nonlinear_damping_substep(u, damping, 0.5, nonlinearity=False)
+    out = nonlinear_damping_substep(
+        u, _half_step(damping, 0.5, nonlinearity=False))
     expected = u.values * np.exp(-damping.table * 0.5)
     assert np.max(np.abs(out.values - expected)) < 1e-14
 
@@ -51,7 +66,7 @@ def test_substep_modulus_law_generic():
     raw = band_limited_random(SPEC, seed=2)
     u = Field(raw.values / np.abs(raw.values).max(), SPEC)
     tau = 0.1
-    out = nonlinear_damping_substep(u, damping, tau)
+    out = nonlinear_damping_substep(u, _half_step(damping, tau))
     got = np.abs(out.values) ** 2
     expected = np.abs(u.values) ** 2 * np.exp(-2.0 * damping.table * tau)
     assert np.max(np.abs(got - expected)) < 1e-14
@@ -66,7 +81,7 @@ def test_substep_modulus_law_property(tau, amp):
     spec = GridSpec(1, 32, 4.0)
     damping = DampingField(spec, amplitude=amp, radius=2.0)
     u = band_limited_random(spec, seed=5)
-    out = nonlinear_damping_substep(u, damping, tau)
+    out = nonlinear_damping_substep(u, _half_step(damping, tau))
     expected = np.abs(u.values) * np.exp(-damping.table * tau)
     assert np.max(np.abs(np.abs(out.values) - expected)) < 1e-12
 
@@ -76,10 +91,9 @@ def test_substep_composition_matches_single_step():
     damping = DampingField(SPEC, amplitude=0.9, radius=3.0)
     raw = band_limited_random(SPEC, seed=3)
     u = Field(raw.values / np.abs(raw.values).max(), SPEC)
-    once = nonlinear_damping_substep(u, damping, 0.2)
-    twice = nonlinear_damping_substep(
-        nonlinear_damping_substep(u, damping, 0.1), damping, 0.1
-    )
+    once = nonlinear_damping_substep(u, _half_step(damping, 0.2))
+    half = _half_step(damping, 0.1)
+    twice = nonlinear_damping_substep(nonlinear_damping_substep(u, half), half)
     assert np.max(np.abs(once.values - twice.values)) < 1e-13
 
 
@@ -88,10 +102,10 @@ def test_substep_composition_matches_single_step():
 
 def test_linear_substep_mode_multiplier():
     metric, _ = build_preset("identity", SPEC)
-    cfg = SolverConfig(dt=0.1, duration=1.0, dealias=False)
+    cfg = SolverConfig(dt=0.37, duration=1.0, dealias=False)
     k = np.pi / 10.0 * 3
     u = Field(np.exp(1j * k * np.broadcast_to(SPEC.coords[0], SPEC.shape)), SPEC)
-    out = linear_substep(u, metric, 0.37, cfg)
+    out = linear_substep(u, _linear(metric, cfg))
     expected = np.exp(-1j * k**2 * 0.37) * u.values
     assert np.max(np.abs(out.values - expected)) < 1e-13
 
@@ -104,7 +118,7 @@ def test_linear_substep_free_gaussian_closed_form():
     s0 = 1.0
     u0 = Field(np.exp(-spec.x1d**2 / (2 * s0)).astype(complex), spec)
     t = 0.5
-    out = linear_substep(u0, metric, t, cfg)
+    out = linear_substep(u0, _linear(metric, cfg))
     s = s0 + 2j * t
     exact = (s0 / s) ** 0.5 * np.exp(-spec.x1d**2 / (2 * s))
     err = np.sqrt(spec.quadrature(np.abs(out.values - exact) ** 2).real)
@@ -117,10 +131,12 @@ def test_linear_substep_self_convergence_generic_metric():
     tau = 0.2
 
     def advance(n_sub):
-        cfg = SolverConfig(dt=tau, duration=1.0, inner_perturbation_steps=4)
+        cfg = SolverConfig(dt=tau / n_sub, duration=1.0,
+                           inner_perturbation_steps=4)
+        propagator = _linear(metric, cfg)
         u = u0
         for _ in range(n_sub):
-            u = linear_substep(u, metric, tau / n_sub, cfg)
+            u = linear_substep(u, propagator)
         return u.values
 
     reference = advance(16)
@@ -134,7 +150,7 @@ def test_linear_substep_stability_abort():
     cfg = SolverConfig(dt=5.0, duration=10.0, inner_perturbation_steps=4)
     u0 = band_limited_random(SPEC, seed=8, k_scale=50.0)  # flat in-band spectrum
     with pytest.raises(StabilityError) as excinfo:
-        linear_substep(u0, metric, 5.0, cfg)
+        linear_substep(u0, _linear(metric, cfg))
     assert excinfo.value.dt_suggestion is not None
 
 
@@ -146,10 +162,10 @@ def test_plane_wave_exact_over_hundred_steps():
     k = 2 * np.pi / 10.0
     A = 0.5
     x = np.broadcast_to(SPEC.coords[0], SPEC.shape)
-    state = SimulationState(Field(A * np.exp(1j * k * x), SPEC), 0.0, 0, metric, damping)
-    cfg = SolverConfig(dt=0.01, duration=1.0)
+    state = SimulationState(Field(A * np.exp(1j * k * x), SPEC), 0.0, 0)
+    propagator = Propagator(metric, damping, SolverConfig(dt=0.01, duration=1.0))
     for _ in range(100):
-        state = step(state, cfg)
+        state = step(state, propagator)
     omega = k**2 + A**2
     exact = A * np.exp(1j * (k * x - omega * state.t))
     assert np.max(np.abs(state.u.values - exact)) < 1e-8
@@ -157,10 +173,8 @@ def test_plane_wave_exact_over_hundred_steps():
 
 def test_zero_field_stays_zero():
     metric, damping = build_preset("conformal_bump", SPEC)
-    state = SimulationState(
-        Field(np.zeros(SPEC.shape, dtype=complex), SPEC), 0.0, 0, metric, damping
-    )
-    out = step(state, SolverConfig(dt=0.01, duration=1.0))
+    state = SimulationState(Field(np.zeros(SPEC.shape, dtype=complex), SPEC), 0.0, 0)
+    out = step(state, Propagator(metric, damping, SolverConfig(dt=0.01, duration=1.0)))
     assert np.all(out.u.values == 0.0)
 
 
@@ -190,31 +204,22 @@ def test_strang_self_convergence_order_two():
 
 
 def test_step_reuses_a_propagator_built_for_its_dt_only():
+    # stepping leaves a propagator as built: reused, it gives the bits of
+    # fresh ones, and it advances the clock by its own signed dt
     metric, damping = build_preset("conformal_bump", SPEC)
-    state = SimulationState(gaussian_field(SPEC), 0.0, 0, metric, damping)
+    state = SimulationState(gaussian_field(SPEC), 0.0, 0)
     cfg = SolverConfig(dt=0.01, duration=1.0)
-    propagator = Propagator(SPEC, metric, damping, cfg)
-    assert np.array_equal(step(state, cfg).u.values,
-                          step(state, cfg, propagator).u.values)
-    flat, no_damping = build_preset("identity", SPEC, {"damping_amplitude": 0.0})
-    others = [
-        Propagator(SPEC, metric, damping, SolverConfig(dt=0.02, duration=1.0)),
-        # same dt, another solver config
-        Propagator(SPEC, metric, damping,
-                   SolverConfig(dt=0.01, duration=1.0, dealias=False)),
-        Propagator(SPEC, metric, damping,
-                   SolverConfig(dt=0.01, duration=1.0, nonlinearity=False)),
-        # same cfg, another metric or damping
-        Propagator(SPEC, flat, damping, cfg),
-        Propagator(SPEC, metric, no_damping, cfg),
-    ]
-    for other in others:
-        with pytest.raises(DomainError, match="propagator"):
-            step(state, cfg, other)
-    # a conformal propagator applied to a state on the identity metric
-    flat_state = SimulationState(gaussian_field(SPEC), 0.0, 0, flat, damping)
-    with pytest.raises(DomainError, match="propagator"):
-        step(flat_state, cfg, propagator)
+    reused = Propagator(metric, damping, cfg)
+    twice = step(step(state, reused), reused)
+    fresh = step(step(state, Propagator(metric, damping, cfg)),
+                 Propagator(metric, damping, cfg))
+    assert np.array_equal(twice.u.values, fresh.u.values)
+    assert (twice.t, twice.step) == (0.02, 2)
+    backward = Propagator(metric, damping, SolverConfig(dt=0.01, duration=-1.0))
+    back = step(state, backward)
+    assert (back.t, back.step) == (-0.01, 1)
+    with pytest.raises(GridMismatchError):
+        Propagator(metric, DampingField(GridSpec(2, 32, 10.0)), cfg)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -255,7 +260,7 @@ def test_simulate_records_final_step_and_snapshots():
     metric, damping = build_preset("identity", SPEC, {"damping_amplitude": 0.0})
     u0 = gaussian_field(SPEC, amplitude=0.2)
     res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=0.25),
-                   monitors=[Monitor("mass", lambda s, c: mass(s.u), every=10)],
+                   monitors=[Monitor("mass", lambda s, frame: mass(frame), every=10)],
                    snapshot_every=10)
     times = res.series["mass"].times
     assert times[0] == 0.0
@@ -292,6 +297,41 @@ def test_simulate_boundary_mass_warning():
     with pytest.warns(UserWarning, match="boundary-shell"):
         res = simulate(u0, metric, damping, SolverConfig(dt=0.05, duration=0.1))
     assert res.boundary_mass_warned
+
+
+def _patched_linear_substep(monkeypatch, at_step, spoil):
+    """Let the linear substep of step ``at_step`` hand back ``spoil(values)``."""
+    original = dnls.solver.linear_substep
+    calls = []
+
+    def patched(u, propagator):
+        calls.append(1)
+        out = original(u, propagator)
+        return Field(spoil(out.values), out.spec) if len(calls) == at_step else out
+
+    monkeypatch.setattr(dnls.solver, "linear_substep", patched)
+
+
+def test_simulate_aborts_when_a_step_turns_non_finite(monkeypatch):
+    metric, damping = build_preset("conformal_bump", SPEC)
+    _patched_linear_substep(monkeypatch, 3, lambda v: np.full_like(v, np.nan))
+    with pytest.raises(StabilityError,
+                       match=r"solution became non-finite at step 3$") as excinfo:
+        simulate(gaussian_field(SPEC), metric, damping,
+                 SolverConfig(dt=0.01, duration=0.1))
+    assert excinfo.value.dt_suggestion is None
+
+
+def test_simulate_aborts_on_a_norm_explosion(monkeypatch):
+    metric, damping = build_preset("conformal_bump", SPEC)
+    cfg = SolverConfig(dt=0.01, duration=0.1)
+    _patched_linear_substep(monkeypatch, 2, lambda v: 1e7 * v)
+    with pytest.raises(StabilityError,
+                       match=r"norm explosion at step 2 \(t=0\.02\)") as excinfo:
+        simulate(gaussian_field(SPEC), metric, damping, cfg)
+    expected = cfl_suggestion(SPEC, metric, cfg.duration)
+    assert excinfo.value.dt_suggestion == expected
+    assert f"suggested dt bound {expected:.3g}" in str(excinfo.value)
 
 
 # -- step-size suggestion ------------------------------------------------------------
@@ -392,7 +432,7 @@ def _golden_run(case):
         u = mol_solve(u0, metric, damping, cfg)
     w = np.random.default_rng(11).standard_normal(spec.shape)
     pairing = complex(np.sum(w * u.values))
-    return mass(u), pairing.real, pairing.imag
+    return mass(Frame(u)), pairing.real, pairing.imag
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
@@ -411,8 +451,8 @@ def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
     spec = GridSpec(dim, n, 8.0)
     metric, damping = build_preset(preset, spec)
     cfg = SolverConfig(dt=0.01, duration=1.0, inner_perturbation_steps=inner_steps)
-    state = SimulationState(gaussian_field(spec), 0.0, 0, metric, damping)
-    propagator = Propagator(spec, metric, damping, cfg)
+    state = SimulationState(gaussian_field(spec), 0.0, 0)
+    propagator = Propagator(metric, damping, cfg)
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(GridSpec, name)
@@ -422,7 +462,7 @@ def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
             return _original(self, values)
 
         monkeypatch.setattr(GridSpec, name, counted)
-    step(state, cfg, propagator)
+    step(state, propagator)
     return len(calls)
 
 
@@ -477,8 +517,8 @@ def test_undamped_strang_step_conserves_mass(preset, kind, seed, amplitude, widt
     u0 = _smooth_field(kind, seed, amplitude, width, momentum)
     u0 = Field(spec.band_limit(u0.values), spec)
     cfg = SolverConfig(dt=0.01, duration=1.0)
-    u1 = step(SimulationState(u0, 0.0, 0, metric, damping), cfg).u
-    assert abs(mass(u1) - mass(u0)) <= 1e-13 * mass(u0)
+    u1 = step(SimulationState(u0, 0.0, 0), Propagator(metric, damping, cfg)).u
+    assert abs(mass(Frame(u1)) - mass(Frame(u0))) <= 1e-13 * mass(Frame(u0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -490,6 +530,6 @@ def test_free_strang_step_is_time_reversible(kind, seed, amplitude, width,
     u0 = _smooth_field(kind, seed, amplitude, width, momentum)
     forward = SolverConfig(dt=0.01, duration=1.0, dealias=False)
     backward = SolverConfig(dt=0.01, duration=-1.0, dealias=False)
-    state = step(SimulationState(u0, 0.0, 0, metric, damping), forward)
-    back = step(state, backward).u
+    state = step(SimulationState(u0, 0.0, 0), Propagator(metric, damping, forward))
+    back = step(state, Propagator(metric, damping, backward)).u
     assert np.max(np.abs(back.values - u0.values)) <= 1e-14 * np.abs(u0.values).max()
