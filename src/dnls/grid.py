@@ -34,6 +34,7 @@ __all__ = [
     "laplacian_G",
     "flux_divergence",
     "abs2",
+    "dot",
     "norm_sq",
     "power_spectrum",
     "sobolev_weights",
@@ -318,11 +319,24 @@ def abs2(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def dot(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i for each row a of ``rows`` over the flattened real
+    samples of b: one sum for a single array of b's size, one per row for a
+    (k, b.size) stack.
+
+    The sums run in numpy's own loop, not in BLAS, which splits a long sum
+    over its threads and so rounds differently with the thread count; this
+    order is the same on every host.
+    """
+    b = b.reshape(-1)
+    return np.einsum("ij,j->i", rows.reshape(-1, b.size), b)
+
+
 def norm_sq(values: np.ndarray) -> float:
-    """sum |z|^2 over the samples, in real arithmetic: one dot product of the
+    """sum |z|^2 over the samples, in real arithmetic: one :func:`dot` of the
     interleaved (re, im) pairs, with no temporary array."""
-    flat = np.ascontiguousarray(values).view(np.float64).ravel()
-    return float(flat @ flat)
+    flat = np.ascontiguousarray(values).view(np.float64)
+    return float(dot(flat, flat)[0])
 
 
 def power_spectrum(f: Field) -> np.ndarray:
@@ -363,7 +377,7 @@ def sobolev_norms_from_power(
     :func:`power_spectrum`: one transform serves every exponent, and the
     weight rows of a grid and exponent set are built once and kept."""
     s_values = tuple(float(s) for s in s_values)
-    sums = _weight_rows(spec, s_values, homogeneous) @ power.ravel()
+    sums = dot(_weight_rows(spec, s_values, homogeneous), power)
     return {s: float(np.sqrt(total * spec.volume))
             for s, total in zip(s_values, sums)}
 

@@ -22,6 +22,7 @@ from .grid import (
     GridSpec,
     WeightTables,
     abs2,
+    dot,
     gradient,
     laplacian_G,
     norm_sq,
@@ -247,9 +248,9 @@ def _check_aligned(*series: ObservableSeries) -> np.ndarray:
 
 
 def _integral(a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
-    """Quadrature of the product of two real grid arrays, int a b, as one dot
-    product."""
-    return float(np.vdot(a, b)) * spec.dx**spec.dim
+    """Quadrature of the product of two real grid arrays, int a b, as one
+    :func:`grid.dot`."""
+    return float(dot(a, b)[0]) * spec.dx**spec.dim
 
 
 def mass(frame: Frame) -> float:

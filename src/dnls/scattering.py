@@ -28,6 +28,7 @@ from .errors import DomainError, GridMismatchError, SamplingError
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
+    dot,
     sobolev_norm,
     sobolev_weights,
 )
@@ -118,18 +119,18 @@ def _scan(
 
     Each pair's |v_hat_i - v_hat_j|^2 is formed once, as a direct difference
     so small entries keep their relative accuracy, and reduced against the
-    (1+|k|^2)^s rows of every exponent in one matrix-vector product.
+    (1+|k|^2)^s rows of every exponent in one :func:`grid.dot`.
     """
     s_values = tuple(float(s) for s in s_values)
-    weights = sobolev_weights(spec, s_values).reshape(len(s_values), spec.size)
+    weights = sobolev_weights(spec, s_values)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            diff = (coeffs[i] - coeffs[j]).ravel()
+            diff = coeffs[i] - coeffs[j]
             sq = diff.real**2 + diff.imag**2
             matrices[:, i, j] = matrices[:, j, i] = np.sqrt(
-                (weights @ sq) * spec.volume
+                dot(weights, sq) * spec.volume
             )
     cauchy = dict(zip(s_values, matrices))
     verdicts = {s: _monotone_tail_verdict(times, cauchy[s][-1], tol_mono)
