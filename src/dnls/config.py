@@ -257,11 +257,12 @@ class RunConfig:
                 f"[observables] cutoff radii (flat={flat}, support={support}) must "
                 f"satisfy 0 < flat < support < {L}"
             )
-        # the far field (1 - chi) u solves the free equation only where a = 0
-        active = damping.table > geo.a_min
-        if active.any():
+        # the far field (1 - chi) u solves the free equation only where a = 0;
+        # chi is exactly 1 on the flat ball, so one that holds supp a covers it
+        if flat < damping.support_radius:
             chi = cutoff_field(spec, flat, support)
-            deviation = float(np.max(np.abs(chi[active] - 1.0)))
+            active = damping.table > geo.a_min
+            deviation = float(np.max(np.abs(chi[active] - 1.0), initial=0.0))
             if deviation > 1e-12:
                 raise ConfigError(
                     "[observables] cutoff must equal 1 on the damping support "

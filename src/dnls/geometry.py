@@ -383,7 +383,7 @@ def build_preset(
     if name == "uncontrolled_bump":
         default_radius = metric_radius
     elif name == "identity":
-        default_radius = 4.0  # no bump to clear; the bumps' default at radius 2
+        default_radius = 4.0  # no bump to clear; metric_radius + 2 at the default
     else:
         default_radius = metric_radius + 2.0
     damping_radius = float(p.pop("damping_radius", default_radius))

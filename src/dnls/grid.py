@@ -324,9 +324,9 @@ def dot(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     samples of b: one sum for a single array of b's size, one per row for a
     (k, b.size) stack.
 
-    The sums run in numpy's own loop, not in BLAS, which splits a long sum
-    over its threads and so rounds differently with the thread count; this
-    order is the same on every host.
+    The sums run in numpy's own loop, not in BLAS: BLAS splits a long sum
+    over its threads, so its rounding changes with the thread count, and
+    this loop's does not.
     """
     b = b.reshape(-1)
     return np.einsum("ij,j->i", rows.reshape(-1, b.size), b)

@@ -125,8 +125,8 @@ class Propagator:
         self.spec = spec
         self.metric = metric
         self.cfg = cfg
-        self.dt = cfg.signed_dt
-        self.half_dt = self.dt / 2.0
+        self.dt = dt = cfg.signed_dt
+        self.half_dt = tau = dt / 2.0
         a = damping.table
         support = np.nonzero(a > 0.0)
         self.box = None
@@ -134,14 +134,14 @@ class Propagator:
             self.box = tuple(slice(ix.min(), ix.max() + 1) for ix in support)
             a = a[self.box]
             positive = a > 0.0
-            self.decay = np.exp(-a * self.half_dt)
+            self.decay = np.exp(-a * tau)
             self.phase = np.where(
                 positive,
-                np.expm1(-2.0 * a * self.half_dt) / np.where(positive, 2.0 * a, 1.0),
-                -self.half_dt,
+                np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
+                -tau,
             )
-        tau = self.dt if metric.is_identity else self.half_dt
-        self.free = [np.exp(-1j * k**2 * tau) for k in spec.wavenumbers]
+        free_tau = dt if metric.is_identity else tau
+        self.free = [np.exp(-1j * k**2 * free_tau) for k in spec.wavenumbers]
 
 
 def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:

@@ -203,7 +203,9 @@ def test_cutoff_must_cover_the_damping():
     with pytest.raises(ConfigError, match=r"\[observables\] cutoff must equal 1 "
                        r"on the damping support \(max deviation 5\.40"):
         parse_config_text(NARROW_CUTOFF)
-    # a flat radius that clears the damping ball passes
+    # a flat ball that misses only a rim where a <= a_min passes, and so does
+    # one that holds the damping ball
+    parse_config_text(NARROW_CUTOFF.replace("= 1.0", "= 3.99"))
     cfg = parse_config_text(NARROW_CUTOFF.replace("= 1.0", "= 4.0"))
     chi = cfg.cutoff()
     _, damping = cfg.build_geometry()
