@@ -17,12 +17,9 @@ from .grid import (
     Field,
     GridSpec,
     WeightTables,
-    divergence,
     flux_divergence,
     gradient,
-    laplacian,
     laplacian_G,
-    localized_integral,
     sobolev_norm,
     weight_tables,
 )

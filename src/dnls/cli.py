@@ -345,7 +345,7 @@ def _cmd_simulate(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_scatter(args, cfg_unused) -> int:
+def _cmd_scatter(args) -> int:
     from .config import parse_config
     from .scattering import extract_profile
     from .snapshots import read_snapshot, write_snapshot
@@ -442,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "scatter":
-            return _cmd_scatter(args, None)
+            return _cmd_scatter(args)
         cfg = parse_config(args.config)
         if args.command == "simulate":
             return _cmd_simulate(args, cfg)

@@ -102,7 +102,6 @@ class RaysSection:
 @dataclass
 class RunSection:
     seed: int = 0
-    out_dir: str = "runs/out"
 
 
 _SECTION_TYPES = {
@@ -350,16 +349,15 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                 f"(line {_find_line(text, '[' + section_name) or '?'})"
             )
         section = getattr(cfg, section_name)
-        known = {f.name: f.type for f in dc_fields(section)}
-        type_map = {f.name: type(getattr(section, f.name)) for f in dc_fields(section)}
+        types = {f.name: type(getattr(section, f.name)) for f in dc_fields(section)}
         for key, raw in parser.items(section_name):
-            if key not in known:
+            if key not in types:
                 line = _find_line(text, key)
                 raise ConfigError(
                     f"{source}: unknown key {key!r} in [{section_name}]"
                     + (f" (line {line})" if line else "")
                 )
-            value = _parse_value(raw, type_map[key], f"{source}: [{section_name}] {key}")
+            value = _parse_value(raw, types[key], f"{source}: [{section_name}] {key}")
             setattr(section, key, value)
     return cfg.validate()
 

@@ -17,7 +17,6 @@ from .grid import Field, GridSpec, gradient
 
 __all__ = [
     "bump_profile",
-    "bump_profile_derivative",
     "smooth_transition",
     "cutoff_field",
     "MetricField",
@@ -64,12 +63,6 @@ def bump_profile(r: np.ndarray, radius: float) -> np.ndarray:
     """b(r) = exp(1 - 1/(1-(r/R)^2)) for r < R, 0 otherwise; b(0) = 1."""
     r = np.asarray(r, dtype=np.float64)
     return _bump((r / radius) ** 2)
-
-
-def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:
-    """db/dr = 2 r/R^2 db/ds2; vanishes at r = 0 and outside the support."""
-    r = np.asarray(r, dtype=np.float64)
-    return _bump((r / radius) ** 2, slope=True)[1] * (2.0 * r / radius**2)
 
 
 def smooth_transition(s: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft as _fft
@@ -29,8 +29,6 @@ __all__ = [
     "Field",
     "WeightTables",
     "gradient",
-    "divergence",
-    "laplacian",
     "laplacian_G",
     "flux_divergence",
     "abs2",
@@ -40,8 +38,6 @@ __all__ = [
     "sobolev_weights",
     "sobolev_norms_from_power",
     "sobolev_norm",
-    "h1_density",
-    "localized_integral",
     "weight_tables",
     "rk4",
 ]
@@ -151,6 +147,12 @@ class GridSpec:
             )
         return self.radius_squared <= radius**2
 
+    def free_factors(self, t: float) -> list[np.ndarray]:
+        """The free flow e^{it lap} over time t as d broadcastable
+        one-dimensional multipliers e^{-i k_j^2 t}, one per axis: multiplying
+        Fourier coefficients by each in turn applies e^{-i|k|^2 t}."""
+        return [np.exp(-1j * k**2 * t) for k in self.wavenumbers]
+
     # -- transforms and quadrature -------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
@@ -209,13 +211,6 @@ class Field:
         return float(np.sqrt(norm_sq(self.values) * self.spec.dx**self.spec.dim))
 
 
-def _same_spec(fields: Iterable[Field]) -> GridSpec:
-    specs = {f.spec for f in fields}
-    if len(specs) != 1:
-        raise GridMismatchError("fields live on different grids")
-    return specs.pop()
-
-
 def gradient(f: Field) -> list[Field]:
     """Spectral gradient, one forward and d inverse transforms; exact on
     band-limited fields."""
@@ -226,19 +221,6 @@ def gradient(f: Field) -> list[Field]:
     ]
 
 
-def divergence(components: Sequence[Field]) -> Field:
-    """Spectral divergence via the summed multiplier sum_j i k_j v_j."""
-    spec = _same_spec(components)
-    if len(components) != spec.dim:
-        raise GridMismatchError(
-            f"expected {spec.dim} components, got {len(components)}"
-        )
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    for k, comp in zip(spec.wavenumbers, components):
-        acc += 1j * k * spec.fft(comp.values)
-    return Field(spec.ifft(acc), spec)
-
-
 def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of y' = rhs(y)."""
     k1 = rhs(y)
@@ -246,12 +228,6 @@ def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def laplacian(f: Field) -> Field:
-    """Free Laplacian via the -|k|^2 multiplier."""
-    spec = f.spec
-    return Field(spec.ifft(-spec.k_squared * spec.fft(f.values)), spec)
 
 
 def flux_divergence(
@@ -388,51 +364,20 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
                                     homogeneous)[float(s)]
 
 
-_LOCALIZED_MODES = ("density", "energy", "quartic")
-
-
-def h1_density(f: Field, grads: Sequence[Field]) -> np.ndarray:
-    """Pointwise |u|^2 + |grad u|^2, given the spectral gradients of f."""
-    density = abs2(f.values)
-    for g in grads:
-        density += abs2(g.values)
-    return density
-
-
-def localized_integral(f: Field, radius: float, mode: str = "density") -> float:
-    """Quadrature of |u|^2, |grad u|^2 + |u|^2 or |u|^4 over the ball B(0, R)."""
-    if mode not in _LOCALIZED_MODES:
-        raise DomainError(f"mode must be one of {_LOCALIZED_MODES}, got {mode!r}")
-    spec = f.spec
-    mask = spec.ball_mask(radius)
-    if mode == "density":
-        density = abs2(f.values)
-    elif mode == "quartic":
-        density = abs2(f.values) ** 2
-    else:
-        density = h1_density(f, gradient(f))
-    return float(np.sum(density[mask]) * spec.dx**spec.dim)
-
-
-def _grad_rho_components(spec: GridSpec, shifted: bool = False):
-    """The d components of grad|x| = x/|x| on the grid, one at a time.
+def _grad_rho_components(spec: GridSpec):
+    """The d components of grad|x| = x/|x| on the ifftshifted grid, one at a
+    time: index 0 carries x = 0 and wrapped indices carry x in [-L, L).
 
     The origin node, where the closed form is singular, takes its mean over
-    the 2^d half-grid offsets. ``shifted`` samples the ifftshifted grid, so
-    that index 0 carries x = 0 and wrapped indices carry x in [-L, L).
+    the 2^d half-grid offsets.
     """
     d = spec.dim
-    if shifted:
-        coords = [np.fft.ifftshift(x) for x in spec.coords]
-        r = np.zeros(spec.shape)
-        for x in coords:
-            r += x**2
-        origin = (0,) * d
-    else:
-        coords = spec.coords
-        r = spec.radius_squared.copy()
-        origin = (spec.n // 2,) * d
+    coords = [np.fft.ifftshift(x) for x in spec.coords]
+    r = np.zeros(spec.shape)
+    for x in coords:
+        r += x**2
     np.sqrt(r, out=r)
+    origin = (0,) * d
     assert r[origin] == 0.0
     r[origin] = 1.0
     corners = np.array(list(product((-0.5, 0.5), repeat=d))) * spec.dx
@@ -452,8 +397,7 @@ class WeightTables:
     accumulator; in three dimensions it coincides with ``-bilap_chi``.
 
     :func:`weight_tables` fills the fields. ``grad_rho_hat``, the kernels the
-    bilinear interaction convolves with, is built on first use and kept; the
-    grad|x| table ``grad_rho`` is a reference the package does not read.
+    bilinear interaction convolves with, is built on first use and kept.
     The virial rate needs no D^2 chi table: it uses the closed form.
     """
 
@@ -465,20 +409,15 @@ class WeightTables:
     lambda_kernel: np.ndarray
 
     @cached_property
-    def grad_rho(self) -> np.ndarray:
-        """(dim, ...) table of grad|x| = x/|x|."""
-        return np.stack(list(_grad_rho_components(self.spec)))
-
-    @cached_property
     def grad_rho_hat(self) -> list[np.ndarray]:
         """Half spectra (:meth:`GridSpec.rfft`) of the ifftshifted grad|x|
         components, times size * dx^dim, so that ``irfft(kernel * rfft(f))``
         samples the quadrature of the circular convolution of f with grad|x|.
 
-        Built one component at a time, without the grad|x| table."""
+        Built one component at a time, without a grad|x| table."""
         spec = self.spec
         kernels = []
-        for component in _grad_rho_components(spec, shifted=True):
+        for component in _grad_rho_components(spec):
             kernel = spec.rfft(component)
             kernel *= spec.size * spec.dx**spec.dim
             kernels.append(kernel)

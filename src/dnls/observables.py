@@ -490,7 +490,7 @@ def standard_monitors(
     if local_radius is not None:
         ball = spec.ball_mask(local_radius)
 
-        # the quadratures of localized_integral's "energy" and "density" modes
+        # quadratures over B(0, local_radius) of |u|^2 + |grad u|^2 and |u|^2
         def mon_local_energy(state, frame):
             return float(frame.h1_density[ball].sum() * dv)
 

@@ -28,9 +28,9 @@ from .errors import DomainError, GridMismatchError, SamplingError
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
+    _weight_rows,
     dot,
     sobolev_norm,
-    sobolev_weights,
 )
 
 __all__ = [
@@ -46,11 +46,18 @@ __all__ = [
 Snapshot = tuple[float, Field]
 
 
+def _free_coefficients(u: Field, t: float) -> np.ndarray:
+    """Fourier coefficients of exp(i t lap) u: fft(u) times the
+    :meth:`GridSpec.free_factors` of t, in place."""
+    coeffs = u.spec.fft(u.values)
+    for factor in u.spec.free_factors(t):
+        coeffs *= factor
+    return coeffs
+
+
 def free_evolve(u: Field, t: float) -> Field:
     """exp(i t lap) u via the e^{-i|k|^2 t} multiplier (exact on the torus)."""
-    spec = u.spec
-    return Field(spec.ifft(np.exp(-1j * spec.k_squared * t) * spec.fft(u.values)),
-                 spec)
+    return Field(u.spec.ifft(_free_coefficients(u, t)), u.spec)
 
 
 def free_pullback(u: Field, t: float) -> Field:
@@ -103,8 +110,7 @@ def _pulled_coefficients(
     spec = snapshots[0][1].spec
     if any(u.spec != spec for _, u in snapshots):
         raise GridMismatchError("snapshots live on different grids")
-    coeffs = [np.exp(1j * spec.k_squared * t) * spec.fft(u.values)
-              for t, u in snapshots]
+    coeffs = [_free_coefficients(u, -t) for t, u in snapshots]
     return times, spec, coeffs
 
 
@@ -119,10 +125,12 @@ def _scan(
 
     Each pair's |v_hat_i - v_hat_j|^2 is formed once, as a direct difference
     so small entries keep their relative accuracy, and reduced against the
-    (1+|k|^2)^s rows of every exponent in one :func:`grid.dot`.
+    (1+|k|^2)^s rows of every exponent in one :func:`grid.dot`; the rows are
+    the ones the Sobolev norms cache for the grid and exponents.
     """
     s_values = tuple(float(s) for s in s_values)
-    weights = sobolev_weights(spec, s_values)
+    # positional, as the norms pass it: lru_cache keys a keyword apart
+    weights = _weight_rows(spec, s_values, False)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):

@@ -108,9 +108,9 @@ class Propagator:
       :func:`nonlinear_damping_substep`, tabulated on the bounding box of
       supp a only (outside it the flow is the plain rotation by
       -|u0|^2 dt/2);
-    * the free multiplier e^{-i |k|^2 tau} as d one-dimensional factors, one
-      per axis: over tau = dt when G = I, over tau = dt/2 (each half of the
-      inner sandwich) otherwise;
+    * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
+      :meth:`GridSpec.free_factors`: over tau = dt when G = I, over
+      tau = dt/2 (each half of the inner sandwich) otherwise;
     * the metric, whose structure G - I = p S the inner RK4 uses.
 
     It lives for one ``simulate`` call (or one stability probe), so its tables
@@ -141,7 +141,7 @@ class Propagator:
                 -tau,
             )
         free_tau = dt if metric.is_identity else tau
-        self.free = [np.exp(-1j * k**2 * free_tau) for k in spec.wavenumbers]
+        self.free = spec.free_factors(free_tau)
 
 
 def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:

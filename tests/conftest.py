@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dnls.grid import Field, GridSpec
+from dnls.geometry import build_preset
+from dnls.grid import Field, GridSpec, weight_tables
+from dnls.observables import Frame, standard_monitors
+from dnls.solver import SimulationState
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples are derived from the test
 # itself, and a failure prints the blob that replays it locally.
@@ -30,6 +33,24 @@ def band_limited_random(spec: GridSpec, seed=0, k_scale=1.5) -> Field:
     coeffs *= np.exp(-spec.k_squared / k_scale**2)
     coeffs[~spec.dealias_mask] = 0.0
     return Field(spec.ifft(coeffs), spec)
+
+
+def local_monitors(spec: GridSpec, radius: float) -> dict:
+    """The run's ``local_mass`` and ``local_energy`` monitors on B(0, radius),
+    by name, built as ``simulate`` builds them."""
+    metric, damping = build_preset("identity", spec, {"damping_amplitude": 0.0,
+                                                      "damping_radius": 1.0})
+    monitors = standard_monitors(metric, damping, weight_tables(spec),
+                                 local_radius=radius)
+    return {m.name: m for m in monitors if m.name.startswith("local_")}
+
+
+def local_integrals(u: Field, radius: float) -> dict[str, float]:
+    """The quadratures of |u|^2 and |u|^2 + |grad u|^2 over B(0, radius), as
+    the ``local_mass`` and ``local_energy`` monitors record them."""
+    state, frame = SimulationState(u, 0.0, 0), Frame(u)
+    return {name: mon.fn(state, frame)
+            for name, mon in local_monitors(u.spec, radius).items()}
 
 
 @pytest.fixture(autouse=True)

@@ -10,11 +10,17 @@ ship them.
   dealiased right-hand side. The package integrates only by Strang
   splitting; this reference checks its order and pins the two ``rk4-*``
   golden cases.
+* Tables and multipliers the package builds in another form: the grad|x|
+  table (the package keeps only its half spectra), the radial slope of the
+  bump (the package forms grad p inside ``MetricField.eval_radial``) and
+  the full-grid free multiplier (the package applies it as d
+  one-dimensional factors).
 """
 
 import numpy as np
 
-from dnls.grid import Field, flux_divergence, gradient, rk4
+from dnls.geometry import bump_profile
+from dnls.grid import Field, _grad_rho_components, flux_divergence, gradient, rk4
 
 
 def metric_table(metric) -> np.ndarray:
@@ -113,10 +119,35 @@ def mol_solve(u0: Field, metric, damping, cfg) -> Field:
     return Field(values, spec)
 
 
-def bilinear_interaction_full_spectrum(u: Field, tables) -> float:
+def grad_rho(spec) -> np.ndarray:
+    """(dim, ...) table of grad|x| = x/|x| on the grid, the origin node
+    regularized: the package's ifftshifted components, fftshifted back."""
+    return np.fft.fftshift(np.stack(list(_grad_rho_components(spec))),
+                           axes=tuple(range(1, spec.dim + 1)))
+
+
+def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:
+    """db/dr = -2 r/R^2 b(r) / (1 - (r/R)^2)^2 for r < R, 0 otherwise."""
+    r = np.asarray(r, dtype=np.float64)
+    s2 = (r / radius) ** 2
+    inside = s2 < 1.0
+    out = np.zeros_like(r)
+    t = 1.0 - s2[inside]
+    out[inside] = -2.0 * r[inside] / radius**2 * bump_profile(r[inside], radius) / t**2
+    return out
+
+
+def pulled_coefficients(snapshots) -> list[np.ndarray]:
+    """e^{+i|k|^2 t} fft(u) of each (t, u) snapshot, with the multiplier
+    built on the full grid."""
+    return [np.exp(1j * u.spec.k_squared * t) * u.spec.fft(u.values)
+            for t, u in snapshots]
+
+
+def bilinear_interaction_full_spectrum(u: Field) -> float:
     """The bilinear interaction int |u(y)|^2 Im(conj(u) grad u)(x) .
     grad_rho(x-y) dx dy by full complex transforms: the circular convolution
-    of |u|^2 with the ifftshifted grad|x| table (``tables.grad_rho``),
+    of |u|^2 with the ifftshifted grad|x| table (:func:`grad_rho`),
     evaluated against the kernels' complex spectra. The package runs the same
     convolution on half spectra."""
     spec = u.spec
@@ -124,7 +155,7 @@ def bilinear_interaction_full_spectrum(u: Field, tables) -> float:
     momentum = [(np.conj(u.values) * g.values).imag for g in gradient(u)]
     scale = spec.size * spec.dx**spec.dim  # unnormalized circular conv * dx^d
     total = 0.0
-    for m, kernel in zip(momentum, tables.grad_rho):
+    for m, kernel in zip(momentum, grad_rho(spec)):
         kernel_hat = spec.fft(np.fft.ifftshift(kernel))
         conv = spec.ifft(kernel_hat * mod2_hat).real * scale
         total += float(spec.quadrature(m * conv).real)

@@ -96,6 +96,13 @@ def test_scheme_key_rejected_with_location():
         parse_config_text(bad)
 
 
+def test_out_dir_key_rejected_with_location():
+    # a run's output directory is the required --out flag; the key is gone
+    bad = MINIMAL + "\n[run]\nseed = 3\nout_dir = runs/out\n"
+    with pytest.raises(ConfigError, match=r"unknown key 'out_dir' in \[run\] \(line 8\)"):
+        parse_config_text(bad)
+
+
 def test_cutoff_exponent_range_validated():
     bad = MINIMAL + "\n[observables]\ncutoff_exponents = 0, 1.5\n"
     with pytest.raises(ConfigError, match="cutoff_exponents"):

@@ -9,20 +9,17 @@ from dnls.geometry import MetricField, build_preset
 from dnls.grid import (
     Field,
     GridSpec,
-    divergence,
     flux_divergence,
     gradient,
-    laplacian,
     laplacian_G,
-    localized_integral,
     rk4,
     sobolev_norm,
     sobolev_weights,
     weight_tables,
 )
 
-from conftest import band_limited_random, gaussian_field
-from reference import flux_divergence_table, hess_chi, metric_table
+from conftest import band_limited_random, gaussian_field, local_integrals
+from reference import flux_divergence_table, grad_rho, hess_chi, metric_table
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
@@ -86,6 +83,13 @@ def test_gradient_cosine_closed_form_1d():
     assert np.max(np.abs(g.values - (-k1 * np.sin(k1 * x)))) < 1e-12
 
 
+def _div_grad(f: Field, p=None, direction=None) -> np.ndarray:
+    """div(p S grad f) by the package's one divergence, ``flux_divergence``."""
+    spec = f.spec
+    p = np.ones(spec.shape) if p is None else p
+    return spec.ifft(flux_divergence(spec.fft(f.values), spec, p, direction))
+
+
 def test_divergence_of_gradient_is_mode_laplacian():
     spec = GridSpec(2, 32, 4.0)
     kx, ky = np.pi / 4.0 * 2, np.pi / 4.0 * 3
@@ -93,52 +97,62 @@ def test_divergence_of_gradient_is_mode_laplacian():
         spec.coords[1], spec.shape
     )
     f = Field(np.exp(1j * phase), spec)
-    div = divergence(gradient(f))
-    assert np.max(np.abs(div.values - (-(kx**2 + ky**2)) * f.values)) < 1e-11
-
-
-def test_divergence_of_constant_vector_is_zero():
-    spec = GridSpec(3, 16, 4.0)
-    comps = [Field(np.full(spec.shape, c, dtype=complex), spec) for c in (1.0, 2.0, -3.0)]
-    assert np.max(np.abs(divergence(comps).values)) < 1e-13
+    div = _div_grad(f)
+    assert np.max(np.abs(div - (-(kx**2 + ky**2)) * f.values)) < 1e-11
 
 
 def test_divergence_matches_componentwise_derivative_sum():
+    # div(p S grad u) = sum_j d_j (flux_j), each derivative a spectral gradient
     spec = GridSpec(2, 64, 6.0)
-    comps = [band_limited_random(spec, seed=s) for s in (1, 2)]
-    via_multiplier = divergence(comps)
-    direct = np.zeros(spec.shape, dtype=complex)
-    for j, comp in enumerate(comps):
-        direct += gradient(comp)[j].values
-    assert np.max(np.abs(via_multiplier.values - direct)) < 1e-10
+    u = band_limited_random(spec, seed=1)
+    p = band_limited_random(spec, seed=2).values.real
+    grads = [g.values for g in gradient(u)]
+    v = np.array([0.6, 0.8])
+    along = v[0] * grads[0] + v[1] * grads[1]
+    for direction, flux in ((None, [p * g for g in grads]),
+                            (v, [p * vj * along for vj in v])):
+        direct = sum(gradient(Field(f, spec))[j].values for j, f in enumerate(flux))
+        assert np.max(np.abs(_div_grad(u, p, direction) - direct)) < 1e-10
 
 
 def test_div_grad_equals_multiplier_on_band_limited_fields():
     spec = GridSpec(2, 64, 7.0)
     f = band_limited_random(spec, seed=21)
-    via_ops = divergence(gradient(f))
+    via_ops = _div_grad(f)
     via_multiplier = spec.ifft(-spec.k_squared * spec.fft(f.values))
     scale = np.max(np.abs(via_multiplier))
-    assert np.max(np.abs(via_ops.values - via_multiplier)) < 1e-13 * scale
+    assert np.max(np.abs(via_ops - via_multiplier)) < 1e-13 * scale
 
 
-def test_divergence_rejects_mismatched_specs():
-    a = Field(np.zeros((16, 16), dtype=complex), GridSpec(2, 16, 4.0))
-    b = Field(np.zeros((16, 16), dtype=complex), GridSpec(2, 16, 5.0))
-    with pytest.raises(GridMismatchError):
-        divergence([a, b])
+def test_free_factors_multiply_to_the_full_grid_multiplier():
+    # the d one-dimensional factors e^{-i k_j^2 t} are e^{-i|k|^2 t}, up to
+    # the rounding of phases as large as |k|^2 |t|
+    for spec in (GridSpec(1, 16, 3.0), GridSpec(2, 16, 3.0), GridSpec(3, 8, 3.0)):
+        for t in (0.0, 0.37, -1.9):
+            product = np.ones(spec.shape, dtype=complex)
+            for factor in spec.free_factors(t):
+                product = product * factor
+            full = np.exp(-1j * spec.k_squared * t)
+            phase = spec.k_squared.max() * abs(t)
+            bound = 8.0 * np.finfo(float).eps * (1.0 + phase)
+            assert np.max(np.abs(product - full)) <= bound
 
 
 # -- variable-coefficient Laplacian --------------------------------------------
+
+
+def _free_laplacian(f: Field) -> np.ndarray:
+    """lap f via the -|k|^2 multiplier."""
+    return f.spec.ifft(-f.spec.k_squared * f.spec.fft(f.values))
 
 
 def test_laplacian_G_identity_matches_multiplier():
     spec = GridSpec(2, 32, 5.0)
     f = band_limited_random(spec, seed=3)
     via_metric = laplacian_G(f, MetricField(spec))
-    via_multiplier = laplacian(f)
-    scale = np.max(np.abs(via_multiplier.values))
-    assert np.max(np.abs(via_metric.values - via_multiplier.values)) < 1e-12 * scale
+    via_multiplier = _free_laplacian(f)
+    scale = np.max(np.abs(via_multiplier))
+    assert np.max(np.abs(via_metric.values - via_multiplier)) < 1e-12 * scale
 
 
 def test_laplacian_G_constant_scaling():
@@ -146,7 +160,7 @@ def test_laplacian_G_constant_scaling():
     # amplitude doubles it, for S = I and for S = v v^T
     spec = GridSpec(3, 16, 4.0)
     f = band_limited_random(spec, seed=4)
-    free = laplacian(f).values
+    free = _free_laplacian(f)
     for direction in (None, (1.0, 2.0, -0.5)):
         once, twice = (
             laplacian_G(f, MetricField(spec, amplitude=c * 0.3, radius=2.5,
@@ -165,7 +179,7 @@ def test_laplacian_G_fused_vs_split_paths():
         fused = laplacian_G(f, metric)
         pert = flux_divergence(spec.fft(f.values), spec, metric.perturbation,
                                metric.direction)
-        split = laplacian(f).values + spec.ifft(pert)
+        split = _free_laplacian(f) + spec.ifft(pert)
         rel = np.sqrt(
             spec.quadrature(np.abs(fused.values - split) ** 2).real
             / spec.quadrature(np.abs(fused.values) ** 2).real
@@ -313,14 +327,14 @@ def test_parseval_quadrature_vs_spectrum():
     assert by_quadrature == pytest.approx(by_spectrum, rel=1e-12)
 
 
-# -- localized integrals ---------------------------------------------------------
+# -- localized integrals (the run's local_mass and local_energy monitors) -------
 
 
 def test_localized_integral_ball_volume():
     spec = GridSpec(3, 48, 6.0)
     f = Field(np.ones(spec.shape, dtype=complex), spec)
     R = 3.0
-    vol = localized_integral(f, R, "density")
+    vol = local_integrals(f, R)["local_mass"]
     exact = 4.0 / 3.0 * np.pi * R**3
     assert abs(vol - exact) < 2.0 * (4 * np.pi * R**2) * spec.dx
 
@@ -328,8 +342,7 @@ def test_localized_integral_ball_volume():
 def test_localized_integral_zero_field():
     spec = GridSpec(2, 32, 4.0)
     f = Field(np.zeros(spec.shape, dtype=complex), spec)
-    for mode in ("density", "energy", "quartic"):
-        assert localized_integral(f, 2.0, mode) == 0.0
+    assert local_integrals(f, 2.0) == {"local_energy": 0.0, "local_mass": 0.0}
 
 
 def test_localized_integral_gaussian_radial_oracle():
@@ -338,7 +351,7 @@ def test_localized_integral_gaussian_radial_oracle():
     R = 3.0 * sigma
     spec = GridSpec(3, 64, 8.0)
     f = gaussian_field(spec, amplitude=1.0, width=sigma)  # |f|^2 = e^{-r^2/sigma^2}
-    got = localized_integral(f, R, "density")
+    got = local_integrals(f, R)["local_mass"]
     oracle, err = quad(lambda r: 4 * np.pi * r**2 * np.exp(-(r**2) / sigma**2), 0, R)
     assert err < 1e-7 * oracle
     assert got == pytest.approx(oracle, rel=1e-3)
@@ -347,10 +360,8 @@ def test_localized_integral_gaussian_radial_oracle():
 def test_localized_integral_rejects_ball_outside_box():
     spec = GridSpec(2, 16, 3.0)
     f = Field(np.zeros(spec.shape, dtype=complex), spec)
-    with pytest.raises(DomainError):
-        localized_integral(f, 3.0, "density")
-    with pytest.raises(DomainError):
-        localized_integral(f, 2.0, "unknown-mode")
+    with pytest.raises(DomainError, match="ball radius"):
+        local_integrals(f, 3.0)
 
 
 # -- weight tables ----------------------------------------------------------------
@@ -375,9 +386,9 @@ def test_weight_tables_bilap_matches_closed_form_everywhere_3d():
 
 def test_weight_tables_rho_kernels_3d():
     spec = GridSpec(3, 32, 8.0)
-    t = weight_tables(spec)
     # |grad rho| = 1 away from the origin
-    mag = np.sqrt(sum(t.grad_rho[j] ** 2 for j in range(3)))
+    table = grad_rho(spec)
+    mag = np.sqrt(sum(table[j] ** 2 for j in range(3)))
     mask = spec.radius_squared > 0
     assert np.max(np.abs(mag[mask] - 1.0)) < 1e-13
     # regularized origin: the odd kernel averages to zero

@@ -12,7 +12,6 @@ from dnls.grid import (
     Field,
     GridSpec,
     gradient,
-    localized_integral,
     sobolev_norm,
     weight_tables,
 )
@@ -39,8 +38,8 @@ from dnls.observables import (
 )
 from dnls.solver import SimulationState, SolverConfig, simulate
 
-from conftest import band_limited_random, gaussian_field
-from reference import bilinear_interaction_full_spectrum, hess_chi
+from conftest import band_limited_random, gaussian_field, local_integrals, local_monitors
+from reference import bilinear_interaction_full_spectrum, grad_rho, hess_chi
 
 SPEC = GridSpec(2, 64, 10.0)
 TABLES = weight_tables(SPEC)
@@ -372,7 +371,7 @@ def test_energy_lambda_bound_negative_control():
 
 def test_local_energy_zero_field():
     zero = Field(np.zeros(SPEC.shape, dtype=complex), SPEC)
-    assert localized_integral(zero, 2.0, "energy") == 0.0
+    assert local_integrals(zero, 2.0)["local_energy"] == 0.0
 
 
 def test_local_energy_decays_as_packet_exits_ball():
@@ -382,10 +381,7 @@ def test_local_energy_decays_as_packet_exits_ball():
     u0 = gaussian_field(spec, amplitude=0.3, width=1.0, momentum=2.0)
     R = 2.0
     cfg = SolverConfig(dt=0.01, duration=2.0)  # group speed 2k = 4
-    from dnls.observables import Monitor
-
-    mons = [Monitor("local_energy",
-                    lambda s, c: localized_integral(s.u, R, "energy"), 1)]
+    mons = [local_monitors(spec, R)["local_energy"]]
     res = simulate(u0, metric, damping, cfg, monitors=mons)
     series = res.series["local_energy"].values
     assert series[-1] < 0.01 * series[0]
@@ -468,9 +464,10 @@ def test_bilinear_plane_wave_reduces_to_kernel_mean():
     k = np.pi / 6.0
     u = Field(np.exp(1j * k * np.broadcast_to(spec.coords[0], spec.shape)), spec)
     got = bilinear_interaction(Frame(u), tables)
-    kernel_mean = float(spec.quadrature(tables.grad_rho[0]).real)
+    component = grad_rho(spec)[0]
+    kernel_mean = float(spec.quadrature(component).real)
     assert got == pytest.approx(k * kernel_mean * spec.volume, rel=1e-10)
-    no_cancellation = float(spec.quadrature(np.abs(tables.grad_rho[0])).real)
+    no_cancellation = float(spec.quadrature(np.abs(component)).real)
     assert abs(kernel_mean) < (4.0 / spec.n) * no_cancellation
 
 
@@ -484,8 +481,9 @@ def test_bilinear_matches_direct_double_sum_oracle():
     mod2 = np.abs(u.values) ** 2
     n = spec.n
     oracle = 0.0
+    table = grad_rho(spec)
     for j in range(3):
-        kernel = np.fft.ifftshift(tables.grad_rho[j])
+        kernel = np.fft.ifftshift(table[j])
         conv = np.zeros(spec.shape)
         for ix in range(n):
             for iy in range(n):
@@ -519,7 +517,7 @@ def test_half_spectrum_interaction_matches_the_full_spectrum(
     u = band_limited_random(spec, seed=seed, k_scale=k_scale)
     u = Field(amplitude * u.values, spec)
     got = bilinear_interaction(Frame(u), tables)
-    want = bilinear_interaction_full_spectrum(u, tables)
+    want = bilinear_interaction_full_spectrum(u)
     frame = Frame(u)
     terms = sum(
         float(np.abs(m * spec.irfft(kernel * frame.mod2_hat)).sum())
@@ -534,7 +532,7 @@ def test_interaction_kernels_are_the_half_spectra_of_the_table():
     for spec in _INTERACTION_GRIDS.values():
         tables = weight_tables(spec)
         scale = spec.size * spec.dx**spec.dim
-        for kernel, component in zip(tables.grad_rho_hat, tables.grad_rho):
+        for kernel, component in zip(tables.grad_rho_hat, grad_rho(spec)):
             full = spec.fft(np.fft.ifftshift(component)) * scale
             assert kernel.shape == spec.shape[:-1] + (spec.n // 2 + 1,)
             assert np.allclose(kernel, full[..., : spec.n // 2 + 1],

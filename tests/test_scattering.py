@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.errors import DomainError, GridMismatchError, SamplingError
-from dnls.geometry import DampingField, build_preset, cutoff_field
-from dnls.grid import Field, GridSpec, gradient, laplacian, sobolev_norm
+from dnls.geometry import DampingField, MetricField, build_preset, cutoff_field
+from dnls.grid import Field, GridSpec, gradient, laplacian_G, sobolev_norm
 from dnls.scattering import (
     _monotone_tail_verdict,
+    _pulled_coefficients,
     cauchy_scan,
     commutator_with_cutoff,
     cutoff_derivatives,
@@ -18,6 +19,7 @@ from dnls.scattering import (
 from dnls.solver import SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
+from reference import pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
 
@@ -63,7 +65,40 @@ def test_free_evolve_is_hs_isometry():
         )
 
 
+def test_pulled_coefficients_match_the_full_grid_multiplier():
+    # the d one-dimensional factors against e^{+i|k|^2 t} built on the grid
+    for spec in (SPEC, GridSpec(3, 16, 6.0)):
+        snapshots = [(t, band_limited_random(spec, seed=i))
+                     for i, t in enumerate((0.0, 0.35, 1.7, 4.0))]
+        _, _, coeffs = _pulled_coefficients(snapshots)
+        for got, want in zip(coeffs, pulled_coefficients(snapshots),
+                             strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # -- cauchy scan -----------------------------------------------------------------
+
+
+def test_cauchy_scan_reads_the_cached_sobolev_weight_rows():
+    # the scan reduces against the rows the Sobolev norms cache: a second
+    # scan on the same grid and exponents builds none
+    import dnls.grid
+
+    dnls.grid._weight_rows.cache_clear()
+    snapshots = [(t, band_limited_random(SPEC, seed=i))
+                 for i, t in enumerate((0.0, 0.5, 1.0))]
+    first = cauchy_scan(snapshots, s_values=(0.0, 0.5))
+    after_first = dnls.grid._weight_rows.cache_info()
+    second = cauchy_scan(snapshots, s_values=(0.0, 0.5))
+    after_second = dnls.grid._weight_rows.cache_info()
+    assert (after_first.misses, after_first.hits) == (1, 0)
+    assert (after_second.misses, after_second.hits) == (1, 1)
+    for s in (0.0, 0.5):
+        assert np.array_equal(first.cauchy[s], second.cauchy[s])
+    # the same rows serve a norm of the same exponent set
+    u = snapshots[0][1]
+    dnls.grid.sobolev_norms_from_power(dnls.grid.power_spectrum(u), SPEC, (0, 0.5))
+    assert dnls.grid._weight_rows.cache_info().hits == 2
 
 
 def test_cauchy_scan_zero_on_linear_free_run():
@@ -299,7 +334,9 @@ def test_commutator_two_path_identity():
         via_rule = commutator_with_cutoff(u, gradient(u),
                                           cutoff_derivatives(chi, spec))
         chi_u = Field(chi * u.values, spec)
-        direct = laplacian(chi_u).values - chi * laplacian(u).values
+        free = MetricField(spec)  # div(I grad .), the -|k|^2 multiplier
+        direct = (laplacian_G(chi_u, free).values
+                  - chi * laplacian_G(u, free).values)
         scale = np.max(np.abs(direct)) + 1.0
         assert np.max(np.abs(via_rule.values - direct)) < 1e-10 * scale
 
