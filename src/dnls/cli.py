@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -34,6 +35,12 @@ def _fmt(x: float) -> str:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _tool_versions() -> dict:
@@ -75,9 +82,7 @@ class _RunDir:
         return self.dir / name
 
     def write_manifest(self) -> None:
-        with atomic_open(self.dir / "manifest.json") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.dir / "manifest.json", self.manifest)
 
     def finalize(self, status: str = "complete", extra: dict | None = None) -> None:
         self.manifest["status"] = status
@@ -111,9 +116,11 @@ def _control_report_dict(report) -> dict:
     }
 
 
-def _cmd_check_geometry(args, cfg) -> int:
+def _cmd_check_geometry(args) -> int:
+    from .config import parse_config
     from .geometry import check_control, coercivity_constant, gradient_bound_constant
 
+    cfg = parse_config(args.config)
     metric, damping = cfg.build_geometry()
     report = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
     payload = {
@@ -125,9 +132,7 @@ def _cmd_check_geometry(args, cfg) -> int:
     if args.out:
         run = _RunDir(Path(args.out), "check-geometry", cfg.config_hash(),
                       cfg.run.seed)
-        with atomic_open(run.path("geometry_report.json")) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(run.path("geometry_report.json"), payload)
         run.finalize()
     if not args.quiet:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -136,10 +141,12 @@ def _cmd_check_geometry(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_rays(args, cfg) -> int:
+def _cmd_rays(args) -> int:
+    from .config import parse_config
     from .geometry import check_control
     from .rays import sample_ensemble, verify_exterior_control
 
+    cfg = parse_config(args.config)
     metric, damping = cfg.build_geometry()
     spec = metric.spec
     x0, xi0 = sample_ensemble(
@@ -186,8 +193,9 @@ def _cmd_rays(args, cfg) -> int:
     return EXIT_OK
 
 
-def _run_standard_simulation(args, cfg, run: _RunDir):
-    from .errors import ConfigError
+def _cmd_simulate(args) -> int:
+    from .config import parse_config
+    from .errors import ConfigError, SamplingError, StabilityError
     from .geometry import check_control
     from .grid import weight_tables
     from .observables import (
@@ -204,6 +212,10 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
     from .snapshots import read_snapshot, write_snapshot
     from .solver import simulate
 
+    cfg = parse_config(args.config)
+    run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
+    with atomic_open(run.path("config.ini")) as fh:
+        fh.write(cfg.to_text())
     metric, damping = cfg.build_geometry()
     spec = metric.spec
     tables = weight_tables(spec)
@@ -219,30 +231,38 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
     else:
         u0, t0 = cfg.initial_field(spec), 0.0
 
-    cutoff = cfg.cutoff(spec)
     monitors = standard_monitors(
         metric, damping, tables,
         record_every=cfg.observables.record_every,
         interaction_every=cfg.observables.interaction_every,
         local_radius=cfg.observables.local_radius,
-        cutoff=cutoff,
+        cutoff=cfg.cutoff(spec),
         cutoff_exponents=cfg.observables.cutoff_exponents,
         nonlinearity=solver_cfg.nonlinearity,
         g_tol=cfg.geometry.g_tol,
         a_min=cfg.geometry.a_min,
     )
 
+    abort = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = simulate(
-            u0, metric, damping, solver_cfg,
-            monitors=monitors,
-            snapshot_every=cfg.scattering.snapshot_every,
-            t0=t0,
-            control_satisfied=control.satisfied,
-        )
-    for w in caught:
-        run.warnings.append(str(w.message))
+        try:
+            result = simulate(
+                u0, metric, damping, solver_cfg,
+                monitors=monitors,
+                snapshot_every=cfg.scattering.snapshot_every,
+                t0=t0,
+                control_satisfied=control.satisfied,
+            )
+        except StabilityError as exc:
+            abort = str(exc)
+    run.warnings.extend(str(w.message) for w in caught)
+    if abort is not None:
+        run.warnings.append(abort)
+        run.finalize(status="incomplete", extra={"error": abort})
+        if not args.quiet:
+            print(f"stability abort: {abort}", file=sys.stderr)
+        return EXIT_STABILITY
 
     for name, series in result.series.items():
         _write_series_csv(run, name, series.times, series.values)
@@ -274,12 +294,7 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
     bound = energy_lambda_bound_check(
         series["energy"], lam, metric, damping, tables
     )
-    reports["energy_lambda_bound"] = {
-        "passed": bound.passed,
-        "constant": bound.constant,
-        "worst_margin": bound.worst_margin,
-        "worst_time": bound.worst_time,
-    }
+    reports["energy_lambda_bound"] = dataclasses.asdict(bound)
     try:
         mor = morawetz_rate_residual(
             series["virial"], series["virial_rhs"], series.get("morawetz_proxy")
@@ -290,7 +305,7 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
             "max_residual": float(np.max(np.abs(mor.residual.values))),
             "fitted_constant": mor.fitted_constant,
         }
-    except Exception as exc:  # sparse cadence: report instead of failing the run
+    except SamplingError as exc:  # sparse cadence: report instead of failing the run
         reports["morawetz_rate"] = {"error": str(exc)}
     l4_report = l4_accumulator(series["l4"])
     _write_series_csv(run, "l4_accumulator", l4_report.accumulator.times,
@@ -302,33 +317,9 @@ def _run_standard_simulation(args, cfg, run: _RunDir):
     inter = interaction_inequality_check(
         series["l4"], series["interaction"], series["h1_sq"], series["supp_a_h1"]
     )
-    reports["interaction_inequality"] = {
-        "passed": inter.passed,
-        "fitted_constant": inter.fitted_constant,
-        "worst_margin": inter.worst_margin,
-    }
-    with atomic_open(run.path("reports.json")) as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result, control, reports, snapshot_files
+    reports["interaction_inequality"] = dataclasses.asdict(inter)
+    _write_json(run.path("reports.json"), reports)
 
-
-def _cmd_simulate(args, cfg) -> int:
-    from .errors import StabilityError
-
-    run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
-    with atomic_open(run.path("config.ini")) as fh:
-        fh.write(cfg.to_text())
-    try:
-        result, control, reports, snapshot_files = _run_standard_simulation(
-            args, cfg, run
-        )
-    except StabilityError as exc:
-        run.warnings.append(str(exc))
-        run.finalize(status="incomplete", extra={"error": str(exc)})
-        if not args.quiet:
-            print(f"stability abort: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
     run.finalize(extra={
         "final_time": result.state.t,
         "steps": result.state.step,
@@ -387,9 +378,7 @@ def _cmd_scatter(args) -> int:
         "verdicts": {f"{s:g}": bool(v) for s, v in report.verdicts.items()},
         "final_mismatch": {f"{s:g}": report.final_mismatch[s] for s in report.s_values},
     }
-    with atomic_open(run.path("scatter_report.json")) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run.path("scatter_report.json"), payload)
     run.finalize(extra={"scatter": payload})
     if not args.quiet:
         print(json.dumps(payload["verdicts"], indent=2, sort_keys=True))
@@ -398,59 +387,54 @@ def _cmd_scatter(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "rays": _cmd_rays,
+    "check-geometry": _cmd_check_geometry,
+    "scatter": _cmd_scatter,
+}
+
+
+def _add_command(sub, name: str, help: str, out_help: str | None = None,
+                 source: tuple[str, str] = ("--config", "run configuration file")):
+    """Subcommand ``name`` with its input flag ``source``, ``--out`` (required
+    unless ``out_help`` describes what it defaults to), ``--strict`` and
+    ``--quiet``."""
+    p = sub.add_parser(name, help=help)
+    flag, flag_help = source
+    p.add_argument(flag, required=True, help=flag_help)
+    p.add_argument("--out", required=out_help is None,
+                   help=out_help or "output directory")
+    p.add_argument("--strict", action="store_true",
+                   help="nonzero exit on negative verdicts")
+    p.add_argument("--quiet", action="store_true")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnls",
         description="Damped variable-coefficient cubic NLS workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--strict", action="store_true",
-                       help="nonzero exit on negative verdicts")
-        p.add_argument("--quiet", action="store_true")
-
-    p_sim = sub.add_parser("simulate", help="advance the PDE and record observables")
-    common(p_sim)
+    p_sim = _add_command(sub, "simulate", "advance the PDE and record observables")
     p_sim.add_argument("--resume", help="snapshot file to resume from")
-
-    p_rays = sub.add_parser("rays", help="classify a Hamiltonian ray ensemble")
-    common(p_rays)
-
-    p_geo = sub.add_parser("check-geometry", help="validate the control condition")
-    p_geo.add_argument("--config", required=True)
-    p_geo.add_argument("--out", help="optional output directory")
-    p_geo.add_argument("--strict", action="store_true")
-    p_geo.add_argument("--quiet", action="store_true")
-
-    p_scat = sub.add_parser("scatter", help="scattering analysis from a run manifest")
-    p_scat.add_argument("--manifest", required=True,
-                        help="manifest.json of a simulate run with snapshots")
-    p_scat.add_argument("--out", help="output directory (default: run directory)")
-    p_scat.add_argument("--strict", action="store_true")
-    p_scat.add_argument("--quiet", action="store_true")
-
+    _add_command(sub, "rays", "classify a Hamiltonian ray ensemble")
+    _add_command(sub, "check-geometry", "validate the control condition",
+                 out_help="optional output directory")
+    _add_command(sub, "scatter", "scattering analysis from a run manifest",
+                 out_help="output directory (default: run directory)",
+                 source=("--manifest",
+                         "manifest.json of a simulate run with snapshots"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .config import parse_config
     from .errors import ConfigError
 
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "scatter":
-            return _cmd_scatter(args)
-        cfg = parse_config(args.config)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        if args.command == "rays":
-            return _cmd_rays(args, cfg)
-        if args.command == "check-geometry":
-            return _cmd_check_geometry(args, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

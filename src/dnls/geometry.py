@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidMetricError
-from .grid import Field, GridSpec, gradient
+from .grid import Field, GridSpec, gradient, laplacian_G
 
 __all__ = [
     "bump_profile",
@@ -257,6 +257,7 @@ class DampingField:
             raise DomainError("damping support must fit inside the box")
         self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
         self._table: np.ndarray | None = None
+        self._div_G_grad: tuple[MetricField, np.ndarray] | None = None
 
     def eval_damping(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -280,6 +281,15 @@ class DampingField:
     @property
     def sup(self) -> float:
         return float(self.table.max())
+
+    def div_G_grad(self, metric: MetricField) -> np.ndarray:
+        """div(G grad a) on the grid, the source of the energy law's mass
+        term. Kept for the last metric asked, so a run's monitors and its
+        energy/lambda bound share one build."""
+        if self._div_G_grad is None or self._div_G_grad[0] is not metric:
+            a = Field(self.table.astype(complex), self.spec)
+            self._div_G_grad = (metric, laplacian_G(a, metric).values.real)
+        return self._div_G_grad[1]
 
 
 @dataclass

@@ -267,24 +267,19 @@ def flux_divergence(
     return vk * band(p * spec.ifft(vk * coeffs))
 
 
-def laplacian_G(f: Field, metric, dealias: bool = False) -> Field:
-    """Divergence-form operator div(G grad f) of a MetricField, with optional
-    2/3-rule dealiasing.
+def laplacian_G(f: Field, metric) -> Field:
+    """Divergence-form operator div(G grad f) of a MetricField.
 
     G = I + p S is used through its structure (``metric.perturbation`` p and
     ``metric.direction``): the free part is the exact -|k|^2 multiplier and
-    the perturbation goes through :func:`flux_divergence`. The dealias mask is
-    applied after the pointwise multiplication by p and again after the final
-    divergence.
+    the perturbation goes through :func:`flux_divergence`.
     """
     spec = f.spec
     coeffs = spec.fft(f.values)
     out = -spec.k_squared * coeffs
     if metric.perturbation is not None:
         out += flux_divergence(coeffs, spec, metric.perturbation,
-                               metric.direction, dealias)
-    if dealias:
-        out[~spec.dealias_mask] = 0.0
+                               metric.direction)
     return Field(spec.ifft(out), spec)
 
 
@@ -320,15 +315,13 @@ def power_spectrum(f: Field) -> np.ndarray:
     return abs2(f.spec.fft(f.values))
 
 
-def sobolev_weights(spec: GridSpec, s_values: Sequence[float],
-                    homogeneous: bool = False) -> np.ndarray:
-    """The H^s multipliers (1+|k|^2)^s, or |k|^(2s) when ``homogeneous``, one
-    grid-shaped row per exponent: shape (len(s_values),) + spec.shape."""
+def sobolev_weights(spec: GridSpec, s_values: Sequence[float]) -> np.ndarray:
+    """The H^s multipliers (1+|k|^2)^s, one grid-shaped row per exponent:
+    shape (len(s_values),) + spec.shape."""
     for s in s_values:
         if s < 0:
             raise DomainError(f"Sobolev index must be >= 0, got {s}")
-    # 0**0 == 1, so s = 0 reduces to the L^2 norm in both cases
-    base = spec.k_squared if homogeneous else 1.0 + spec.k_squared
+    base = 1.0 + spec.k_squared
     weights = np.empty((len(s_values),) + spec.shape)
     for row, s in zip(weights, s_values):
         row[...] = base**s
@@ -336,32 +329,29 @@ def sobolev_weights(spec: GridSpec, s_values: Sequence[float],
 
 
 @lru_cache(maxsize=8)
-def _weight_rows(spec: GridSpec, s_values: tuple[float, ...],
-                 homogeneous: bool) -> np.ndarray:
+def _weight_rows(spec: GridSpec, s_values: tuple[float, ...]) -> np.ndarray:
     """:func:`sobolev_weights` flattened to (len(s_values), spec.size) and kept
     read-only for the grid and exponents, so a run builds each row once."""
-    rows = sobolev_weights(spec, s_values, homogeneous).reshape(len(s_values), -1)
+    rows = sobolev_weights(spec, s_values).reshape(len(s_values), -1)
     rows.flags.writeable = False
     return rows
 
 
 def sobolev_norms_from_power(
-    power: np.ndarray, spec: GridSpec, s_values: Sequence[float],
-    homogeneous: bool = False,
+    power: np.ndarray, spec: GridSpec, s_values: Sequence[float]
 ) -> dict[float, float]:
-    """H^s (or homogeneous H^s) norms of a field, one per exponent, given its
+    """H^s norms of a field, one per exponent, given its
     :func:`power_spectrum`: one transform serves every exponent, and the
     weight rows of a grid and exponent set are built once and kept."""
     s_values = tuple(float(s) for s in s_values)
-    sums = dot(_weight_rows(spec, s_values, homogeneous), power)
+    sums = dot(_weight_rows(spec, s_values), power)
     return {s: float(np.sqrt(total * spec.volume))
             for s, total in zip(s_values, sums)}
 
 
-def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous H^s) norm via the Fourier multiplier."""
-    return sobolev_norms_from_power(power_spectrum(f), f.spec, (s,),
-                                    homogeneous)[float(s)]
+def sobolev_norm(f: Field, s: float) -> float:
+    """H^s norm via the Fourier multiplier."""
+    return sobolev_norms_from_power(power_spectrum(f), f.spec, (s,))[float(s)]
 
 
 def _grad_rho_components(spec: GridSpec):

@@ -24,7 +24,6 @@ from .grid import (
     abs2,
     dot,
     gradient,
-    laplacian_G,
     norm_sq,
     sobolev_norms_from_power,
 )
@@ -299,12 +298,6 @@ def energy(frame: Frame, metric: MetricField) -> float:
     return float(0.5 * kinetic + 0.25 * quartic)
 
 
-def _div_G_grad_a(metric: MetricField, damping: DampingField) -> np.ndarray:
-    """div(G grad a) on the grid, the source of the energy law's mass term."""
-    a = Field(damping.table.astype(complex), metric.spec)
-    return laplacian_G(a, metric).values.real
-
-
 def morawetz_virial(frame: Frame, tables: WeightTables) -> float:
     """Virial moment V = Im int conj(u) grad u . grad chi; its rate carries the
     monotonicity information the decay monitors are built on."""
@@ -417,7 +410,7 @@ def standard_monitors(
     dv = spec.dx**spec.dim
     a = damping.table
     a_support = a > a_min
-    lap_G_a = _div_G_grad_a(metric, damping)
+    lap_G_a = damping.div_G_grad(metric)
     grad_a = [g.values.real for g in gradient(Field(a.astype(complex), spec))]
     G_grad_a = _metric_apply(metric, grad_a)
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
@@ -642,7 +635,7 @@ def energy_lambda_bound_check(
     C0 = (1/2) max |div(G grad a)| / (15/chi^7) over the grid."""
     times = _check_aligned(energy_series, lambda_series)
     if constant is None:
-        lap_G_a = _div_G_grad_a(metric, damping)
+        lap_G_a = damping.div_G_grad(metric)
         constant = float(0.5 * np.max(np.abs(lap_G_a) / tables.lambda_kernel))
     e = energy_series.values
     margins = e[0] + constant * lambda_series.values + tol - e
@@ -698,7 +691,6 @@ class InteractionReport:
     passed: bool
     fitted_constant: float
     worst_margin: float
-    rate_constant: float = 4.0 * np.pi
 
 
 def interaction_inequality_check(

@@ -129,8 +129,7 @@ def _scan(
     the ones the Sobolev norms cache for the grid and exponents.
     """
     s_values = tuple(float(s) for s in s_values)
-    # positional, as the norms pass it: lru_cache keys a keyword apart
-    weights = _weight_rows(spec, s_values, False)
+    weights = _weight_rows(spec, s_values)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):

@@ -15,12 +15,21 @@ ship them.
   bump (the package forms grad p inside ``MetricField.eval_radial``) and
   the full-grid free multiplier (the package applies it as d
   one-dimensional factors).
+* The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
+  are the inhomogeneous (1+|k|^2)^s ones.
 """
 
 import numpy as np
 
 from dnls.geometry import bump_profile
-from dnls.grid import Field, _grad_rho_components, flux_divergence, gradient, rk4
+from dnls.grid import (
+    Field,
+    _grad_rho_components,
+    flux_divergence,
+    gradient,
+    power_spectrum,
+    rk4,
+)
 
 
 def metric_table(metric) -> np.ndarray:
@@ -124,6 +133,18 @@ def grad_rho(spec) -> np.ndarray:
     regularized: the package's ifftshifted components, fftshifted back."""
     return np.fft.fftshift(np.stack(list(_grad_rho_components(spec))),
                            axes=tuple(range(1, spec.dim + 1)))
+
+
+def homogeneous_sobolev_weights(spec, s: float) -> np.ndarray:
+    """|k|^(2s) on the grid; 0**0 == 1, so s = 0 gives the L^2 weights."""
+    return spec.k_squared**s
+
+
+def homogeneous_sobolev_norm(f: Field, s: float) -> float:
+    """Homogeneous H^s norm of f via the |k|^(2s) multiplier."""
+    spec = f.spec
+    weights = homogeneous_sobolev_weights(spec, s)
+    return float(np.sqrt(spec.volume * np.sum(weights * power_spectrum(f))))
 
 
 def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:

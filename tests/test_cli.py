@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dnls.cli import EXIT_CONFIG, EXIT_OK, EXIT_STABILITY, EXIT_VERDICT, main
+from dnls.observables import BoundCheckReport, InteractionReport
 from dnls.snapshots import read_snapshot
 
 TINY_1D = """\
@@ -115,6 +116,31 @@ def test_simulate_tiny_run_completes_quickly(tmp_path):
     reports = json.loads((out / "reports.json").read_text())
     assert reports["mass_law_max_residual"] < 1e-5  # damped run: O(dt^2) trapezoid
     assert reports["energy_lambda_bound"]["passed"] is True
+    # the two check reports are written from their dataclasses
+    for key, report in (("energy_lambda_bound", BoundCheckReport),
+                        ("interaction_inequality", InteractionReport)):
+        assert set(reports[key]) == {f.name for f in dataclasses.fields(report)}
+
+
+def test_simulate_reports_only_the_sparse_virial_cadence(tmp_path, monkeypatch):
+    # two records are too few for the virial rate: the run reports it; any
+    # other error of that step is raised, not written into reports.json
+    import dnls.observables
+
+    sparse = TINY_1D.replace("local_radius = 2.0", "local_radius = 2.0\nrecord_every = 100")
+    cfg = _write(tmp_path, sparse)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    reports = json.loads((tmp_path / "o" / "reports.json").read_text())
+    assert "needs >= 3 records" in reports["morawetz_rate"]["error"]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("virial rate step failed")
+
+    monkeypatch.setattr(dnls.observables, "morawetz_rate_residual", broken)
+    with pytest.raises(RuntimeError, match="virial rate step failed"):
+        main(["simulate", "--config", _write(tmp_path, TINY_1D), "--out",
+              str(tmp_path / "p"), "--quiet"])
 
 
 def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
@@ -208,6 +234,25 @@ def test_simulate_leaves_the_reference_weight_tables_unbuilt(tmp_path, monkeypat
     assert set(vars(tables)) - fields == {"grad_rho_hat"}
 
 
+def test_simulate_builds_div_G_grad_a_once(tmp_path, monkeypatch):
+    # the energy law's mass-term monitor and the energy/lambda bound share
+    # the run's div(G grad a) table
+    import dnls.geometry
+
+    built = []
+    original = dnls.geometry.laplacian_G
+
+    def counted(f, metric):
+        built.append(metric)
+        return original(f, metric)
+
+    monkeypatch.setattr(dnls.geometry, "laplacian_G", counted)
+    cfg = _write(tmp_path, TABLE_FREE.format(preset="conformal_bump"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_OK
+    assert len(built) == 1
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = _write(tmp_path, TINY_1D)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -233,15 +278,30 @@ def test_simulate_resume_from_snapshot(tmp_path):
 
 
 def test_simulate_stability_abort_exits_3(tmp_path):
+    # the controlled run blows up after its boundary-shell warning, the
+    # uncontrolled one in the linear substep after its control warning: the
+    # manifest keeps every warning raised before the abort, then the abort
     unstable = TINY_1D.replace("preset = identity", "preset = conformal_bump\nmetric_amplitude = -0.9\nmetric_radius = 2.0")
     unstable = unstable.replace("dt = 0.005", "dt = 0.2")
     unstable = unstable.replace("duration = 0.1", "duration = 20.0")
-    cfg = _write(tmp_path, unstable, "unstable.ini")
-    out = tmp_path / "boom"
-    code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
-    assert code == EXIT_STABILITY
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "incomplete"
+    uncontrolled = TINY_1D.replace("preset = identity", "preset = uncontrolled_bump")
+    uncontrolled = uncontrolled.replace(
+        "dt = 0.005", "dt = 5.0\ninner_perturbation_steps = 4")
+    uncontrolled = uncontrolled.replace("duration = 0.1", "duration = 20.0")
+    for text, before_abort in (
+        (unstable, ["boundary-shell mass fraction"]),
+        (uncontrolled, ["geometry violates the exterior control condition"]),
+    ):
+        cfg = _write(tmp_path, text, "unstable.ini")
+        out = tmp_path / "boom"
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == EXIT_STABILITY
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        *raised, abort = manifest["warnings"]
+        assert abort == manifest["error"]
+        assert len(raised) == len(before_abort)
+        assert all(w.startswith(p) for w, p in zip(raised, before_abort))
 
 
 def test_rays_uncontrolled_strict_exit_and_csv(tmp_path):

@@ -14,7 +14,7 @@ from dnls.geometry import (
     gradient_bound_constant,
     smooth_transition,
 )
-from dnls.grid import Field, GridSpec, gradient
+from dnls.grid import Field, GridSpec, gradient, laplacian_G
 from dnls.solver import cfl_suggestion
 
 from reference import bump_profile_derivative, metric_table
@@ -334,6 +334,18 @@ def test_damping_annulus_shape():
     assert np.all(damping.table >= 0.0)
     with pytest.raises(DomainError):
         DampingField(SPEC, shape="annulus", inner_radius=3.0, outer_radius=2.0)
+
+
+def test_div_G_grad_a_kept_for_the_last_metric_asked():
+    conformal, damping = build_preset("conformal_bump", SPEC)
+    anisotropic, _ = build_preset("anisotropic_bump", SPEC)
+    a = Field(damping.table.astype(complex), SPEC)
+    first = damping.div_G_grad(conformal)
+    assert np.array_equal(first, laplacian_G(a, conformal).values.real)
+    assert damping.div_G_grad(conformal) is first
+    other = damping.div_G_grad(anisotropic)
+    assert np.array_equal(other, laplacian_G(a, anisotropic).values.real)
+    assert not np.array_equal(other, first)
 
 
 def test_damping_support_must_fit_in_box():

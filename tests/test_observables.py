@@ -39,7 +39,12 @@ from dnls.observables import (
 from dnls.solver import SimulationState, SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field, local_integrals, local_monitors
-from reference import bilinear_interaction_full_spectrum, grad_rho, hess_chi
+from reference import (
+    bilinear_interaction_full_spectrum,
+    grad_rho,
+    hess_chi,
+    homogeneous_sobolev_norm,
+)
 
 SPEC = GridSpec(2, 64, 10.0)
 TABLES = weight_tables(SPEC)
@@ -404,7 +409,7 @@ def test_interpolation_bound_homogeneous_half_norm():
     for seed in range(5):
         u = band_limited_random(SPEC, seed=seed)
         w = Field(chi * u.values, SPEC)
-        half = sobolev_norm(w, 0.5, homogeneous=True)
+        half = homogeneous_sobolev_norm(w, 0.5)
         grad_norm = np.sqrt(sum(g.l2_norm() ** 2 for g in gradient(w)))
         assert half**2 <= grad_norm * w.l2_norm() + 1e-10
 
@@ -650,9 +655,9 @@ def test_records_build_each_sobolev_weight_row_once(monkeypatch):
     built = []
     original = dnls.grid.sobolev_weights
 
-    def counted(spec, s_values, homogeneous=False):
-        built.append((spec, tuple(s_values), homogeneous))
-        return original(spec, s_values, homogeneous)
+    def counted(spec, s_values):
+        built.append((spec, tuple(s_values)))
+        return original(spec, s_values)
 
     monkeypatch.setattr(dnls.grid, "sobolev_weights", counted)
     dnls.grid._weight_rows.cache_clear()
@@ -664,7 +669,7 @@ def test_records_build_each_sobolev_weight_row_once(monkeypatch):
     res = simulate(gaussian_field(spec, momentum=1.0), metric, damping,
                    SolverConfig(dt=0.01, duration=0.05), monitors=monitors)
     assert len(res.series["cutoff_hs_0.5"]) == 6
-    assert built == [(spec, (0.0,), False), (spec, (0.5,), False)]
+    assert built == [(spec, (0.0,)), (spec, (0.5,))]
     # keyed on the grid and the exponents, not on arrays: an equal grid built
     # anew, another field and another cutoff array reuse the rows
     other = GridSpec(2, 32, 8.0)
@@ -674,10 +679,9 @@ def test_records_build_each_sobolev_weight_row_once(monkeypatch):
     # another exponent set or grid builds its own rows, in a bounded cache
     sobolev_norm(band_limited_random(other, seed=4), 0.25)
     sobolev_norm(band_limited_random(GridSpec(2, 16, 8.0), seed=4), 0.5)
-    assert [key[:2] for key in built[2:]] == [(other, (0.25,)),
-                                             (GridSpec(2, 16, 8.0), (0.5,))]
+    assert built[2:] == [(other, (0.25,)), (GridSpec(2, 16, 8.0), (0.5,))]
     assert dnls.grid._weight_rows.cache_info().maxsize == 8
-    rows = dnls.grid._weight_rows(spec, (0.5,), False)
+    rows = dnls.grid._weight_rows(spec, (0.5,))
     assert not rows.flags.writeable
 
 
