@@ -9,11 +9,12 @@ the evaluators sampled at the grid points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidMetricError
-from .grid import Field, GridSpec, gradient, laplacian_G
+from .grid import GridSpec, div_G_grad_coeffs
 
 __all__ = [
     "bump_profile",
@@ -134,7 +135,6 @@ class MetricField:
             self.conformal = False
         self.is_identity = self.amplitude == 0.0
         self.support_radius = 0.0 if self.is_identity else self.radius
-        self._perturbation: np.ndarray | None = None
 
     # -- closed-form evaluators ------------------------------------------------
 
@@ -171,7 +171,7 @@ class MetricField:
 
     # -- grid tables -----------------------------------------------------------
 
-    @property
+    @cached_property
     def perturbation(self) -> np.ndarray | None:
         """Grid samples of the scalar p with G - I = p S; None when G = I.
 
@@ -180,11 +180,8 @@ class MetricField:
         """
         if self.is_identity:
             return None
-        if self._perturbation is None:
-            self._perturbation = self.amplitude * bump_profile(
-                np.sqrt(self.spec.radius_squared), self.radius
-            )
-        return self._perturbation
+        return self.amplitude * bump_profile(np.sqrt(self.spec.radius_squared),
+                                             self.radius)
 
     def deviation_norm(self) -> np.ndarray:
         """Pointwise Frobenius norm of G - I = p S on the grid, in closed form:
@@ -256,7 +253,6 @@ class DampingField:
         if self.amplitude > 0.0 and not self.reach < spec.length:
             raise DomainError("damping support must fit inside the box")
         self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
-        self._table: np.ndarray | None = None
         self._div_G_grad: tuple[MetricField, np.ndarray] | None = None
 
     def eval_damping(self, points: np.ndarray) -> np.ndarray:
@@ -268,27 +264,35 @@ class DampingField:
             return self.amplitude * bump_profile(r, self.radius)
         return self.amplitude * bump_profile(r - self._mid, self.radius)
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
-        if self._table is None:
-            pts = np.stack(
-                [np.broadcast_to(x, self.spec.shape) for x in self.spec.coords],
-                axis=-1,
-            )
-            self._table = self.eval_damping(pts)
-        return self._table
+        pts = np.stack(
+            [np.broadcast_to(x, self.spec.shape) for x in self.spec.coords],
+            axis=-1,
+        )
+        return self.eval_damping(pts)
 
     @property
     def sup(self) -> float:
         return float(self.table.max())
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """fft(a), the one transform behind :attr:`grad` and :meth:`div_G_grad`."""
+        return self.spec.fft(self.table.astype(complex))
+
+    @cached_property
+    def grad(self) -> list[np.ndarray]:
+        """Spectral grad a, complex as transformed (the real parts are grad a)."""
+        return [self.spec.ifft(1j * k * self._coeffs) for k in self.spec.wavenumbers]
 
     def div_G_grad(self, metric: MetricField) -> np.ndarray:
         """div(G grad a) on the grid, the source of the energy law's mass
         term. Kept for the last metric asked, so a run's monitors and its
         energy/lambda bound share one build."""
         if self._div_G_grad is None or self._div_G_grad[0] is not metric:
-            a = Field(self.table.astype(complex), self.spec)
-            self._div_G_grad = (metric, laplacian_G(a, metric).values.real)
+            lap = self.spec.ifft(div_G_grad_coeffs(self._coeffs, metric))
+            self._div_G_grad = (metric, lap.real)
         return self._div_G_grad[1]
 
 
@@ -352,13 +356,11 @@ def gradient_bound_constant(damping: DampingField, eps: float) -> float:
     """Minimal C on the grid with |grad a| <= C a + eps."""
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    spec = damping.spec
     a = damping.table
     positive = a > 0.0
     if not positive.any():
         return 0.0
-    grad = gradient(Field(a.astype(np.complex128), spec))
-    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grad))
+    grad_mag = np.sqrt(sum(np.abs(g) ** 2 for g in damping.grad))
     excess = np.maximum(grad_mag - eps, 0.0)
     ratios = excess[positive] / a[positive]
     return float(ratios.max())

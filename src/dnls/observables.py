@@ -411,8 +411,7 @@ def standard_monitors(
     a = damping.table
     a_support = a > a_min
     lap_G_a = damping.div_G_grad(metric)
-    grad_a = [g.values.real for g in gradient(Field(a.astype(complex), spec))]
-    G_grad_a = _metric_apply(metric, grad_a)
+    G_grad_a = _metric_apply(metric, [g.real for g in damping.grad])
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
     def mon_mass(state, frame):

@@ -7,18 +7,16 @@ A step is Strang splitting of two exactly solvable substeps:
 * the linear flow exp(i tau div(G grad .)), exact via the e^{-i |k|^2 tau}
   multiplier when G = I, otherwise an inner Strang sandwich: half free
   multiplier, fourth-order steps of u_t = i div((G-I) grad u), half free
-  multiplier. The inner RK4 runs on the masked Fourier coefficients, and the
-  flux uses the structure of G - I = p S (see ``grid.flux_divergence``).
+  multiplier. The inner RK4 runs on the retained (2/3 band) coefficients,
+  and its flux is a ``grid.FluxKernel`` on the bounding box of supp p.
 
 A :class:`Propagator`, built once per run from (metric, damping, cfg), holds
-what every step shares: the damping decay and phase tables (on the bounding
-box of supp a), the free multipliers as d one-dimensional factors, and the
-structure of G - I. The step and both substeps read everything from it.
+what every step shares; the step and both substeps read everything from it.
 
-Transforms per Strang step with m = ``inner_perturbation_steps``: 4 for
-G = I (the multiplier and the trailing band limit); 5 + (8d + 1) m for a
-conformal G (2d per flux apply, four applies and one sup-norm guard per inner
-step, plus the guard at entry); 5 + 9 m for a rank-one G = I + p v v^T.
+Grid transforms per Strang step: 4 for any metric and inner step count (the
+linear substep's forward and inverse, the trailing band limit). On top, the
+flux kernel's pruned line transforms: four applies per inner RK4 step. The
+blow-up guard reads the coefficients' L2 norm (Parseval, no transform).
 
 Strang splitting is second order for cubic NLS (Lubich, Math. Comp. 77,
 2008). The tests cross-check it against a method-of-lines reference, the
@@ -36,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import Field, GridSpec, flux_divergence, rk4
+from .grid import Field, FluxKernel, GridSpec, norm_sq, rk4, support_box
 from .observables import Frame, Monitor, ObservableSeries
 
 __all__ = [
@@ -108,10 +106,12 @@ class Propagator:
       :func:`nonlinear_damping_substep`, tabulated on the bounding box of
       supp a only (outside it the flow is the plain rotation by
       -|u0|^2 dt/2);
+    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`)
+      in a coefficient array;
     * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
-      :meth:`GridSpec.free_factors`: over tau = dt when G = I, over
-      tau = dt/2 (each half of the inner sandwich) otherwise;
-    * the metric, whose structure G - I = p S the inner RK4 uses.
+      :meth:`GridSpec.free_factors` on those modes: over tau = dt when
+      G = I, over tau = dt/2 (each half of the inner sandwich) otherwise;
+    * the :class:`FluxKernel` of G - I = p S on those modes (None if G = I).
 
     It lives for one ``simulate`` call (or one stability probe), so its tables
     are freed with it.
@@ -127,12 +127,9 @@ class Propagator:
         self.cfg = cfg
         self.dt = dt = cfg.signed_dt
         self.half_dt = tau = dt / 2.0
-        a = damping.table
-        support = np.nonzero(a > 0.0)
-        self.box = None
-        if support[0].size:
-            self.box = tuple(slice(ix.min(), ix.max() + 1) for ix in support)
-            a = a[self.box]
+        self.box = support_box(damping.table)
+        if self.box is not None:
+            a = damping.table[self.box]
             positive = a > 0.0
             self.decay = np.exp(-a * tau)
             self.phase = np.where(
@@ -140,8 +137,13 @@ class Propagator:
                 np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
                 -tau,
             )
+        retained = spec.retained(cfg.dealias)
+        self.band = np.ix_(*[retained] * spec.dim)
         free_tau = dt if metric.is_identity else tau
-        self.free = spec.free_factors(free_tau)
+        self.free = [np.take(f, retained, axis=j)
+                     for j, f in enumerate(spec.free_factors(free_tau))]
+        self.flux = None if metric.is_identity else FluxKernel(
+            spec, metric.perturbation, metric.direction, retained)
 
 
 def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
@@ -175,40 +177,34 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
     """exp(i dt div(G grad .)) u over the step dt of ``propagator``; exact
     when G = I.
 
-    Otherwise an inner Strang sandwich on Fourier coefficients: half free
-    multiplier, ``inner_perturbation_steps`` RK4 steps of
-    u_t = i div((G-I) grad u), half free multiplier.
+    Otherwise an inner Strang sandwich on the retained Fourier coefficients:
+    half free multiplier, ``inner_perturbation_steps`` RK4 steps of
+    u_t = i div((G-I) grad u), half free multiplier. It aborts when their
+    L2 norm passes ``_BLOWUP_FACTOR`` times its value at entry.
     """
-    spec, metric, cfg = propagator.spec, propagator.metric, propagator.cfg
-    coeffs = spec.fft(u.values)
-    if cfg.dealias:
-        coeffs[~spec.dealias_mask] = 0.0
-    if metric.is_identity:
-        for factor in propagator.free:
+    p = propagator
+    spec, cfg = p.spec, p.cfg
+    coeffs = spec.fft(u.values)[p.band]
+    for factor in p.free:
+        coeffs *= factor
+    if p.flux is not None:
+        guard = _BLOWUP_FACTOR * np.sqrt(norm_sq(coeffs))
+        m = cfg.inner_perturbation_steps
+        for _ in range(m):
+            coeffs = rk4(coeffs, lambda c: 1j * p.flux(c), p.dt / m)
+            if np.sqrt(norm_sq(coeffs)) > guard:
+                suggestion = cfl_suggestion(spec, p.metric, cfg.duration, m,
+                                            cfg.dealias)
+                raise StabilityError(
+                    "linear substep blew up; reduce dt toward the suggested "
+                    f"bound {suggestion:.3g} or raise inner_perturbation_steps",
+                    dt_suggestion=suggestion,
+                )
+        for factor in p.free:
             coeffs *= factor
-        return Field(spec.ifft(coeffs), spec)
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        return 1j * flux_divergence(c, spec, metric.perturbation,
-                                    metric.direction, cfg.dealias)
-
-    for factor in propagator.free:
-        coeffs *= factor
-    guard = np.abs(spec.ifft(coeffs)).max()
-    m = cfg.inner_perturbation_steps
-    for _ in range(m):
-        coeffs = rk4(coeffs, rhs, propagator.dt / m)
-        if np.abs(spec.ifft(coeffs)).max() > _BLOWUP_FACTOR * guard:
-            suggestion = cfl_suggestion(spec, metric, cfg.duration, m,
-                                        cfg.dealias)
-            raise StabilityError(
-                "linear substep blew up; reduce dt toward the suggested bound "
-                f"{suggestion:.3g} or raise inner_perturbation_steps",
-                dt_suggestion=suggestion,
-            )
-    for factor in propagator.free:
-        coeffs *= factor
-    return Field(spec.ifft(coeffs), spec)
+    full = np.zeros(spec.shape, dtype=complex)
+    full[p.band] = coeffs
+    return Field(spec.ifft(full), spec)
 
 
 def step(state: SimulationState, propagator: Propagator) -> SimulationState:

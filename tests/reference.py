@@ -10,11 +10,12 @@ ship them.
   dealiased right-hand side. The package integrates only by Strang
   splitting; this reference checks its order and pins the two ``rk4-*``
   golden cases.
-* Tables and multipliers the package builds in another form: the grad|x|
-  table (the package keeps only its half spectra), the radial slope of the
-  bump (the package forms grad p inside ``MetricField.eval_radial``) and
-  the full-grid free multiplier (the package applies it as d
-  one-dimensional factors).
+* Tables and multipliers the package builds in another form: the
+  full-grid flux (the package transforms only the band and the support box
+  of p), the grad|x| table (the package keeps only its half spectra), the
+  radial slope of the bump (the package forms grad p inside
+  ``MetricField.eval_radial``) and the full-grid free multiplier (the
+  package applies it as d one-dimensional factors).
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
 """
@@ -43,6 +44,30 @@ def metric_table(metric) -> np.ndarray:
     if metric.perturbation is not None:
         table += np.multiply.outer(metric.structure, metric.perturbation)
     return table
+
+
+def flux_divergence_full(coeffs: np.ndarray, spec, p: np.ndarray,
+                         direction: np.ndarray | None = None,
+                         dealias: bool = False) -> np.ndarray:
+    """Fourier coefficients of div(p S grad u) by full-grid transforms: 2d
+    of them for S = I, 2 for S = v v^T. With ``dealias`` each flux is
+    projected onto the 2/3 band after the pointwise product. The package
+    transforms only the retained band and the support box of p."""
+
+    def band(flux: np.ndarray) -> np.ndarray:
+        flux_hat = spec.fft(flux)
+        if dealias:
+            flux_hat[~spec.dealias_mask] = 0.0
+        return flux_hat
+
+    k = spec.wavenumbers
+    if direction is None:
+        out = np.zeros_like(coeffs)
+        for kj in k:
+            out += 1j * kj * band(p * spec.ifft(1j * kj * coeffs))
+        return out
+    vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
+    return vk * band(p * spec.ifft(vk * coeffs))
 
 
 def flux_divergence_table(coeffs: np.ndarray, spec, table: np.ndarray,

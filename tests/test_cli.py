@@ -240,13 +240,13 @@ def test_simulate_builds_div_G_grad_a_once(tmp_path, monkeypatch):
     import dnls.geometry
 
     built = []
-    original = dnls.geometry.laplacian_G
+    original = dnls.geometry.div_G_grad_coeffs
 
-    def counted(f, metric):
+    def counted(coeffs, metric):
         built.append(metric)
-        return original(f, metric)
+        return original(coeffs, metric)
 
-    monkeypatch.setattr(dnls.geometry, "laplacian_G", counted)
+    monkeypatch.setattr(dnls.geometry, "div_G_grad_coeffs", counted)
     cfg = _write(tmp_path, TABLE_FREE.format(preset="conformal_bump"))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == EXIT_OK

@@ -20,6 +20,7 @@ from dnls.grid import (
 
 from conftest import band_limited_random, gaussian_field, local_integrals
 from reference import (
+    flux_divergence_full,
     flux_divergence_table,
     grad_rho,
     hess_chi,
@@ -50,6 +51,16 @@ def test_grid_spec_rejects_bad_sizes():
         GridSpec(2, 15, 5.0)
     with pytest.raises(DomainError):
         GridSpec(2, 16, -1.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 16, 48, 64])
+def test_retained_modes_are_the_two_thirds_band(n):
+    spec = GridSpec(2, n, 3.0)
+    m = np.fft.fftfreq(n) * n
+    assert np.array_equal(spec.retained(True), np.flatnonzero(np.abs(m) <= n // 3))
+    assert np.array_equal(spec.retained(False), np.arange(n))
+    keep = np.abs(m) <= n // 3
+    assert np.array_equal(spec.dealias_mask, keep[:, None] & keep[None, :])
 
 
 def test_field_shape_and_finiteness():
@@ -232,6 +243,43 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
         kg = op(g, spec, *args, dealias=dealias)
         bound = 1e-12 * np.linalg.norm(kf) * np.linalg.norm(g)
         assert abs(np.vdot(g, kf) - np.vdot(kg, f)) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    dealias=st.booleans(),
+    rank_one=st.booleans(),
+    support=st.sampled_from(["ball", "wrap", "full"]),
+)
+def test_flux_kernel_matches_full_grid_flux(dim, seed, dealias, rank_one,
+                                            support):
+    # the pruned kernel (band and support box of p only) is the full-grid
+    # flux up to rounding, whether supp p is a small ball, a ball across the
+    # periodic edge of one axis (its box is that whole axis) or everything
+    spec = GridSpec(dim, {1: 32, 2: 16, 3: 12}[dim], 5.0)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(spec.shape)
+    if support != "full":
+        center = rng.uniform(-3.0, 3.0, dim)
+        if support == "wrap":
+            center[rng.integers(dim)] = -spec.length
+        dist2 = sum(np.minimum(np.abs(x - c), 2.0 * spec.length - np.abs(x - c))**2
+                    for x, c in zip(spec.coords, center))
+        p = p * (dist2 < rng.uniform(0.5, 2.0) ** 2)
+    direction = None
+    if rank_one:
+        direction = rng.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+    coeffs = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    if dealias:
+        coeffs[~spec.dealias_mask] = 0.0
+    got = flux_divergence(coeffs, spec, p, direction, dealias)
+    want = flux_divergence_full(coeffs, spec, p, direction, dealias)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if dealias:
+        assert not np.any(got[~spec.dealias_mask])
 
 
 @pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])

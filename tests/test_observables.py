@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, SamplingError, SeriesAlignmentError
-from dnls.geometry import DampingField, build_preset, cutoff_field
+from dnls.geometry import (
+    DampingField,
+    build_preset,
+    cutoff_field,
+    gradient_bound_constant,
+)
 from dnls.grid import (
     Field,
     GridSpec,
@@ -774,6 +779,25 @@ def test_fft_count_per_record(monkeypatch, dim, n):
     full = (dim + 2, 1 + dim)
     per_record = _transforms_per_record(monkeypatch, dim, n, interaction_every=2)
     assert per_record == {0: full, 1: (dim + 2, 0), 2: full}
+
+
+def test_damping_table_transformed_once_per_monitor_build(monkeypatch):
+    # grad a (the flux-form monitor, the gradient bound) and div(G grad a)
+    # (the mass-term monitor) come from one transform of the damping table
+    spec = GridSpec(2, 32, 8.0)
+    metric, damping = build_preset("conformal_bump", spec)
+    original = GridSpec.fft
+    on_table = []
+
+    def counted(self, values):
+        if values.shape == spec.shape and np.array_equal(values, damping.table):
+            on_table.append(1)
+        return original(self, values)
+
+    monkeypatch.setattr(GridSpec, "fft", counted)
+    standard_monitors(metric, damping, weight_tables(spec))
+    gradient_bound_constant(damping, 0.01)
+    assert len(on_table) == 1
 
 
 # -- golden monitor values ----------------------------------------------------------

@@ -224,15 +224,20 @@ def test_step_reuses_a_propagator_built_for_its_dt_only():
 
 def test_propagator_free_multiplier_is_the_grids_free_factors():
     # one builder of e^{-i k_j^2 tau}: over dt for G = I, over dt/2 for each
-    # half of the inner sandwich, and the same bits as the expression itself
-    cfg = SolverConfig(dt=0.01, duration=1.0)
-    for preset, tau in (("identity", 0.01), ("conformal_bump", 0.005)):
-        metric, damping = build_preset(preset, SPEC)
-        free = Propagator(metric, damping, cfg).free
-        expected = [np.exp(-1j * k**2 * tau) for k in SPEC.wavenumbers]
-        assert len(free) == len(expected) == SPEC.dim
-        for got, shared, want in zip(free, SPEC.free_factors(tau), expected):
-            assert np.array_equal(got, shared) and np.array_equal(got, want)
+    # half of the inner sandwich, and the same bits as the expression itself,
+    # taken on the retained modes (the 2/3 band with dealiasing)
+    for dealias in (True, False):
+        cfg = SolverConfig(dt=0.01, duration=1.0, dealias=dealias)
+        retained = SPEC.retained(dealias)
+        for preset, tau in (("identity", 0.01), ("conformal_bump", 0.005)):
+            metric, damping = build_preset(preset, SPEC)
+            free = Propagator(metric, damping, cfg).free
+            expected = [np.exp(-1j * k**2 * tau) for k in SPEC.wavenumbers]
+            assert len(free) == len(expected) == SPEC.dim
+            for j, (got, shared, want) in enumerate(
+                    zip(free, SPEC.free_factors(tau), expected)):
+                assert np.array_equal(got, np.take(shared, retained, axis=j))
+                assert np.array_equal(got, np.take(want, retained, axis=j))
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -479,19 +484,44 @@ def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
     return len(calls)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 @pytest.mark.parametrize("inner_steps", [1, 2])
-def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps):
-    m = inner_steps
-    # identity: the exact multiplier (2) and the trailing band limit (2)
-    assert _transforms_per_step(monkeypatch, "identity", dim, n, m) == 4
-    # conformal: 2d transforms per flux apply, four applies and one guard
-    # transform per inner RK4 step, plus the guard at entry
-    assert _transforms_per_step(monkeypatch, "conformal_bump", dim, n, m) == (
-        5 + (8 * dim + 1) * m
-    )
-    # rank-one: (v . grad)(p (v . grad u)) costs 2 transforms in any dimension
-    assert _transforms_per_step(monkeypatch, "anisotropic_bump", dim, n, m) == 5 + 9 * m
+@pytest.mark.parametrize("preset", ["identity", "conformal_bump",
+                                    "anisotropic_bump"])
+def test_fft_count_per_strang_step(monkeypatch, preset, dim, n, inner_steps):
+    # one forward and one inverse transform around the linear substep and two
+    # for the trailing band limit; the flux kernel makes only pruned line
+    # transforms and the blow-up guard reads the coefficients' L2 norm
+    assert _transforms_per_step(monkeypatch, preset, dim, n, inner_steps) == 4
+
+
+@pytest.mark.parametrize("preset,lines", [("conformal_bump", 6036),
+                                          ("anisotropic_bump", 2738)])
+def test_line_transforms_per_flux_apply(monkeypatch, preset, lines):
+    # the evolve3d geometry: p lives on 7^3 of 48^3 points and the 2/3 band
+    # keeps 33 modes per axis; full-grid transforms would take 2d * 3 * 48^2
+    # = 41472 lines (conformal) or 2 * 3 * 48^2 = 13824 (rank-one)
+    import scipy.fft
+
+    spec = GridSpec(3, 48, 12.0)
+    metric, damping = build_preset(preset, spec, {"metric_amplitude": -0.95,
+                                                  "metric_radius": 2.0,
+                                                  "damping_radius": 4.0})
+    flux = Propagator(metric, damping, SolverConfig(dt=0.02, duration=0.08)).flux
+    assert tuple(s.stop - s.start for s in flux.box) == (7, 7, 7)
+    counted = []
+    for name in ("fft", "ifft"):
+        original = getattr(scipy.fft, name)
+
+        def count(x, *args, axis=-1, _original=original, **kwargs):
+            counted.append(x.size // x.shape[axis])
+            assert x.shape[axis] == spec.n
+            return _original(x, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, count)
+    coeffs = spec.fft(gaussian_field(spec).values)[np.ix_(*[spec.retained(True)] * 3)]
+    flux(coeffs)
+    assert sum(counted) == lines
 
 
 # -- discrete invariants -----------------------------------------------------------
