@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidMetricError
-from .grid import GridSpec, div_G_grad_coeffs
+from .grid import Field, GridSpec, div_G_grad_coeffs, gradient
 
 __all__ = [
     "bump_profile",
@@ -183,6 +184,18 @@ class MetricField:
         return self.amplitude * bump_profile(np.sqrt(self.spec.radius_squared),
                                              self.radius)
 
+    def apply(self, w: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """G w for a real vector field w given by its components, by the
+        structure G = I + p S."""
+        p = self.perturbation
+        if p is None:
+            return list(w)
+        if self.conformal:
+            return [(1.0 + p) * wj for wj in w]
+        v = self.direction
+        pvw = p * sum(vj * wj for vj, wj in zip(v, w) if vj != 0.0)
+        return [wj + vj * pvw if vj != 0.0 else wj for vj, wj in zip(v, w)]
+
     def deviation_norm(self) -> np.ndarray:
         """Pointwise Frobenius norm of G - I = p S on the grid, in closed form:
         |p| sqrt(d) for S = I and |p| for S = v v^T with unit v."""
@@ -253,7 +266,7 @@ class DampingField:
         if self.amplitude > 0.0 and not self.reach < spec.length:
             raise DomainError("damping support must fit inside the box")
         self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
-        self._div_G_grad: tuple[MetricField, np.ndarray] | None = None
+        self._metric_terms: tuple | None = None
 
     def eval_damping(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -276,24 +289,24 @@ class DampingField:
     def sup(self) -> float:
         return float(self.table.max())
 
-    @cached_property
-    def _coeffs(self) -> np.ndarray:
-        """fft(a), the one transform behind :attr:`grad` and :meth:`div_G_grad`."""
-        return self.spec.fft(self.table.astype(complex))
-
-    @cached_property
-    def grad(self) -> list[np.ndarray]:
-        """Spectral grad a, complex as transformed (the real parts are grad a)."""
-        return [self.spec.ifft(1j * k * self._coeffs) for k in self.spec.wavenumbers]
-
     def div_G_grad(self, metric: MetricField) -> np.ndarray:
-        """div(G grad a) on the grid, the source of the energy law's mass
-        term. Kept for the last metric asked, so a run's monitors and its
-        energy/lambda bound share one build."""
-        if self._div_G_grad is None or self._div_G_grad[0] is not metric:
-            lap = self.spec.ifft(div_G_grad_coeffs(self._coeffs, metric))
-            self._div_G_grad = (metric, lap.real)
-        return self._div_G_grad[1]
+        """div(G grad a) on the grid, the source of the energy law's mass term."""
+        return self._terms(metric)[0]
+
+    def G_grad(self, metric: MetricField) -> list[np.ndarray]:
+        """G grad a on the grid, the weight of the energy law's flux form."""
+        return self._terms(metric)[1]
+
+    def _terms(self, metric: MetricField):
+        """(div(G grad a), G grad a) from one transform of a, kept for the last
+        metric asked: a run's monitors and energy/lambda bound share one build."""
+        if self._metric_terms is None or self._metric_terms[0] is not metric:
+            spec = self.spec
+            coeffs = spec.fft(self.table.astype(complex))
+            grad = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
+            lap = spec.ifft(div_G_grad_coeffs(coeffs, metric)).real
+            self._metric_terms = (metric, lap, metric.apply(grad))
+        return self._metric_terms[1:]
 
 
 @dataclass
@@ -356,11 +369,13 @@ def gradient_bound_constant(damping: DampingField, eps: float) -> float:
     """Minimal C on the grid with |grad a| <= C a + eps."""
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
+    spec = damping.spec
     a = damping.table
     positive = a > 0.0
     if not positive.any():
         return 0.0
-    grad_mag = np.sqrt(sum(np.abs(g) ** 2 for g in damping.grad))
+    grad = gradient(Field(a.astype(np.complex128), spec))
+    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grad))
     excess = np.maximum(grad_mag - eps, 0.0)
     ratios = excess[positive] / a[positive]
     return float(ratios.max())

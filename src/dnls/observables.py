@@ -273,19 +273,6 @@ def _metric_energy_density(frame: Frame, metric: MetricField) -> np.ndarray:
     return frame.grad_sq + p * abs2(vg)
 
 
-def _metric_apply(metric: MetricField, w: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """G w for a real vector field w given by its components, by the structure
-    G = I + p S."""
-    p = metric.perturbation
-    if p is None:
-        return list(w)
-    if metric.conformal:
-        return [(1.0 + p) * wj for wj in w]
-    v = metric.direction
-    pvw = p * sum(vj * wj for vj, wj in zip(v, w) if vj != 0.0)
-    return [wj + vj * pvw if vj != 0.0 else wj for vj, wj in zip(v, w)]
-
-
 def energy(frame: Frame, metric: MetricField) -> float:
     """E[u] = 1/2 int G grad u . grad conj(u) + 1/4 int |u|^4.
 
@@ -411,7 +398,7 @@ def standard_monitors(
     a = damping.table
     a_support = a > a_min
     lap_G_a = damping.div_G_grad(metric)
-    G_grad_a = _metric_apply(metric, [g.real for g in damping.grad])
+    G_grad_a = damping.G_grad(metric)
     pert_support = metric.deviation_norm() > g_tol if not metric.is_identity else None
 
     def mon_mass(state, frame):

@@ -106,8 +106,7 @@ class Propagator:
       :func:`nonlinear_damping_substep`, tabulated on the bounding box of
       supp a only (outside it the flow is the plain rotation by
       -|u0|^2 dt/2);
-    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`)
-      in a coefficient array;
+    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`);
     * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
       :meth:`GridSpec.free_factors` on those modes: over tau = dt when
       G = I, over tau = dt/2 (each half of the inner sandwich) otherwise;
@@ -182,8 +181,7 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
     u_t = i div((G-I) grad u), half free multiplier. It aborts when their
     L2 norm passes ``_BLOWUP_FACTOR`` times its value at entry.
     """
-    p = propagator
-    spec, cfg = p.spec, p.cfg
+    p, spec, cfg = propagator, propagator.spec, propagator.cfg
     coeffs = spec.fft(u.values)[p.band]
     for factor in p.free:
         coeffs *= factor

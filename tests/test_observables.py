@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, SamplingError, SeriesAlignmentError
-from dnls.geometry import (
-    DampingField,
-    build_preset,
-    cutoff_field,
-    gradient_bound_constant,
-)
+from dnls.geometry import DampingField, build_preset, cutoff_field
 from dnls.grid import (
     Field,
     GridSpec,
@@ -782,8 +777,8 @@ def test_fft_count_per_record(monkeypatch, dim, n):
 
 
 def test_damping_table_transformed_once_per_monitor_build(monkeypatch):
-    # grad a (the flux-form monitor, the gradient bound) and div(G grad a)
-    # (the mass-term monitor) come from one transform of the damping table
+    # G grad a (the flux-form monitor) and div(G grad a) (the mass-term
+    # monitor) come from one transform of the damping table
     spec = GridSpec(2, 32, 8.0)
     metric, damping = build_preset("conformal_bump", spec)
     original = GridSpec.fft
@@ -796,7 +791,6 @@ def test_damping_table_transformed_once_per_monitor_build(monkeypatch):
 
     monkeypatch.setattr(GridSpec, "fft", counted)
     standard_monitors(metric, damping, weight_tables(spec))
-    gradient_bound_constant(damping, 0.01)
     assert len(on_table) == 1
 
 
