@@ -257,12 +257,11 @@ class FluxKernel:
 
     def __init__(self, spec: GridSpec, p: np.ndarray,
                  direction: np.ndarray | None, band: np.ndarray):
-        d = spec.dim
         self.spec, self.band = spec, band
         self.box = support_box(p)
         self.p = None if self.box is None else p[self.box]
-        ik = [1j * spec.k1d[band].reshape((-1,) + (1,) * (d - 1 - j))
-              for j in range(d)]
+        ik = [1j * spec.k1d[band].reshape((-1,) + (1,) * (spec.dim - 1 - j))
+              for j in range(spec.dim)]
         # flux j: multiplier j acts on the axes >= j, the shared ones are < j
         self.mults = ik if direction is None else [
             sum(vj * k for vj, k in zip(direction, ik) if vj != 0.0)]

@@ -106,11 +106,11 @@ class Propagator:
       :func:`nonlinear_damping_substep`, tabulated on the bounding box of
       supp a only (outside it the flow is the plain rotation by
       -|u0|^2 dt/2);
-    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`);
     * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
-      :meth:`GridSpec.free_factors` on those modes: over tau = dt when
-      G = I, over tau = dt/2 (each half of the inner sandwich) otherwise;
-    * the :class:`FluxKernel` of G - I = p S on those modes (None if G = I).
+      :meth:`GridSpec.free_factors`: over tau = dt when G = I, over
+      tau = dt/2 (each half of the inner sandwich) otherwise;
+    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`)
+      and the :class:`FluxKernel` of G - I = p S on them (None if G = I).
 
     It lives for one ``simulate`` call (or one stability probe), so its tables
     are freed with it.
@@ -138,9 +138,7 @@ class Propagator:
             )
         retained = spec.retained(cfg.dealias)
         self.band = np.ix_(*[retained] * spec.dim)
-        free_tau = dt if metric.is_identity else tau
-        self.free = [np.take(f, retained, axis=j)
-                     for j, f in enumerate(spec.free_factors(free_tau))]
+        self.free = spec.free_factors(dt if metric.is_identity else tau)
         self.flux = None if metric.is_identity else FluxKernel(
             spec, metric.perturbation, metric.direction, retained)
 
@@ -176,21 +174,25 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
     """exp(i dt div(G grad .)) u over the step dt of ``propagator``; exact
     when G = I.
 
-    Otherwise an inner Strang sandwich on the retained Fourier coefficients:
-    half free multiplier, ``inner_perturbation_steps`` RK4 steps of
-    u_t = i div((G-I) grad u), half free multiplier. It aborts when their
-    L2 norm passes ``_BLOWUP_FACTOR`` times its value at entry.
+    Otherwise an inner Strang sandwich on Fourier coefficients: half free
+    multiplier, ``inner_perturbation_steps`` RK4 steps of
+    u_t = i div((G-I) grad u) on the retained ones, which abort when their
+    L2 norm passes ``_BLOWUP_FACTOR`` times its value at entry, half free
+    multiplier.
     """
     p, spec, cfg = propagator, propagator.spec, propagator.cfg
-    coeffs = spec.fft(u.values)[p.band]
+    coeffs = spec.fft(u.values)
+    if cfg.dealias:
+        coeffs[~spec.dealias_mask] = 0.0
     for factor in p.free:
         coeffs *= factor
     if p.flux is not None:
-        guard = _BLOWUP_FACTOR * np.sqrt(norm_sq(coeffs))
+        band = coeffs[p.band]
+        guard = _BLOWUP_FACTOR * np.sqrt(norm_sq(band))
         m = cfg.inner_perturbation_steps
         for _ in range(m):
-            coeffs = rk4(coeffs, lambda c: 1j * p.flux(c), p.dt / m)
-            if np.sqrt(norm_sq(coeffs)) > guard:
+            band = rk4(band, lambda c: 1j * p.flux(c), p.dt / m)
+            if np.sqrt(norm_sq(band)) > guard:
                 suggestion = cfl_suggestion(spec, p.metric, cfg.duration, m,
                                             cfg.dealias)
                 raise StabilityError(
@@ -198,11 +200,10 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
                     f"bound {suggestion:.3g} or raise inner_perturbation_steps",
                     dt_suggestion=suggestion,
                 )
+        coeffs[p.band] = band
         for factor in p.free:
             coeffs *= factor
-    full = np.zeros(spec.shape, dtype=complex)
-    full[p.band] = coeffs
-    return Field(spec.ifft(full), spec)
+    return Field(spec.ifft(coeffs), spec)
 
 
 def step(state: SimulationState, propagator: Propagator) -> SimulationState:

@@ -224,20 +224,15 @@ def test_step_reuses_a_propagator_built_for_its_dt_only():
 
 def test_propagator_free_multiplier_is_the_grids_free_factors():
     # one builder of e^{-i k_j^2 tau}: over dt for G = I, over dt/2 for each
-    # half of the inner sandwich, and the same bits as the expression itself,
-    # taken on the retained modes (the 2/3 band with dealiasing)
-    for dealias in (True, False):
-        cfg = SolverConfig(dt=0.01, duration=1.0, dealias=dealias)
-        retained = SPEC.retained(dealias)
-        for preset, tau in (("identity", 0.01), ("conformal_bump", 0.005)):
-            metric, damping = build_preset(preset, SPEC)
-            free = Propagator(metric, damping, cfg).free
-            expected = [np.exp(-1j * k**2 * tau) for k in SPEC.wavenumbers]
-            assert len(free) == len(expected) == SPEC.dim
-            for j, (got, shared, want) in enumerate(
-                    zip(free, SPEC.free_factors(tau), expected)):
-                assert np.array_equal(got, np.take(shared, retained, axis=j))
-                assert np.array_equal(got, np.take(want, retained, axis=j))
+    # half of the inner sandwich, and the same bits as the expression itself
+    cfg = SolverConfig(dt=0.01, duration=1.0)
+    for preset, tau in (("identity", 0.01), ("conformal_bump", 0.005)):
+        metric, damping = build_preset(preset, SPEC)
+        free = Propagator(metric, damping, cfg).free
+        expected = [np.exp(-1j * k**2 * tau) for k in SPEC.wavenumbers]
+        assert len(free) == len(expected) == SPEC.dim
+        for got, shared, want in zip(free, SPEC.free_factors(tau), expected):
+            assert np.array_equal(got, shared) and np.array_equal(got, want)
 
 
 # -- simulate ---------------------------------------------------------------------
