@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,8 +497,6 @@ def test_line_transforms_per_flux_apply(monkeypatch, preset, lines):
     # the evolve3d geometry: p lives on 7^3 of 48^3 points and the 2/3 band
     # keeps 33 modes per axis; full-grid transforms would take 2d * 3 * 48^2
     # = 41472 lines (conformal) or 2 * 3 * 48^2 = 13824 (rank-one)
-    import scipy.fft
-
     spec = GridSpec(3, 48, 12.0)
     metric, damping = build_preset(preset, spec, {"metric_amplitude": -0.95,
                                                   "metric_radius": 2.0,
