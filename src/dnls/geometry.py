@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidMetricError
-from .grid import Field, GridSpec, div_G_grad_coeffs, gradient
+from .grid import GridSpec, real_derivatives
 
 __all__ = [
     "bump_profile",
@@ -301,10 +301,7 @@ class DampingField:
         """(div(G grad a), G grad a) from one transform of a, kept for the last
         metric asked: a run's monitors and energy/lambda bound share one build."""
         if self._metric_terms is None or self._metric_terms[0] is not metric:
-            spec = self.spec
-            coeffs = spec.fft(self.table.astype(complex))
-            grad = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
-            lap = spec.ifft(div_G_grad_coeffs(coeffs, metric)).real
+            lap, grad = real_derivatives(self.table, metric)
             self._metric_terms = (metric, lap, metric.apply(grad))
         return self._metric_terms[1:]
 
@@ -366,19 +363,23 @@ def coercivity_constant(metric: MetricField) -> float:
 
 
 def gradient_bound_constant(damping: DampingField, eps: float) -> float:
-    """Minimal C on the grid with |grad a| <= C a + eps."""
+    """Minimal C on the grid with |grad a| <= C a + eps, |grad a| in closed
+    form, 2 A |db/ds2| rho / R^2 with rho = |x - c| (ball) or ||x - c| - mid|
+    (annulus): a spectral gradient's rounding would set C where a -> 0."""
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    spec = damping.spec
-    a = damping.table
-    positive = a > 0.0
-    if not positive.any():
+    if damping.amplitude == 0.0:
         return 0.0
-    grad = gradient(Field(a.astype(np.complex128), spec))
-    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grad))
+    spec = damping.spec
+    rho = np.sqrt(sum((x - c) ** 2 for x, c in zip(spec.coords, damping.center)))
+    if damping.shape == "annulus":
+        rho = np.abs(rho - damping._mid)
+    b, b_s2 = _bump((rho / damping.radius) ** 2, slope=True)
+    positive = b > 0.0
+    grad_mag = 2.0 * damping.amplitude * np.abs(b_s2) * rho / damping.radius**2
     excess = np.maximum(grad_mag - eps, 0.0)
-    ratios = excess[positive] / a[positive]
-    return float(ratios.max())
+    ratios = excess[positive] / (damping.amplitude * b[positive])
+    return float(ratios.max(initial=0.0))
 
 
 def build_preset(

@@ -32,6 +32,7 @@ __all__ = [
     "laplacian_G",
     "FluxKernel",
     "flux_divergence",
+    "real_derivatives",
     "abs2",
     "dot",
     "norm_sq",
@@ -247,58 +248,43 @@ class FluxKernel:
     in and out: S = I without ``direction``, else S = v v^T, one flux in any
     dimension as div(p v v^T grad u) = (v . grad)(p (v . grad u)).
 
-    The fluxes live on the bounding box of p != 0, reached and left by 1-D
-    transforms axis by axis that skip every line zero on input or unused on
-    output (FFT pruning, Markel 1971), sharing the lines they can. At 48^3
-    with the 2/3 band and a 7^3 box that is 6036 lines of 48 points per
-    conformal apply and 2738 per rank-one apply; full-grid transforms take
-    41472 and 13824.
+    The fluxes live on the bounding box of p != 0, so the transforms are the
+    DFT restricted to the box points and the band modes, one small matrix per
+    axis: the synthesis E[j, m] = exp(2 pi i m j / n) for the box points j
+    and band modes m, and its analysis adjoint conj(E).T / n. A flux with
+    multiplier ik is ik * A(p * E(ik * c)), each of E and A a matrix product
+    along every axis in turn.
     """
 
     def __init__(self, spec: GridSpec, p: np.ndarray,
                  direction: np.ndarray | None, band: np.ndarray):
-        self.spec, self.band = spec, band
         self.box = support_box(p)
         self.p = None if self.box is None else p[self.box]
+        n = spec.n
+        # m * j reduced mod n keeps the phases in [0, 2 pi)
+        self.synthesis = [] if self.box is None else [
+            np.exp(2j * np.pi / n * (np.outer(np.arange(n)[s], band) % n))
+            for s in self.box]
+        self.analysis = [e.conj().T / n for e in self.synthesis]
         ik = [1j * spec.k1d[band].reshape((-1,) + (1,) * (spec.dim - 1 - j))
               for j in range(spec.dim)]
-        # flux j: multiplier j acts on the axes >= j, the shared ones are < j
         self.mults = ik if direction is None else [
             sum(vj * k for vj, k in zip(direction, ik) if vj != 0.0)]
 
-    def _line(self, transform, values, axis, keep_in, keep_out):
-        """Transform the length-n lines along ``axis`` whose positions
-        ``keep_in`` hold ``values`` (zeros elsewhere); keep ``keep_out``."""
-        n, head = self.spec.n, (slice(None),) * axis
-        if values.shape[axis] < n:
-            line = np.zeros(values.shape[:axis] + (n,) + values.shape[axis + 1:],
-                            complex)
-            line[head + (keep_in,)] = values
-            values = line
-        out = transform(values, axis=axis, norm="forward", workers=_fft_workers())
-        return out[head + (keep_out,)]
-
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(coeffs)
         if self.box is None:
-            return np.zeros_like(coeffs)
-        d, box, band = self.spec.dim, self.box, self.band
-        fluxes, shared = [], coeffs
-        for j, mult in enumerate(self.mults):
-            if j:
-                shared = self._line(_fft.ifft, shared, j - 1, band, box[j - 1])
-            flux = mult * shared
-            for ax in range(j, d):
-                flux = self._line(_fft.ifft, flux, ax, band, box[ax])
-            fluxes.append(flux * self.p)
-        out = None
-        for j in reversed(range(len(fluxes))):
-            flux = fluxes[j]
-            for ax in reversed(range(j, d)):
-                flux = self._line(_fft.fft, flux, ax, box[ax], band)
-            flux *= self.mults[j]
-            if out is not None:
-                flux += self._line(_fft.fft, out, j, box[j], band)
-            out = flux
+            return out
+        for mult in self.mults:
+            # each product contracts the leading axis and appends the new
+            # one, so d of them apply one matrix per axis in axis order
+            flux = mult * coeffs
+            for matrix in self.synthesis:
+                flux = np.tensordot(flux, matrix, axes=(0, 1))
+            flux *= self.p
+            for matrix in self.analysis:
+                flux = np.tensordot(flux, matrix, axes=(0, 1))
+            out += mult * flux
         return out
 
 
@@ -307,16 +293,10 @@ def flux_divergence(
     spec: GridSpec,
     p: np.ndarray,
     direction: np.ndarray | None = None,
-    dealias: bool = False,
 ) -> np.ndarray:
     """Fourier coefficients of div(p S grad u), given all those of u, by a
-    :class:`FluxKernel`. With ``dealias`` it reads and writes the 2/3 band
-    only: off the band u counts as zero, and the result is exactly zero."""
-    band = spec.retained(dealias)
-    index = np.ix_(*[band] * spec.dim)
-    out = np.zeros_like(coeffs)
-    out[index] = FluxKernel(spec, p, direction, band)(coeffs[index])
-    return out
+    :class:`FluxKernel` on every mode."""
+    return FluxKernel(spec, p, direction, spec.retained(False))(coeffs)
 
 
 def div_G_grad_coeffs(coeffs: np.ndarray, metric) -> np.ndarray:
@@ -327,6 +307,18 @@ def div_G_grad_coeffs(coeffs: np.ndarray, metric) -> np.ndarray:
         out += flux_divergence(coeffs, spec, metric.perturbation,
                                metric.direction)
     return out
+
+
+def real_derivatives(table: np.ndarray,
+                     metric) -> tuple[np.ndarray, list[np.ndarray]]:
+    """div(G grad t) and the components of grad t for a fixed real table t,
+    from one transform. Only the real parts are kept: the spectral
+    derivatives of a real field carry an imaginary artifact from the
+    unpaired Nyquist mode."""
+    spec = metric.spec
+    coeffs = spec.fft(np.asarray(table, dtype=np.complex128))
+    grads = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
+    return spec.ifft(div_G_grad_coeffs(coeffs, metric)).real, grads
 
 
 def laplacian_G(f: Field, metric) -> Field:

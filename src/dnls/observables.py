@@ -25,9 +25,10 @@ from .grid import (
     dot,
     gradient,
     norm_sq,
+    real_derivatives,
     sobolev_norms_from_power,
 )
-from .scattering import commutator_with_cutoff, cutoff_derivatives
+from .scattering import commutator_with_cutoff
 
 __all__ = [
     "ObservableSeries",
@@ -480,7 +481,7 @@ def standard_monitors(
         monitors.append(Monitor("local_mass", mon_local_mass, record_every))
 
     if cutoff is not None:
-        cut_derivatives = cutoff_derivatives(cutoff, spec)
+        cut_derivatives = real_derivatives(cutoff, MetricField(spec))
 
         for s in cutoff_exponents:
             def mon_cut(state, frame, s=s):

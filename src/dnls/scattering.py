@@ -39,7 +39,6 @@ __all__ = [
     "free_evolve",
     "cauchy_scan",
     "extract_profile",
-    "cutoff_derivatives",
     "commutator_with_cutoff",
 ]
 
@@ -171,20 +170,6 @@ def extract_profile(
     return report
 
 
-def cutoff_derivatives(
-    cutoff: np.ndarray, spec: GridSpec
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """lap chi and the components of grad chi for a real cutoff chi.
-
-    Only the real parts are kept: the spectral derivatives of a real field
-    carry an imaginary artifact from the unpaired Nyquist mode.
-    """
-    coeffs = spec.fft(np.asarray(cutoff, dtype=np.complex128))
-    lap = spec.ifft(-spec.k_squared * coeffs).real
-    grads = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
-    return lap, grads
-
-
 def commutator_with_cutoff(
     u: Field,
     grads: Sequence[Field],
@@ -192,7 +177,7 @@ def commutator_with_cutoff(
 ) -> Field:
     """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u,
     given ``grads``, the spectral gradients of u, and ``derivatives``, the
-    :func:`cutoff_derivatives` of chi."""
+    :func:`grid.real_derivatives` of chi under the identity metric."""
     lap_chi, grad_chi = derivatives
     out = lap_chi * u.values
     for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place

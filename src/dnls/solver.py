@@ -8,15 +8,15 @@ A step is Strang splitting of two exactly solvable substeps:
   multiplier when G = I, otherwise an inner Strang sandwich: half free
   multiplier, fourth-order steps of u_t = i div((G-I) grad u), half free
   multiplier. The inner RK4 runs on the retained (2/3 band) coefficients,
-  and its flux is a ``grid.FluxKernel`` on the bounding box of supp p.
+  and its flux is a ``grid.FluxKernel``, a DFT restricted to them and supp p.
 
 A :class:`Propagator`, built once per run from (metric, damping, cfg), holds
 what every step shares; the step and both substeps read everything from it.
 
 Grid transforms per Strang step: 4 for any metric and inner step count (the
-linear substep's forward and inverse, the trailing band limit). On top, the
-flux kernel's pruned line transforms: four applies per inner RK4 step. The
-blow-up guard reads the coefficients' L2 norm (Parseval, no transform).
+linear substep's forward and inverse, the trailing band limit); the flux
+kernel, applied four times per inner RK4 step, makes none. The blow-up guard
+reads the coefficients' L2 norm (Parseval, no transform).
 
 Strang splitting is second order for cubic NLS (Lubich, Math. Comp. 77,
 2008). The tests cross-check it against a method-of-lines reference, the

@@ -11,11 +11,11 @@ ship them.
   splitting; this reference checks its order and pins the two ``rk4-*``
   golden cases.
 * Tables and multipliers the package builds in another form: the
-  full-grid flux (the package transforms only the band and the support box
-  of p), the grad|x| table (the package keeps only its half spectra), the
-  radial slope of the bump (the package forms grad p inside
-  ``MetricField.eval_radial``) and the full-grid free multiplier (the
-  package applies it as d one-dimensional factors).
+  full-grid flux (the package takes the DFT restricted to the band and the
+  support box of p, one matrix per axis), the grad|x| table (the package
+  keeps only its half spectra), the radial slope of the bump (the package
+  forms grad p inside ``MetricField.eval_radial``) and the full-grid free
+  multiplier (the package applies it as d one-dimensional factors).
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
 """
@@ -26,6 +26,7 @@ from dnls.geometry import bump_profile
 from dnls.grid import (
     Field,
     _grad_rho_components,
+    FluxKernel,
     flux_divergence,
     gradient,
     power_spectrum,
@@ -52,7 +53,8 @@ def flux_divergence_full(coeffs: np.ndarray, spec, p: np.ndarray,
     """Fourier coefficients of div(p S grad u) by full-grid transforms: 2d
     of them for S = I, 2 for S = v v^T. With ``dealias`` each flux is
     projected onto the 2/3 band after the pointwise product. The package
-    transforms only the retained band and the support box of p."""
+    takes the DFT restricted to the retained band and the support box of
+    p."""
 
     def band(flux: np.ndarray) -> np.ndarray:
         flux_hat = spec.fft(flux)
@@ -68,6 +70,22 @@ def flux_divergence_full(coeffs: np.ndarray, spec, p: np.ndarray,
         return out
     vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
     return vk * band(p * spec.ifft(vk * coeffs))
+
+
+def band_flux(coeffs: np.ndarray, spec, p: np.ndarray,
+              direction: np.ndarray | None = None,
+              dealias: bool = False) -> np.ndarray:
+    """Fourier coefficients of div(p S grad u), given all those of u: with
+    ``dealias`` the solver's :class:`FluxKernel` on the 2/3 band coefficients
+    (off the band u counts as zero and the result is exactly zero), without
+    it ``flux_divergence`` on every mode."""
+    if not dealias:
+        return flux_divergence(coeffs, spec, p, direction)
+    band = spec.retained(True)
+    index = np.ix_(*[band] * spec.dim)
+    out = np.zeros_like(coeffs)
+    out[index] = FluxKernel(spec, p, direction, band)(coeffs[index])
+    return out
 
 
 def flux_divergence_table(coeffs: np.ndarray, spec, table: np.ndarray,
@@ -121,8 +139,8 @@ def mol_rhs(values: np.ndarray, metric, damping, cfg) -> np.ndarray:
     if cfg.dealias:
         lin_hat[~mask] = 0.0
     if not metric.is_identity:
-        lin_hat += flux_divergence(coeffs, spec, metric.perturbation,
-                                   metric.direction, cfg.dealias)
+        lin_hat += band_flux(coeffs, spec, metric.perturbation,
+                             metric.direction, cfg.dealias)
     out = 1j * spec.ifft(lin_hat)
     out = out - damping.table * values
     if cfg.nonlinearity:

@@ -3,8 +3,12 @@
 OpenBLAS splits a long dot product or matrix-vector product over its threads,
 one per core by default, so a BLAS reduction rounds differently with the
 thread count. The grid-sized reductions go through ``grid.dot``, which does
-not call BLAS; this test runs the same record and scan at 1 and at 2 BLAS
-threads, in two fresh interpreters, and compares the bits.
+not call BLAS. The metric flux does: ``grid.FluxKernel`` applies its
+restricted DFT matrices as small complex matrix products, and OpenBLAS
+divides those between its threads by blocks of the output, so each entry
+keeps one summation order. This test runs the same record, scan and flux
+applies at 1 and at 2 BLAS threads, in two fresh interpreters, and compares
+the bits.
 """
 
 import json
@@ -15,12 +19,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# One full-bundle record of every golden monitor field (2-d and 3-d) and a
-# Cauchy scan at 128^2 and 24^3; prints every value as float.hex.
+# One full-bundle record of every golden monitor field (2-d and 3-d), a
+# Cauchy scan at 128^2 and 24^3, and one conformal and one rank-one flux
+# apply at 24^3; prints every value as float.hex.
 CHILD = """
 import json
+import numpy as np
 from test_observables import GOLDEN_MONITOR_PRESETS, _golden_monitor_values
-from dnls.grid import GridSpec
+from dnls.geometry import MetricField
+from dnls.grid import FluxKernel, GridSpec
 from dnls.observables import smooth_random_field
 from dnls.scattering import cauchy_scan
 
@@ -34,6 +41,13 @@ for dim, n in ((2, 128), (3, 24)):
     snapshots = [(0.1 * i, smooth_random_field(spec, seed=i)) for i in range(4)]
     for s, matrix in cauchy_scan(snapshots).cauchy.items():
         out[f"scan {dim}d s={s}"] = [float(x).hex() for x in matrix.ravel()]
+spec = GridSpec(3, 24, 8.0)
+band = spec.retained(True)
+coeffs = spec.fft(smooth_random_field(spec, seed=7).values)[np.ix_(*[band] * 3)]
+for direction in (None, (1.0, 2.0, -0.5)):
+    metric = MetricField(spec, amplitude=-0.5, radius=2.5, direction=direction)
+    flux = FluxKernel(spec, metric.perturbation, metric.direction, band)(coeffs)
+    out[f"flux {metric.conformal}"] = [float(x).hex() for x in flux.view(float).ravel()]
 print(json.dumps(out))
 """
 

@@ -240,13 +240,13 @@ def test_simulate_builds_div_G_grad_a_once(tmp_path, monkeypatch):
     import dnls.geometry
 
     built = []
-    original = dnls.geometry.div_G_grad_coeffs
+    original = dnls.geometry.real_derivatives
 
-    def counted(coeffs, metric):
+    def counted(table, metric):
         built.append(metric)
-        return original(coeffs, metric)
+        return original(table, metric)
 
-    monkeypatch.setattr(dnls.geometry, "div_G_grad_coeffs", counted)
+    monkeypatch.setattr(dnls.geometry, "real_derivatives", counted)
     cfg = _write(tmp_path, TABLE_FREE.format(preset="conformal_bump"))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == EXIT_OK

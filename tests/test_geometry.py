@@ -14,7 +14,7 @@ from dnls.geometry import (
     gradient_bound_constant,
     smooth_transition,
 )
-from dnls.grid import Field, GridSpec, gradient, laplacian_G
+from dnls.grid import Field, GridSpec, laplacian_G
 from dnls.solver import cfl_suggestion
 
 from reference import bump_profile_derivative, metric_table
@@ -242,21 +242,40 @@ def test_gradient_bound_zero_damping():
     assert gradient_bound_constant(damping, 0.01) == 0.0
 
 
-def test_gradient_bound_matches_exhaustive_scan():
-    damping = DampingField(SPEC, amplitude=1.0, radius=3.0)
-    eps = 0.01
-    got = gradient_bound_constant(damping, eps)
-    # oracle: raw spectral gradient magnitude and a full-grid maximization
-    a = damping.table
-    grad = gradient(Field(a.astype(complex), SPEC))
-    mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grad))
+def _scanned_gradient_bound(damping, eps, h=1e-6):
+    """max of (|grad a| - eps) / a over the grid points with a > 0, |grad a|
+    by central differences of the closed-form evaluator."""
+    spec = damping.spec
+    points = np.stack([np.broadcast_to(x, spec.shape) for x in spec.coords],
+                      axis=-1).reshape(-1, spec.dim)
+    grad = np.stack([(damping.eval_damping(points + h * e)
+                      - damping.eval_damping(points - h * e)) / (2.0 * h)
+                     for e in np.eye(spec.dim)], axis=-1)
+    a, mag = damping.eval_damping(points), np.linalg.norm(grad, axis=-1)
     best = 0.0
-    flat_a, flat_m = a.ravel(), mag.ravel()
-    for ai, mi in zip(flat_a, flat_m):
+    for ai, mi in zip(a, mag):
         if ai > 0.0 and mi > eps:
             best = max(best, (mi - eps) / ai)
-    assert got == pytest.approx(best, rel=1e-12)
+    return best
+
+
+def test_gradient_bound_matches_exhaustive_scan():
+    damping = DampingField(SPEC, amplitude=1.0, radius=3.0)
+    got = gradient_bound_constant(damping, 0.01)
+    assert got == pytest.approx(_scanned_gradient_bound(damping, 0.01), rel=1e-6)
+    assert got == pytest.approx(28.48, abs=0.005)
+
+
+@pytest.mark.parametrize("shape,center", [("ball", (1.5, -2.0)),
+                                          ("annulus", (0.0, 0.0)),
+                                          ("annulus", (-1.0, 2.0))])
+def test_gradient_bound_of_annulus_and_offset_centre(shape, center):
+    damping = DampingField(SPEC, amplitude=2.0, shape=shape, radius=2.5,
+                           inner_radius=1.5, outer_radius=4.0,
+                           center=np.array(center))
+    got = gradient_bound_constant(damping, 0.01)
     assert got > 0.0
+    assert got == pytest.approx(_scanned_gradient_bound(damping, 0.01), rel=1e-6)
 
 
 def test_gradient_bound_monotone_in_eps():

