@@ -52,11 +52,11 @@ def _bump(s2: np.ndarray, slope: bool = False):
     inside = s2 < 1.0
     t = 1.0 - s2[inside]
     b_in = np.exp(1.0 - 1.0 / t)
-    b = np.zeros_like(s2)
+    b = np.zeros(s2.shape)
     b[inside] = b_in
     if not slope:
         return b
-    b_s2 = np.zeros_like(s2)
+    b_s2 = np.zeros(s2.shape)
     b_s2[inside] = -b_in / t / t
     return b, b_s2
 
@@ -93,7 +93,8 @@ def cutoff_field(spec: GridSpec, flat_radius: float, support_radius: float) -> n
 
 
 def _radii(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(points - center, axis=-1)
+    """|x - center| along the last axis, summed as ``np.linalg.norm`` sums."""
+    return np.sqrt(np.add.reduce(np.square(points - center), axis=-1))
 
 
 class MetricField:
@@ -103,9 +104,9 @@ class MetricField:
     for anisotropic ones, and the package uses G only through that structure:
     on the grid through ``perturbation`` p and ``direction`` v (S = v v^T, or
     S = I when v is None), off the grid through :meth:`eval_radial`, which
-    gives p and grad p in closed form. :meth:`eval_metric` and
-    :meth:`eval_metric_grad` expand them into the generic G and dG/dx arrays
-    at given points.
+    gives p and its radial slope c (grad p = c x) in closed form.
+    :meth:`eval_metric` and :meth:`eval_metric_grad` expand them into the
+    generic G and dG/dx arrays at given points.
     """
 
     def __init__(
@@ -140,20 +141,19 @@ class MetricField:
     # -- closed-form evaluators ------------------------------------------------
 
     def eval_radial(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p(x) = amplitude b(|x|) and grad p = p'(r) x / r at arbitrary points.
+        """p(x) = amplitude b(|x|) and the radial slope c = p'(r) / r at
+        arbitrary points, so that grad p = c x.
 
-        points (..., dim) -> p (...), grad p (..., dim), from one bump
-        evaluation. With s2 = |x|^2 / R^2, grad p = 2 amplitude db/ds2 x / R^2,
-        so no radius is taken and the origin needs no special case.
+        points (..., dim) -> p (...), c (...), from one bump evaluation. With
+        s2 = |x|^2 / R^2, c = 2 amplitude db/ds2 / R^2, so no radius is taken
+        and the origin needs no special case.
         """
         points = np.asarray(points, dtype=np.float64)
         if self.is_identity:
-            return np.zeros(points.shape[:-1]), np.zeros(points.shape)
+            return np.zeros(points.shape[:-1]), np.zeros(points.shape[:-1])
         scale = 1.0 / self.radius**2
-        b, b_s2 = _bump(np.einsum("...i,...i->...", points, points) * scale,
-                        slope=True)
-        grad_p = (2.0 * scale * self.amplitude * b_s2)[..., None] * points
-        return self.amplitude * b, grad_p
+        b, b_s2 = _bump(np.square(points).sum(-1) * scale, slope=True)
+        return self.amplitude * b, 2.0 * scale * self.amplitude * b_s2
 
     def eval_metric(self, points: np.ndarray) -> np.ndarray:
         """G = I + p S at arbitrary points: (..., dim) -> (..., dim, dim)."""
@@ -167,8 +167,8 @@ class MetricField:
     def eval_metric_grad(self, points: np.ndarray) -> np.ndarray:
         """All partials dG_ij/dx_k = (dp/dx_k) S_ij, indexed [..., k, i, j]."""
         points = np.asarray(points, dtype=np.float64)
-        _, grad_p = self.eval_radial(points)
-        return grad_p[..., :, None, None] * self.structure
+        _, c = self.eval_radial(points)
+        return (c[..., None] * points)[..., :, None, None] * self.structure
 
     # -- grid tables -----------------------------------------------------------
 

@@ -226,9 +226,12 @@ def gradient(f: Field) -> list[Field]:
     ]
 
 
-def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of y' = rhs(y)."""
-    k1 = rhs(y)
+def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float,
+        k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of y' = rhs(y); ``k1`` is
+    rhs(y) when the caller has it already."""
+    if k1 is None:
+        k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)

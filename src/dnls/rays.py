@@ -4,16 +4,20 @@ The flow is
     dx/dt  = 2 G(x) xi,
     dxi/dt = - sum_ij (dG_ij/dx) xi_i xi_j.
 With G = I + p(|x|) S it is written in closed form on the structure, from one
-radial evaluation ``MetricField.eval_radial`` (p and grad p = p'(r) x / r) per
-stage and never from the d x d or d x d x d coefficient tables:
+radial evaluation ``MetricField.eval_radial`` (p and the scalar slope c with
+grad p = c x) and never from the d x d or d x d x d coefficient tables:
     identity:             dx/dt = 2 xi,                 dxi/dt = 0;
-    conformal, S = I:     dx/dt = 2 (1 + p) xi,         dxi/dt = -|xi|^2 grad p;
-    rank-one, S = v v^T:  dx/dt = 2 (xi + p (v.xi) v), dxi/dt = -(v.xi)^2 grad p.
+    conformal, S = I:     dx/dt = 2 (1 + p) xi,         dxi/dt = -|xi|^2 c x;
+    rank-one, S = v v^T:  dx/dt = 2 (xi + p (v.xi) v), dxi/dt = -(v.xi)^2 c x.
 The symbol itself, :func:`hamiltonian`, comes from the same evaluator.
-It is integrated with the classical fourth-order one-step method
-(``grid.rk4``); coefficients are never interpolated from a grid. A ray state is
-one row (x, xi) of an (n, 2 dim) array, and an ensemble advances its rays
-together.
+
+Rays are advanced together, one ray per column of a (2 dim, n) state whose
+rows are x then xi, so the per-ray scalars p, c and |xi|^2 broadcast along the
+rows. A step is one classical fourth-order Runge-Kutta step (``grid.rk4``);
+coefficients are never interpolated from a grid. Each RK4 stage makes one
+radial evaluation, and the new state's evaluation serves both its symbol and
+the first stage of the next step, so a step makes four. An ensemble gathers
+its state again only on a step where rays escape.
 
 One rule, :class:`_FateRule`, turns states into a :class:`RayFate`: the
 ensemble feeds it from its RK4 loop, and :func:`classify_ray` replays a
@@ -74,51 +78,88 @@ class Trajectory:
         return len(self.times)
 
 
-def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField) -> np.ndarray:
-    """G(x) xi . xi on the structure, from one radial evaluation: |xi|^2 + p |xi|^2
-    conformal, |xi|^2 + p (v.xi)^2 rank-one; works on (..., dim) stacks."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    h = np.einsum("...i,...i->...", xi, xi)
-    if not metric.is_identity:
-        p, _ = metric.eval_radial(x)
-        h = h + p * (h if metric.conformal else (xi @ metric.direction) ** 2)
-    return h[0] if h.shape == (1,) else h
+def hamiltonian(x: np.ndarray, xi: np.ndarray, metric: MetricField,
+                p: np.ndarray | None = None) -> np.ndarray:
+    """G(x) xi . xi on the structure: |xi|^2 + p |xi|^2 conformal,
+    |xi|^2 + p (v.xi)^2 rank-one; works on (..., dim) stacks.
 
-
-def _hamilton_rhs(metric: MetricField):
-    """Right-hand side of the flow on stacked states y = (x, xi) of shape (n, 2d).
-
-    G = I + p S is used through its structure, with one radial evaluation
-    (p, grad p) per call: see the module docstring for the three forms.
+    p comes from one radial evaluation at x, unless the caller passes the
+    ``p`` it has already evaluated there.
     """
-    d = metric.spec.dim
+    xi = np.asarray(xi, dtype=float)
+    h = np.square(xi).sum(-1)
     if metric.is_identity:
-        def rhs(y: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(y)
-            out[:, :d] = 2.0 * y[:, d:]
-            return out
-    elif metric.conformal:
-        def rhs(y: np.ndarray) -> np.ndarray:
-            x, xi = y[:, :d], y[:, d:]
-            p, grad_p = metric.eval_radial(x)
-            out = np.empty_like(y)
-            out[:, :d] = 2.0 * (1.0 + p)[:, None] * xi
-            out[:, d:] = -np.einsum("ij,ij->i", xi, xi)[:, None] * grad_p
-            return out
-    else:
-        v = metric.direction
+        return h
+    if p is None:
+        p, _ = metric.eval_radial(x)
+    return h + p * (h if metric.conformal else (xi @ metric.direction) ** 2)
 
-        def rhs(y: np.ndarray) -> np.ndarray:
-            x, xi = y[:, :d], y[:, d:]
-            p, grad_p = metric.eval_radial(x)
-            v_xi = xi @ v
-            out = np.empty_like(y)
-            out[:, :d] = 2.0 * (xi + (p * v_xi)[:, None] * v)
-            out[:, d:] = -(v_xi * v_xi)[:, None] * grad_p
-            return out
 
-    return rhs
+class _Flow:
+    """Hamilton's equations on stacked states y of shape (2 dim, n): rows x
+    then xi, one ray per column (see the module docstring for the three
+    forms). Called on y, as ``grid.rk4`` does, it makes the one radial
+    evaluation at y and returns the slope.
+    """
+
+    def __init__(self, metric: MetricField):
+        self.metric = metric
+        self.dim = metric.spec.dim
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.slope(y, *self.metric.eval_radial(y[:self.dim].T))
+
+    def slope(self, y: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """dy/dt from p and c (grad p = c x) evaluated at the positions of y."""
+        d, metric = self.dim, self.metric
+        x, xi = y[:d], y[d:]
+        out = np.empty_like(y)
+        if metric.is_identity:
+            np.multiply(2.0, xi, out=out[:d])
+            out[d:] = 0.0
+        elif metric.conformal:
+            np.multiply(2.0 * (1.0 + p), xi, out=out[:d])
+            np.multiply(-c * np.square(xi).sum(0), x, out=out[d:])
+        else:
+            v = metric.direction
+            v_xi = v @ xi
+            np.multiply(2.0, xi + (p * v_xi) * v[:, None], out=out[:d])
+            np.multiply(-c * v_xi**2, x, out=out[d:])
+        return out
+
+    def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The symbol and the slope at y, from one radial evaluation."""
+        d = self.dim
+        p, c = self.metric.eval_radial(y[:d].T)
+        return hamiltonian(y[:d].T, y[d:].T, self.metric, p), self.slope(y, p, c)
+
+
+def _initial_state(x0: np.ndarray, xi0: np.ndarray,
+                   metric: MetricField) -> np.ndarray:
+    """The (2 dim, n) state of n rays given by the rows of x0 and xi0."""
+    x = np.asarray(x0, dtype=float)
+    xi = np.asarray(xi0, dtype=float)
+    d = metric.spec.dim
+    if x.ndim != 2 or x.shape[1] != d or xi.shape != x.shape:
+        raise DomainError(
+            f"ray positions and momenta must both have shape (n, {d}), "
+            f"got {x.shape} and {xi.shape}"
+        )
+    if not np.any(xi, axis=1).all():
+        raise DomainError("ray momentum must be nonzero")
+    return np.concatenate([x, xi], axis=1).T.copy()
+
+
+def _step(flow: _Flow, y: np.ndarray, k1: np.ndarray, dt: float,
+          i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step i of the rays y from their slope k1: the new state, its symbol
+    and its slope."""
+    y = rk4(y, flow, dt, k1)
+    if not np.isfinite(y).all():
+        raise StabilityError(
+            f"ray state became non-finite at t={i * dt:.6g} (dt={dt})"
+        )
+    return (y, *flow.evaluate(y))
 
 
 def integrate_ray(
@@ -131,29 +172,19 @@ def integrate_ray(
     """Integrate one ray to the horizon, recording every step."""
     if dt <= 0.0 or horizon <= 0.0:
         raise DomainError("integrate_ray needs dt > 0 and horizon > 0")
-    x = np.asarray(x0, dtype=float).reshape(1, -1)
-    xi = np.asarray(xi0, dtype=float).reshape(1, -1)
-    if np.linalg.norm(xi) == 0.0:
-        raise DomainError("ray momentum must be nonzero")
-    d = x.shape[1]
-    y = np.concatenate([x, xi], axis=1)
-    rhs = _hamilton_rhs(metric)
+    y = _initial_state(np.reshape(x0, (1, -1)), np.reshape(xi0, (1, -1)), metric)
+    flow = _Flow(metric)
     n_steps = int(round(horizon / dt))
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 2 * d))
+    states = np.empty((n_steps + 1, len(y)))
     hams = np.empty(n_steps + 1)
-    times[0], states[0] = 0.0, y[0]
-    hams[0] = hamiltonian(x, xi, metric)
+    h, k1 = flow.evaluate(y)
+    states[0], hams[0] = y[:, 0], h[0]
     for i in range(1, n_steps + 1):
-        y = rk4(y, rhs, dt)
-        if not np.all(np.isfinite(y)):
-            raise StabilityError(
-                f"ray state became non-finite at t={i * dt:.6g} (dt={dt})"
-            )
-        times[i] = i * dt
-        states[i] = y[0]
-        hams[i] = hamiltonian(y[:, :d], y[:, d:], metric)
-    return Trajectory(times, states[:, :d], states[:, d:], hams)
+        y, h, k1 = _step(flow, y, k1, dt, i)
+        states[i], hams[i] = y[:, 0], h[0]
+    d = flow.dim
+    return Trajectory(np.arange(n_steps + 1) * dt, states[:, :d], states[:, d:],
+                      hams)
 
 
 def _refine_exit_time(
@@ -190,57 +221,71 @@ class _FateRule:
     escape: a ray that starts beyond the escape radius escapes on its first
     step if it is still outside then. Escape wins over control in ``kind``;
     a ray that does neither is trapped at the horizon.
+
+    Positions are (dim, m) arrays, one ray per column. The rule keeps the
+    rays it still follows in the caller's order; rays leave that order only
+    on a step where some escape.
     """
 
     def __init__(self, damping: DampingField, x0: np.ndarray, h0: np.ndarray,
                  dt: float, escape_radius: float, a_min: float):
-        n = x0.shape[0]
+        n = len(h0)
         self.damping = damping
         self.dt = dt
         self.escape_radius = escape_radius
         self.a_min = a_min
-        self.h0 = h0
-        self.drift = np.zeros(n)
         self.escaped = np.zeros(n, dtype=bool)
         self.t_exit = np.full(n, np.nan)
-        self.t_first_hit = np.full(n, np.nan)
-        self.t_first_hit[damping.eval_damping(x0) > a_min] = 0.0
-        self.control_steps = np.zeros(n, dtype=np.int64)
+        # per ray: h0, drift, t_first_hit and the count of control steps, as
+        # columns of ``tally`` for the rays still followed (ray indices in
+        # ``rays``) and of ``final`` for the rays no longer followed
+        self.rays = np.arange(n)
+        self.tally = np.zeros((4, n))
+        self.tally[0] = h0
+        self.tally[2] = np.where(damping.eval_damping(x0.T) > a_min, 0.0, np.nan)
+        self.final = np.empty((4, n))
 
-    def live(self) -> np.ndarray:
-        """Indices of the rays still followed."""
-        return np.nonzero(~self.escaped)[0]
-
-    def advance(self, i: int, live: np.ndarray, x_prev: np.ndarray,
-                x: np.ndarray, h: np.ndarray) -> None:
-        """Step i of the rays ``live``: positions x_prev -> x, symbol values h."""
+    def advance(self, i: int, x_prev: np.ndarray, x: np.ndarray,
+                h: np.ndarray) -> np.ndarray | None:
+        """Step i of the rays still followed: positions x_prev -> x, symbol
+        values h. On a step where rays escape, stop following them and return
+        the mask of the rays kept; otherwise return None."""
         dt = self.dt
         t = i * dt
-        self.drift[live] = np.maximum(self.drift[live], np.abs(h - self.h0[live]))
-        out = np.linalg.norm(x, axis=1) > self.escape_radius
-        for j in np.nonzero(out)[0]:
-            self.t_exit[live[j]] = _refine_exit_time(
-                x_prev[j], x[j], t - dt, dt, self.escape_radius
+        h0, drift, first_hit, control_steps = self.tally
+        np.maximum(drift, np.abs(h - h0), out=drift)
+        hits = self.damping.eval_damping(x.T) > self.a_min
+        first_hit[hits & np.isnan(first_hit)] = t
+        control_steps += hits
+        out = np.square(x).sum(0) > self.escape_radius**2
+        if not out.any():
+            return None
+        for j in np.flatnonzero(out):
+            self.t_exit[self.rays[j]] = _refine_exit_time(
+                x_prev[:, j], x[:, j], t - dt, dt, self.escape_radius
             )
-        hits = live[self.damping.eval_damping(x) > self.a_min]
-        self.t_first_hit[hits[np.isnan(self.t_first_hit[hits])]] = t
-        self.control_steps[hits] += 1
-        self.escaped[live[out]] = True
+        self.escaped[self.rays[out]] = True
+        self.final[:, self.rays[out]] = self.tally[:, out]
+        keep = ~out
+        self.rays, self.tally = self.rays[keep], self.tally[:, keep]
+        return keep
 
     def fates(self, horizon: float) -> list[RayFate]:
-        drift = self.drift / np.abs(self.h0)
+        self.final[:, self.rays] = self.tally
+        h0, drift, first_hit, control_steps = self.final
+        drift = drift / np.abs(h0)
         fates = []
         for ray in range(len(drift)):
             if self.escaped[ray]:
                 kind = "escaped"
-            elif not np.isnan(self.t_first_hit[ray]):
+            elif not np.isnan(first_hit[ray]):
                 kind = "controlled"
             else:
                 kind = "trapped_at_horizon"
             fates.append(RayFate(
                 kind, float(drift[ray]), t_exit=float(self.t_exit[ray]),
-                t_first_hit=float(self.t_first_hit[ray]),
-                time_in_control=float(self.control_steps[ray] * self.dt),
+                t_first_hit=float(first_hit[ray]),
+                time_in_control=float(control_steps[ray] * self.dt),
                 horizon=horizon if kind == "trapped_at_horizon" else np.nan,
             ))
         return fates
@@ -263,15 +308,13 @@ def classify_ray(
             f"{damping.support_radius}"
         )
     times = trajectory.times
-    positions, hams = trajectory.positions, trajectory.hamiltonians
+    positions, hams = trajectory.positions.T, trajectory.hamiltonians
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    rule = _FateRule(damping, positions[:1], hams[:1], dt, escape_radius, a_min)
+    rule = _FateRule(damping, positions[:, :1], hams[:1], dt, escape_radius, a_min)
     for i in range(1, len(times)):
-        live = rule.live()
-        if not live.size:
-            break
-        rule.advance(i, live, positions[i - 1:i], positions[i:i + 1],
-                     hams[i:i + 1])
+        if rule.advance(i, positions[:, i - 1:i], positions[:, i:i + 1],
+                        hams[i:i + 1]) is not None:
+            break  # the ray escaped
     return rule.fates(float(times[-1]))[0]
 
 
@@ -336,27 +379,20 @@ def verify_exterior_control(
         raise DomainError(
             f"escape radius {escape_radius} must exceed the coefficient support {reach}"
         )
-    x = np.array(x0, dtype=float)
-    xi = np.array(xi0, dtype=float)
-    d = x.shape[1]
-    y = np.concatenate([x, xi], axis=1)
-    rhs = _hamilton_rhs(metric)
+    y = _initial_state(x0, xi0, metric)
+    flow = _Flow(metric)
+    d = flow.dim
     n_steps = int(round(horizon / dt))
-    h0 = np.atleast_1d(hamiltonian(x, xi, metric))
-    rule = _FateRule(damping, x, h0, dt, escape_radius, a_min)
+    h, k1 = flow.evaluate(y)
+    rule = _FateRule(damping, y[:d], h, dt, escape_radius, a_min)
     for i in range(1, n_steps + 1):
-        live = rule.live()
-        if not live.size:
-            break
-        y_prev = y[live]
-        y_live = rk4(y_prev, rhs, dt)
-        if not np.all(np.isfinite(y_live)):
-            raise StabilityError(
-                f"ensemble state became non-finite at t={i * dt:.6g} (dt={dt})"
-            )
-        y[live] = y_live
-        h_live = np.atleast_1d(hamiltonian(y_live[:, :d], y_live[:, d:], metric))
-        rule.advance(i, live, y_prev[:, :d], y_live[:, :d], h_live)
+        y_prev = y
+        y, h, k1 = _step(flow, y_prev, k1, dt, i)
+        keep = rule.advance(i, y_prev[:d], y[:d], h)
+        if keep is not None:
+            if not keep.any():
+                break
+            y, k1 = y[:, keep], k1[:, keep]
 
     fates = rule.fates(horizon)
     counts = {kind: 0 for kind in FATE_KINDS}

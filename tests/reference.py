@@ -18,6 +18,10 @@ ship them.
   multiplier (the package applies it as d one-dimensional factors).
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
+* A second ray-ensemble loop: one ray per row of an (n, 2 dim) state,
+  grad p as an (n, dim) array, the symbol evaluated apart from the slope,
+  and the live rays gathered and scattered on every step. The package keeps
+  one ray per column and reuses each new state's radial evaluation.
 """
 
 import numpy as np
@@ -32,6 +36,7 @@ from dnls.grid import (
     power_spectrum,
     rk4,
 )
+from dnls.rays import RayFate, _refine_exit_time
 
 
 def metric_table(metric) -> np.ndarray:
@@ -224,3 +229,86 @@ def bilinear_interaction_full_spectrum(u: Field) -> float:
         conv = spec.ifft(kernel_hat * mod2_hat).real * scale
         total += float(spec.quadrature(m * conv).real)
     return total
+
+
+def ray_flow(metric):
+    """Hamilton's equations on (n, 2 dim) states, one ray per row, in the
+    closed forms of the package with grad p = c x as an (n, dim) array."""
+    d = metric.spec.dim
+
+    def rhs(y):
+        x, xi = y[:, :d], y[:, d:]
+        p, c = metric.eval_radial(x)
+        grad_p = c[:, None] * x
+        out = np.empty_like(y)
+        if metric.conformal:
+            out[:, :d] = 2.0 * (1.0 + p)[:, None] * xi
+            out[:, d:] = -np.einsum("ij,ij->i", xi, xi)[:, None] * grad_p
+        else:
+            v = metric.direction
+            v_xi = xi @ v
+            out[:, :d] = 2.0 * (xi + (p * v_xi)[:, None] * v)
+            out[:, d:] = -(v_xi * v_xi)[:, None] * grad_p
+        return out
+
+    return rhs
+
+
+def ray_symbol(metric, x, xi):
+    """G(x) xi . xi of (n, dim) rows by the structure, from its own radial
+    evaluation."""
+    h = np.einsum("ij,ij->i", xi, xi)
+    p, _ = metric.eval_radial(x)
+    return h + p * (h if metric.conformal else (xi @ metric.direction) ** 2)
+
+
+def ray_ensemble_fates(metric, damping, x0, xi0, horizon, dt, escape_radius,
+                       a_min=1e-8) -> list[RayFate]:
+    """The fates of the rays (x0, xi0) by the rule of ``rays._FateRule``,
+    from an RK4 loop on (n, 2 dim) states that gathers the live rays on
+    every step and escapes by |x| > escape_radius."""
+    d = metric.spec.dim
+    y = np.concatenate([x0, xi0], axis=1).astype(float)
+    n = len(y)
+    rhs = ray_flow(metric)
+    h0 = ray_symbol(metric, y[:, :d], y[:, d:])
+    drift = np.zeros(n)
+    escaped = np.zeros(n, dtype=bool)
+    t_exit = np.full(n, np.nan)
+    t_first_hit = np.full(n, np.nan)
+    t_first_hit[damping.eval_damping(y[:, :d]) > a_min] = 0.0
+    control_steps = np.zeros(n, dtype=np.int64)
+    for i in range(1, int(round(horizon / dt)) + 1):
+        live = np.nonzero(~escaped)[0]
+        if not live.size:
+            break
+        y_prev = y[live]
+        y_live = rk4(y_prev, rhs, dt)
+        y[live] = y_live
+        x_prev, x = y_prev[:, :d], y_live[:, :d]
+        h = ray_symbol(metric, x, y_live[:, d:])
+        t = i * dt
+        drift[live] = np.maximum(drift[live], np.abs(h - h0[live]))
+        out = np.linalg.norm(x, axis=1) > escape_radius
+        for j in np.nonzero(out)[0]:
+            t_exit[live[j]] = _refine_exit_time(x_prev[j], x[j], t - dt, dt,
+                                                escape_radius)
+        hits = live[damping.eval_damping(x) > a_min]
+        t_first_hit[hits[np.isnan(t_first_hit[hits])]] = t
+        control_steps[hits] += 1
+        escaped[live[out]] = True
+    fates = []
+    for ray in range(n):
+        if escaped[ray]:
+            kind = "escaped"
+        elif np.isnan(t_first_hit[ray]):
+            kind = "trapped_at_horizon"
+        else:
+            kind = "controlled"
+        fates.append(RayFate(
+            kind, float(drift[ray] / abs(h0[ray])), t_exit=float(t_exit[ray]),
+            t_first_hit=float(t_first_hit[ray]),
+            time_in_control=float(control_steps[ray] * dt),
+            horizon=horizon if kind == "trapped_at_horizon" else np.nan,
+        ))
+    return fates

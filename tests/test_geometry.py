@@ -25,10 +25,11 @@ SPEC3 = GridSpec(3, 24, 10.0)
 
 
 def _radial_slope(r: np.ndarray, radius: float) -> np.ndarray:
-    """db/dr as the package forms it: grad p of a unit-amplitude 1-d bump,
-    sampled at x = r >= 0 by ``MetricField.eval_radial``."""
+    """db/dr as the package forms it: grad p = c x of a unit-amplitude 1-d
+    bump, sampled at x = r >= 0 by ``MetricField.eval_radial``."""
     metric = MetricField(GridSpec(1, 16, 10.0), amplitude=1.0, radius=radius)
-    return metric.eval_radial(np.asarray(r, dtype=float)[:, None])[1][:, 0]
+    r = np.asarray(r, dtype=float)
+    return metric.eval_radial(r[:, None])[1] * r
 
 
 def test_bump_profile_shape():
@@ -327,7 +328,8 @@ def test_radial_evaluator_matches_the_bump_profile(dim):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     x = np.linspace(0.0, 3.0, 40)[:, None] * dirs
     r = np.linalg.norm(x, axis=1)
-    p, grad_p = metric.eval_radial(x)
+    p, c = metric.eval_radial(x)
+    grad_p = c[:, None] * x
     radial = -0.7 * bump_profile_derivative(r, 2.0) / np.where(r == 0.0, 1.0, r)
     # at the support edge 1/(1 - s^2)^2 amplifies the rounding of |x|^2
     inside = r < 1.9
@@ -337,9 +339,9 @@ def test_radial_evaluator_matches_the_bump_profile(dim):
                        rtol=1e-13, atol=0.0)
     assert np.all(p[r >= 2.0] == 0.0) and np.all(grad_p[r >= 2.0] == 0.0)
     assert p[0] == -0.7 and np.all(grad_p[0] == 0.0)  # the origin
-    p_id, grad_id = MetricField(GridSpec(dim, 16, 10.0)).eval_radial(x)
+    p_id, c_id = MetricField(GridSpec(dim, 16, 10.0)).eval_radial(x)
     assert p_id.shape == (40,) and not p_id.any()
-    assert grad_id.shape == x.shape and not grad_id.any()
+    assert c_id.shape == (40,) and not c_id.any()
 
 
 def test_damping_annulus_shape():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnls.rays
 from dnls.errors import DomainError
 from dnls.geometry import PRESET_NAMES, DampingField, MetricField, build_preset
 from dnls.grid import GridSpec
 from dnls.rays import (
-    _hamilton_rhs,
+    _Flow,
     classify_ray,
     default_escape_radius,
     hamiltonian,
@@ -18,6 +19,7 @@ from dnls.rays import (
     sample_ensemble,
     verify_exterior_control,
 )
+from reference import ray_ensemble_fates
 
 SPEC = GridSpec(2, 32, 12.0)
 SPEC3 = GridSpec(3, 16, 12.0)
@@ -98,6 +100,38 @@ def test_integrate_ray_input_validation():
         integrate_ray(np.zeros(2), np.ones(2), metric, -1.0, 1e-2)
 
 
+def _run_rays(how, metric, damping, x0, xi0):
+    if how == "ensemble":
+        return verify_exterior_control(metric, damping, x0, xi0, horizon=1.0,
+                                       dt=1e-2, escape_radius=9.0)
+    return integrate_ray(x0, xi0, metric, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("how", ["ensemble", "single"])
+def test_ray_shapes_must_match_the_metric(how):
+    metric, damping = build_preset("conformal_bump", SPEC)
+    if how == "ensemble":
+        x0, xi0 = sample_ensemble(2, 4, 1.0, seed=0)
+        bad = [(x0, np.ones((4, 3))), (x0[:, :1], xi0[:, :1]), (x0, xi0[:3]),
+               (x0[0], xi0[0])]
+    else:
+        bad = [(np.zeros(3), np.ones(3)), (np.zeros(2), np.ones(3))]
+    for x, xi in bad:
+        with pytest.raises(DomainError, match="shape"):
+            _run_rays(how, metric, damping, x, xi)
+
+
+@pytest.mark.parametrize("how", ["ensemble", "single"])
+def test_zero_momentum_ray_is_refused(how):
+    metric, damping = build_preset("conformal_bump", SPEC)
+    x0, xi0 = sample_ensemble(2, 4, 1.0, seed=0)
+    xi0[2] = 0.0
+    if how == "single":
+        x0, xi0 = x0[2], xi0[2]
+    with pytest.raises(DomainError, match="momentum"):
+        _run_rays(how, metric, damping, x0, xi0)
+
+
 # -- the structure-aware flow ---------------------------------------------------------
 #
 # The flow and the symbol use G = I + p S through one radial evaluation. Their
@@ -140,7 +174,7 @@ _flow_draws = dict(
 def test_structure_flow_equals_the_table_flow(preset, dim, amplitude, radii,
                                              x_dirs, xis):
     metric, x, xi = _flow_case(preset, dim, amplitude, radii, x_dirs, xis)
-    flow = _hamilton_rhs(metric)(np.concatenate([x, xi], axis=1))
+    flow = _Flow(metric)(np.concatenate([x, xi], axis=1).T).T
     dx, dxi = _table_flow(metric, x, xi)
     # the floor admits the roundoff of subnormal bump values at the support edge
     for got, ref in ((flow[:, :dim], dx), (flow[:, dim:], dxi)):
@@ -157,7 +191,7 @@ def test_structure_flow_equals_the_table_flow(preset, dim, amplitude, radii,
 def test_flow_is_hamiltons_equations_of_the_symbol(preset, dim, amplitude, radii,
                                                   x_dirs, xis):
     metric, x, xi = _flow_case(preset, dim, amplitude, radii, x_dirs, xis)
-    flow = _hamilton_rhs(metric)(np.concatenate([x, xi], axis=1))
+    flow = _Flow(metric)(np.concatenate([x, xi], axis=1).T).T
     step = 1e-5
     dh_dx, dh_dxi = np.empty_like(x), np.empty_like(xi)
     for k in range(dim):
@@ -296,6 +330,83 @@ def test_controlled_counterpart_has_no_trapped_rays():
     assert summary.counts["trapped_at_horizon"] == 0
     assert summary.counts["controlled"] >= 1
     assert summary.exterior_control_holds
+
+
+# The ensemble against the (n, 2 dim) reference loop: every metric structure
+# in 2-d and 3-d, three damping shapes, and rays that start beyond the escape
+# radius (heading out, and heading in from just outside it).
+
+REFERENCE_METRICS = {
+    "identity": (0.0, None),
+    "conformal": (-0.95, None),
+    "rank-one": (-0.95, (1.0, 2.0, -0.5)),
+}
+
+REFERENCE_DAMPINGS = {
+    "ball": dict(radius=3.0),
+    "annulus": dict(shape="annulus", inner_radius=0.8, outer_radius=1.6),
+    "offset": dict(radius=1.0, center=(3.0, -1.0, 0.5)),
+}
+
+
+def _reference_case(structure, dim, damping_shape):
+    spec = FLOW_GRIDS[dim]
+    amplitude, direction = REFERENCE_METRICS[structure]
+    metric = MetricField(spec, amplitude=amplitude, radius=2.0,
+                         direction=None if direction is None else direction[:dim])
+    params = dict(REFERENCE_DAMPINGS[damping_shape])
+    if "center" in params:
+        params["center"] = np.array(params["center"][:dim])
+    damping = DampingField(spec, amplitude=1.0, **params)
+    escape = default_escape_radius(metric, damping)
+    x0, xi0 = sample_ensemble(dim, 24, 2.0, seed=dim)
+    out = np.eye(dim)[0]
+    x_far = np.array([1.05 * escape * out, 1.05 * escape * out,
+                      (escape + 0.01) * out])
+    xi_far = np.array([out, -out, -out])
+    return (metric, damping, escape, np.concatenate([x0, x_far]),
+            np.concatenate([xi0, xi_far]))
+
+
+@pytest.mark.parametrize("damping_shape", sorted(REFERENCE_DAMPINGS))
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("structure", sorted(REFERENCE_METRICS))
+def test_ensemble_matches_the_reference_loop(structure, dim, damping_shape):
+    metric, damping, escape, x0, xi0 = _reference_case(structure, dim,
+                                                       damping_shape)
+    horizon, dt = 8.0, 2e-2
+    got = verify_exterior_control(metric, damping, x0, xi0, horizon=horizon,
+                                  dt=dt, escape_radius=escape).fates
+    want = ray_ensemble_fates(metric, damping, x0, xi0, horizon, dt, escape)
+    assert [f.kind for f in got] == [f.kind for f in want]
+    for name in ("t_exit", "t_first_hit", "time_in_control", "horizon"):
+        a = np.array([getattr(f, name) for f in got])
+        b = np.array([getattr(f, name) for f in want])
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True), name
+    assert np.allclose([f.hamiltonian_drift for f in got],
+                       [f.hamiltonian_drift for f in want], rtol=0.0, atol=1e-12)
+    assert got[-3].kind == got[-2].kind == "escaped"  # they started outside
+
+
+def test_ensemble_evaluates_the_symbol_once_per_step(monkeypatch):
+    # the benchmark's tracer counts the ensemble's steps by these calls
+    calls = []
+    symbol = dnls.rays.hamiltonian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return symbol(*args, **kwargs)
+
+    monkeypatch.setattr(dnls.rays, "hamiltonian", counted)
+    metric, damping = build_preset("uncontrolled_bump", SPEC, dict(TRAP_PARAMS))
+    x0, xi0 = sample_ensemble(2, 16, 2.0, seed=7)
+    horizon, dt = 3.0, 1e-2
+    summary = verify_exterior_control(
+        metric, damping, x0, xi0, horizon=horizon, dt=dt,
+        escape_radius=default_escape_radius(metric, damping),
+    )
+    assert summary.counts["trapped_at_horizon"] >= 1  # it ran to the horizon
+    assert len(calls) == int(round(horizon / dt)) + 1
 
 
 def test_escape_radius_must_clear_coefficient_support():
