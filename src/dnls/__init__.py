@@ -17,9 +17,7 @@ from .grid import (
     Field,
     GridSpec,
     WeightTables,
-    flux_divergence,
     gradient,
-    laplacian_G,
     sobolev_norm,
     weight_tables,
 )

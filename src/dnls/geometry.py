@@ -92,11 +92,6 @@ def cutoff_field(spec: GridSpec, flat_radius: float, support_radius: float) -> n
     return smooth_transition((support_radius - r) / (support_radius - flat_radius))
 
 
-def _radii(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """|x - center| along the last axis, summed as ``np.linalg.norm`` sums."""
-    return np.sqrt(np.add.reduce(np.square(points - center), axis=-1))
-
-
 class MetricField:
     """Symmetric coefficient matrix G(x) = I + amplitude * b(|x|) * S.
 
@@ -268,22 +263,25 @@ class DampingField:
         self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
         self._metric_terms: tuple | None = None
 
-    def eval_damping(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
+    def _profile(self, r2: np.ndarray) -> np.ndarray:
+        """a at the squared distances r2 = |x - center|^2."""
         if self.amplitude == 0.0:
-            return np.zeros(points.shape[:-1])
-        r = _radii(points, self.center)
+            return np.zeros(r2.shape)
+        r = np.sqrt(r2)
         if self.shape == "ball":
             return self.amplitude * bump_profile(r, self.radius)
         return self.amplitude * bump_profile(r - self._mid, self.radius)
 
+    def eval_damping(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=np.float64)
+        return self._profile(np.add.reduce(np.square(points - self.center),
+                                           axis=-1))
+
     @cached_property
     def table(self) -> np.ndarray:
-        pts = np.stack(
-            [np.broadcast_to(x, self.spec.shape) for x in self.spec.coords],
-            axis=-1,
-        )
-        return self.eval_damping(pts)
+        """a on the grid, from the d one-dimensional squares (x_j - c_j)^2."""
+        return self._profile(sum(np.square(x - c) for x, c
+                                 in zip(self.spec.coords, self.center)))
 
     @property
     def sup(self) -> float:
@@ -298,8 +296,9 @@ class DampingField:
         return self._terms(metric)[1]
 
     def _terms(self, metric: MetricField):
-        """(div(G grad a), G grad a) from one transform of a, kept for the last
-        metric asked: a run's monitors and energy/lambda bound share one build."""
+        """(div(G grad a), G grad a) from one real transform of a, kept for the
+        last metric asked: a run's monitors and energy/lambda bound share one
+        build."""
         if self._metric_terms is None or self._metric_terms[0] is not metric:
             lap, grad = real_derivatives(self.table, metric)
             self._metric_terms = (metric, lap, metric.apply(grad))

@@ -29,9 +29,7 @@ __all__ = [
     "Field",
     "WeightTables",
     "gradient",
-    "laplacian_G",
     "FluxKernel",
-    "flux_divergence",
     "real_derivatives",
     "abs2",
     "dot",
@@ -291,43 +289,41 @@ class FluxKernel:
         return out
 
 
-def flux_divergence(
-    coeffs: np.ndarray,
-    spec: GridSpec,
-    p: np.ndarray,
-    direction: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fourier coefficients of div(p S grad u), given all those of u, by a
-    :class:`FluxKernel` on every mode."""
-    return FluxKernel(spec, p, direction, spec.retained(False))(coeffs)
-
-
-def div_G_grad_coeffs(coeffs: np.ndarray, metric) -> np.ndarray:
-    """Coefficients of div(G grad u) from those of u: -|k|^2 plus p S's flux."""
-    spec = metric.spec
-    out = -spec.k_squared * coeffs
-    if metric.perturbation is not None:
-        out += flux_divergence(coeffs, spec, metric.perturbation,
-                               metric.direction)
-    return out
-
-
 def real_derivatives(table: np.ndarray,
                      metric) -> tuple[np.ndarray, list[np.ndarray]]:
     """div(G grad t) and the components of grad t for a fixed real table t,
-    from one transform. Only the real parts are kept: the spectral
-    derivatives of a real field carry an imaginary artifact from the
-    unpaired Nyquist mode."""
+    as float64 arrays that own their memory, on half spectra: one
+    :meth:`GridSpec.rfft` of t, d :meth:`GridSpec.irfft` for grad t, the flux
+    p S grad t formed from that real gradient and brought back by rfft (d
+    transforms for a conformal metric, one for rank-one), and one irfft of
+    -|k|^2 t_hat plus the flux's divergence.
+
+    The odd multipliers ik_j are 0 on their Nyquist index: the unpaired
+    Nyquist mode of a real field has an imaginary derivative, which a real
+    result drops (Trefethen, Spectral Methods in MATLAB, ch. 3). The even
+    multiplier -|k|^2 keeps it.
+    """
     spec = metric.spec
-    coeffs = spec.fft(np.asarray(table, dtype=np.complex128))
-    grads = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
-    return spec.ifft(div_G_grad_coeffs(coeffs, metric)).real, grads
-
-
-def laplacian_G(f: Field, metric) -> Field:
-    """div(G grad f) of a MetricField: :func:`div_G_grad_coeffs` on fft(f)."""
-    spec = f.spec
-    return Field(spec.ifft(div_G_grad_coeffs(spec.fft(f.values), metric)), spec)
+    coeffs = spec.rfft(table)
+    # the last axis of a half spectrum keeps the indices 0..n/2
+    half = slice(spec.n // 2 + 1)
+    odd = spec.k1d.copy()
+    odd[spec.n // 2] = 0.0
+    ik = [1j * odd[half if j == spec.dim - 1 else slice(None)].reshape(
+              (-1,) + (1,) * (spec.dim - 1 - j)) for j in range(spec.dim)]
+    grads = [spec.irfft(m * coeffs) for m in ik]
+    out = -spec.k_squared[..., half] * coeffs
+    p = metric.perturbation
+    if p is not None:
+        if metric.conformal:
+            for m, g in zip(ik, grads):
+                out += m * spec.rfft(p * g)
+        else:
+            v = metric.direction
+            along = sum(vj * g for vj, g in zip(v, grads) if vj != 0.0)
+            v_ik = sum(vj * m for vj, m in zip(v, ik) if vj != 0.0)
+            out += v_ik * spec.rfft(p * along)
+    return spec.irfft(out), grads
 
 
 def abs2(values: np.ndarray) -> np.ndarray:

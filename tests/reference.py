@@ -16,6 +16,12 @@ ship them.
   keeps only its half spectra), the radial slope of the bump (the package
   forms grad p inside ``MetricField.eval_radial``) and the full-grid free
   multiplier (the package applies it as d one-dimensional factors).
+* div(G grad .) of a complex field on every mode, ``laplacian_G`` (by
+  ``div_G_grad_coeffs`` and ``flux_divergence``, a :class:`FluxKernel` on
+  all modes). The package applies G only in the solver, on the 2/3 band,
+  and to fixed real tables through ``grid.real_derivatives``, which works
+  on half spectra; ``real_derivatives_full`` is that function by full
+  complex transforms.
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
 * A second ray-ensemble loop: one ray per row of an (n, 2 dim) state,
@@ -31,7 +37,6 @@ from dnls.grid import (
     Field,
     _grad_rho_components,
     FluxKernel,
-    flux_divergence,
     gradient,
     power_spectrum,
     rk4,
@@ -75,6 +80,53 @@ def flux_divergence_full(coeffs: np.ndarray, spec, p: np.ndarray,
         return out
     vk = 1j * sum(vj * kj for vj, kj in zip(direction, k) if vj != 0.0)
     return vk * band(p * spec.ifft(vk * coeffs))
+
+
+def flux_divergence(coeffs: np.ndarray, spec, p: np.ndarray,
+                    direction: np.ndarray | None = None) -> np.ndarray:
+    """Fourier coefficients of div(p S grad u), given all those of u, by a
+    :class:`FluxKernel` on every mode."""
+    return FluxKernel(spec, p, direction, spec.retained(False))(coeffs)
+
+
+def div_G_grad_coeffs(coeffs: np.ndarray, metric) -> np.ndarray:
+    """Coefficients of div(G grad u) from those of u: -|k|^2 plus p S's flux."""
+    spec = metric.spec
+    out = -spec.k_squared * coeffs
+    if metric.perturbation is not None:
+        out += flux_divergence(coeffs, spec, metric.perturbation,
+                               metric.direction)
+    return out
+
+
+def laplacian_G(f: Field, metric) -> Field:
+    """div(G grad f) of a MetricField: :func:`div_G_grad_coeffs` on fft(f),
+    complex in and out, every mode kept."""
+    spec = f.spec
+    return Field(spec.ifft(div_G_grad_coeffs(spec.fft(f.values), metric)), spec)
+
+
+def real_derivatives_full(table: np.ndarray, metric):
+    """``grid.real_derivatives`` by full complex transforms: the real parts
+    of the spectral gradient, the flux p S grad t formed from that real
+    gradient, and the real part of -|k|^2 t_hat plus the flux's divergence.
+    Every multiplier keeps its Nyquist index; the real parts drop what it
+    adds."""
+    spec = metric.spec
+    coeffs = spec.fft(table.astype(np.complex128))
+    grads = [spec.ifft(1j * k * coeffs).real for k in spec.wavenumbers]
+    out = -spec.k_squared * coeffs
+    p = metric.perturbation
+    if p is not None:
+        if metric.conformal:
+            for k, g in zip(spec.wavenumbers, grads):
+                out += 1j * k * spec.fft(p * g)
+        else:
+            v = metric.direction
+            vk = sum(vj * k for vj, k in zip(v, spec.wavenumbers))
+            along = sum(vj * g for vj, g in zip(v, grads))
+            out += 1j * vk * spec.fft(p * along)
+    return spec.ifft(out).real, grads
 
 
 def band_flux(coeffs: np.ndarray, spec, p: np.ndarray,

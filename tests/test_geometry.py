@@ -14,10 +14,10 @@ from dnls.geometry import (
     gradient_bound_constant,
     smooth_transition,
 )
-from dnls.grid import Field, GridSpec, laplacian_G
+from dnls.grid import GridSpec
 from dnls.solver import cfl_suggestion
 
-from reference import bump_profile_derivative, metric_table
+from reference import bump_profile_derivative, metric_table, real_derivatives_full
 
 
 SPEC = GridSpec(2, 64, 10.0)
@@ -360,13 +360,38 @@ def test_damping_annulus_shape():
 def test_div_G_grad_a_kept_for_the_last_metric_asked():
     conformal, damping = build_preset("conformal_bump", SPEC)
     anisotropic, _ = build_preset("anisotropic_bump", SPEC)
-    a = Field(damping.table.astype(complex), SPEC)
     first = damping.div_G_grad(conformal)
-    assert np.array_equal(first, laplacian_G(a, conformal).values.real)
+    want = real_derivatives_full(damping.table, conformal)[0]
+    assert np.max(np.abs(first - want)) <= 1e-13 * np.max(np.abs(want))
     assert damping.div_G_grad(conformal) is first
     other = damping.div_G_grad(anisotropic)
-    assert np.array_equal(other, laplacian_G(a, anisotropic).values.real)
+    want = real_derivatives_full(damping.table, anisotropic)[0]
+    assert np.max(np.abs(other - want)) <= 1e-13 * np.max(np.abs(want))
     assert not np.array_equal(other, first)
+
+
+_TABLE_CASES = [
+    ("conformal_bump", {}),
+    ("identity", {"damping_shape": "annulus", "damping_inner_radius": 1.5,
+                  "damping_outer_radius": 4.0}),
+    ("uncontrolled_bump", {}),  # the damping centre sits off the origin
+    ("uncontrolled_bump", {"damping_shape": "annulus",
+                           "damping_inner_radius": 0.5,
+                           "damping_outer_radius": 2.0}),
+    ("conformal_bump", {"damping_amplitude": 0.0}),
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name,params", _TABLE_CASES)
+def test_damping_table_is_the_evaluator_at_the_grid_points(dim, name, params):
+    spec = GridSpec(dim, {1: 32, 2: 32, 3: 16}[dim], 10.0)
+    _, damping = build_preset(name, spec, params)
+    points = np.stack([np.broadcast_to(x, spec.shape) for x in spec.coords],
+                      axis=-1)
+    assert np.array_equal(damping.table, damping.eval_damping(points))
+    assert damping.table.shape == spec.shape
+    assert np.any(damping.table) == (damping.amplitude > 0.0)
 
 
 def test_damping_support_must_fit_in_box():

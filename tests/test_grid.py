@@ -9,9 +9,8 @@ from dnls.geometry import MetricField, build_preset
 from dnls.grid import (
     Field,
     GridSpec,
-    flux_divergence,
     gradient,
-    laplacian_G,
+    real_derivatives,
     rk4,
     sobolev_norm,
     sobolev_weights,
@@ -22,12 +21,15 @@ from conftest import band_limited_random, gaussian_field, local_integrals
 from reference import (
     band_flux,
     flux_divergence_full,
+    flux_divergence,
     flux_divergence_table,
     grad_rho,
     hess_chi,
     homogeneous_sobolev_norm,
     homogeneous_sobolev_weights,
+    laplacian_G,
     metric_table,
+    real_derivatives_full,
 )
 
 
@@ -103,7 +105,7 @@ def test_gradient_cosine_closed_form_1d():
 
 
 def _div_grad(f: Field, p=None, direction=None) -> np.ndarray:
-    """div(p S grad f) by the package's one divergence, ``flux_divergence``."""
+    """div(p S grad f) by ``flux_divergence``, a ``FluxKernel`` on every mode."""
     spec = f.spec
     p = np.ones(spec.shape) if p is None else p
     return spec.ifft(flux_divergence(spec.fft(f.values), spec, p, direction))
@@ -315,6 +317,91 @@ def test_laplacian_G_rejects_nonfinite_metric():
     for amplitude in (np.inf, np.nan):
         with pytest.raises(DomainError):
             laplacian_G(f, MetricField(spec, amplitude=amplitude, radius=1.0))
+
+
+# -- derivatives of fixed real tables ---------------------------------------------
+#
+# ``real_derivatives`` works on half spectra with the odd multipliers ik_j set
+# to 0 on their Nyquist index. The tables are damping tables on coarse grids,
+# whose Nyquist modes carry weight; the oblique direction gives the rank-one
+# flux more than one live component.
+
+_REAL_DERIVATIVE_METRICS = {
+    "identity": lambda spec: MetricField(spec),
+    "conformal": lambda spec: MetricField(spec, amplitude=0.4, radius=2.5),
+    "rank_one": lambda spec: MetricField(spec, amplitude=-0.4, radius=2.5,
+                                         direction=(1.0, 0.5, -0.3)[:spec.dim]),
+}
+
+
+def _real_table(dim):
+    spec = GridSpec(dim, {2: 32, 3: 16}[dim], 6.0)
+    _, damping = build_preset("identity", spec, {"damping_radius": 3.0})
+    return spec, damping.table
+
+
+def _off_nyquist(spec):
+    """Mask of the Fourier indices (fft order) off every Nyquist plane."""
+    off = np.ones(spec.shape, dtype=bool)
+    for j in range(spec.dim):
+        index = [slice(None)] * spec.dim
+        index[j] = spec.n // 2
+        off[tuple(index)] = False
+    return off
+
+
+@pytest.mark.parametrize("kind", sorted(_REAL_DERIVATIVE_METRICS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_real_derivatives_match_the_full_complex_reference(dim, kind):
+    # identity: the real parts of the complex-transform derivatives; G != I:
+    # the reference forms the flux from the same real gradient
+    spec, table = _real_table(dim)
+    metric = _REAL_DERIVATIVE_METRICS[kind](spec)
+    lap, grads = real_derivatives(table, metric)
+    want_lap, want_grads = real_derivatives_full(table, metric)
+    for got, want in zip([lap] + grads, [want_lap] + want_grads):
+        assert got.dtype == np.float64 and got.shape == spec.shape
+        assert got.flags.c_contiguous and got.base is None
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if kind == "identity":
+        lap_complex = laplacian_G(Field(table, spec), metric).values.real
+        scale = np.max(np.abs(lap_complex))
+        assert np.max(np.abs(lap - lap_complex)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["conformal", "rank_one"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_real_derivatives_differ_from_the_complex_path_on_nyquist_planes_only(
+    dim, kind
+):
+    # the complex path feeds the inner gradient's imaginary Nyquist artifact
+    # into the flux; what that changes lies on the Nyquist planes
+    spec, table = _real_table(dim)
+    metric = _REAL_DERIVATIVE_METRICS[kind](spec)
+    lap = real_derivatives(table, metric)[0]
+    lap_complex = laplacian_G(Field(table, spec), metric).values.real
+    diff_hat = spec.fft(lap - lap_complex)
+    off = _off_nyquist(spec)
+    assert np.max(np.abs(diff_hat[off])) <= 1e-12 * np.max(table)
+    assert np.max(np.abs(diff_hat[~off])) > 1e-6 * np.max(table)
+
+
+@pytest.mark.parametrize("kind", sorted(_REAL_DERIVATIVE_METRICS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_real_derivatives_pair_by_parts(dim, kind):
+    # the energy law's two weights: int f div(G grad a) = -sum_j int d_j f
+    # (G grad a)_j for band-limited real f
+    spec, table = _real_table(dim)
+    metric = _REAL_DERIVATIVE_METRICS[kind](spec)
+    lap, grads = real_derivatives(table, metric)
+    flux = metric.apply(grads)
+    for seed in range(3):
+        f = band_limited_random(spec, seed=seed).values.real
+        df = [g.values.real for g in gradient(Field(f, spec))]
+        lhs = spec.quadrature(f * lap)
+        rhs = -sum(spec.quadrature(dj * wj) for dj, wj in zip(df, flux))
+        scale = sum(spec.quadrature(np.abs(dj * wj)) for dj, wj in zip(df, flux))
+        assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 # -- Sobolev norms --------------------------------------------------------------

@@ -9,7 +9,6 @@ from dnls.grid import (
     Field,
     GridSpec,
     gradient,
-    laplacian_G,
     real_derivatives,
     sobolev_norm,
 )
@@ -25,7 +24,7 @@ from dnls.scattering import (
 from dnls.solver import SolverConfig, simulate
 
 from conftest import band_limited_random, gaussian_field
-from reference import pulled_coefficients
+from reference import laplacian_G, pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
 
