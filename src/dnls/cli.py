@@ -18,8 +18,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .snapshots import atomic_open
+from . import __version__
+from . import config, geometry, grid, observables, scattering, snapshots, solver
+from .errors import ConfigError, SamplingError, StabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,16 +41,12 @@ def _utc_now() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with atomic_open(path) as fh:
+    with snapshots.atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _tool_versions() -> dict:
-    import scipy
-
-    from . import __version__
-
     return {
         "package": __version__,
         "numpy": np.__version__,
@@ -92,7 +91,7 @@ class _RunDir:
 
 
 def _write_series_csv(run: _RunDir, name: str, times, values) -> None:
-    with atomic_open(run.path(f"series_{name}.csv"), newline="") as fh:
+    with snapshots.atomic_open(run.path(f"series_{name}.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
         for t, v in zip(times, values):
@@ -100,7 +99,7 @@ def _write_series_csv(run: _RunDir, name: str, times, values) -> None:
 
 
 def _write_matrix_csv(run: _RunDir, name: str, times, matrix) -> None:
-    with atomic_open(run.path(name), newline="") as fh:
+    with snapshots.atomic_open(run.path(name), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [_fmt(t) for t in times])
         for t, row in zip(times, matrix):
@@ -117,17 +116,16 @@ def _control_report_dict(report) -> dict:
 
 
 def _cmd_check_geometry(args) -> int:
-    from .config import parse_config
-    from .geometry import check_control, coercivity_constant, gradient_bound_constant
-
-    cfg = parse_config(args.config)
+    cfg = config.parse_config(args.config)
     metric, damping = cfg.build_geometry()
-    report = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
+    report = geometry.check_control(metric, damping, cfg.geometry.g_tol,
+                                    cfg.geometry.a_min)
     payload = {
         "preset": cfg.geometry.preset,
         "control": _control_report_dict(report),
-        "coercivity_constant": coercivity_constant(metric),
-        "gradient_bound_constant_eps_0.01": gradient_bound_constant(damping, 0.01),
+        "coercivity_constant": geometry.coercivity_constant(metric),
+        "gradient_bound_constant_eps_0.01":
+            geometry.gradient_bound_constant(damping, 0.01),
     }
     if args.out:
         run = _RunDir(Path(args.out), "check-geometry", cfg.config_hash(),
@@ -142,11 +140,11 @@ def _cmd_check_geometry(args) -> int:
 
 
 def _cmd_rays(args) -> int:
-    from .config import parse_config
-    from .geometry import check_control
+    # deferred: only this command traces rays, and a process that imports the
+    # CLI before it forks its runs (perfbench/run.py) should not carry the tracer
     from .rays import sample_ensemble, verify_exterior_control
 
-    cfg = parse_config(args.config)
+    cfg = config.parse_config(args.config)
     metric, damping = cfg.build_geometry()
     spec = metric.spec
     x0, xi0 = sample_ensemble(
@@ -160,9 +158,9 @@ def _cmd_rays(args) -> int:
         escape_radius=escape_radius, a_min=cfg.geometry.a_min,
     )
     run = _RunDir(Path(args.out), "rays", cfg.config_hash(), cfg.run.seed)
-    with atomic_open(run.path("config.ini")) as fh:
+    with snapshots.atomic_open(run.path("config.ini")) as fh:
         fh.write(cfg.to_text())
-    with atomic_open(run.path("rays.csv"), newline="") as fh:
+    with snapshots.atomic_open(run.path("rays.csv"), newline="") as fh:
         writer = csv.writer(fh)
         dim = spec.dim
         header = (
@@ -179,7 +177,8 @@ def _cmd_rays(args) -> int:
                 + [fate.kind, _fmt(fate.t_exit), _fmt(fate.t_first_hit),
                    _fmt(fate.time_in_control), _fmt(fate.hamiltonian_drift)]
             )
-    control = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
+    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
+                                     cfg.geometry.a_min)
     run.finalize(extra={
         "counts": summary.counts,
         "exterior_control_holds": summary.exterior_control_holds,
@@ -194,36 +193,18 @@ def _cmd_rays(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .config import parse_config
-    from .errors import ConfigError, SamplingError, StabilityError
-    from .geometry import check_control
-    from .grid import weight_tables
-    from .observables import (
-        energy_lambda_bound_check,
-        energy_law_residual,
-        energy_law_residual_flux_form,
-        interaction_inequality_check,
-        l4_accumulator,
-        lambda_accumulator,
-        mass_law_residual,
-        morawetz_rate_residual,
-        standard_monitors,
-    )
-    from .snapshots import read_snapshot, write_snapshot
-    from .solver import simulate
-
-    cfg = parse_config(args.config)
+    cfg = config.parse_config(args.config)
     run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
-    with atomic_open(run.path("config.ini")) as fh:
+    with snapshots.atomic_open(run.path("config.ini")) as fh:
         fh.write(cfg.to_text())
     metric, damping = cfg.build_geometry()
     spec = metric.spec
-    tables = weight_tables(spec)
-    control = check_control(metric, damping, cfg.geometry.g_tol, cfg.geometry.a_min)
-    solver_cfg = cfg.solver_config()
+    tables = grid.weight_tables(spec)
+    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
+                                     cfg.geometry.a_min)
 
     if args.resume:
-        u0, t0 = read_snapshot(args.resume)
+        u0, t0 = snapshots.read_snapshot(args.resume)
         if u0.spec != spec:
             raise ConfigError(
                 f"snapshot grid {u0.spec} does not match configured grid {spec}"
@@ -231,14 +212,14 @@ def _cmd_simulate(args) -> int:
     else:
         u0, t0 = cfg.initial_field(spec), 0.0
 
-    monitors = standard_monitors(
+    monitors = observables.standard_monitors(
         metric, damping, tables,
         record_every=cfg.observables.record_every,
         interaction_every=cfg.observables.interaction_every,
         local_radius=cfg.observables.local_radius,
         cutoff=cfg.cutoff(spec),
         cutoff_exponents=cfg.observables.cutoff_exponents,
-        nonlinearity=solver_cfg.nonlinearity,
+        nonlinearity=cfg.solver.nonlinearity,
         g_tol=cfg.geometry.g_tol,
         a_min=cfg.geometry.a_min,
     )
@@ -247,8 +228,8 @@ def _cmd_simulate(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = simulate(
-                u0, metric, damping, solver_cfg,
+            result = solver.simulate(
+                u0, metric, damping, cfg.solver,
                 monitors=monitors,
                 snapshot_every=cfg.scattering.snapshot_every,
                 t0=t0,
@@ -270,33 +251,33 @@ def _cmd_simulate(args) -> int:
     snapshot_files = []
     for idx, (t, field) in enumerate(result.snapshots):
         name = f"snap_{idx:06d}.dnls"
-        write_snapshot(run.path(name), field, t)
+        snapshots.write_snapshot(run.path(name), field, t)
         snapshot_files.append(name)
 
     series = result.series
     reports: dict = {"control": _control_report_dict(control)}
-    r_mass = mass_law_residual(series["mass"], series["damping_mass"])
+    r_mass = observables.mass_law_residual(series["mass"], series["damping_mass"])
     _write_series_csv(run, r_mass.name, r_mass.times, r_mass.values)
     reports["mass_law_max_residual"] = float(np.max(np.abs(r_mass.values)))
-    r_energy = energy_law_residual(
+    r_energy = observables.energy_law_residual(
         series["energy"], series["damping_energy"], series["mass_lapGa"]
     )
     _write_series_csv(run, r_energy.name, r_energy.times, r_energy.values)
     reports["energy_law_max_residual"] = float(np.max(np.abs(r_energy.values)))
-    r_energy_alt = energy_law_residual_flux_form(
+    r_energy_alt = observables.energy_law_residual_flux_form(
         series["energy"], series["damping_energy"], series["energy_flux_alt"]
     )
     reports["energy_law_two_form_gap"] = float(
         np.max(np.abs(r_energy.values - r_energy_alt.values))
     )
-    lam = lambda_accumulator(series["lambda_density"])
+    lam = observables.lambda_accumulator(series["lambda_density"])
     _write_series_csv(run, "lambda", lam.times, lam.values)
-    bound = energy_lambda_bound_check(
+    bound = observables.energy_lambda_bound_check(
         series["energy"], lam, metric, damping, tables
     )
     reports["energy_lambda_bound"] = dataclasses.asdict(bound)
     try:
-        mor = morawetz_rate_residual(
+        mor = observables.morawetz_rate_residual(
             series["virial"], series["virial_rhs"], series.get("morawetz_proxy")
         )
         _write_series_csv(run, mor.residual.name, mor.residual.times,
@@ -307,14 +288,14 @@ def _cmd_simulate(args) -> int:
         }
     except SamplingError as exc:  # sparse cadence: report instead of failing the run
         reports["morawetz_rate"] = {"error": str(exc)}
-    l4_report = l4_accumulator(series["l4"])
+    l4_report = observables.l4_accumulator(series["l4"])
     _write_series_csv(run, "l4_accumulator", l4_report.accumulator.times,
                       l4_report.accumulator.values)
     reports["l4_tail"] = {
         "tail_fraction": l4_report.tail_fraction,
         "bounded": l4_report.bounded,
     }
-    inter = interaction_inequality_check(
+    inter = observables.interaction_inequality_check(
         series["l4"], series["interaction"], series["h1_sq"], series["supp_a_h1"]
     )
     reports["interaction_inequality"] = dataclasses.asdict(inter)
@@ -337,10 +318,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    from .config import parse_config
-    from .scattering import extract_profile
-    from .snapshots import read_snapshot, write_snapshot
-
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -348,7 +325,7 @@ def _cmd_scatter(args) -> int:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     base = manifest_path.parent
-    cfg = parse_config(base / "config.ini")
+    cfg = config.parse_config(base / "config.ini")
     snapshot_names = manifest.get("snapshots", [])
     if len(snapshot_names) < 3:
         print(
@@ -357,22 +334,23 @@ def _cmd_scatter(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    snapshots = []
+    stored = []
     for name in snapshot_names:
-        field, t = read_snapshot(base / name)
-        snapshots.append((t, field))
-    snapshots.sort(key=lambda pair: pair[0])
+        field, t = snapshots.read_snapshot(base / name)
+        stored.append((t, field))
+    stored.sort(key=lambda pair: pair[0])
 
     # default to a subdirectory so the simulate manifest is never clobbered
     out_dir = Path(args.out) if args.out else base / "scatter"
     run = _RunDir(out_dir, "scatter", cfg.config_hash(), cfg.run.seed)
-    report = extract_profile(
-        snapshots, cfg.scattering.s_values, cfg.scattering.tol_mono
+    report = scattering.extract_profile(
+        stored, cfg.scattering.s_values, cfg.scattering.tol_mono
     )
     for s in report.s_values:
         _write_matrix_csv(run, f"cauchy_s{s:g}.csv", report.times, report.cauchy[s])
         _write_series_csv(run, f"mismatch_s{s:g}", report.times, report.mismatch[s])
-    write_snapshot(run.path("u_plus.dnls"), report.u_plus, report.times[-1])
+    snapshots.write_snapshot(run.path("u_plus.dnls"), report.u_plus,
+                             report.times[-1])
     payload = {
         "s_values": list(report.s_values),
         "verdicts": {f"{s:g}": bool(v) for s, v in report.verdicts.items()},
@@ -430,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .errors import ConfigError
-
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

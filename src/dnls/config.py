@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,11 @@ from .geometry import (
     PRESET_NAMES,
     build_preset,
     cutoff_field,
+    default_escape_radius,
 )
 from .grid import Field, GridSpec
+from .observables import smooth_random_field
+from .solver import SolverConfig
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
@@ -63,16 +66,6 @@ class InitialDataSection:
 
 
 @dataclass
-class SolverSection:
-    dt: float = 0.01
-    duration: float = 1.0
-    dealias: bool = True
-    nonlinearity: bool = True
-    inner_perturbation_steps: int = 1
-    boundary_mass_warn: float = 1e-6
-
-
-@dataclass
 class ObservablesSection:
     record_every: int = 1
     interaction_every: int = 10
@@ -108,7 +101,7 @@ _SECTION_TYPES = {
     "grid": GridSection,
     "geometry": GeometrySection,
     "initial_data": InitialDataSection,
-    "solver": SolverSection,
+    "solver": SolverConfig,
     "observables": ObservablesSection,
     "scattering": ScatteringSection,
     "rays": RaysSection,
@@ -121,7 +114,7 @@ class RunConfig:
     grid: GridSection = field(default_factory=GridSection)
     geometry: GeometrySection = field(default_factory=GeometrySection)
     initial_data: InitialDataSection = field(default_factory=InitialDataSection)
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     observables: ObservablesSection = field(default_factory=ObservablesSection)
     scattering: ScatteringSection = field(default_factory=ScatteringSection)
     rays: RaysSection = field(default_factory=RaysSection)
@@ -148,8 +141,6 @@ class RunConfig:
 
     def resolved_escape_radius(self, metric: MetricField,
                                damping: DampingField) -> float:
-        from .rays import default_escape_radius  # only ray runs load the tracer
-
         if not np.isnan(self.rays.escape_radius):
             return self.rays.escape_radius
         return default_escape_radius(metric, damping)
@@ -180,11 +171,6 @@ class RunConfig:
         self._built_geometry = (key, built)
         return built
 
-    def solver_config(self):
-        from .solver import SolverConfig
-
-        return SolverConfig(**vars(self.solver))
-
     def initial_field(self, spec: GridSpec | None = None) -> Field:
         spec = spec or self.grid_spec()
         ic = self.initial_data
@@ -198,8 +184,6 @@ class RunConfig:
                 values = values * np.exp(1j * ic.momentum * spec.coords[0])
             return Field(values.astype(np.complex128), spec)
         if ic.kind == "smooth_random":
-            from .observables import smooth_random_field
-
             f = smooth_random_field(spec, seed=self.run.seed, k_scale=ic.k_scale)
             return Field(ic.amplitude * f.values, spec)
         raise ConfigError(f"[initial_data] unknown kind {ic.kind!r}")
@@ -267,8 +251,8 @@ class RunConfig:
                     "[observables] cutoff must equal 1 on the damping support "
                     f"(max deviation {deviation:.3e} at flat={flat})"
                 )
-        try:
-            self.solver_config()
+        try:  # the parsed keys were set one by one; re-run the checks
+            replace(self.solver)
         except DomainError as exc:
             raise ConfigError(f"[solver] {exc}") from exc
         for s in self.scattering.s_values:

@@ -28,6 +28,7 @@ __all__ = [
     "check_control",
     "coercivity_constant",
     "gradient_bound_constant",
+    "default_escape_radius",
     "PRESET_NAMES",
 ]
 
@@ -379,6 +380,11 @@ def gradient_bound_constant(damping: DampingField, eps: float) -> float:
     excess = np.maximum(grad_mag - eps, 0.0)
     ratios = excess[positive] / (damping.amplitude * b[positive])
     return float(ratios.max(initial=0.0))
+
+
+def default_escape_radius(metric: MetricField, damping: DampingField) -> float:
+    """1.5 * max(R_G, R_a) + 5, the documented classification default."""
+    return 1.5 * max(metric.support_radius, damping.support_radius) + 5.0
 
 
 def build_preset(

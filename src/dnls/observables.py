@@ -1,9 +1,11 @@
 """Functionals and identity residuals evaluated on simulation snapshots.
 
-Everything here is a pure function of fields and recorded series. Time
-integrals use the trapezoid rule on the recorded cadence; rate residuals use
-centered differences, so their discretization error tracks the recording
-cadence squared.
+Everything here is a pure function of fields and recorded series, and the
+monitors a run records, the commutator [lap, chi] u among them, are built
+from it. Time integrals use the trapezoid rule on the recorded cadence, in
+the expression (and so with the bits) of scipy's ``cumulative_trapezoid``;
+rate residuals use centered differences, so their discretization error
+tracks the recording cadence squared.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError, SamplingError, SeriesAlignmentError
 from .geometry import DampingField, MetricField
@@ -28,7 +29,6 @@ from .grid import (
     real_derivatives,
     sobolev_norms_from_power,
 )
-from .scattering import commutator_with_cutoff
 
 __all__ = [
     "ObservableSeries",
@@ -40,6 +40,7 @@ __all__ = [
     "morawetz_rate_rhs",
     "bilinear_interaction",
     "local_sobolev_decay",
+    "commutator_with_cutoff",
     "smooth_random_field",
     "standard_monitors",
     "mass_law_residual",
@@ -50,8 +51,16 @@ __all__ = [
     "energy_lambda_bound_check",
     "l4_accumulator",
     "interaction_inequality_check",
-    "stability_probe",
 ]
+
+
+def _cumulative_trapezoid(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of samples v at stamps t, starting at 0:
+    the expression ``scipy.integrate.cumulative_trapezoid(v, t, initial=0)``
+    evaluates, so the bits are the same."""
+    out = np.zeros(len(v))
+    np.cumsum(np.diff(t) * (v[1:] + v[:-1]) / 2.0, out=out[1:])
+    return out
 
 
 class ObservableSeries:
@@ -98,9 +107,7 @@ class ObservableSeries:
 
     def cumulative_trapezoid(self) -> np.ndarray:
         """Running trapezoid integral on the recorded cadence (starts at 0)."""
-        if len(self) < 2:
-            return np.zeros(len(self))
-        return cumulative_trapezoid(self.values, self.times, initial=0.0)
+        return _cumulative_trapezoid(self.values, self.times)
 
 
 class Frame:
@@ -358,6 +365,23 @@ def local_sobolev_decay(frame: Frame, cutoff: np.ndarray, s: float) -> float:
         raise DomainError(f"local Sobolev decay is monitored for 0 <= s < 1, got {s}")
     return sobolev_norms_from_power(frame.cutoff_power(cutoff), frame.spec,
                                     (s,))[float(s)]
+
+
+def commutator_with_cutoff(
+    u: Field,
+    grads: Sequence[Field],
+    derivatives: tuple[np.ndarray, list[np.ndarray]],
+) -> Field:
+    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u,
+    given ``grads``, the spectral gradients of u, and ``derivatives``, the
+    :func:`grid.real_derivatives` of chi under the identity metric."""
+    lap_chi, grad_chi = derivatives
+    out = lap_chi * u.values
+    for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place
+        two_gc = 2.0 * gc
+        out.real += two_gc * gu.values.real
+        out.imag += two_gc * gu.values.imag
+    return Field(out, u.spec)
 
 
 def smooth_random_field(spec: GridSpec, seed: int = 0, k_scale: float = 2.0) -> Field:
@@ -696,9 +720,8 @@ def interaction_inequality_check(
     control_acc = ObservableSeries(
         "control_acc",
         supp_a_h1_series.times,
-        cumulative_trapezoid(
-            h1_sup * supp_a_h1_series.values, supp_a_h1_series.times, initial=0.0
-        ),
+        _cumulative_trapezoid(h1_sup * supp_a_h1_series.values,
+                              supp_a_h1_series.times),
     )
     times, b_vals, l4_vals = _join(interaction_series, l4_acc)
     _, _, ctrl_vals = _join(interaction_series, control_acc)
@@ -718,55 +741,3 @@ def interaction_inequality_check(
         worst = float(margins.min())
         passed = bool(np.all(margins >= -1e-12))
     return InteractionReport(passed, fitted, worst)
-
-
-@dataclass
-class StabilityReport:
-    delta: float
-    sup_difference: float
-    amplification: float
-    times: np.ndarray
-    differences: np.ndarray
-
-
-def stability_probe(
-    u0: Field,
-    delta: float,
-    metric: MetricField,
-    damping: DampingField,
-    cfg,
-    seed: int = 0,
-) -> StabilityReport:
-    """Run u0 and u0 + delta * (unit smooth perturbation) in lockstep and report
-    the sup-in-time L^2 difference and its amplification over delta."""
-    # deferred to avoid an import cycle
-    from .solver import Propagator, SimulationState, step
-
-    if delta < 0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    spec = u0.spec
-    pert = smooth_random_field(spec, seed=seed)
-    base = u0.values
-    if cfg.dealias:
-        base = spec.band_limit(base)
-        pert_vals = spec.band_limit(pert.values)
-    else:
-        pert_vals = pert.values
-    s1 = SimulationState(Field(base.copy(), spec), 0.0, 0)
-    s2 = SimulationState(Field(base + delta * pert_vals, spec), 0.0, 0)
-    times = [0.0]
-    diffs = [Field(s2.u.values - s1.u.values, spec).l2_norm()]
-    propagator = Propagator(metric, damping, cfg)
-    for _ in range(cfg.n_steps):
-        s1 = step(s1, propagator)
-        s2 = step(s2, propagator)
-        times.append(s1.t)
-        diffs.append(Field(s2.u.values - s1.u.values, spec).l2_norm())
-    sup = float(np.max(diffs))
-    return StabilityReport(
-        delta=delta,
-        sup_difference=sup,
-        amplification=sup / delta if delta > 0 else 0.0,
-        times=np.asarray(times),
-        differences=np.asarray(diffs),
-    )

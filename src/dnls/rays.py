@@ -405,8 +405,3 @@ def verify_exterior_control(
         counts=counts,
         exterior_control_holds=counts["trapped_at_horizon"] == 0,
     )
-
-
-def default_escape_radius(metric: MetricField, damping: DampingField) -> float:
-    """1.5 * max(R_G, R_a) + 5, the documented classification default."""
-    return 1.5 * max(metric.support_radius, damping.support_radius) + 5.0

@@ -15,6 +15,9 @@ difference per pair reduced against every exponent's weights at once. Since
 e^{it lap} preserves the H^s norm, ||u(t_i) - e^{it_i lap} u_plus||_{H^s} =
 ||v_i - v_last||_{H^s}: the mismatch series is the last Cauchy row, and the
 final mismatch is 0 by construction.
+
+The module works on snapshots alone and depends on ``grid`` and ``errors``
+only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "free_evolve",
     "cauchy_scan",
     "extract_profile",
-    "commutator_with_cutoff",
 ]
 
 Snapshot = tuple[float, Field]
@@ -169,19 +171,3 @@ def extract_profile(
         report.final_mismatch[s] = float(report.mismatch[s][-1])
     return report
 
-
-def commutator_with_cutoff(
-    u: Field,
-    grads: Sequence[Field],
-    derivatives: tuple[np.ndarray, list[np.ndarray]],
-) -> Field:
-    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u,
-    given ``grads``, the spectral gradients of u, and ``derivatives``, the
-    :func:`grid.real_derivatives` of chi under the identity metric."""
-    lap_chi, grad_chi = derivatives
-    out = lap_chi * u.values
-    for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place
-        two_gc = 2.0 * gc
-        out.real += two_gc * gu.values.real
-        out.imag += two_gc * gu.values.imag
-    return Field(out, u.spec)

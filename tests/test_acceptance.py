@@ -9,7 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from dnls.geometry import build_preset, check_control, cutoff_field
+from dnls.geometry import (
+    build_preset,
+    check_control,
+    cutoff_field,
+    default_escape_radius,
+)
 from dnls.grid import Field, GridSpec, gradient, sobolev_norm, weight_tables
 from dnls.observables import (
     Frame,
@@ -23,17 +28,15 @@ from dnls.observables import (
     mass,
     mass_law_residual,
     morawetz_rate_residual,
-    stability_probe,
     standard_monitors,
 )
 from dnls.rays import (
-    default_escape_radius,
     integrate_ray,
     sample_ensemble,
     verify_exterior_control,
 )
 from dnls.scattering import extract_profile
-from dnls.solver import SolverConfig, cfl_suggestion, simulate
+from dnls.solver import SolverConfig, cfl_suggestion, simulate, stability_probe
 
 from conftest import band_limited_random, gaussian_field
 from reference import grad_rho

@@ -26,17 +26,10 @@ def test_minimal_config_fills_defaults():
     assert cfg.scattering.s_values == (0.0, 0.25, 0.5, 0.75, 0.9)
 
 
-def test_solver_section_keys_are_the_solver_config_fields():
-    from dataclasses import fields
-
-    from dnls.config import SolverSection
+def test_solver_section_is_the_solver_config():
     from dnls.solver import SolverConfig
 
-    keys = [f.name for f in fields(SolverSection)]
-    assert keys == [f.name for f in fields(SolverConfig)]
-    assert len(keys) == 6
-    assert parse_config_text(MINIMAL).solver_config() == SolverConfig(
-        dt=0.01, duration=1.0)
+    assert parse_config_text(MINIMAL).solver == SolverConfig(dt=0.01, duration=1.0)
 
 
 def test_config_roundtrip_is_lossless():

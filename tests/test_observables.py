@@ -33,10 +33,9 @@ from dnls.observables import (
     morawetz_rate_rhs,
     morawetz_virial,
     smooth_random_field,
-    stability_probe,
     standard_monitors,
 )
-from dnls.solver import SimulationState, SolverConfig, simulate
+from dnls.solver import SimulationState, SolverConfig, simulate, stability_probe
 
 from conftest import band_limited_random, gaussian_field, local_integrals, local_monitors
 from reference import (

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 
 import dnls.rays
 from dnls.errors import DomainError
-from dnls.geometry import PRESET_NAMES, DampingField, MetricField, build_preset
+from dnls.geometry import (
+    PRESET_NAMES,
+    DampingField,
+    MetricField,
+    build_preset,
+    default_escape_radius,
+)
 from dnls.grid import GridSpec
 from dnls.rays import (
     _Flow,
     classify_ray,
-    default_escape_radius,
     hamiltonian,
     integrate_ray,
     sample_ensemble,

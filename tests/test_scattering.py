@@ -12,11 +12,11 @@ from dnls.grid import (
     real_derivatives,
     sobolev_norm,
 )
+from dnls.observables import commutator_with_cutoff
 from dnls.scattering import (
     _monotone_tail_verdict,
     _pulled_coefficients,
     cauchy_scan,
-    commutator_with_cutoff,
     extract_profile,
     free_evolve,
     free_pullback,

@@ -377,6 +377,19 @@ def test_cfl_shrinks_with_bump_amplitude():
     assert values[0] / values[1] == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [4, 6, 48, 64, 128])
+def test_cfl_band_is_the_retained_band(n, dealias):
+    # the axis band of the bound, taken from GridSpec.retained, is the one the
+    # 2/3 rule gives: |m| <= n//3 with dealias, n//2 without
+    spec = GridSpec(2, n, 10.0)
+    metric = MetricField(spec, amplitude=0.3, radius=2.0)
+    m_axis = n // 3 if dealias else n // 2
+    k2max = spec.dim * (np.pi / spec.length * m_axis) ** 2
+    expected = 2.0 / (k2max * float(metric.deviation_norm().max()))
+    assert cfl_suggestion(spec, metric, 1e9, dealias=dealias) == expected
+
+
 def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(dt=-0.1, duration=1.0)
