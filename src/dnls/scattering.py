@@ -170,4 +170,3 @@ def extract_profile(
         report.mismatch[s] = report.cauchy[s][-1].copy()
         report.final_mismatch[s] = float(report.mismatch[s][-1])
     return report
-
