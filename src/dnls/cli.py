@@ -83,6 +83,10 @@ class _RunDir:
     def write_manifest(self) -> None:
         _write_json(self.dir / "manifest.json", self.manifest)
 
+    def write_config(self, cfg: config.RunConfig) -> None:
+        with snapshots.atomic_open(self.path("config.ini")) as fh:
+            fh.write(cfg.to_text())
+
     def finalize(self, status: str = "complete", extra: dict | None = None) -> None:
         self.manifest["status"] = status
         if extra:
@@ -115,11 +119,17 @@ def _control_report_dict(report) -> dict:
     }
 
 
-def _cmd_check_geometry(args) -> int:
+def _configured(args):
+    """The parsed ``--config``, its (metric, damping) and their control report."""
     cfg = config.parse_config(args.config)
     metric, damping = cfg.build_geometry()
-    report = geometry.check_control(metric, damping, cfg.geometry.g_tol,
-                                    cfg.geometry.a_min)
+    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
+                                     cfg.geometry.a_min)
+    return cfg, metric, damping, control
+
+
+def _cmd_check_geometry(args) -> int:
+    cfg, metric, damping, report = _configured(args)
     payload = {
         "preset": cfg.geometry.preset,
         "control": _control_report_dict(report),
@@ -144,8 +154,7 @@ def _cmd_rays(args) -> int:
     # CLI before it forks its runs (perfbench/run.py) should not carry the tracer
     from .rays import sample_ensemble, verify_exterior_control
 
-    cfg = config.parse_config(args.config)
-    metric, damping = cfg.build_geometry()
+    cfg, metric, damping, control = _configured(args)
     spec = metric.spec
     x0, xi0 = sample_ensemble(
         spec.dim, cfg.rays.count, cfg.rays.sample_radius,
@@ -158,8 +167,7 @@ def _cmd_rays(args) -> int:
         escape_radius=escape_radius, a_min=cfg.geometry.a_min,
     )
     run = _RunDir(Path(args.out), "rays", cfg.config_hash(), cfg.run.seed)
-    with snapshots.atomic_open(run.path("config.ini")) as fh:
-        fh.write(cfg.to_text())
+    run.write_config(cfg)
     with snapshots.atomic_open(run.path("rays.csv"), newline="") as fh:
         writer = csv.writer(fh)
         dim = spec.dim
@@ -177,8 +185,6 @@ def _cmd_rays(args) -> int:
                 + [fate.kind, _fmt(fate.t_exit), _fmt(fate.t_first_hit),
                    _fmt(fate.time_in_control), _fmt(fate.hamiltonian_drift)]
             )
-    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
-                                     cfg.geometry.a_min)
     run.finalize(extra={
         "counts": summary.counts,
         "exterior_control_holds": summary.exterior_control_holds,
@@ -193,15 +199,11 @@ def _cmd_rays(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = config.parse_config(args.config)
+    cfg, metric, damping, control = _configured(args)
     run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
-    with snapshots.atomic_open(run.path("config.ini")) as fh:
-        fh.write(cfg.to_text())
-    metric, damping = cfg.build_geometry()
+    run.write_config(cfg)
     spec = metric.spec
     tables = grid.weight_tables(spec)
-    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
-                                     cfg.geometry.a_min)
 
     if args.resume:
         u0, t0 = snapshots.read_snapshot(args.resume)

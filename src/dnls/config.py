@@ -19,7 +19,6 @@ from .errors import ConfigError, DnlsError, DomainError
 from .geometry import (
     DampingField,
     MetricField,
-    PRESET_NAMES,
     build_preset,
     cutoff_field,
     default_escape_radius,
@@ -218,18 +217,16 @@ class RunConfig:
             raise ConfigError(f"[grid] {exc}") from exc
         L = g.box_half_length
         geo = self.geometry
-        if geo.preset not in PRESET_NAMES:
-            raise ConfigError(
-                f"[geometry] preset must be one of {PRESET_NAMES}, got {geo.preset!r}"
-            )
-        # metric_radius is left to build_preset and MetricField: nan means the
-        # preset default, and the identity preset has no bump to fit
-        radius = self.observables.local_radius
+        obs = self.observables
+        radius = obs.local_radius
         if not 0.0 < radius < L:
             raise ConfigError(
                 f"[observables] local_radius = {radius} must lie inside the box "
                 f"(0, {L}) so that balls fit in the box"
             )
+        # the preset name and metric_radius are left to build_preset and
+        # MetricField: nan means the preset default, and the identity preset
+        # has no bump to fit
         try:
             _, damping = self.build_geometry(spec)
         except DnlsError as exc:
@@ -258,7 +255,7 @@ class RunConfig:
         for s in self.scattering.s_values:
             if s < 0:
                 raise ConfigError(f"[scattering] s_values must be >= 0, got {s}")
-        for s in self.observables.cutoff_exponents:
+        for s in obs.cutoff_exponents:
             if not 0.0 <= s < 1.0:
                 raise ConfigError(
                     f"[observables] cutoff_exponents must lie in [0, 1), got {s}"

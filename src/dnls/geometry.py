@@ -264,14 +264,18 @@ class DampingField:
         self.support_radius = 0.0 if self.amplitude == 0.0 else self.reach
         self._metric_terms: tuple | None = None
 
-    def _profile(self, r2: np.ndarray) -> np.ndarray:
-        """a at the squared distances r2 = |x - center|^2."""
-        if self.amplitude == 0.0:
-            return np.zeros(r2.shape)
-        r = np.sqrt(r2)
-        if self.shape == "ball":
-            return self.amplitude * bump_profile(r, self.radius)
-        return self.amplitude * bump_profile(r - self._mid, self.radius)
+    def _profile(self, r2: np.ndarray, slope: bool = False):
+        """a at the squared distances r2 = |x - center|^2; with ``slope`` the
+        pair (a, |grad a|), |grad a| = 2 A |db/ds2| rho / R^2 for the bump's
+        distance rho = |x - center| (ball) or ||x - center| - mid| (annulus)."""
+        rho = np.sqrt(r2)
+        if self.shape == "annulus":
+            rho = np.abs(rho - self._mid)
+        if not slope:
+            return self.amplitude * _bump((rho / self.radius) ** 2)
+        b, b_s2 = _bump((rho / self.radius) ** 2, slope=True)
+        return (self.amplitude * b,
+                2.0 * self.amplitude * np.abs(b_s2) * rho / self.radius**2)
 
     def eval_damping(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -363,23 +367,19 @@ def coercivity_constant(metric: MetricField) -> float:
 
 
 def gradient_bound_constant(damping: DampingField, eps: float) -> float:
-    """Minimal C on the grid with |grad a| <= C a + eps, |grad a| in closed
-    form, 2 A |db/ds2| rho / R^2 with rho = |x - c| (ball) or ||x - c| - mid|
-    (annulus): a spectral gradient's rounding would set C where a -> 0."""
+    """Minimal C on the grid with |grad a| <= C a + eps, |grad a| in the
+    closed form of ``DampingField._profile``: a spectral gradient's rounding
+    would set C where a -> 0."""
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     if damping.amplitude == 0.0:
         return 0.0
-    spec = damping.spec
-    rho = np.sqrt(sum((x - c) ** 2 for x, c in zip(spec.coords, damping.center)))
-    if damping.shape == "annulus":
-        rho = np.abs(rho - damping._mid)
-    b, b_s2 = _bump((rho / damping.radius) ** 2, slope=True)
-    positive = b > 0.0
-    grad_mag = 2.0 * damping.amplitude * np.abs(b_s2) * rho / damping.radius**2
+    a, grad_mag = damping._profile(
+        sum(np.square(x - c) for x, c in zip(damping.spec.coords, damping.center)),
+        slope=True)
+    positive = a > 0.0
     excess = np.maximum(grad_mag - eps, 0.0)
-    ratios = excess[positive] / (damping.amplitude * b[positive])
-    return float(ratios.max(initial=0.0))
+    return float((excess[positive] / a[positive]).max(initial=0.0))
 
 
 def default_escape_radius(metric: MetricField, damping: DampingField) -> float:

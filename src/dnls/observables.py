@@ -64,50 +64,42 @@ def _cumulative_trapezoid(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class ObservableSeries:
-    """Time-stamped scalar record with strictly monotone stamps.
+    """Time-stamped scalar record with finite values and strictly monotone
+    stamps, built once from both.
 
     Forward runs record increasing t; backward probes record decreasing t.
-    The direction is fixed by the first two stamps.
+    ``times`` and ``values`` are read-only copies of the given sequences.
     """
 
-    def __init__(self, name: str, times=None, values=None):
+    def __init__(self, name: str, times=(), values=()):
         self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
-        self._direction = 0
-        if times is not None:
-            for t, v in zip(times, values):
-                self.append(t, v)
-
-    def append(self, t: float, value: float) -> None:
-        t, value = float(t), float(value)
-        if not np.isfinite(value):
-            raise DomainError(f"series {self.name!r}: non-finite value at t={t}")
-        if self._times:
-            step = t - self._times[-1]
-            if step == 0.0 or (self._direction and np.sign(step) != self._direction):
-                raise SeriesAlignmentError(
-                    f"series {self.name!r}: non-monotone stamp {t} after "
-                    f"{self._times[-1]}"
-                )
-            self._direction = int(np.sign(step))
-        self._times.append(t)
-        self._values.append(value)
+        self.times = np.array(times, dtype=np.float64)
+        self.values = np.array(values, dtype=np.float64)
+        self.times.flags.writeable = self.values.flags.writeable = False
+        if self.times.shape != self.values.shape:
+            raise SeriesAlignmentError(f"series {name!r}: {len(self.times)} "
+                                       f"stamps for {len(self.values)} values")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            raise DomainError(f"series {name!r}: non-finite value at "
+                              f"t={self.times[bad.argmax()]}")
+        signs = np.sign(np.diff(self.times))
+        wrong = (signs != signs[:1]) | (signs == 0.0)
+        if wrong.any():
+            i = wrong.argmax()
+            raise SeriesAlignmentError(f"series {name!r}: non-monotone stamp "
+                                       f"{self.times[i + 1]} after {self.times[i]}")
 
     def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values)
+        return len(self.times)
 
     def cumulative_trapezoid(self) -> np.ndarray:
         """Running trapezoid integral on the recorded cadence (starts at 0)."""
         return _cumulative_trapezoid(self.values, self.times)
+
+    def integrated(self, name: str) -> "ObservableSeries":
+        """The series ``name`` of :meth:`cumulative_trapezoid` on these stamps."""
+        return ObservableSeries(name, self.times, self.cumulative_trapezoid())
 
 
 class Frame:
@@ -529,14 +521,22 @@ def standard_monitors(
 # ----------------------------------------------------------------------------
 
 
+def _balance(name: str, quantity: ObservableSeries,
+             *terms: tuple[float, ObservableSeries]) -> ObservableSeries:
+    """The balance-law residual r = Q - Q(0) + sum_i c_i int_0^t S_i of the
+    quantity Q and the terms (c_i, S_i), on their common stamps."""
+    times = _check_aligned(quantity, *(s for _, s in terms))
+    r = quantity.values - quantity.values[0]
+    for c, s in terms:
+        r += c * s.cumulative_trapezoid()
+    return ObservableSeries(name, times, r)
+
+
 def mass_law_residual(
     mass_series: ObservableSeries, damping_mass: ObservableSeries
 ) -> ObservableSeries:
     """r(t) = M(t) - M(0) + 2 int_0^t int a |u|^2 (trapezoid)."""
-    times = _check_aligned(mass_series, damping_mass)
-    m = mass_series.values
-    r = m - m[0] + 2.0 * damping_mass.cumulative_trapezoid()
-    return ObservableSeries("mass_law_residual", times, r)
+    return _balance("mass_law_residual", mass_series, (2.0, damping_mass))
 
 
 def energy_law_residual(
@@ -550,15 +550,8 @@ def energy_law_residual(
 
     so r = E - E(0) + int_0^t int a(...) - 1/2 int_0^t int |u|^2 div(G grad a).
     """
-    times = _check_aligned(energy_series, damping_energy, mass_lapGa)
-    e = energy_series.values
-    r = (
-        e
-        - e[0]
-        + damping_energy.cumulative_trapezoid()
-        - 0.5 * mass_lapGa.cumulative_trapezoid()
-    )
-    return ObservableSeries("energy_law_residual", times, r)
+    return _balance("energy_law_residual", energy_series,
+                    (1.0, damping_energy), (-0.5, mass_lapGa))
 
 
 def energy_law_residual_flux_form(
@@ -570,15 +563,8 @@ def energy_law_residual_flux_form(
 
         r = E - E(0) + int a(...) + Re int G grad u . conj(u) grad a.
     """
-    times = _check_aligned(energy_series, damping_energy, flux_alt)
-    e = energy_series.values
-    r = (
-        e
-        - e[0]
-        + damping_energy.cumulative_trapezoid()
-        + flux_alt.cumulative_trapezoid()
-    )
-    return ObservableSeries("energy_law_residual_flux", times, r)
+    return _balance("energy_law_residual_flux", energy_series,
+                    (1.0, damping_energy), (1.0, flux_alt))
 
 
 @dataclass
@@ -620,9 +606,7 @@ def morawetz_rate_residual(
 
 def lambda_accumulator(lambda_density: ObservableSeries) -> ObservableSeries:
     """Running trapezoid of int (15/chi^7) |u|^2; non-decreasing by positivity."""
-    return ObservableSeries(
-        "lambda", lambda_density.times, lambda_density.cumulative_trapezoid()
-    )
+    return lambda_density.integrated("lambda")
 
 
 @dataclass
@@ -671,8 +655,7 @@ def l4_accumulator(
 ) -> AccumulatorReport:
     """Running int |u|^4 with a bounded-trend verdict: the increment over the
     last quarter of the horizon must stay below 5% of the total."""
-    acc = ObservableSeries("l4_accumulator", l4_series.times,
-                           l4_series.cumulative_trapezoid())
+    acc = l4_series.integrated("l4_accumulator")
     times, values = acc.times, acc.values
     total = values[-1]
     if total <= 0.0:
@@ -713,16 +696,12 @@ def interaction_inequality_check(
 ) -> InteractionReport:
     """Verify 4*pi int_0^t |u|^4 <= C sup_s ||u||_H1^2 int_0^t int_{supp a}(..)
     + B(t) - B(0) + tol at the recorded interaction stamps (3d constant)."""
-    l4_acc = ObservableSeries("l4_acc", l4_series.times,
-                              l4_series.cumulative_trapezoid())
+    l4_acc = l4_series.integrated("l4_acc")
     _check_aligned(l4_series, h1_sq_series, supp_a_h1_series)
     h1_sup = np.maximum.accumulate(h1_sq_series.values)
     control_acc = ObservableSeries(
-        "control_acc",
-        supp_a_h1_series.times,
-        _cumulative_trapezoid(h1_sup * supp_a_h1_series.values,
-                              supp_a_h1_series.times),
-    )
+        "control", supp_a_h1_series.times, h1_sup * supp_a_h1_series.values
+    ).integrated("control_acc")
     times, b_vals, l4_vals = _join(interaction_series, l4_acc)
     _, _, ctrl_vals = _join(interaction_series, control_acc)
     gain = 4.0 * np.pi * l4_vals - (b_vals - b_vals[0])

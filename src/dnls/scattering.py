@@ -32,6 +32,7 @@ from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
     _weight_rows,
+    abs2,
     dot,
     sobolev_norm,
 )
@@ -135,8 +136,7 @@ def _scan(
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            diff = coeffs[i] - coeffs[j]
-            sq = diff.real**2 + diff.imag**2
+            sq = abs2(coeffs[i] - coeffs[j])
             matrices[:, i, j] = matrices[:, j, i] = np.sqrt(
                 dot(weights, sq) * spec.volume
             )

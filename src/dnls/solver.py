@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import Field, FluxKernel, GridSpec, norm_sq, rk4, support_box
+from .grid import Field, FluxKernel, GridSpec, abs2, norm_sq, rk4, support_box
 from .observables import Frame, Monitor, ObservableSeries, smooth_random_field
 
 __all__ = [
@@ -149,6 +149,18 @@ class Propagator:
         self.flux = None if metric.is_identity else FluxKernel(
             spec, metric.perturbation, metric.direction, retained)
 
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """``values`` limited to the dealias band if the run dealiases."""
+        return self.spec.band_limit(values) if self.cfg.dealias else values
+
+    def stability_error(self, reason: str) -> StabilityError:
+        """The run's abort for ``reason``, with its :func:`cfl_suggestion`."""
+        cfg = self.cfg
+        bound = cfl_suggestion(self.spec, self.metric, cfg.duration,
+                               cfg.inner_perturbation_steps, cfg.dealias)
+        return StabilityError(f"{reason}; suggested dt bound {bound:.3g}",
+                              dt_suggestion=bound)
+
 
 def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
     """Pointwise exact flow of u_t = -a u - i |u|^2 u over the half step
@@ -161,7 +173,7 @@ def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
     p = propagator
     values = u.values
     if p.cfg.nonlinearity:
-        mod2 = values.real**2 + values.imag**2
+        mod2 = abs2(values)
         theta = mod2 * -p.half_dt
         if p.box is not None:
             theta[p.box] = mod2[p.box] * p.phase
@@ -200,13 +212,8 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
         for _ in range(m):
             band = rk4(band, lambda c: 1j * p.flux(c), p.dt / m)
             if np.sqrt(norm_sq(band)) > guard:
-                suggestion = cfl_suggestion(spec, p.metric, cfg.duration, m,
-                                            cfg.dealias)
-                raise StabilityError(
-                    "linear substep blew up; reduce dt toward the suggested "
-                    f"bound {suggestion:.3g} or raise inner_perturbation_steps",
-                    dt_suggestion=suggestion,
-                )
+                raise p.stability_error("linear substep blew up; reduce dt or "
+                                        "raise inner_perturbation_steps")
         coeffs[p.band] = band
         for factor in p.free:
             coeffs *= factor
@@ -218,11 +225,8 @@ def step(state: SimulationState, propagator: Propagator) -> SimulationState:
     u = nonlinear_damping_substep(state.u, propagator)
     u = linear_substep(u, propagator)
     u = nonlinear_damping_substep(u, propagator)
-    values = u.values
-    if propagator.cfg.dealias:
-        values = u.spec.band_limit(values)
-    return SimulationState(Field(values, u.spec), state.t + propagator.dt,
-                           state.step + 1)
+    return SimulationState(Field(propagator.project(u.values), u.spec),
+                           state.t + propagator.dt, state.step + 1)
 
 
 def cfl_suggestion(
@@ -275,14 +279,9 @@ def simulate(
             "decay diagnostics are not expected to hold",
             stacklevel=2,
         )
-    values = u0.values
-    if cfg.dealias:
-        values = spec.band_limit(values)
-    state = SimulationState(Field(values, spec), t0, 0)
+    state = SimulationState(Field(propagator.project(u0.values), spec), t0, 0)
 
-    series: dict[str, ObservableSeries] = {
-        mon.name: ObservableSeries(mon.name) for mon in monitors
-    }
+    recorded: dict[str, list] = {mon.name: [] for mon in monitors}  # (t, value)
     snapshots: list[tuple[float, Field]] = []
     shell = spec.boundary_shell
     warned = False
@@ -298,7 +297,7 @@ def simulate(
                     raise StabilityError(
                         f"observable {mon.name!r} became non-finite at t={st.t:.6g}"
                     )
-                series[mon.name].append(st.t, value)
+                recorded[mon.name].append((st.t, value))
         if snapshot_every > 0 and (st.step % snapshot_every == 0 or final):
             snapshots.append((st.t, st.u.copy()))
         if not warned and cfg.boundary_mass_warn > 0:
@@ -324,17 +323,13 @@ def simulate(
             raise StabilityError(f"solution became non-finite at step {i}")
         # defocusing dynamics cannot blow up; norm explosion means instability
         if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
-            suggestion = cfl_suggestion(spec, metric, cfg.duration,
-                                        cfg.inner_perturbation_steps, cfg.dealias)
-            raise StabilityError(
-                f"norm explosion at step {i} (t={state.t:.6g}); "
-                f"suggested dt bound {suggestion:.3g}",
-                dt_suggestion=suggestion,
-            )
+            raise propagator.stability_error(
+                f"norm explosion at step {i} (t={state.t:.6g})")
         record(state, final=(i == n_steps))
     return SimulationResult(
         state=state,
-        series=series,
+        series={name: ObservableSeries(name, *zip(*pairs))
+                for name, pairs in recorded.items()},
         snapshots=snapshots,
         boundary_mass_warned=warned,
     )
@@ -362,18 +357,13 @@ def stability_probe(
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     spec = u0.spec
-    pert = smooth_random_field(spec, seed=seed)
-    base = u0.values
-    if cfg.dealias:
-        base = spec.band_limit(base)
-        pert_vals = spec.band_limit(pert.values)
-    else:
-        pert_vals = pert.values
+    propagator = Propagator(metric, damping, cfg)
+    base = propagator.project(u0.values)
+    pert = propagator.project(smooth_random_field(spec, seed=seed).values)
     s1 = SimulationState(Field(base.copy(), spec), 0.0, 0)
-    s2 = SimulationState(Field(base + delta * pert_vals, spec), 0.0, 0)
+    s2 = SimulationState(Field(base + delta * pert, spec), 0.0, 0)
     times = [0.0]
     diffs = [Field(s2.u.values - s1.u.values, spec).l2_norm()]
-    propagator = Propagator(metric, damping, cfg)
     for _ in range(cfg.n_steps):
         s1 = step(s1, propagator)
         s2 = step(s2, propagator)

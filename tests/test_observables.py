@@ -64,15 +64,16 @@ def _run(preset="identity", params=None, dt=0.005, duration=1.0, amplitude=0.5,
 
 
 def test_series_rejects_non_monotone_and_non_finite():
-    s = ObservableSeries("x")
-    s.append(0.0, 1.0)
-    s.append(0.5, 2.0)
     with pytest.raises(SeriesAlignmentError):
-        s.append(0.5, 3.0)
+        ObservableSeries("x", [0.0, 0.5, 0.5], [1.0, 2.0, 3.0])
     with pytest.raises(SeriesAlignmentError):
-        s.append(0.2, 3.0)
+        ObservableSeries("x", [0.0, 0.5, 0.2], [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
-        s.append(1.0, np.nan)
+        ObservableSeries("x", [0.0, 0.5, 1.0], [1.0, 2.0, np.nan])
+    # a backward probe records decreasing stamps
+    s = ObservableSeries("x", [0.0, -0.5, -1.0], [1.0, 2.0, 3.0])
+    assert np.array_equal(s.times, [0.0, -0.5, -1.0])
+    assert len(ObservableSeries("x")) == 0
 
 
 def test_series_cumulative_trapezoid():

@@ -152,7 +152,9 @@ def test_linear_substep_stability_abort():
     u0 = band_limited_random(SPEC, seed=8, k_scale=50.0)  # flat in-band spectrum
     with pytest.raises(StabilityError) as excinfo:
         linear_substep(u0, _linear(metric, cfg))
-    assert excinfo.value.dt_suggestion is not None
+    assert excinfo.value.dt_suggestion == cfl_suggestion(SPEC, metric,
+                                                         cfg.duration, 4)
+    assert "inner_perturbation_steps" in str(excinfo.value)
 
 
 # -- full step ---------------------------------------------------------------------
