@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__
 from . import config, geometry, grid, observables, scattering, snapshots, solver
-from .errors import ConfigError, SamplingError, StabilityError
+from .errors import ConfigError, DnlsError, SamplingError, StabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,6 +30,10 @@ EXIT_STABILITY = 3
 EXIT_VERDICT = 4
 
 _FLOAT_FMT = "%.17g"
+
+
+class _InputError(Exception):
+    """An input file the command cannot use (exit 2 with the message)."""
 
 
 def _fmt(x: float) -> str:
@@ -128,6 +132,13 @@ def _configured(args):
     return cfg, metric, damping, control
 
 
+def _read_snapshot(path) -> tuple[grid.Field, float]:
+    try:
+        return snapshots.read_snapshot(path)
+    except (OSError, DnlsError) as exc:
+        raise _InputError(f"cannot read snapshot: {exc}") from exc
+
+
 def _cmd_check_geometry(args) -> int:
     cfg, metric, damping, report = _configured(args)
     payload = {
@@ -200,19 +211,18 @@ def _cmd_rays(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg, metric, damping, control = _configured(args)
-    run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
-    run.write_config(cfg)
     spec = metric.spec
-    tables = grid.weight_tables(spec)
-
     if args.resume:
-        u0, t0 = snapshots.read_snapshot(args.resume)
+        u0, t0 = _read_snapshot(args.resume)
         if u0.spec != spec:
             raise ConfigError(
                 f"snapshot grid {u0.spec} does not match configured grid {spec}"
             )
     else:
         u0, t0 = cfg.initial_field(spec), 0.0
+    run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
+    run.write_config(cfg)
+    tables = grid.weight_tables(spec)
 
     monitors = observables.standard_monitors(
         metric, damping, tables,
@@ -324,30 +334,30 @@ def _cmd_scatter(args) -> int:
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _InputError(f"cannot read manifest: {exc}") from exc
     base = manifest_path.parent
     cfg = config.parse_config(base / "config.ini")
     snapshot_names = manifest.get("snapshots", [])
     if len(snapshot_names) < 3:
-        print(
+        raise _InputError(
             f"manifest lists {len(snapshot_names)} snapshots; scatter needs >= 3 "
-            "(set [scattering] snapshot_every > 0 in the simulate run)",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+            "(set [scattering] snapshot_every > 0 in the simulate run)")
     stored = []
     for name in snapshot_names:
-        field, t = snapshots.read_snapshot(base / name)
+        field, t = _read_snapshot(base / name)
         stored.append((t, field))
     stored.sort(key=lambda pair: pair[0])
+    try:
+        report = scattering.extract_profile(
+            stored, cfg.scattering.s_values, cfg.scattering.tol_mono
+        )
+    except DnlsError as exc:
+        raise _InputError(
+            f"cannot scan the snapshots of {manifest_path}: {exc}") from exc
 
     # default to a subdirectory so the simulate manifest is never clobbered
     out_dir = Path(args.out) if args.out else base / "scatter"
     run = _RunDir(out_dir, "scatter", cfg.config_hash(), cfg.run.seed)
-    report = scattering.extract_profile(
-        stored, cfg.scattering.s_values, cfg.scattering.tol_mono
-    )
     for s in report.s_values:
         _write_matrix_csv(run, f"cauchy_s{s:g}.csv", report.times, report.cauchy[s])
         _write_series_csv(run, f"mismatch_s{s:g}", report.times, report.mismatch[s])
@@ -415,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -218,6 +218,11 @@ class RunConfig:
         L = g.box_half_length
         geo = self.geometry
         obs = self.observables
+        if obs.record_every < 1 or obs.interaction_every < 1:
+            raise ConfigError(
+                "[observables] record_every and interaction_every must be >= 1, "
+                f"got {obs.record_every} and {obs.interaction_every}"
+            )
         radius = obs.local_radius
         if not 0.0 < radius < L:
             raise ConfigError(
@@ -252,6 +257,9 @@ class RunConfig:
             replace(self.solver)
         except DomainError as exc:
             raise ConfigError(f"[solver] {exc}") from exc
+        if self.scattering.snapshot_every < 0:
+            raise ConfigError("[scattering] snapshot_every must be >= 0, got "
+                              f"{self.scattering.snapshot_every}")
         for s in self.scattering.s_values:
             if s < 0:
                 raise ConfigError(f"[scattering] s_values must be >= 0, got {s}")

@@ -230,6 +230,11 @@ class Monitor:
     fn: object
     every: int = 1
 
+    def __post_init__(self):
+        if self.every < 1:
+            raise DomainError(
+                f"monitor {self.name!r}: every must be >= 1, got {self.every}")
+
 
 def _check_aligned(*series: ObservableSeries) -> np.ndarray:
     base = series[0].times

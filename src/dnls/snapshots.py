@@ -54,6 +54,8 @@ def write_snapshot(path: str | Path, field: Field, time: float) -> None:
 
 
 def read_snapshot(path: str | Path) -> tuple[Field, float]:
+    """The field and time stored at ``path``; a file that is not a complete
+    snapshot raises a :class:`DomainError` naming it."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -63,9 +65,13 @@ def read_snapshot(path: str | Path) -> tuple[Field, float]:
             raise DomainError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise DomainError(f"{path}: unsupported snapshot version {version}")
-        spec = GridSpec(dim, n, length)
-        payload = fh.read(16 * spec.size)
-        if len(payload) != 16 * spec.size:
+        try:
+            spec = GridSpec(dim, n, length)
+        except DomainError as exc:
+            raise DomainError(f"{path}: bad snapshot grid: {exc}") from exc
+        # checked before reading, so a corrupt header allocates nothing
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + 16 * spec.size:
             raise DomainError(f"{path}: truncated snapshot payload")
+        payload = fh.read(16 * spec.size)
     values = np.frombuffer(payload, dtype="<c16").reshape(spec.shape)
     return Field(values.copy(), spec), float(time)

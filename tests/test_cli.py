@@ -86,6 +86,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_simulate_refuses_a_zero_record_cadence(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D.replace("local_radius = 2.0",
+                                           "local_radius = 2.0\nrecord_every = 0"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "record_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_refuses_a_cutoff_that_misses_the_damping(tmp_path, capsys):
     cfg = _write(tmp_path, "[grid]\ndim = 2\nn = 64\nbox_half_length = 12.0\n"
                  "[geometry]\npreset = conformal_bump\ndamping_radius = 4.0\n"
@@ -277,6 +286,17 @@ def test_simulate_resume_from_snapshot(tmp_path):
     assert manifest2["final_time"] == pytest.approx(0.2)
 
 
+def test_simulate_resume_from_a_missing_snapshot_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D)
+    missing = tmp_path / "nowhere.dnls"
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet",
+                 "--resume", str(missing)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(missing) in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_simulate_stability_abort_exits_3(tmp_path):
     # the controlled run blows up after its boundary-shell warning, the
     # uncontrolled one in the linear substep after its control warning: the
@@ -348,6 +368,36 @@ def test_scatter_needs_snapshots(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
     code = main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet"])
     assert code == EXIT_CONFIG
+
+
+def test_scatter_on_a_truncated_snapshot_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    snap = run_dir / manifest["snapshots"][1]
+    snap.write_bytes(snap.read_bytes()[:40])
+    capsys.readouterr()
+    code = main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(snap) in err and "truncated" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_scatter_on_repeated_snapshot_times_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["snapshots"] = manifest["snapshots"][:1] * 3
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["scatter", "--manifest", str(manifest_path), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "strictly increasing" in err
+    assert not (run_dir / "scatter").exists()
 
 
 def test_scatter_strict_fails_on_non_monotone_pullbacks(tmp_path):

@@ -82,6 +82,17 @@ def test_bad_preset_rejected():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("observables", "record_every", 0),
+    ("observables", "interaction_every", 0),
+    ("scattering", "snapshot_every", -1),
+])
+def test_cadences_validated(section, key, value):
+    bad = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] .*{key}"):
+        parse_config_text(bad)
+
+
 def test_scheme_key_rejected_with_location():
     # Strang splitting is the only integrator; the key that chose it is gone
     bad = MINIMAL + "\n[solver]\ndt = 0.01\nscheme = strang\n"

@@ -17,6 +17,7 @@ from dnls.grid import (
 )
 from dnls.observables import (
     Frame,
+    Monitor,
     ObservableSeries,
     bilinear_interaction,
     energy,
@@ -74,6 +75,11 @@ def test_series_rejects_non_monotone_and_non_finite():
     s = ObservableSeries("x", [0.0, -0.5, -1.0], [1.0, 2.0, 3.0])
     assert np.array_equal(s.times, [0.0, -0.5, -1.0])
     assert len(ObservableSeries("x")) == 0
+
+
+def test_monitor_cadence_must_be_positive():
+    with pytest.raises(DomainError, match="every"):
+        Monitor("mass", lambda state, frame: 0.0, 0)
 
 
 def test_series_cumulative_trapezoid():

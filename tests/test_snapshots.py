@@ -58,6 +58,19 @@ def test_snapshot_rejects_corruption(tmp_path):
         read_snapshot(bad_magic)
 
 
+@pytest.mark.parametrize("dim, n, message", [
+    (1, 3, "bad snapshot grid"),         # odd n: no GridSpec
+    (3, 2**20, "truncated snapshot payload"),  # 2^60 points: refused unread
+])
+def test_snapshot_header_errors_name_the_file(tmp_path, dim, n, message):
+    path = tmp_path / "corrupt.dnls"
+    path.write_bytes(struct.pack("<4sIIIdd", MAGIC, 1, dim, n, 2.0, 0.0)
+                     + bytes(64))
+    with pytest.raises(DomainError, match=message) as excinfo:
+        read_snapshot(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_failed_snapshot_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     import dnls.snapshots as snapshots
 
