@@ -173,12 +173,13 @@ class MetricField:
         """Grid samples of the scalar p with G - I = p S; None when G = I.
 
         S is the identity for a conformal metric and ``direction`` v gives
-        S = v v^T otherwise.
+        S = v v^T otherwise. The samples are :meth:`eval_radial`'s p at the
+        grid points, bit for bit.
         """
         if self.is_identity:
             return None
-        return self.amplitude * bump_profile(np.sqrt(self.spec.radius_squared),
-                                             self.radius)
+        return self.amplitude * _bump(self.spec.radius_squared
+                                      * (1.0 / self.radius**2))
 
     def apply(self, w: Sequence[np.ndarray]) -> list[np.ndarray]:
         """G w for a real vector field w given by its components, by the

@@ -394,6 +394,21 @@ def test_damping_table_is_the_evaluator_at_the_grid_points(dim, name, params):
     assert np.any(damping.table) == (damping.amplitude > 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_metric_table_is_the_evaluator_at_the_grid_points(dim, name):
+    spec = GridSpec(dim, {1: 32, 2: 32, 3: 16}[dim], 10.0)
+    metric, _ = build_preset(name, spec)
+    points = np.stack([np.broadcast_to(x, spec.shape) for x in spec.coords],
+                      axis=-1)
+    p, _ = metric.eval_radial(points)
+    if metric.is_identity:
+        assert metric.perturbation is None and not p.any()
+    else:
+        assert np.array_equal(metric.perturbation, p)
+        assert np.count_nonzero(p) > 1
+
+
 def test_damping_support_must_fit_in_box():
     with pytest.raises(DomainError):
         DampingField(SPEC, amplitude=1.0, radius=11.0)
