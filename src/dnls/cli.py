@@ -1,9 +1,10 @@
 """Command-line entry point: simulate, rays, check-geometry, scatter.
 
-Exit codes: 0 success, 2 configuration error, 3 stability abort,
-4 negative verdict under --strict. Each run owns its output directory and
-writes a manifest.json listing every file produced plus the config hash;
-partial outputs after an abort are flagged status=incomplete.
+Exit codes: 0 success, 2 configuration error or unreadable input file,
+3 stability abort, 4 negative verdict under --strict. Each run owns its
+output directory and writes a manifest.json listing every file produced plus
+the config hash; partial outputs after an abort are flagged
+status=incomplete.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import scipy
 
 from . import __version__
 from . import config, geometry, grid, observables, scattering, snapshots, solver
-from .errors import ConfigError, DnlsError, SamplingError, StabilityError
+from .errors import (ConfigError, DomainError, GridMismatchError, SamplingError,
+                     StabilityError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +137,7 @@ def _configured(args):
 def _read_snapshot(path) -> tuple[grid.Field, float]:
     try:
         return snapshots.read_snapshot(path)
-    except (OSError, DnlsError) as exc:
+    except (OSError, DomainError) as exc:
         raise _InputError(f"cannot read snapshot: {exc}") from exc
 
 
@@ -351,7 +353,7 @@ def _cmd_scatter(args) -> int:
         report = scattering.extract_profile(
             stored, cfg.scattering.s_values, cfg.scattering.tol_mono
         )
-    except DnlsError as exc:
+    except (DomainError, GridMismatchError) as exc:
         raise _InputError(
             f"cannot scan the snapshots of {manifest_path}: {exc}") from exc
 
