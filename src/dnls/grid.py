@@ -34,9 +34,8 @@ __all__ = [
     "abs2",
     "dot",
     "norm_sq",
-    "power_spectrum",
     "sobolev_weights",
-    "sobolev_norms_from_power",
+    "sobolev_norms",
     "sobolev_norm",
     "weight_tables",
     "rk4",
@@ -353,48 +352,33 @@ def norm_sq(values: np.ndarray) -> float:
     return float(dot(flat, flat)[0])
 
 
-def power_spectrum(f: Field) -> np.ndarray:
-    """|c_k|^2, the squared moduli of the Fourier coefficients of f."""
-    return abs2(f.spec.fft(f.values))
-
-
-def sobolev_weights(spec: GridSpec, s_values: Sequence[float]) -> np.ndarray:
-    """The H^s multipliers (1+|k|^2)^s, one grid-shaped row per exponent:
-    shape (len(s_values),) + spec.shape."""
+@lru_cache(maxsize=8)
+def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...]) -> np.ndarray:
+    """The H^s multipliers (1+|k|^2)^s, one flattened row per exponent:
+    shape (len(s_values), spec.size), read-only and kept for the grid and
+    exponents, so a run builds each row once."""
     for s in s_values:
         if s < 0:
             raise DomainError(f"Sobolev index must be >= 0, got {s}")
-    base = 1.0 + spec.k_squared
-    weights = np.empty((len(s_values),) + spec.shape)
-    for row, s in zip(weights, s_values):
+    base = 1.0 + spec.k_squared.reshape(-1)
+    rows = np.empty((len(s_values), spec.size))
+    for row, s in zip(rows, s_values):
         row[...] = base**s
-    return weights
-
-
-@lru_cache(maxsize=8)
-def _weight_rows(spec: GridSpec, s_values: tuple[float, ...]) -> np.ndarray:
-    """:func:`sobolev_weights` flattened to (len(s_values), spec.size) and kept
-    read-only for the grid and exponents, so a run builds each row once."""
-    rows = sobolev_weights(spec, s_values).reshape(len(s_values), -1)
     rows.flags.writeable = False
     return rows
 
 
-def sobolev_norms_from_power(
-    power: np.ndarray, spec: GridSpec, s_values: Sequence[float]
-) -> dict[float, float]:
-    """H^s norms of a field, one per exponent, given its
-    :func:`power_spectrum`: one transform serves every exponent, and the
-    weight rows of a grid and exponent set are built once and kept."""
-    s_values = tuple(float(s) for s in s_values)
-    sums = dot(_weight_rows(spec, s_values), power)
-    return {s: float(np.sqrt(total * spec.volume))
-            for s, total in zip(s_values, sums)}
+def sobolev_norms(power: np.ndarray, spec: GridSpec,
+                  s_values: tuple[float, ...]) -> np.ndarray:
+    """H^s norms sqrt(volume * sum_k (1+|k|^2)^s |c_k|^2), one per exponent,
+    of the squared coefficient moduli ``power`` (``abs2`` of a spectrum):
+    one :func:`dot` against the :func:`sobolev_weights` rows."""
+    return np.sqrt(dot(sobolev_weights(spec, s_values), power) * spec.volume)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm via the Fourier multiplier."""
-    return sobolev_norms_from_power(power_spectrum(f), f.spec, (s,))[float(s)]
+    return float(sobolev_norms(abs2(f.spec.fft(f.values)), f.spec, (s,))[0])
 
 
 def _grad_rho_components(spec: GridSpec):

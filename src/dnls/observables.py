@@ -27,7 +27,7 @@ from .grid import (
     gradient,
     norm_sq,
     real_derivatives,
-    sobolev_norms_from_power,
+    sobolev_norms,
 )
 
 __all__ = [
@@ -211,8 +211,8 @@ class Frame:
         return out
 
     def cutoff_power(self, cutoff: np.ndarray) -> np.ndarray:
-        """:func:`power_spectrum` of cutoff*u, one transform for all exponents
-        (kept for the last cutoff asked for)."""
+        """|c_k|^2 of cutoff*u, one transform for all exponents (kept for the
+        last cutoff asked for)."""
         return self._held_for(
             "cutoff", cutoff,
             lambda: abs2(self.spec.fft(cutoff * self.u.values)))
@@ -360,8 +360,7 @@ def local_sobolev_decay(frame: Frame, cutoff: np.ndarray, s: float) -> float:
     from the frame's power spectrum of cutoff*u."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"local Sobolev decay is monitored for 0 <= s < 1, got {s}")
-    return sobolev_norms_from_power(frame.cutoff_power(cutoff), frame.spec,
-                                    (s,))[float(s)]
+    return float(sobolev_norms(frame.cutoff_power(cutoff), frame.spec, (s,))[0])
 
 
 def commutator_with_cutoff(

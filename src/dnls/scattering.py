@@ -31,10 +31,9 @@ from .errors import DomainError, GridMismatchError, SamplingError
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
-    _weight_rows,
     abs2,
-    dot,
     sobolev_norm,
+    sobolev_norms,
 )
 
 __all__ = [
@@ -126,20 +125,16 @@ def _scan(
     """H^s Cauchy matrices of the pullbacks from their Fourier coefficients.
 
     Each pair's |v_hat_i - v_hat_j|^2 is formed once, as a direct difference
-    so small entries keep their relative accuracy, and reduced against the
-    (1+|k|^2)^s rows of every exponent in one :func:`grid.dot`; the rows are
-    the ones the Sobolev norms cache for the grid and exponents.
+    so small entries keep their relative accuracy, and reduced against every
+    exponent at once by :func:`grid.sobolev_norms`.
     """
     s_values = tuple(float(s) for s in s_values)
-    weights = _weight_rows(spec, s_values)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            sq = abs2(coeffs[i] - coeffs[j])
-            matrices[:, i, j] = matrices[:, j, i] = np.sqrt(
-                dot(weights, sq) * spec.volume
-            )
+            matrices[:, i, j] = matrices[:, j, i] = sobolev_norms(
+                abs2(coeffs[i] - coeffs[j]), spec, s_values)
     cauchy = dict(zip(s_values, matrices))
     verdicts = {s: _monotone_tail_verdict(times, cauchy[s][-1], tol_mono)
                 for s in s_values}

@@ -37,8 +37,8 @@ from dnls.grid import (
     Field,
     _grad_rho_components,
     FluxKernel,
+    abs2,
     gradient,
-    power_spectrum,
     rk4,
 )
 from dnls.rays import RayFate, _refine_exit_time
@@ -244,7 +244,7 @@ def homogeneous_sobolev_norm(f: Field, s: float) -> float:
     """Homogeneous H^s norm of f via the |k|^(2s) multiplier."""
     spec = f.spec
     weights = homogeneous_sobolev_weights(spec, s)
-    return float(np.sqrt(spec.volume * np.sum(weights * power_spectrum(f))))
+    return float(np.sqrt(spec.volume * np.sum(weights * abs2(spec.fft(f.values)))))
 
 
 def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:

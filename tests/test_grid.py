@@ -439,17 +439,18 @@ def test_sobolev_rejects_negative_index():
 def test_sobolev_weights_rows_are_the_multipliers():
     spec = GridSpec(2, 16, 3.0)
     k = np.pi / 3.0 * np.fft.fftfreq(16, d=1.0 / 16)  # k = (pi/L) m
-    k2 = np.add.outer(k**2, k**2)
+    k2 = np.add.outer(k**2, k**2).reshape(-1)
     rows = sobolev_weights(spec, (0.0, 0.5, 1.3))
-    assert rows.shape == (3, 16, 16)
-    assert np.array_equal(rows[0], np.ones((16, 16)))
+    assert rows.shape == (3, 256)
+    assert not rows.flags.writeable
+    assert np.array_equal(rows[0], np.ones(256))
     assert np.allclose(rows[1:], [np.sqrt(1 + k2), (1 + k2) ** 1.3],
                        rtol=1e-14, atol=0.0)
     assert np.array_equal(homogeneous_sobolev_weights(spec, 0.0),
                           np.ones((16, 16)))  # 0**0 == 1
-    assert np.allclose(homogeneous_sobolev_weights(spec, 1.0), k2,
+    assert np.allclose(homogeneous_sobolev_weights(spec, 1.0).reshape(-1), k2,
                        rtol=1e-14, atol=0.0)
-    assert sobolev_weights(spec, ()).shape == (0, 16, 16)
+    assert sobolev_weights(spec, ()).shape == (0, 256)
     with pytest.raises(DomainError, match="Sobolev index"):
         sobolev_weights(spec, (0.5, -0.1))
 

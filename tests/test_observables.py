@@ -655,18 +655,11 @@ def test_h1_sq_monitor_reuses_the_record_gradients(monkeypatch):
     assert value == pytest.approx(sobolev_norm(u, 1.0) ** 2, rel=1e-13)
 
 
-def test_records_build_each_sobolev_weight_row_once(monkeypatch):
+def test_records_build_each_sobolev_weight_row_once():
     import dnls.grid
 
-    built = []
-    original = dnls.grid.sobolev_weights
-
-    def counted(spec, s_values):
-        built.append((spec, tuple(s_values)))
-        return original(spec, s_values)
-
-    monkeypatch.setattr(dnls.grid, "sobolev_weights", counted)
-    dnls.grid._weight_rows.cache_clear()
+    weights = dnls.grid.sobolev_weights
+    weights.cache_clear()
     spec = GridSpec(2, 32, 8.0)
     metric, damping = build_preset("identity", spec, {"damping_radius": 3.0})
     monitors = standard_monitors(metric, damping, weight_tables(spec),
@@ -675,20 +668,24 @@ def test_records_build_each_sobolev_weight_row_once(monkeypatch):
     res = simulate(gaussian_field(spec, momentum=1.0), metric, damping,
                    SolverConfig(dt=0.01, duration=0.05), monitors=monitors)
     assert len(res.series["cutoff_hs_0.5"]) == 6
-    assert built == [(spec, (0.0,)), (spec, (0.5,))]
+    # one row per exponent, built at the first record and read at the others
+    assert (weights.cache_info().misses, weights.cache_info().hits) == (2, 10)
+    weights(spec, (0.0,)), weights(spec, (0.5,))
+    assert weights.cache_info().misses == 2
     # keyed on the grid and the exponents, not on arrays: an equal grid built
     # anew, another field and another cutoff array reuse the rows
     other = GridSpec(2, 32, 8.0)
     local_sobolev_decay(Frame(band_limited_random(other, seed=4)),
                         cutoff_field(other, 4.0, 7.0), 0.5)
-    assert len(built) == 2
+    assert weights.cache_info().misses == 2
     # another exponent set or grid builds its own rows, in a bounded cache
     sobolev_norm(band_limited_random(other, seed=4), 0.25)
     sobolev_norm(band_limited_random(GridSpec(2, 16, 8.0), seed=4), 0.5)
-    assert built[2:] == [(other, (0.25,)), (GridSpec(2, 16, 8.0), (0.5,))]
-    assert dnls.grid._weight_rows.cache_info().maxsize == 8
-    rows = dnls.grid._weight_rows(spec, (0.5,))
-    assert not rows.flags.writeable
+    assert weights.cache_info().misses == 4
+    weights(other, (0.25,)), weights(GridSpec(2, 16, 8.0), (0.5,))
+    assert weights.cache_info().misses == 4
+    assert weights.cache_info().maxsize == 8
+    assert not weights(spec, (0.5,)).flags.writeable
 
 
 def _record_peaks_3d():
@@ -696,7 +693,7 @@ def _record_peaks_3d():
     of the full bundle at 24^3, conformal, in units of one real field."""
     import dnls.grid
 
-    dnls.grid._weight_rows.cache_clear()
+    dnls.grid.sobolev_weights.cache_clear()
     spec = GridSpec(3, 24, 8.0)
     metric, damping = build_preset("conformal_bump", spec)
     tables = weight_tables(spec)

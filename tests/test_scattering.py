@@ -89,21 +89,22 @@ def test_cauchy_scan_reads_the_cached_sobolev_weight_rows():
     # scan on the same grid and exponents builds none
     import dnls.grid
 
-    dnls.grid._weight_rows.cache_clear()
+    dnls.grid.sobolev_weights.cache_clear()
     snapshots = [(t, band_limited_random(SPEC, seed=i))
                  for i, t in enumerate((0.0, 0.5, 1.0))]
     first = cauchy_scan(snapshots, s_values=(0.0, 0.5))
-    after_first = dnls.grid._weight_rows.cache_info()
+    after_first = dnls.grid.sobolev_weights.cache_info()
     second = cauchy_scan(snapshots, s_values=(0.0, 0.5))
-    after_second = dnls.grid._weight_rows.cache_info()
-    assert (after_first.misses, after_first.hits) == (1, 0)
-    assert (after_second.misses, after_second.hits) == (1, 1)
+    after_second = dnls.grid.sobolev_weights.cache_info()
+    # three pairs per scan, one reduction each
+    assert (after_first.misses, after_first.hits) == (1, 2)
+    assert (after_second.misses, after_second.hits) == (1, 5)
     for s in (0.0, 0.5):
         assert np.array_equal(first.cauchy[s], second.cauchy[s])
     # the same rows serve a norm of the same exponent set
     u = snapshots[0][1]
-    dnls.grid.sobolev_norms_from_power(dnls.grid.power_spectrum(u), SPEC, (0, 0.5))
-    assert dnls.grid._weight_rows.cache_info().hits == 2
+    dnls.grid.sobolev_norms(dnls.grid.abs2(SPEC.fft(u.values)), SPEC, (0, 0.5))
+    assert dnls.grid.sobolev_weights.cache_info().misses == 1
 
 
 def test_cauchy_scan_zero_on_linear_free_run():
