@@ -174,10 +174,8 @@ class RunConfig:
         spec = spec or self.grid_spec()
         ic = self.initial_data
         if ic.kind == "gaussian":
-            r2 = np.zeros(spec.shape)
-            for j, x in enumerate(spec.coords):
-                offset = ic.center_offset if j == 0 else 0.0
-                r2 = r2 + (x - offset) ** 2
+            r2 = spec.squared_distance(
+                (ic.center_offset,) + (0.0,) * (spec.dim - 1))
             values = ic.amplitude * np.exp(-r2 / (2.0 * ic.width**2))
             if ic.momentum != 0.0:
                 values = values * np.exp(1j * ic.momentum * spec.coords[0])

@@ -285,9 +285,8 @@ class DampingField:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """a on the grid, from the d one-dimensional squares (x_j - c_j)^2."""
-        return self._profile(sum(np.square(x - c) for x, c
-                                 in zip(self.spec.coords, self.center)))
+        """a on the grid, from :meth:`GridSpec.squared_distance`."""
+        return self._profile(self.spec.squared_distance(self.center))
 
     @property
     def sup(self) -> float:
@@ -376,8 +375,7 @@ def gradient_bound_constant(damping: DampingField, eps: float) -> float:
     if damping.amplitude == 0.0:
         return 0.0
     a, grad_mag = damping._profile(
-        sum(np.square(x - c) for x, c in zip(damping.spec.coords, damping.center)),
-        slope=True)
+        damping.spec.squared_distance(damping.center), slope=True)
     positive = a > 0.0
     excess = np.maximum(grad_mag - eps, 0.0)
     return float((excess[positive] / a[positive]).max(initial=0.0))

@@ -113,12 +113,14 @@ class GridSpec:
             out = out + k**2
         return out
 
+    def squared_distance(self, center: Sequence[float]) -> np.ndarray:
+        """|x - center|^2 on the grid, the sum of the d one-dimensional
+        squares (x_j - c_j)^2."""
+        return sum(np.square(x - c) for x, c in zip(self.coords, center))
+
     @cached_property
     def radius_squared(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for x in self.coords:
-            out = out + x**2
-        return out
+        return self.squared_distance((0.0,) * self.dim)
 
     def retained(self, dealias: bool) -> np.ndarray:
         """Indices along an axis, in fft order, of the modes a run keeps: the

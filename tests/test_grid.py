@@ -47,6 +47,17 @@ def test_quadrature_of_one_is_box_volume():
     assert spec.size == 16**3
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_distance_is_the_mesh_distance(dim):
+    spec = GridSpec(dim, 8, 3.0)
+    center = (0.7, -1.2, 0.4)[:dim]
+    mesh = np.meshgrid(*[spec.x1d] * dim, indexing="ij")
+    want = sum((x - c) ** 2 for x, c in zip(mesh, center))
+    assert np.array_equal(spec.squared_distance(center), want)
+    assert np.array_equal(spec.radius_squared,
+                          sum(x**2 for x in mesh) + np.zeros(spec.shape))
+
+
 def test_grid_spec_rejects_bad_sizes():
     with pytest.raises(DomainError):
         GridSpec(4, 16, 5.0)
