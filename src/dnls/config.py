@@ -96,18 +96,6 @@ class RunSection:
     seed: int = 0
 
 
-_SECTION_TYPES = {
-    "grid": GridSection,
-    "geometry": GeometrySection,
-    "initial_data": InitialDataSection,
-    "solver": SolverConfig,
-    "observables": ObservablesSection,
-    "scattering": ScatteringSection,
-    "rays": RaysSection,
-    "run": RunSection,
-}
-
-
 @dataclass
 class RunConfig:
     grid: GridSection = field(default_factory=GridSection)
@@ -193,7 +181,7 @@ class RunConfig:
 
     def to_text(self) -> str:
         lines = []
-        for section_name in _SECTION_TYPES:
+        for section_name in _SECTIONS:
             section = getattr(self, section_name)
             lines.append(f"[{section_name}]")
             for f in dc_fields(section):
@@ -274,6 +262,10 @@ class RunConfig:
         return self
 
 
+# the [section] names in file order: RunConfig's init fields
+_SECTIONS = tuple(f.name for f in dc_fields(RunConfig) if f.init)
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -330,7 +322,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
 
     cfg = RunConfig()
     for section_name in parser.sections():
-        if section_name not in _SECTION_TYPES:
+        if section_name not in _SECTIONS:
             raise ConfigError(
                 f"{source}: unknown section [{section_name}] "
                 f"(line {_find_line(text, '[' + section_name) or '?'})"
