@@ -337,9 +337,13 @@ def _cmd_scatter(args) -> int:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read manifest: {exc}") from exc
+    snapshot_names = manifest.get("snapshots", []) if isinstance(manifest, dict) else None
+    if not (isinstance(snapshot_names, list)
+            and all(isinstance(name, str) for name in snapshot_names)):
+        raise _InputError(f"cannot read manifest {manifest_path}: expected a JSON "
+                          "object whose \"snapshots\" is a list of file names")
     base = manifest_path.parent
     cfg = config.parse_config(base / "config.ini")
-    snapshot_names = manifest.get("snapshots", [])
     if len(snapshot_names) < 3:
         raise _InputError(
             f"manifest lists {len(snapshot_names)} snapshots; scatter needs >= 3 "

@@ -370,6 +370,31 @@ def test_scatter_needs_snapshots(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def _scatter_on_manifest(tmp_path, capsys, manifest) -> tuple[int, str]:
+    """Exit code and standard error of ``dnls scatter`` on ``manifest``,
+    written beside a valid config.ini."""
+    (tmp_path / "config.ini").write_text(TINY_1D)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["scatter", "--manifest", str(path), "--quiet"])
+    return code, capsys.readouterr().err
+
+
+def test_scatter_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys):
+    code, err = _scatter_on_manifest(tmp_path, capsys, [])
+    assert code == EXIT_CONFIG
+    assert "JSON object" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("names", ["abc", ["snap_0.dnls", 1, "snap_2.dnls"]])
+def test_scatter_refuses_snapshots_that_are_not_a_list_of_names(
+        tmp_path, capsys, names):
+    code, err = _scatter_on_manifest(tmp_path, capsys, {"snapshots": names})
+    assert code == EXIT_CONFIG
+    assert "list of file names" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "scatter").exists()
+
+
 def test_scatter_on_a_truncated_snapshot_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, TINY_1D)
     run_dir = tmp_path / "run"
