@@ -631,11 +631,15 @@ def energy_lambda_bound_check(
     constant: float | None = None,
 ) -> BoundCheckReport:
     """Verify E(t) <= E(0) + C0 lambda(t) + tol with
-    C0 = (1/2) max |div(G grad a)| / (15/chi^7) over the grid."""
+    C0 = (1/2) max |div(G grad a)| / (15/chi^7) over supp a, the grid points
+    with a > 0 (0 without damping): off supp a the spectral div(G grad a) is
+    only the ringing of the damping table, largest at the box edge where
+    15/chi^7 is smallest."""
     times = _check_aligned(energy_series, lambda_series)
     if constant is None:
         lap_G_a = damping.div_G_grad(metric)
-        constant = float(0.5 * np.max(np.abs(lap_G_a) / tables.lambda_kernel))
+        constant = float(0.5 * np.max(np.abs(lap_G_a) / tables.lambda_kernel,
+                                      where=damping.table > 0.0, initial=0.0))
     e = energy_series.values
     margins = e[0] + constant * lambda_series.values + tol - e
     worst = int(np.argmin(margins))

@@ -363,6 +363,24 @@ def test_energy_lambda_bound_undamped_reduces_to_conservation():
     assert rep.passed
 
 
+@pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])
+def test_energy_lambda_bound_constant_is_the_max_over_supp_a(preset):
+    # the 48^3 damped runs of the benchmark: off supp a, div(G grad a) is
+    # spectral ringing that peaks at the box edge, where 15/chi^7 is
+    # smallest, and read 3795 over the whole grid
+    spec = GridSpec(3, 48, 12.0)
+    tables = weight_tables(spec)
+    metric, damping = build_preset(preset, spec, {
+        "metric_amplitude": -0.95, "metric_radius": 2.0, "damping_radius": 4.0})
+    times = np.linspace(0.0, 1.0, 3)
+    series = ObservableSeries("energy", times, np.ones(3))
+    rep = energy_lambda_bound_check(series, series, metric, damping, tables)
+    ratio = 0.5 * np.abs(damping.div_G_grad(metric)) / tables.lambda_kernel
+    assert rep.constant == ratio[damping.table > 0.0].max()
+    assert rep.constant == pytest.approx(347.79, rel=1e-4)
+    assert ratio.max() > 10.0 * rep.constant
+
+
 def test_energy_lambda_bound_negative_control():
     # a synthetic run where E grows exactly like C0 * lambda: halving the
     # constant must fail the check
