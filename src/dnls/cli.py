@@ -134,9 +134,10 @@ def _configured(args):
     return cfg, metric, damping, control
 
 
-def _read_snapshot(path) -> tuple[grid.Field, float]:
+def _snapshot_input(read, path):
+    """``read(path)`` of a snapshot reader, an unreadable file an input error."""
     try:
-        return snapshots.read_snapshot(path)
+        return read(path)
     except (OSError, DomainError) as exc:
         raise _InputError(f"cannot read snapshot: {exc}") from exc
 
@@ -215,7 +216,7 @@ def _cmd_simulate(args) -> int:
     cfg, metric, damping, control = _configured(args)
     spec = metric.spec
     if args.resume:
-        u0, t0 = _read_snapshot(args.resume)
+        u0, t0 = _snapshot_input(snapshots.read_snapshot, args.resume)
         if u0.spec != spec:
             raise ConfigError(
                 f"snapshot grid {u0.spec} does not match configured grid {spec}"
@@ -238,6 +239,18 @@ def _cmd_simulate(args) -> int:
         a_min=cfg.geometry.a_min,
     )
 
+    # each snapshot is written, and named in the manifest, as it is taken, so
+    # an abort keeps every snapshot before it
+    snapshot_files: list[str] = []
+    run.manifest["snapshots"] = snapshot_files
+
+    def store(snapshot: tuple[float, grid.Field]) -> None:
+        t, field = snapshot
+        name = f"snap_{len(snapshot_files):06d}.dnls"
+        snapshots.write_snapshot(run.path(name), field, t)
+        snapshot_files.append(name)
+        run.write_manifest()
+
     abort = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -248,6 +261,7 @@ def _cmd_simulate(args) -> int:
                 snapshot_every=cfg.scattering.snapshot_every,
                 t0=t0,
                 control_satisfied=control.satisfied,
+                snapshot_sink=store,
             )
         except StabilityError as exc:
             abort = str(exc)
@@ -261,12 +275,6 @@ def _cmd_simulate(args) -> int:
 
     for name, series in result.series.items():
         _write_series_csv(run, name, series.times, series.values)
-
-    snapshot_files = []
-    for idx, (t, field) in enumerate(result.snapshots):
-        name = f"snap_{idx:06d}.dnls"
-        snapshots.write_snapshot(run.path(name), field, t)
-        snapshot_files.append(name)
 
     series = result.series
     reports: dict = {"control": _control_report_dict(control)}
@@ -318,7 +326,6 @@ def _cmd_simulate(args) -> int:
     run.finalize(extra={
         "final_time": result.state.t,
         "steps": result.state.step,
-        "snapshots": snapshot_files,
         "boundary_mass_warned": result.boundary_mass_warned,
     })
     if not args.quiet:
@@ -348,14 +355,20 @@ def _cmd_scatter(args) -> int:
         raise _InputError(
             f"manifest lists {len(snapshot_names)} snapshots; scatter needs >= 3 "
             "(set [scattering] snapshot_every > 0 in the simulate run)")
-    stored = []
-    for name in snapshot_names:
-        field, t = _read_snapshot(base / name)
-        stored.append((t, field))
-    stored.sort(key=lambda pair: pair[0])
+    # ordered by the times in their headers, then read one at a time: the
+    # scan keeps each field's pullback coefficients, not the field
+    paths = sorted(
+        (base / name for name in snapshot_names),
+        key=lambda path: _snapshot_input(snapshots.read_snapshot_time, path))
+
+    def stored():
+        for path in paths:
+            field, t = _snapshot_input(snapshots.read_snapshot, path)
+            yield t, field
+
     try:
         report = scattering.extract_profile(
-            stored, cfg.scattering.s_values, cfg.scattering.tol_mono
+            stored(), cfg.scattering.s_values, cfg.scattering.tol_mono
         )
     except (DomainError, GridMismatchError) as exc:
         raise _InputError(
@@ -435,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    except StabilityError as exc:  # simulate handles its own, to flag its run
+        print(f"stability abort: {exc}", file=sys.stderr)
+        return EXIT_STABILITY
 
 
 if __name__ == "__main__":

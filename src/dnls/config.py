@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .grid import Field, GridSpec
 from .observables import smooth_random_field
-from .solver import SolverConfig
+from .solver import MAX_STEPS, SolverConfig
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
@@ -257,6 +257,12 @@ class RunConfig:
         r = self.rays
         if r.count < 1 or r.dt <= 0 or r.horizon <= 0 or r.sample_radius <= 0:
             raise ConfigError("[rays] count, dt, horizon, sample_radius must be positive")
+        if not (np.isfinite(r.dt) and np.isfinite(r.horizon)):
+            raise ConfigError(f"[rays] dt and horizon must be finite, got "
+                              f"{r.dt} and {r.horizon}")
+        if r.horizon / r.dt > MAX_STEPS:  # the solver's cap, per ray
+            raise ConfigError(f"[rays] horizon / dt = {r.horizon / r.dt:.3g} steps "
+                              f"exceeds the cap of {MAX_STEPS}")
         if r.sampling not in ("random", "lattice"):
             raise ConfigError(f"[rays] sampling must be random or lattice, got {r.sampling!r}")
         return self

@@ -619,6 +619,7 @@ class BoundCheckReport:
     constant: float
     worst_margin: float
     worst_time: float
+    used_fraction: float | None
 
 
 def energy_lambda_bound_check(
@@ -634,20 +635,34 @@ def energy_lambda_bound_check(
     C0 = (1/2) max |div(G grad a)| / (15/chi^7) over supp a, the grid points
     with a > 0 (0 without damping): off supp a the spectral div(G grad a) is
     only the ringing of the damping table, largest at the box edge where
-    15/chi^7 is smallest."""
+    15/chi^7 is smallest.
+
+    The margin is tol at the first stamp by construction, so the worst margin
+    and its time are taken over the later stamps, and ``used_fraction`` is the
+    largest share (E(t) - E(0)) / (C0 lambda(t)) of the allowance used there
+    (None where C0 lambda is 0 at every later stamp). A series of one stamp
+    reports that stamp.
+    """
     times = _check_aligned(energy_series, lambda_series)
     if constant is None:
         lap_G_a = damping.div_G_grad(metric)
         constant = float(0.5 * np.max(np.abs(lap_G_a) / tables.lambda_kernel,
                                       where=damping.table > 0.0, initial=0.0))
     e = energy_series.values
-    margins = e[0] + constant * lambda_series.values + tol - e
-    worst = int(np.argmin(margins))
+    allowance = constant * lambda_series.values
+    margins = e[0] + allowance + tol - e
+    start = 1 if len(times) > 1 else 0
+    worst = start + int(np.argmin(margins[start:]))
+    growth, allowed = e[start:] - e[0], allowance[start:]
+    positive = allowed > 0.0
+    used = (float(np.max(growth[positive] / allowed[positive]))
+            if positive.any() else None)
     return BoundCheckReport(
         passed=bool(np.all(margins >= 0.0)),
         constant=constant,
         worst_margin=float(margins[worst]),
         worst_time=float(times[worst]),
+        used_fraction=used,
     )
 
 

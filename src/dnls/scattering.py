@@ -16,6 +16,10 @@ e^{it lap} preserves the H^s norm, ||u(t_i) - e^{it_i lap} u_plus||_{H^s} =
 ||v_i - v_last||_{H^s}: the mismatch series is the last Cauchy row, and the
 final mismatch is 0 by construction.
 
+The snapshots may come from any iterable, a generator reading files one at a
+time included: each field is turned into its coefficients as it arrives and
+is not kept, so a scan holds the m coefficient arrays and one field.
+
 The module works on snapshots alone and depends on ``grid`` and ``errors``
 only.
 """
@@ -23,7 +27,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,22 +101,27 @@ def _monotone_tail_verdict(
 
 
 def _pulled_coefficients(
-    snapshots: Sequence[Snapshot],
+    snapshots: Iterable[Snapshot],
 ) -> tuple[np.ndarray, GridSpec, list[np.ndarray]]:
     """Times, grid and pullback coefficients e^{+i|k|^2 t} fft(u), one transform
-    per snapshot."""
-    if len(snapshots) < 3:
+    per snapshot, taken in the order given; no field is kept."""
+    times: list[float] = []
+    coeffs: list[np.ndarray] = []
+    spec = None
+    for t, u in snapshots:
+        if times and not t > times[-1]:
+            raise DomainError("snapshot times must be strictly increasing")
+        if spec is None:
+            spec = u.spec
+        elif u.spec != spec:
+            raise GridMismatchError("snapshots live on different grids")
+        times.append(t)
+        coeffs.append(_free_coefficients(u, -t))
+    if len(coeffs) < 3:
         raise SamplingError(
-            f"cauchy scan needs at least 3 snapshots, got {len(snapshots)}"
+            f"cauchy scan needs at least 3 snapshots, got {len(coeffs)}"
         )
-    times = np.asarray([t for t, _ in snapshots])
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("snapshot times must be strictly increasing")
-    spec = snapshots[0][1].spec
-    if any(u.spec != spec for _, u in snapshots):
-        raise GridMismatchError("snapshots live on different grids")
-    coeffs = [_free_coefficients(u, -t) for t, u in snapshots]
-    return times, spec, coeffs
+    return np.asarray(times), spec, coeffs
 
 
 def _scan(
@@ -142,7 +151,7 @@ def _scan(
 
 
 def cauchy_scan(
-    snapshots: Sequence[Snapshot],
+    snapshots: Iterable[Snapshot],
     s_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9),
     tol_mono: float = 0.05,
 ) -> ScatterReport:
@@ -151,7 +160,7 @@ def cauchy_scan(
 
 
 def extract_profile(
-    snapshots: Sequence[Snapshot],
+    snapshots: Iterable[Snapshot],
     s_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9),
     tol_mono: float = 0.05,
 ) -> ScatterReport:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .grid import Field, FluxKernel, GridSpec, abs2, norm_sq, rk4, support_box
 from .observables import Frame, Monitor, ObservableSeries, smooth_random_field
 
 __all__ = [
+    "MAX_STEPS",
+    "SnapshotSink",
     "SolverConfig",
     "SimulationState",
     "SimulationResult",
@@ -57,6 +59,13 @@ __all__ = [
 
 _BLOWUP_FACTOR = 1e6
 
+# The most time steps one run may take: a duration and dt whose ratio asks
+# for more are refused up front rather than run for days.
+MAX_STEPS = 10_000_000
+
+# Receives each snapshot (t, u) of a run as it is taken.
+SnapshotSink = Callable[[tuple[float, Field]], None]
+
 
 @dataclass
 class SolverConfig:
@@ -70,12 +79,18 @@ class SolverConfig:
     boundary_mass_warn: float = 1e-6
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not np.isfinite(self.duration):
+            raise DomainError(f"duration must be finite, got {self.duration}")
         if abs(self.duration) < self.dt:
             raise DomainError(
                 f"|duration| = {abs(self.duration)} must be >= dt = {self.dt}"
             )
+        if abs(self.duration) / self.dt > MAX_STEPS:
+            raise DomainError(
+                f"|duration| / dt = {abs(self.duration) / self.dt:.3g} steps "
+                f"exceeds the cap of {MAX_STEPS}")
         if self.inner_perturbation_steps < 1:
             raise DomainError("inner_perturbation_steps must be >= 1")
 
@@ -99,7 +114,6 @@ class SimulationState:
 class SimulationResult:
     state: SimulationState
     series: dict[str, ObservableSeries]
-    snapshots: list[tuple[float, Field]]
     boundary_mass_warned: bool = False
 
 
@@ -261,13 +275,20 @@ def simulate(
     snapshot_every: int = 0,
     t0: float = 0.0,
     control_satisfied: bool | None = None,
+    snapshot_sink: SnapshotSink | None = None,
 ) -> SimulationResult:
     """Run the solver from t0 to t0 + duration, recording monitors and snapshots.
 
     Monitors fire at step 0, at their cadence, and at the final step. Snapshots
-    (when snapshot_every > 0) follow the same rule. A boundary-shell mass above
-    ``cfg.boundary_mass_warn`` of the total triggers a one-shot warning.
+    (when snapshot_every > 0) follow the same rule: each (t, u) goes to
+    ``snapshot_sink`` the moment it is taken, and the run keeps none. The run
+    never writes into a field it has handed out, so the sink may hold or store
+    it without a copy; ``list.append`` collects a run's snapshots in memory.
+    A boundary-shell mass above ``cfg.boundary_mass_warn`` of the total
+    triggers a one-shot warning.
     """
+    if snapshot_every > 0 and snapshot_sink is None:
+        raise DomainError("snapshot_every > 0 needs a snapshot_sink")
     spec = u0.spec
     propagator = Propagator(metric, damping, cfg)
     if propagator.spec != spec:
@@ -282,7 +303,6 @@ def simulate(
     state = SimulationState(Field(propagator.project(u0.values), spec), t0, 0)
 
     recorded: dict[str, list] = {mon.name: [] for mon in monitors}  # (t, value)
-    snapshots: list[tuple[float, Field]] = []
     shell = spec.boundary_shell
     warned = False
     n_steps = cfg.n_steps
@@ -299,7 +319,7 @@ def simulate(
                     )
                 recorded[mon.name].append((st.t, value))
         if snapshot_every > 0 and (st.step % snapshot_every == 0 or final):
-            snapshots.append((st.t, st.u.copy()))
+            snapshot_sink((st.t, st.u))
         if not warned and cfg.boundary_mass_warn > 0:
             total = frame.mod2
             shell_mass = float(total[shell].sum())
@@ -330,7 +350,6 @@ def simulate(
         state=state,
         series={name: ObservableSeries(name, *zip(*pairs))
                 for name, pairs in recorded.items()},
-        snapshots=snapshots,
         boundary_mass_warned=warned,
     )
 

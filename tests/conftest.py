@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,17 @@ def band_limited_random(spec: GridSpec, seed=0, k_scale=1.5) -> Field:
     coeffs *= np.exp(-spec.k_squared / k_scale**2)
     coeffs[~spec.dealias_mask] = 0.0
     return Field(spec.ifft(coeffs), spec)
+
+
+def peak_traced_bytes(fn) -> int:
+    """The most memory ``fn()`` held at once, as tracemalloc counts it (numpy
+    arrays included); warm any cache ``fn`` fills before measuring."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def local_monitors(spec: GridSpec, radius: float) -> dict:

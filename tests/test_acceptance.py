@@ -196,7 +196,8 @@ def test_criterion_5_lambda_monotone_and_energy_bound():
         bound = energy_lambda_bound_check(res.series["energy"], lam, metric,
                                           damping, tables, tol=1e-9)
         ok &= monotone and bound.passed
-        details.append(f"{name}: monotone={monotone} margin={bound.worst_margin:.2e}")
+        details.append(f"{name}: monotone={monotone} margin={bound.worst_margin:.2e} "
+                       f"at t={bound.worst_time:g}, used={bound.used_fraction:.2e}")
     assert _report(5, ok, "lambda/energy bound over T=10 (2d): " + "; ".join(details))
 
 
@@ -325,8 +326,10 @@ def test_criterion_10_scattering_consistency():
         u0 = gaussian_field(spec, amplitude=0.15, width=1.5)
         cfg = SolverConfig(dt=0.02, duration=20.0, inner_perturbation_steps=1)
         start = time.perf_counter()
-        res = simulate(u0, metric, damping, cfg, snapshot_every=100)
-        report = extract_profile(res.snapshots, s_values=(0.5,), tol_mono=0.05)
+        snapshots = []
+        simulate(u0, metric, damping, cfg, snapshot_every=100,
+                 snapshot_sink=snapshots.append)
+        report = extract_profile(snapshots, s_values=(0.5,), tol_mono=0.05)
         wall = time.perf_counter() - start
         mismatch = report.final_mismatch[0.5]
         profile_norm = sobolev_norm(report.u_plus, 0.5)

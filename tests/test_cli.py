@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,53 @@ def test_simulate_stability_abort_exits_3(tmp_path):
         assert all(w.startswith(p) for w, p in zip(raised, before_abort))
 
 
+def test_simulate_abort_keeps_the_snapshots_taken_before_it(tmp_path, monkeypatch):
+    # snapshots are written as they are taken: a run that aborts at step 12
+    # leaves those of steps 0, 5 and 10, each the one a full run writes
+    import dnls.solver
+    from dnls.errors import StabilityError
+
+    cfg = _write(tmp_path, TINY_1D)
+    full, aborted = tmp_path / "full", tmp_path / "aborted"
+    assert main(["simulate", "--config", cfg, "--out", str(full), "--quiet"]) == 0
+    step = dnls.solver.step
+
+    def failing_step(state, propagator):
+        if state.step + 1 == 12:
+            raise StabilityError("injected at step 12")
+        return step(state, propagator)
+
+    monkeypatch.setattr(dnls.solver, "step", failing_step)
+    code = main(["simulate", "--config", cfg, "--out", str(aborted), "--quiet"])
+    assert code == EXIT_STABILITY
+    manifest = json.loads((aborted / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["error"] == "injected at step 12"
+    kept = manifest["snapshots"]
+    assert kept == [f"snap_{i:06d}.dnls" for i in range(3)]
+    assert set(kept) <= set(manifest["files"])
+    for name, t in zip(kept, (0.0, 0.025, 0.05)):
+        field, stored_t = read_snapshot(aborted / name)
+        assert stored_t == pytest.approx(t)
+        assert (aborted / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_rays_stability_abort_exits_3(tmp_path, capsys):
+    # the ray flow of a metric amplitude of 1e300 overflows in its first step
+    huge = RAYS_UNCONTROLLED.replace("preset = uncontrolled_bump",
+                                     "preset = conformal_bump")
+    huge = huge.replace("metric_amplitude = -0.95", "metric_amplitude = 1e300")
+    huge = huge.replace("horizon = 25.0", "horizon = 1.0")
+    cfg = _write(tmp_path, huge)
+    out = tmp_path / "rays"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code = main(["rays", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_STABILITY
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("stability abort: ")
+
+
 def test_rays_uncontrolled_strict_exit_and_csv(tmp_path):
     cfg = _write(tmp_path, RAYS_UNCONTROLLED)
     out = tmp_path / "rays"
@@ -359,6 +407,26 @@ def test_scatter_from_manifest(tmp_path):
     matrix = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     assert np.allclose(matrix, matrix.T)
     assert np.all(np.diag(matrix) == 0.0)
+
+
+def test_scatter_orders_snapshots_by_their_times(tmp_path):
+    # the manifest may list the snapshots in any order
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    manifest_path = run_dir / "manifest.json"
+    assert main(["scatter", "--manifest", str(manifest_path), "--quiet",
+                 "--out", str(tmp_path / "in_order")]) == EXIT_OK
+    manifest = json.loads(manifest_path.read_text())
+    names = manifest["snapshots"]
+    manifest["snapshots"] = names[1::2] + names[::-2]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["scatter", "--manifest", str(manifest_path), "--quiet",
+                 "--out", str(tmp_path / "shuffled")]) == EXIT_OK
+    for name in ("cauchy_s0.5.csv", "series_mismatch_s0.5.csv", "u_plus.dnls",
+                 "scatter_report.json"):
+        assert ((tmp_path / "in_order" / name).read_bytes()
+                == (tmp_path / "shuffled" / name).read_bytes())
 
 
 def test_scatter_needs_snapshots(tmp_path):

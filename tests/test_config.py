@@ -93,6 +93,28 @@ def test_cadences_validated(section, key, value):
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("solver", "duration", "nan", "duration must be finite"),   # was ValueError
+    ("solver", "duration", "inf", "duration must be finite"),   # was OverflowError
+    ("solver", "dt", "1e-300", "exceeds the cap"),              # asked 5e297 steps
+    ("solver", "dt", "inf", "dt must be positive and finite"),
+    ("rays", "horizon", "nan", "must be finite"),
+    ("rays", "horizon", "inf", "must be finite"),
+    ("rays", "dt", "nan", "must be finite"),
+    ("rays", "dt", "1e-300", "exceeds the cap"),
+])
+def test_run_lengths_are_finite_and_capped(section, key, value, message):
+    from dnls.solver import MAX_STEPS
+
+    bad = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] .*{message}"):
+        parse_config_text(bad)
+    # the cap itself is a run the config accepts
+    at_cap = {"solver": f"dt = 1e-6\nduration = {MAX_STEPS * 1e-6!r}",
+              "rays": f"dt = 1e-6\nhorizon = {MAX_STEPS * 1e-6!r}"}[section]
+    parse_config_text(MINIMAL + f"\n[{section}]\n{at_cap}\n")
+
+
 def test_scheme_key_rejected_with_location():
     # Strang splitting is the only integrator; the key that chose it is gone
     bad = MINIMAL + "\n[solver]\ndt = 0.01\nscheme = strang\n"

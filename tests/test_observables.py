@@ -395,6 +395,31 @@ def test_energy_lambda_bound_negative_control():
     assert bad.worst_margin < 0.0
 
 
+def test_energy_lambda_bound_reports_the_margin_after_the_first_stamp():
+    # E grows at 0.25 C0 lambda: the margin at t = 0 is tol by construction,
+    # so the worst margin and the used fraction are read after it
+    times = np.linspace(0.0, 1.0, 11)
+    lam = ObservableSeries("lambda", times, times.copy())
+    e = ObservableSeries("energy", times, 1.0 + 0.5 * times)
+    metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
+    rep = energy_lambda_bound_check(e, lam, metric, damping, TABLES, constant=2.0)
+    assert rep.passed
+    assert rep.worst_time == pytest.approx(0.1)
+    assert rep.worst_margin == pytest.approx(0.15 + 1e-9)
+    assert rep.used_fraction == pytest.approx(0.25)
+    # raising E past the allowance at one stamp fails the check there
+    raised = e.values.copy()
+    raised[6] = 1.0 + 2.0 * times[6] + 1e-6
+    bad = energy_lambda_bound_check(ObservableSeries("energy", times, raised),
+                                    lam, metric, damping, TABLES, constant=2.0)
+    assert not bad.passed
+    assert bad.worst_time == pytest.approx(0.6)
+    assert bad.worst_margin < 0.0 and bad.used_fraction > 1.0
+    # no allowance after t = 0: no fraction to report
+    flat = energy_lambda_bound_check(e, lam, metric, damping, TABLES, constant=0.0)
+    assert flat.used_fraction is None and not flat.passed
+
+
 # -- local norms ------------------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from dnls.scattering import (
 )
 from dnls.solver import SolverConfig, simulate
 
-from conftest import band_limited_random, gaussian_field
+from conftest import band_limited_random, gaussian_field, peak_traced_bytes
 from reference import laplacian_G, pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
@@ -34,9 +34,10 @@ def _linear_free_snapshots(duration=1.0, n_snaps=5):
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
     steps = 100
     cfg = SolverConfig(dt=duration / steps, duration=duration, nonlinearity=False)
-    res = simulate(u0, metric, damping, cfg,
-                   snapshot_every=steps // (n_snaps - 1))
-    return res.snapshots
+    snapshots = []
+    simulate(u0, metric, damping, cfg, snapshot_every=steps // (n_snaps - 1),
+             snapshot_sink=snapshots.append)
+    return snapshots
 
 
 # -- pullback -----------------------------------------------------------------
@@ -120,9 +121,10 @@ def test_cauchy_scan_matrix_structure():
     # make it non-trivial: use the nonlinear run below instead of zeros
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=1.0),
-                   snapshot_every=25)
-    report = cauchy_scan(res.snapshots, s_values=(0.5,))
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=1.0),
+             snapshot_every=25, snapshot_sink=snapshots.append)
+    report = cauchy_scan(snapshots, s_values=(0.5,))
     D = report.cauchy[0.5]
     assert np.allclose(D, D.T)
     assert np.all(np.diag(D) == 0.0)
@@ -138,9 +140,10 @@ def test_cauchy_scan_refuses_few_snapshots():
 def test_cauchy_scan_small_data_verdict_positive():
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.2, width=1.2)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=4.0),
-                   snapshot_every=40)
-    report = cauchy_scan(res.snapshots, s_values=(0.0, 0.5))
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=4.0),
+             snapshot_every=40, snapshot_sink=snapshots.append)
+    report = cauchy_scan(snapshots, s_values=(0.0, 0.5))
     assert report.verdicts[0.0]
     assert report.verdicts[0.5]
 
@@ -152,10 +155,11 @@ def test_cauchy_scan_reports_near_limit_exponent_without_asserting():
         {"metric_amplitude": -0.5, "metric_radius": 2.0, "damping_radius": 4.0},
     )
     u0 = gaussian_field(SPEC, amplitude=0.3, width=1.2)
-    res = simulate(u0, metric, damping,
-                   SolverConfig(dt=0.01, duration=2.0, inner_perturbation_steps=2),
-                   snapshot_every=50)
-    report = cauchy_scan(res.snapshots, s_values=(0.999,))
+    snapshots = []
+    simulate(u0, metric, damping,
+             SolverConfig(dt=0.01, duration=2.0, inner_perturbation_steps=2),
+             snapshot_every=50, snapshot_sink=snapshots.append)
+    report = cauchy_scan(snapshots, s_values=(0.999,))
     assert 0.999 in report.verdicts
     assert isinstance(report.verdicts[0.999], bool)
 
@@ -176,9 +180,10 @@ def test_extract_profile_linear_run_zero_mismatch():
 def test_extract_profile_mismatch_ordering_in_s():
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=2.0),
-                   snapshot_every=50)
-    report = extract_profile(res.snapshots, s_values=(0.0, 0.5, 0.9))
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=2.0),
+             snapshot_every=50, snapshot_sink=snapshots.append)
+    report = extract_profile(snapshots, s_values=(0.0, 0.5, 0.9))
     for i in range(len(report.times)):
         assert report.mismatch[0.0][i] <= report.mismatch[0.5][i] + 1e-15
         assert report.mismatch[0.5][i] <= report.mismatch[0.9][i] + 1e-15
@@ -190,9 +195,10 @@ def test_extract_profile_mismatch_equals_cauchy_last_row():
     # ||u(t) - e^{it lap} u_plus||_{H^s} = ||v(t) - v(T)||_{H^s} by isometry
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=1.0),
-                   snapshot_every=25)
-    report = extract_profile(res.snapshots, s_values=(0.5,))
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=1.0),
+             snapshot_every=25, snapshot_sink=snapshots.append)
+    report = extract_profile(snapshots, s_values=(0.5,))
     assert np.allclose(report.mismatch[0.5], report.cauchy[0.5][-1], atol=1e-12)
 
 
@@ -251,20 +257,22 @@ REFERENCE_S = (0.0, 0.25, 0.5, 0.75, 0.9)
 def test_fourier_scan_matches_reference_on_damped_2d_run():
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2, momentum=0.5)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=2.0),
-                   snapshot_every=25)
-    assert len(res.snapshots) == 9
-    _assert_matches_reference(res.snapshots, REFERENCE_S)
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=2.0),
+             snapshot_every=25, snapshot_sink=snapshots.append)
+    assert len(snapshots) == 9
+    _assert_matches_reference(snapshots, REFERENCE_S)
 
 
 def test_fourier_scan_matches_reference_on_3d_run():
     spec = GridSpec(3, 24, 8.0)
     metric, damping = build_preset("identity", spec, {"damping_radius": 3.0})
     u0 = gaussian_field(spec, amplitude=0.3, width=1.2)
-    res = simulate(u0, metric, damping, SolverConfig(dt=0.05, duration=2.0),
-                   snapshot_every=8)
-    assert len(res.snapshots) == 6
-    _assert_matches_reference(res.snapshots, REFERENCE_S)
+    snapshots = []
+    simulate(u0, metric, damping, SolverConfig(dt=0.05, duration=2.0),
+             snapshot_every=8, snapshot_sink=snapshots.append)
+    assert len(snapshots) == 6
+    _assert_matches_reference(snapshots, REFERENCE_S)
 
 
 @settings(max_examples=30, deadline=None)
@@ -305,6 +313,23 @@ def test_transform_counts_one_per_snapshot(monkeypatch, m):
     counts.update(fft=0, ifft=0)
     extract_profile(snapshots, s_values=REFERENCE_S)
     assert counts == {"fft": m, "ifft": 1}
+
+
+def test_extract_profile_streams_its_snapshots():
+    # fed by a generator, the scan keeps the m coefficient arrays and drops
+    # each field once it is transformed: at most m + 3 fields at once
+    spec = GridSpec(3, 24, 8.0)
+    base = band_limited_random(spec, seed=1)
+    m, s_values = 20, (0.0, 0.5)
+
+    def snapshots(count):
+        return ((0.05 * i, Field(base.values * (1.0 + 0.01 * i), spec))
+                for i in range(count))
+
+    extract_profile(snapshots(3), s_values)  # transform plans, Sobolev weights
+    peak = peak_traced_bytes(lambda: extract_profile(snapshots(m), s_values))
+    assert peak <= (m + 3) * 16 * spec.size
+    _assert_matches_reference(list(snapshots(m)), s_values)
 
 
 def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():

@@ -5,9 +5,9 @@ import pytest
 
 from dnls.errors import DomainError
 from dnls.grid import GridSpec
-from dnls.snapshots import MAGIC, read_snapshot, write_snapshot
+from dnls.snapshots import MAGIC, read_snapshot, read_snapshot_time, write_snapshot
 
-from conftest import band_limited_random
+from conftest import band_limited_random, peak_traced_bytes
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -19,6 +19,28 @@ def test_snapshot_roundtrip(tmp_path):
     assert t == 1.25
     assert loaded.spec == spec
     assert np.array_equal(loaded.values, field.values)
+
+
+def test_snapshot_io_makes_no_copy_of_the_field(tmp_path):
+    # the write sends the field's own buffer and the read fills one array
+    spec = GridSpec(3, 24, 5.0)
+    field = band_limited_random(spec, seed=4)
+    path = tmp_path / "state.dnls"
+    write_snapshot(path, field, 0.5)
+    read_snapshot(path)
+    size = 16 * spec.size
+    assert peak_traced_bytes(lambda: write_snapshot(path, field, 0.5)) < 0.1 * size
+    assert peak_traced_bytes(lambda: read_snapshot(path)) < 1.1 * size
+
+
+def test_snapshot_time_is_read_from_the_header(tmp_path):
+    spec = GridSpec(2, 16, 3.0)
+    path = tmp_path / "state.dnls"
+    write_snapshot(path, band_limited_random(spec, seed=1), 0.75)
+    assert read_snapshot_time(path) == 0.75
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DomainError, match="truncated snapshot payload"):
+        read_snapshot_time(path)
 
 
 def test_snapshot_header_layout(tmp_path):

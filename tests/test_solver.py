@@ -20,7 +20,7 @@ from dnls.solver import (
     step,
 )
 
-from conftest import band_limited_random, gaussian_field
+from conftest import band_limited_random, gaussian_field, peak_traced_bytes
 from reference import mol_solve
 
 SPEC = GridSpec(2, 64, 10.0)
@@ -275,14 +275,61 @@ def test_backward_probe_respects_exponential_mass_bound():
 def test_simulate_records_final_step_and_snapshots():
     metric, damping = build_preset("identity", SPEC, {"damping_amplitude": 0.0})
     u0 = gaussian_field(SPEC, amplitude=0.2)
+    snapshots = []
     res = simulate(u0, metric, damping, SolverConfig(dt=0.01, duration=0.25),
                    monitors=[Monitor("mass", lambda s, frame: mass(frame), every=10)],
-                   snapshot_every=10)
+                   snapshot_every=10, snapshot_sink=snapshots.append)
     times = res.series["mass"].times
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.25)
-    assert len(res.snapshots) == 4  # steps 0, 10, 20, 25
-    assert res.snapshots[-1][0] == pytest.approx(0.25)
+    assert len(snapshots) == 4  # steps 0, 10, 20, 25
+    assert snapshots[-1][0] == pytest.approx(0.25)
+    assert snapshots[-1][1] is res.state.u
+
+
+def test_streamed_snapshots_cost_no_memory():
+    # the run keeps no snapshot: handing 41 of them to a sink that drops them
+    # peaks within 2 field sizes of the run that takes none
+    spec = GridSpec(3, 24, 8.0)
+    metric, damping = build_preset("identity", spec, {"damping_radius": 3.0})
+    u0 = gaussian_field(spec, amplitude=0.3, width=1.2)
+    cfg = SolverConfig(dt=0.01, duration=0.4)
+    assert cfg.n_steps == 40
+
+    def run(every):
+        simulate(u0, metric, damping, cfg, snapshot_every=every,
+                 snapshot_sink=lambda snapshot: None)
+
+    run(1)  # transform plans and grid tables
+    streamed, bare = peak_traced_bytes(lambda: run(1)), peak_traced_bytes(lambda: run(0))
+    assert streamed <= bare + 2 * 16 * spec.size
+
+
+def test_simulate_never_writes_into_a_snapshot_it_handed_out():
+    metric, damping = build_preset("conformal_bump", SPEC, {
+        "metric_amplitude": -0.5, "metric_radius": 2.0, "damping_radius": 4.0})
+    u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
+    handed, copies = [], []
+
+    def sink(snapshot):
+        handed.append(snapshot)
+        copies.append(snapshot[1].values.copy())
+
+    for dealias in (True, False):
+        handed.clear(), copies.clear()
+        cfg = SolverConfig(dt=0.01, duration=0.1, dealias=dealias)
+        simulate(u0, metric, damping, cfg, snapshot_every=1, snapshot_sink=sink,
+                 monitors=[Monitor("mass", lambda s, frame: mass(frame))])
+        assert len(handed) == 11
+        for (_, u), copy in zip(handed, copies):
+            assert np.array_equal(u.values, copy)
+
+
+def test_snapshots_need_a_sink():
+    metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
+    with pytest.raises(DomainError, match="snapshot_sink"):
+        simulate(gaussian_field(SPEC), metric, damping,
+                 SolverConfig(dt=0.01, duration=0.02), snapshot_every=1)
 
 
 def test_resumed_run_matches_uninterrupted_run_exactly():
