@@ -309,14 +309,13 @@ def test_simulate_never_writes_into_a_snapshot_it_handed_out():
     metric, damping = build_preset("conformal_bump", SPEC, {
         "metric_amplitude": -0.5, "metric_radius": 2.0, "damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.4, width=1.2)
-    handed, copies = [], []
-
-    def sink(snapshot):
-        handed.append(snapshot)
-        copies.append(snapshot[1].values.copy())
-
     for dealias in (True, False):
-        handed.clear(), copies.clear()
+        handed, copies = [], []
+
+        def sink(snapshot):
+            handed.append(snapshot)
+            copies.append(snapshot[1].values.copy())
+
         cfg = SolverConfig(dt=0.01, duration=0.1, dealias=dealias)
         simulate(u0, metric, damping, cfg, snapshot_every=1, snapshot_sink=sink,
                  monitors=[Monitor("mass", lambda s, frame: mass(frame))])
