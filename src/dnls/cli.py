@@ -365,6 +365,7 @@ def _cmd_scatter(args) -> int:
         for path in paths:
             field, t = _snapshot_input(snapshots.read_snapshot, path)
             yield t, field
+            del field  # before the next read allocates its field
 
     try:
         report = scattering.extract_profile(

@@ -219,9 +219,19 @@ class RunConfig:
         # MetricField: nan means the preset default, and the identity preset
         # has no bump to fit
         try:
-            _, damping = self.build_geometry(spec)
+            metric, damping = self.build_geometry(spec)
         except DnlsError as exc:
             raise ConfigError(f"[geometry] {exc}") from exc
+        ic = self.initial_data
+        for key in ("amplitude", "width", "center_offset", "momentum", "k_scale"):
+            if not np.isfinite(getattr(ic, key)):
+                raise ConfigError(f"[initial_data] {key} must be finite, got "
+                                  f"{getattr(ic, key)}")
+        if not (ic.width > 0 and ic.k_scale > 0):
+            raise ConfigError("[initial_data] width and k_scale must be positive, "
+                              f"got {ic.width} and {ic.k_scale}")
+        if self.run.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.run.seed}")
         flat, support = self.resolved_cutoff_radii(damping)
         if not 0.0 < flat < support < L:
             raise ConfigError(
@@ -257,6 +267,13 @@ class RunConfig:
         r = self.rays
         if r.count < 1 or r.dt <= 0 or r.horizon <= 0 or r.sample_radius <= 0:
             raise ConfigError("[rays] count, dt, horizon, sample_radius must be positive")
+        if not np.isfinite(r.sample_radius):
+            raise ConfigError(f"[rays] sample_radius must be finite, got {r.sample_radius}")
+        # nan takes the default, which clears the support by construction
+        reach = max(metric.support_radius, damping.support_radius)
+        if not (np.isnan(r.escape_radius) or r.escape_radius > reach):
+            raise ConfigError(f"[rays] escape_radius = {r.escape_radius} must exceed "
+                              f"the coefficient support {reach}")
         if not (np.isfinite(r.dt) and np.isfinite(r.horizon)):
             raise ConfigError(f"[rays] dt and horizon must be finite, got "
                               f"{r.dt} and {r.horizon}")

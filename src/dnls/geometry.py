@@ -118,9 +118,11 @@ class MetricField:
         if not np.isfinite(self.amplitude):
             raise DomainError(f"metric amplitude must be finite, got {self.amplitude}")
         if self.amplitude != 0.0:
-            if not 0.0 < self.radius < spec.length:
+            # the bump reads |x|^2 / R^2, so R^2 must not underflow to 0
+            if not (0.0 < self.radius < spec.length and self.radius**2 > 0.0):
                 raise DomainError(
-                    f"metric bump radius must lie in (0, L), got {self.radius}"
+                    f"metric bump radius must lie in (0, L) with a nonzero "
+                    f"square, got {self.radius}"
                 )
         if direction is None:
             self.direction = None

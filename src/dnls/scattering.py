@@ -35,7 +35,6 @@ from .errors import DomainError, GridMismatchError, SamplingError
 from .grid import (  # noqa: F401  (sobolev_norm: perfbench traces it here)
     Field,
     GridSpec,
-    abs2,
     sobolev_norm,
     sobolev_norms,
 )
@@ -117,11 +116,21 @@ def _pulled_coefficients(
             raise GridMismatchError("snapshots live on different grids")
         times.append(t)
         coeffs.append(_free_coefficients(u, -t))
+        del u  # the loop variable would hold the field until the next arrives
     if len(coeffs) < 3:
         raise SamplingError(
             f"cauchy scan needs at least 3 snapshots, got {len(coeffs)}"
         )
     return np.asarray(times), spec, coeffs
+
+
+def _difference_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2, :func:`grid.abs2`'s re^2 + im^2 of the difference with its
+    (re, im) pairs squared in place: it holds the difference and the
+    half-size result, and no other temporary."""
+    squares = (a - b).view(np.float64)
+    np.square(squares, out=squares)
+    return squares[..., 0::2] + squares[..., 1::2]
 
 
 def _scan(
@@ -143,7 +152,7 @@ def _scan(
     for i in range(m):
         for j in range(i + 1, m):
             matrices[:, i, j] = matrices[:, j, i] = sobolev_norms(
-                abs2(coeffs[i] - coeffs[j]), spec, s_values)
+                _difference_power(coeffs[i], coeffs[j]), spec, s_values)
     cauchy = dict(zip(s_values, matrices))
     verdicts = {s: _monotone_tail_verdict(times, cauchy[s][-1], tol_mono)
                 for s in s_values}

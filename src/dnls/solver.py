@@ -7,8 +7,10 @@ A step is Strang splitting of two exactly solvable substeps:
 * the linear flow exp(i tau div(G grad .)), exact via the e^{-i |k|^2 tau}
   multiplier when G = I, otherwise an inner Strang sandwich: half free
   multiplier, fourth-order steps of u_t = i div((G-I) grad u), half free
-  multiplier. The inner RK4 runs on the retained (2/3 band) coefficients,
-  and its flux is a ``grid.FluxKernel``, a DFT restricted to them and supp p.
+  multiplier. The substep works on the retained (2/3 band) coefficients
+  only, from the pruned ``GridSpec.band_fft`` to ``GridSpec.band_ifft``; the
+  inner RK4's flux is a ``grid.FluxKernel``, a DFT restricted to them and
+  supp p.
 
 A :class:`Propagator`, built once per run from (metric, damping, cfg), holds
 what every step shares; the step and both substeps read everything from it.
@@ -16,8 +18,12 @@ The run's :class:`SolverConfig` is the ``[solver]`` section of its
 configuration. :func:`stability_probe` steps two nearby data through one
 propagator in lockstep.
 
-Grid transforms per Strang step: 4 for any metric and inner step count (the
-linear substep's forward and inverse, the trailing band limit); the flux
+Grid transforms per Strang step: 4 band transforms and no full-grid one,
+for any metric and inner step count (the linear substep's ``band_fft`` and
+``band_ifft``, and the pair in the trailing band limit). With dealiasing each
+is pruned to the lines that reach the band: n^2 + n nb + nb^2 line
+transforms at 3-d instead of 3 n^2, 4977 instead of 6912 at n = 48, nb = 33.
+Without it the band is every mode and each is a full transform. The flux
 kernel, applied four times per inner RK4 step, makes none. The blow-up guard
 reads the coefficients' L2 norm (Parseval, no transform).
 
@@ -128,10 +134,11 @@ class Propagator:
       supp a only (outside it the flow is the plain rotation by
       -|u0|^2 dt/2);
     * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
-      :meth:`GridSpec.free_factors`: over tau = dt when G = I, over
+      :meth:`GridSpec.free_factors` restricted to the retained modes
+      (:meth:`GridSpec.retained`): over tau = dt when G = I, over
       tau = dt/2 (each half of the inner sandwich) otherwise;
-    * the index ``band`` of the retained modes (:meth:`GridSpec.retained`)
-      and the :class:`FluxKernel` of G - I = p S on them (None if G = I).
+    * the :class:`FluxKernel` of G - I = p S on the retained modes (None if
+      G = I).
 
     It lives for one ``simulate`` call (or one stability probe), so its tables
     are freed with it.
@@ -158,8 +165,8 @@ class Propagator:
                 -tau,
             )
         retained = spec.retained(cfg.dealias)
-        self.band = np.ix_(*[retained] * spec.dim)
-        self.free = spec.free_factors(dt if metric.is_identity else tau)
+        self.free = [np.take(factor, retained, axis=j) for j, factor in
+                     enumerate(spec.free_factors(dt if metric.is_identity else tau))]
         self.flux = None if metric.is_identity else FluxKernel(
             spec, metric.perturbation, metric.direction, retained)
 
@@ -207,20 +214,18 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
     """exp(i dt div(G grad .)) u over the step dt of ``propagator``; exact
     when G = I.
 
-    Otherwise an inner Strang sandwich on Fourier coefficients: half free
-    multiplier, ``inner_perturbation_steps`` RK4 steps of
-    u_t = i div((G-I) grad u) on the retained ones, which abort when their
-    L2 norm passes ``_BLOWUP_FACTOR`` times its value at entry, half free
-    multiplier.
+    Works on the retained Fourier coefficients only, from
+    :meth:`GridSpec.band_fft` to :meth:`GridSpec.band_ifft`: the free
+    multiplier, or otherwise an inner Strang sandwich, half free multiplier,
+    ``inner_perturbation_steps`` RK4 steps of u_t = i div((G-I) grad u), which
+    abort when the coefficients' L2 norm passes ``_BLOWUP_FACTOR`` times its
+    value at entry, half free multiplier.
     """
     p, spec, cfg = propagator, propagator.spec, propagator.cfg
-    coeffs = spec.fft(u.values)
-    if cfg.dealias:
-        coeffs[~spec.dealias_mask] = 0.0
+    band = spec.band_fft(u.values, cfg.dealias)
     for factor in p.free:
-        coeffs *= factor
+        band *= factor
     if p.flux is not None:
-        band = coeffs[p.band]
         guard = _BLOWUP_FACTOR * np.sqrt(norm_sq(band))
         m = cfg.inner_perturbation_steps
         for _ in range(m):
@@ -228,10 +233,9 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
             if np.sqrt(norm_sq(band)) > guard:
                 raise p.stability_error("linear substep blew up; reduce dt or "
                                         "raise inner_perturbation_steps")
-        coeffs[p.band] = band
         for factor in p.free:
-            coeffs *= factor
-    return Field(spec.ifft(coeffs), spec)
+            band *= factor
+    return Field(spec.band_ifft(band, cfg.dealias), spec)
 
 
 def step(state: SimulationState, propagator: Propagator) -> SimulationState:

@@ -10,6 +10,10 @@ ship them.
   dealiased right-hand side. The package integrates only by Strang
   splitting; this reference checks its order and pins the two ``rk4-*``
   golden cases.
+* The Strang step on full-grid coefficients: full transforms, the dealias
+  mask written into them, the band gathered for the inner RK4 and scattered
+  back, and a masked band limit. The package's step works on the retained
+  band from a pruned transform to its inverse.
 * Tables and multipliers the package builds in another form: the
   full-grid flux (the package takes the DFT restricted to the band and the
   support box of p, one matrix per axis), the grad|x| table (the package
@@ -42,6 +46,7 @@ from dnls.grid import (
     rk4,
 )
 from dnls.rays import RayFate, _refine_exit_time
+from dnls.solver import SimulationState, nonlinear_damping_substep
 
 
 def metric_table(metric) -> np.ndarray:
@@ -212,6 +217,44 @@ def mol_rhs(values: np.ndarray, metric, damping, cfg) -> np.ndarray:
         out_hat[~mask] = 0.0
         out = spec.ifft(out_hat)
     return out
+
+
+def full_grid_linear_substep(u: Field, propagator) -> Field:
+    """``solver.linear_substep`` on all n^d coefficients: a full transform,
+    the non-retained modes set to 0 when the run dealiases, and the retained
+    ones gathered for the inner RK4 and scattered back."""
+    p, spec, cfg = propagator, propagator.spec, propagator.cfg
+    coeffs = spec.fft(u.values)
+    if cfg.dealias:
+        coeffs[~spec.dealias_mask] = 0.0
+    free = spec.free_factors(p.dt if p.metric.is_identity else p.half_dt)
+    for factor in free:
+        coeffs *= factor
+    if p.flux is not None:
+        band = np.ix_(*[spec.retained(cfg.dealias)] * spec.dim)
+        retained = coeffs[band]
+        m = cfg.inner_perturbation_steps
+        for _ in range(m):
+            retained = rk4(retained, lambda c: 1j * p.flux(c), p.dt / m)
+        coeffs[band] = retained
+        for factor in free:
+            coeffs *= factor
+    return Field(spec.ifft(coeffs), spec)
+
+
+def full_grid_step(state, propagator):
+    """``solver.step`` with :func:`full_grid_linear_substep` and a band limit
+    that masks the full-grid coefficients."""
+    spec = propagator.spec
+    u = nonlinear_damping_substep(state.u, propagator)
+    u = full_grid_linear_substep(u, propagator)
+    values = nonlinear_damping_substep(u, propagator).values
+    if propagator.cfg.dealias:
+        coeffs = spec.fft(values)
+        coeffs[~spec.dealias_mask] = 0.0
+        values = spec.ifft(coeffs)
+    return SimulationState(Field(values, spec), state.t + propagator.dt,
+                           state.step + 1)
 
 
 def mol_solve(u0: Field, metric, damping, cfg) -> Field:

@@ -372,6 +372,22 @@ def test_rays_stability_abort_exits_3(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("stability abort: ")
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("simulate", "metric_radius = 2.0", "metric_radius = 1e-300"),  # was ZeroDivisionError
+    ("rays", "seed = 7", "seed = -1"),                              # was numpy's ValueError
+    ("rays", "sample_radius = 2.0", "sample_radius = nan"),         # was exit 3
+])
+def test_inputs_that_would_fail_in_the_run_exit_2_on_one_line(
+        tmp_path, capsys, command, old, new):
+    assert old in RAYS_UNCONTROLLED
+    cfg = _write(tmp_path, RAYS_UNCONTROLLED.replace(old, new))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_rays_uncontrolled_strict_exit_and_csv(tmp_path):
     cfg = _write(tmp_path, RAYS_UNCONTROLLED)
     out = tmp_path / "rays"

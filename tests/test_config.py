@@ -115,6 +115,44 @@ def test_run_lengths_are_finite_and_capped(section, key, value, message):
     parse_config_text(MINIMAL + f"\n[{section}]\n{at_cap}\n")
 
 
+@pytest.mark.parametrize("section, line, message", [
+    # each ended in a traceback or an abort once the run started
+    pytest.param("geometry", "metric_radius = 1e-300",
+                 r"\[geometry\] metric bump radius", id="metric_radius_underflows"),
+    pytest.param("rays", "escape_radius = 0", r"\[rays\] escape_radius",
+                 id="escape_radius_zero"),
+    pytest.param("rays", "escape_radius = -1", r"\[rays\] escape_radius",
+                 id="escape_radius_negative"),
+    pytest.param("rays", "escape_radius = 3.0", r"\[rays\] escape_radius",
+                 id="escape_radius_inside_the_support"),
+    pytest.param("run", "seed = -1", r"\[run\] seed must be >= 0", id="seed_negative"),
+    pytest.param("rays", "sample_radius = nan", r"\[rays\] sample_radius must be finite",
+                 id="sample_radius_nan"),
+    pytest.param("initial_data", "width = 0", r"\[initial_data\] width",
+                 id="width_zero"),
+    pytest.param("initial_data", "width = nan", r"\[initial_data\] width must be finite",
+                 id="width_nan"),
+    pytest.param("initial_data", "amplitude = nan",
+                 r"\[initial_data\] amplitude must be finite", id="amplitude_nan"),
+    pytest.param("initial_data", "momentum = inf",
+                 r"\[initial_data\] momentum must be finite", id="momentum_inf"),
+    pytest.param("initial_data", "k_scale = 0", r"\[initial_data\] .*k_scale",
+                 id="k_scale_zero"),
+])
+def test_inputs_that_would_fail_in_the_run_are_refused(section, line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(MINIMAL + f"\n[{section}]\n{line}\n")
+
+
+def test_valid_config_text_and_hash_are_unchanged():
+    # the refusals add no key and change no default
+    cfg = parse_config_text(MINIMAL)
+    assert cfg.config_hash() == (
+        "a4ae773c3d53bcd6d1f8304e5cdf43e43ec586a17ba91eb625aab057e7ff0039")
+    assert parse_config_text(MINIMAL + "\n[rays]\nescape_radius = 4.5\n"
+                             ).rays.escape_radius == 4.5
+
+
 def test_scheme_key_rejected_with_location():
     # Strang splitting is the only integrator; the key that chose it is gone
     bad = MINIMAL + "\n[solver]\ndt = 0.01\nscheme = strang\n"

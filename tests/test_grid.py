@@ -77,6 +77,58 @@ def test_retained_modes_are_the_two_thirds_band(n):
     assert np.array_equal(spec.dealias_mask, keep[:, None] & keep[None, :])
 
 
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 32, 48])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_band_transforms_are_the_full_transforms_on_the_band(dim, n, dealias):
+    # the pruned forward is fftn restricted to the retained modes, and the
+    # pruned inverse is ifftn of the band zero-padded to the full grid
+    spec = GridSpec(dim, n, 7.0)
+    rng = np.random.default_rng(10 * dim + n)
+    values = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    band = np.ix_(*[spec.retained(dealias)] * dim)
+    nb = len(spec.retained(dealias))
+    got = spec.band_fft(values, dealias)
+    assert got.shape == (nb,) * dim
+    assert _relative_error(got, spec.fft(values)[band]) <= 1e-15
+    coeffs = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
+    padded = np.zeros(spec.shape, dtype=complex)
+    padded[band] = coeffs
+    assert _relative_error(spec.band_ifft(coeffs, dealias), spec.ifft(padded)) <= 1e-15
+    # neither writes into its argument
+    kept = values.copy(), coeffs.copy()
+    spec.band_ifft(coeffs, dealias)
+    spec.band_fft(values, dealias)
+    assert np.array_equal(values, kept[0]) and np.array_equal(coeffs, kept[1])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_band_limit_is_the_masked_full_grid_projection(dim, n):
+    spec = GridSpec(dim, n, 7.0)
+    values = np.random.default_rng(dim).standard_normal(spec.shape) + 0.5j
+    coeffs = spec.fft(values)
+    coeffs[~spec.dealias_mask] = 0.0
+    limited = spec.band_limit(values)
+    assert _relative_error(limited, spec.ifft(coeffs)) <= 1e-15
+    assert _relative_error(spec.band_limit(limited), limited) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), n=st.sampled_from([4, 6, 10, 16, 18, 24]),
+       dealias=st.booleans(), seed=st.integers(0, 2**16))
+def test_band_transforms_round_trip(dim, n, dealias, seed):
+    spec = GridSpec(dim, n, 3.0)
+    nb = len(spec.retained(dealias))
+    rng = np.random.default_rng(seed)
+    band = rng.standard_normal((nb,) * dim) + 1j * rng.standard_normal((nb,) * dim)
+    back = spec.band_fft(spec.band_ifft(band, dealias), dealias)
+    assert _relative_error(back, band) <= 1e-15
+
+
 def test_field_shape_and_finiteness():
     spec = GridSpec(1, 16, 2.0)
     with pytest.raises(GridMismatchError):

@@ -317,7 +317,8 @@ def test_transform_counts_one_per_snapshot(monkeypatch, m):
 
 def test_extract_profile_streams_its_snapshots():
     # fed by a generator, the scan keeps the m coefficient arrays and drops
-    # each field once it is transformed: at most m + 3 fields at once
+    # each field once it is transformed; a Cauchy pair adds its difference
+    # and the half-size |difference|^2, so m + 1.5 fields at once, plus 1 %
     spec = GridSpec(3, 24, 8.0)
     base = band_limited_random(spec, seed=1)
     m, s_values = 20, (0.0, 0.5)
@@ -328,7 +329,7 @@ def test_extract_profile_streams_its_snapshots():
 
     extract_profile(snapshots(3), s_values)  # transform plans, Sobolev weights
     peak = peak_traced_bytes(lambda: extract_profile(snapshots(m), s_values))
-    assert peak <= (m + 3) * 16 * spec.size
+    assert peak <= 1.01 * (m + 1.5) * 16 * spec.size
     _assert_matches_reference(list(snapshots(m)), s_values)
 
 

@@ -21,7 +21,7 @@ from dnls.solver import (
 )
 
 from conftest import band_limited_random, gaussian_field, peak_traced_bytes
-from reference import mol_solve
+from reference import full_grid_step, mol_solve
 
 SPEC = GridSpec(2, 64, 10.0)
 
@@ -225,17 +225,23 @@ def test_step_reuses_a_propagator_built_for_its_dt_only():
         Propagator(metric, DampingField(GridSpec(2, 32, 10.0)), cfg)
 
 
-def test_propagator_free_multiplier_is_the_grids_free_factors():
+@pytest.mark.parametrize("dealias", [True, False])
+def test_propagator_free_multiplier_is_the_grids_free_factors(dealias):
     # one builder of e^{-i k_j^2 tau}: over dt for G = I, over dt/2 for each
-    # half of the inner sandwich, and the same bits as the expression itself
-    cfg = SolverConfig(dt=0.01, duration=1.0)
+    # half of the inner sandwich, restricted to the retained modes along its
+    # axis, and the same bits as the expression itself
+    cfg = SolverConfig(dt=0.01, duration=1.0, dealias=dealias)
+    retained = SPEC.retained(dealias)
     for preset, tau in (("identity", 0.01), ("conformal_bump", 0.005)):
         metric, damping = build_preset(preset, SPEC)
         free = Propagator(metric, damping, cfg).free
-        expected = [np.exp(-1j * k**2 * tau) for k in SPEC.wavenumbers]
+        expected = [np.exp(-1j * SPEC.k1d[retained] ** 2 * tau).reshape(shape)
+                    for shape in ((-1, 1), (1, -1))]
         assert len(free) == len(expected) == SPEC.dim
-        for got, shared, want in zip(free, SPEC.free_factors(tau), expected):
-            assert np.array_equal(got, shared) and np.array_equal(got, want)
+        for j, (got, shared, want) in enumerate(
+                zip(free, SPEC.free_factors(tau), expected)):
+            assert np.array_equal(got, np.take(shared, retained, axis=j))
+            assert np.array_equal(got, want)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -519,37 +525,87 @@ def test_golden_values_after_hundred_steps(case):
     assert abs(complex(got_re, got_im) - gold) <= 1e-12 * abs(gold)
 
 
+@pytest.mark.parametrize("preset", ["identity", "conformal_bump",
+                                    "anisotropic_bump", "uncontrolled_bump"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_band_step_matches_the_full_grid_reference_step(preset, dim, n, dealias):
+    # the step on retained coefficients, from a pruned transform to its
+    # inverse, is the full-grid step with its mask, gather and scatter
+    spec = GridSpec(dim, n, 8.0)
+    metric, damping = build_preset(preset, spec)
+    cfg = SolverConfig(dt=0.01, duration=1.0, dealias=dealias,
+                       inner_perturbation_steps=2 if dim == 2 else 1)
+    propagator = Propagator(metric, damping, cfg)
+    packet = gaussian_field(spec, amplitude=0.5, width=1.2, momentum=1.0)
+    u0 = Field(propagator.project(
+        packet.values + 0.05 * band_limited_random(spec, seed=dim).values), spec)
+    band = full = SimulationState(u0, 0.0, 0)
+    for _ in range(20):
+        band, full = step(band, propagator), full_grid_step(full, propagator)
+    assert (band.t, band.step) == (full.t, full.step)
+    assert (np.linalg.norm(band.u.values - full.u.values)
+            <= 1e-13 * np.linalg.norm(full.u.values))
+
+
 # -- transforms per step ------------------------------------------------------------
 
 
-def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps):
+def _transforms_per_step(monkeypatch, preset, dim, n, inner_steps, dealias):
+    """(full-grid, band) transforms of one step."""
     spec = GridSpec(dim, n, 8.0)
     metric, damping = build_preset(preset, spec)
-    cfg = SolverConfig(dt=0.01, duration=1.0, inner_perturbation_steps=inner_steps)
+    cfg = SolverConfig(dt=0.01, duration=1.0, dealias=dealias,
+                       inner_perturbation_steps=inner_steps)
     state = SimulationState(gaussian_field(spec), 0.0, 0)
     propagator = Propagator(metric, damping, cfg)
-    calls = []
-    for name in ("fft", "ifft"):
+    calls = {"fft": 0, "ifft": 0, "band_fft": 0, "band_ifft": 0}
+    for name in calls:
         original = getattr(GridSpec, name)
 
-        def counted(self, values, _original=original):
-            calls.append(1)
-            return _original(self, values)
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
 
         monkeypatch.setattr(GridSpec, name, counted)
     step(state, propagator)
-    return len(calls)
+    return calls["fft"] + calls["ifft"], calls["band_fft"] + calls["band_ifft"]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 @pytest.mark.parametrize("inner_steps", [1, 2])
-def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps):
-    # one forward and one inverse transform around the linear substep and two
-    # for the trailing band limit, for every preset; the flux kernel makes
-    # none (it multiplies by restricted DFT matrices) and the blow-up guard
-    # reads the coefficients' L2 norm
+@pytest.mark.parametrize("dealias", [True, False])
+def test_fft_count_per_strang_step(monkeypatch, dim, n, inner_steps, dealias):
+    # no full-grid transform: a band transform forward and one inverse around
+    # the linear substep and two for the trailing band limit (dealiased runs
+    # only), for every preset; the flux kernel makes none (it multiplies by
+    # restricted DFT matrices) and the blow-up guard reads the coefficients'
+    # L2 norm
     for preset in ("identity", "conformal_bump", "anisotropic_bump"):
-        assert _transforms_per_step(monkeypatch, preset, dim, n, inner_steps) == 4
+        assert _transforms_per_step(monkeypatch, preset, dim, n, inner_steps,
+                                    dealias) == (0, 4 if dealias else 2)
+
+
+@pytest.mark.parametrize("dim,n,lines", [(3, 48, 48**2 + 48 * 33 + 33**2),
+                                         (2, 128, 128 + 85), (1, 64, 1)])
+def test_band_transforms_prune_their_line_transforms(monkeypatch, dim, n, lines):
+    # at 48^3 a band transform makes 4977 line transforms, not 3 * 48^2 = 6912:
+    # n^2 on the full grid, then n * nb and nb^2 on what reaches the band
+    spec = GridSpec(dim, n, 12.0)
+    counted = []
+    for name in ("fft", "ifft"):
+        original = getattr(scipy.fft, name)
+
+        def count(x, *args, _original=original, **kwargs):
+            counted.append(x.size // x.shape[kwargs["axis"]])
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, count)
+    band = spec.band_fft(gaussian_field(spec).values, True)
+    assert sum(counted) == lines
+    counted.clear()
+    spec.band_ifft(band, True)
+    assert sum(counted) == lines
 
 
 @pytest.mark.parametrize("preset", ["conformal_bump", "anisotropic_bump"])
