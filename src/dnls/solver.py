@@ -18,14 +18,22 @@ The run's :class:`SolverConfig` is the ``[solver]`` section of its
 configuration. :func:`stability_probe` steps two nearby data through one
 propagator in lockstep.
 
-Grid transforms per Strang step: 4 band transforms and no full-grid one,
-for any metric and inner step count (the linear substep's ``band_fft`` and
-``band_ifft``, and the pair in the trailing band limit). With dealiasing each
-is pruned to the lines that reach the band: n^2 + n nb + nb^2 line
+Between two observations (a monitor, a snapshot or the end of the run)
+:func:`simulate` fuses the steps first-same-as-last: the closing N(dt/2) of
+one step and the opening N(dt/2) of the next are one exact N(dt), and the
+band limit between them is left to the next linear substep's forward
+transform, which keeps only the band anyway.
+
+Grid transforms per Strang step, for any metric and inner step count, and
+no full-grid one: 2 band transforms on a step that nothing observes (the
+linear substep's ``band_fft`` and ``band_ifft``), 4 on an observed step of a
+dealiased run (the pair of the trailing band limit too). With dealiasing
+each is pruned to the lines that reach the band: n^2 + n nb + nb^2 line
 transforms at 3-d instead of 3 n^2, 4977 instead of 6912 at n = 48, nb = 33.
-Without it the band is every mode and each is a full transform. The flux
-kernel, applied four times per inner RK4 step, makes none. The blow-up guard
-reads the coefficients' L2 norm (Parseval, no transform).
+Without it the band is every mode, each is a full transform and there is no
+band limit, so every step makes 2. The flux kernel, applied four times per
+inner RK4 step, makes none. The blow-up guard reads the coefficients' L2
+norm (Parseval, no transform).
 
 Strang splitting is second order for cubic NLS (Lubich, Math. Comp. 77,
 2008). The tests cross-check it against a method-of-lines reference, the
@@ -114,6 +122,9 @@ class SimulationState:
     u: Field
     t: float
     step: int
+    # u still lacks the closing N(dt/2) of its last step, which the next step
+    # takes in its opening N(dt) (see :func:`step`)
+    pending: bool = False
 
 
 @dataclass
@@ -129,10 +140,10 @@ class Propagator:
 
     Built from (metric, damping, cfg) on the metric's grid, it holds:
 
-    * the decay and phase factors of the half step dt/2 of
-      :func:`nonlinear_damping_substep`, tabulated on the bounding box of
-      supp a only (outside it the flow is the plain rotation by
-      -|u0|^2 dt/2);
+    * the decay and phase factors of :func:`nonlinear_damping_substep` over
+      the half step dt/2 and the whole step dt, tabulated on the bounding
+      box of supp a only (outside it the flow is the plain rotation by
+      -|u0|^2 tau);
     * the free multiplier e^{-i |k|^2 tau} as the d one-dimensional
       :meth:`GridSpec.free_factors` restricted to the retained modes
       (:meth:`GridSpec.retained`): over tau = dt when G = I, over
@@ -155,15 +166,9 @@ class Propagator:
         self.dt = dt = cfg.signed_dt
         self.half_dt = tau = dt / 2.0
         self.box = support_box(damping.table)
-        if self.box is not None:
-            a = damping.table[self.box]
-            positive = a > 0.0
-            self.decay = np.exp(-a * tau)
-            self.phase = np.where(
-                positive,
-                np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
-                -tau,
-            )
+        # (tau, decay, phase) of the pointwise flow, by whether it spans dt
+        self.pointwise = {whole: (span, *_pointwise_tables(damping, self.box, span))
+                          for whole, span in ((False, tau), (True, dt))}
         retained = spec.retained(cfg.dealias)
         self.free = [np.take(factor, retained, axis=j) for j, factor in
                      enumerate(spec.free_factors(dt if metric.is_identity else tau))]
@@ -183,21 +188,37 @@ class Propagator:
                               dt_suggestion=bound)
 
 
-def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
+def _pointwise_tables(damping: DampingField, box, tau: float):
+    """(decay, phase) of the pointwise flow over tau on ``box``, or
+    (None, None) without damping."""
+    if box is None:
+        return None, None
+    a = damping.table[box]
+    positive = a > 0.0
+    phase = np.where(positive,
+                     np.expm1(-2.0 * a * tau) / np.where(positive, 2.0 * a, 1.0),
+                     -tau)
+    return np.exp(-a * tau), phase
+
+
+def nonlinear_damping_substep(u: Field, propagator: Propagator,
+                              whole: bool = False) -> Field:
     """Pointwise exact flow of u_t = -a u - i |u|^2 u over the half step
-    tau = dt/2 of ``propagator``.
+    tau = dt/2 of ``propagator``, or over tau = dt if ``whole``.
 
     With A = a(x): |u| picks up e^{-A tau} and the phase advances by
     theta = |u0|^2 expm1(-2 A tau) / (2A)  (= -|u0|^2 tau at A = 0).
+    The flow over dt is the flow over dt/2 taken twice.
     Valid for negative tau (backward probes).
     """
     p = propagator
+    tau, decay, phase = p.pointwise[whole]
     values = u.values
     if p.cfg.nonlinearity:
         mod2 = abs2(values)
-        theta = mod2 * -p.half_dt
+        theta = mod2 * -tau
         if p.box is not None:
-            theta[p.box] = mod2[p.box] * p.phase
+            theta[p.box] = mod2[p.box] * phase
         # e^{i theta} written part by part, cheaper than a complex exp
         out = np.empty_like(values)
         np.cos(theta, out=out.real)
@@ -206,7 +227,7 @@ def nonlinear_damping_substep(u: Field, propagator: Propagator) -> Field:
     else:
         out = values.copy()
     if p.box is not None:
-        out[p.box] *= p.decay
+        out[p.box] *= decay
     return Field(out, u.spec)
 
 
@@ -238,13 +259,24 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
     return Field(spec.band_ifft(band, cfg.dealias), spec)
 
 
-def step(state: SimulationState, propagator: Propagator) -> SimulationState:
-    """Advance one Strang step of the run's ``propagator``."""
-    u = nonlinear_damping_substep(state.u, propagator)
+def step(state: SimulationState, propagator: Propagator,
+         close: bool = True) -> SimulationState:
+    """Advance one Strang step of the run's ``propagator``.
+
+    The step is N(dt/2), the linear substep L, N(dt/2), then the band limit
+    P (:meth:`Propagator.project`). It opens with N(dt) instead when
+    ``state`` is pending: that is its own opening N(dt/2) and the previous
+    step's closing one, composed exactly. Without ``close`` it stops after L
+    and returns a pending state; the next step's L applies the band limit
+    in its forward transform.
+    """
+    u = nonlinear_damping_substep(state.u, propagator, whole=state.pending)
     u = linear_substep(u, propagator)
+    t, index = state.t + propagator.dt, state.step + 1
+    if not close:
+        return SimulationState(u, t, index, pending=True)
     u = nonlinear_damping_substep(u, propagator)
-    return SimulationState(Field(propagator.project(u.values), u.spec),
-                           state.t + propagator.dt, state.step + 1)
+    return SimulationState(Field(propagator.project(u.values), u.spec), t, index)
 
 
 def cfl_suggestion(
@@ -290,6 +322,17 @@ def simulate(
     it without a copy; ``list.append`` collects a run's snapshots in memory.
     A boundary-shell mass above ``cfg.boundary_mass_warn`` of the total
     triggers a one-shot warning.
+
+    A step is observed when a monitor fires, a snapshot is taken or it is the
+    final step; every other step is left pending (see :func:`step`), so
+    between two observations the closing N(dt/2) and band limit of each step
+    and the next step's opening N(dt/2) are one N(dt). An observed step
+    still ends with N(dt/2) and the band limit, so monitors, snapshots and
+    the returned state read closed, band-limited fields. Leaving out the
+    band limit between two half steps moves the trajectory at the aliasing
+    level only, so it depends on which steps are observed (and not at all
+    without dealiasing). Pending states still pass both blow-up guards and
+    the boundary-shell check.
     """
     if snapshot_every > 0 and snapshot_sink is None:
         raise DomainError("snapshot_every > 0 needs a snapshot_sink")
@@ -307,6 +350,8 @@ def simulate(
     state = SimulationState(Field(propagator.project(u0.values), spec), t0, 0)
 
     recorded: dict[str, list] = {mon.name: [] for mon in monitors}  # (t, value)
+    cadences = {mon.every for mon in monitors} | (
+        {snapshot_every} if snapshot_every > 0 else set())
     shell = spec.boundary_shell
     warned = False
     n_steps = cfg.n_steps
@@ -340,7 +385,9 @@ def simulate(
     record(state, final=False)
     initial_peak = float(np.abs(state.u.values).max())
     for i in range(1, n_steps + 1):
-        state = step(state, propagator)
+        final = i == n_steps
+        observed = final or any(i % every == 0 for every in cadences)
+        state = step(state, propagator, close=observed)
         # one pass: NaN and inf reach the peak through max
         peak = np.abs(state.u.values).max()
         if not np.isfinite(peak):
@@ -349,7 +396,7 @@ def simulate(
         if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
             raise propagator.stability_error(
                 f"norm explosion at step {i} (t={state.t:.6g})")
-        record(state, final=(i == n_steps))
+        record(state, final)
     return SimulationResult(
         state=state,
         series={name: ObservableSeries(name, *zip(*pairs))

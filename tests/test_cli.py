@@ -336,10 +336,10 @@ def test_simulate_abort_keeps_the_snapshots_taken_before_it(tmp_path, monkeypatc
     assert main(["simulate", "--config", cfg, "--out", str(full), "--quiet"]) == 0
     step = dnls.solver.step
 
-    def failing_step(state, propagator):
+    def failing_step(state, propagator, **kwargs):
         if state.step + 1 == 12:
             raise StabilityError("injected at step 12")
-        return step(state, propagator)
+        return step(state, propagator, **kwargs)
 
     monkeypatch.setattr(dnls.solver, "step", failing_step)
     code = main(["simulate", "--config", cfg, "--out", str(aborted), "--quiet"])
