@@ -257,8 +257,13 @@ class RunConfig:
             raise ConfigError("[scattering] snapshot_every must be >= 0, got "
                               f"{self.scattering.snapshot_every}")
         for s in self.scattering.s_values:
-            if s < 0:
-                raise ConfigError(f"[scattering] s_values must be >= 0, got {s}")
+            if not 0 <= s < np.inf:
+                raise ConfigError(
+                    f"[scattering] s_values must be finite and >= 0, got {s}")
+        # a nan slack would pass every monotone-tail verdict
+        if not 0 <= self.scattering.tol_mono < np.inf:
+            raise ConfigError("[scattering] tol_mono must be finite and >= 0, got "
+                              f"{self.scattering.tol_mono}")
         for s in obs.cutoff_exponents:
             if not 0.0 <= s < 1.0:
                 raise ConfigError(

@@ -144,6 +144,32 @@ def test_inputs_that_would_fail_in_the_run_are_refused(section, line, message):
         parse_config_text(MINIMAL + f"\n[{section}]\n{line}\n")
 
 
+@pytest.mark.parametrize("line", [
+    # a nan slack made every monotone-tail verdict true
+    pytest.param("tol_mono = nan", id="tol_mono_nan"),
+    pytest.param("tol_mono = inf", id="tol_mono_inf"),
+    pytest.param("tol_mono = -0.01", id="tol_mono_negative"),
+    pytest.param("s_values = 0.5, nan", id="s_values_nan"),
+    pytest.param("s_values = inf", id="s_values_inf"),
+])
+def test_scattering_settings_that_are_not_finite_are_refused(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"\[scattering\] {key} must be finite"):
+        parse_config_text(MINIMAL + f"\n[scattering]\n{line}\n")
+
+
+def test_a_nan_tol_mono_exits_2_through_the_cli(tmp_path, capsys):
+    from dnls.cli import EXIT_CONFIG, main
+
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "\n[scattering]\ntol_mono = nan\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "[scattering] tol_mono must be finite" in err[0]
+    assert not out.exists()
+
+
 def test_valid_config_text_and_hash_are_unchanged():
     # the refusals add no key and change no default
     cfg = parse_config_text(MINIMAL)
