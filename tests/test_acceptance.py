@@ -336,9 +336,13 @@ def test_criterion_10_scattering_consistency():
         run_ok = (report.verdicts[0.5] and mismatch < 0.10 * profile_norm
                   and wall < 300.0)
         ok &= run_ok
+        # the final mismatch is 0 by construction; the last Cauchy entry,
+        # ||v(18) - v(20)||, says how far the profile still moves
+        tail = report.cauchy[0.5][-1][-2] / profile_norm
         details.append(
             f"{preset}: monotone={report.verdicts[0.5]} "
-            f"mismatch={mismatch:.2e} (<{0.1 * profile_norm:.2e}) {wall:.0f}s"
+            f"mismatch={mismatch:.2e} (<{0.1 * profile_norm:.2e}) {wall:.0f}s, "
+            f"|v(18)-v(20)|/|u+|={tail:.3f}"
         )
     assert _report(10, ok, "scattering at 48^3, T=20: " + "; ".join(details))
 
@@ -352,10 +356,12 @@ def test_criterion_11_backward_mass_bound():
     M = res.series["mass"]
     bound = M.values[0] * np.exp(2.0 * damping.sup * np.abs(M.times)) * (1 + 1e-6)
     worst = np.max(M.values / bound)
+    # t = 0 reads 1 / (1 + 1e-6) by construction
+    worst_before = np.max((M.values / bound)[M.times < 0])
     ok = bool(np.all(M.values <= bound))
     assert _report(11, ok,
                    f"backward probe: max M(t)/bound = {worst:.8f} <= 1 "
-                   f"over t in [-0.5, 0]")
+                   f"over t in [-0.5, 0], {worst_before:.8f} over t < 0")
 
 
 def test_criterion_12_stability_probe():
