@@ -98,6 +98,10 @@ def test_substep_composition_matches_single_step():
     half = _half_step(damping, 0.1)
     twice = nonlinear_damping_substep(nonlinear_damping_substep(u, half), half)
     assert np.max(np.abs(once.values - twice.values)) < 1e-13
+    # the whole-step flow a fused step opens with is that same composition
+    whole = nonlinear_damping_substep(u, half, whole=True)
+    assert np.max(np.abs(whole.values - twice.values)) < 1e-13
+    assert np.array_equal(whole.values, once.values)
 
 
 # -- linear substep ---------------------------------------------------------------
