@@ -265,13 +265,21 @@ class Field:
 
 
 def gradient(f: Field) -> list[Field]:
-    """Spectral gradient, one forward and d inverse transforms; exact on
-    band-limited fields."""
+    """Spectral gradient, exact on band-limited fields. The DFT factorizes
+    over the axes, so d_j takes only the one-dimensional transform along
+    axis j: a forward and an inverse transform of the n^(d-1) lines along j
+    with the multiplier ik_j between them, 2d n^(d-1) line transforms in
+    all."""
     spec = f.spec
-    coeffs = spec.fft(f.values)
-    return [
-        Field(spec.ifft(1j * k * coeffs), spec) for k in spec.wavenumbers
-    ]
+    out = []
+    for j, k in enumerate(spec.wavenumbers):
+        coeffs = _fft.fft(f.values, axis=j, norm="forward",
+                          workers=_fft_workers())
+        coeffs *= 1j * k
+        out.append(Field(_fft.ifft(coeffs, axis=j, norm="forward",
+                                   overwrite_x=True, workers=_fft_workers()),
+                         spec))
+    return out
 
 
 def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float,
@@ -287,11 +295,29 @@ def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float,
 
 
 def support_box(table: np.ndarray) -> tuple[slice, ...] | None:
-    """Bounding box of ``table != 0``, one slice per axis; None if it is empty."""
-    support = np.nonzero(table)
-    if not support[0].size:
-        return None
-    return tuple(slice(ix.min(), ix.max() + 1) for ix in support)
+    """Bounding box of ``table != 0``, one slice per axis; None if it is empty.
+    Each axis reduces the nonzero mask with ``any`` over the other axes."""
+    nonzero = table != 0
+    box = []
+    for j in range(table.ndim):
+        others = tuple(i for i in range(table.ndim) if i != j)
+        hits = np.flatnonzero(nonzero.any(axis=others))
+        if not hits.size:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
+def _lines(box: tuple[slice, ...], axis: int,
+           within: tuple[slice, ...] | None = None) -> tuple[slice, ...]:
+    """The lines along ``axis`` through ``box``: all of that axis and the
+    box's slices on the others. With ``within``, a box that holds ``box``,
+    the slices count from its start, which indexes the lines through
+    ``box`` inside an array of the lines through ``within``."""
+    if within is not None:
+        box = tuple(slice(b.start - w.start, b.stop - w.start)
+                    for b, w in zip(box, within))
+    return box[:axis] + (slice(None),) + box[axis + 1:]
 
 
 class FluxKernel:
@@ -342,38 +368,67 @@ class FluxKernel:
 def real_derivatives(table: np.ndarray,
                      metric) -> tuple[np.ndarray, list[np.ndarray]]:
     """div(G grad t) and the components of grad t for a fixed real table t,
-    as float64 arrays that own their memory, on half spectra: one
-    :meth:`GridSpec.rfft` of t, d :meth:`GridSpec.irfft` for grad t, the flux
-    p S grad t formed from that real gradient and brought back by rfft (d
-    transforms for a conformal metric, one for rank-one), and one irfft of
-    -|k|^2 t_hat plus the flux's divergence.
+    as float64 arrays that own their memory, by one-dimensional real
+    transforms along each axis j on the lines through the box of t != 0
+    (:func:`support_box`, grown to hold the box of p != 0 when G != I):
+    d_j of a table is zero on every line along j that misses its support.
 
-    The odd multipliers ik_j are 0 on their Nyquist index: the unpaired
-    Nyquist mode of a real field has an imaginary derivative, which a real
-    result drops (Trefethen, Spectral Methods in MATLAB, ch. 3). The even
-    multiplier -|k|^2 keeps it.
+    Per axis, one rfft of t gives d_j t (irfft of ik_j t_hat) and the
+    Laplacian part -k_j^2 t_hat. The flux p S grad t, formed from the real
+    gradient, runs on the lines through the box of p and is folded into that
+    spectrum before its one irfft: d_j(p d_j t) for a conformal metric,
+    v_j d_j(p v . grad t) for rank-one. Off the lines the outputs are 0; an
+    empty support gives zeros, and one that wraps the periodic edge a
+    full-axis box.
+
+    The unpaired Nyquist mode of a real field has an imaginary derivative,
+    which a real result drops (Trefethen, Spectral Methods in MATLAB, ch. 3):
+    ik_j times the real Nyquist coefficient is imaginary, and irfft ignores
+    the imaginary part of its last coefficient, so that d_j and the flux's
+    divergence drop it. The even multiplier -k_j^2 keeps it.
     """
     spec = metric.spec
-    coeffs = spec.rfft(table)
-    # the last axis of a half spectrum keeps the indices 0..n/2
-    half = slice(spec.n // 2 + 1)
-    odd = spec.k1d.copy()
-    odd[spec.n // 2] = 0.0
-    ik = [1j * odd[half if j == spec.dim - 1 else slice(None)].reshape(
-              (-1,) + (1,) * (spec.dim - 1 - j)) for j in range(spec.dim)]
-    grads = [spec.irfft(m * coeffs) for m in ik]
-    out = -spec.k_squared[..., half] * coeffs
+    n, d = spec.n, spec.dim
+    lap = np.zeros(spec.shape)
+    grads = [np.zeros(spec.shape) for _ in range(d)]
+    box = support_box(table)
+    if box is None:
+        return lap, grads
     p = metric.perturbation
-    if p is not None:
-        if metric.conformal:
-            for m, g in zip(ik, grads):
-                out += m * spec.rfft(p * g)
-        else:
-            v = metric.direction
-            along = sum(vj * g for vj, g in zip(v, grads) if vj != 0.0)
-            v_ik = sum(vj * m for vj, m in zip(v, ik) if vj != 0.0)
-            out += v_ik * spec.rfft(p * along)
-    return spec.irfft(out), grads
+    p_box = None if p is None else support_box(p)
+    if p_box is not None:
+        box = tuple(slice(min(b.start, c.start), max(b.stop, c.stop))
+                    for b, c in zip(box, p_box))
+    # a real transform along one axis keeps its indices 0..n/2
+    k = spec.k1d[:n // 2 + 1]
+    spectra = []
+    for j in range(d):
+        axis_shape = (-1,) + (1,) * (d - 1 - j)
+        ik = 1j * k.reshape(axis_shape)
+        lines = _lines(box, j)
+        coeffs = _fft.rfft(table[lines], axis=j, norm="forward",
+                           workers=_fft_workers())
+        grads[j][lines] = _fft.irfft(ik * coeffs, n=n, axis=j, norm="forward",
+                                     workers=_fft_workers())
+        coeffs *= -np.square(k).reshape(axis_shape)
+        spectra.append((lines, ik, coeffs))
+    if p_box is not None:
+        v = (1.0,) * d if metric.conformal else metric.direction
+        if not metric.conformal:
+            along_v = sum(vj * g[p_box] for vj, g in zip(v, grads) if vj != 0.0)
+        for j, ((_, ik, coeffs), vj) in enumerate(zip(spectra, v)):
+            if vj == 0.0:
+                continue
+            flux = np.zeros(spec.shape)
+            flux[p_box] = p[p_box] * (grads[j][p_box] if metric.conformal
+                                      else along_v)
+            coeffs[_lines(p_box, j, within=box)] += vj * ik * _fft.rfft(
+                flux[_lines(p_box, j)], axis=j, norm="forward",
+                workers=_fft_workers())
+    for j, (lines, _, coeffs) in enumerate(spectra):
+        lap[lines] += _fft.irfft(coeffs, n=n, axis=j, norm="forward",
+                                 workers=_fft_workers())
+    return lap, grads
 
 
 def abs2(values: np.ndarray) -> np.ndarray:

@@ -119,11 +119,13 @@ class Frame:
       itself for G = I;
     * ``mod2_hat``, the half spectrum of |u|^2, and :meth:`cutoff_power`.
 
-    Transforms: ``grads`` 1 + d complex (the transform of u is not kept),
-    ``cutoff_power`` 1 complex, ``mod2_hat`` 1 real. With the full standard
-    bundle a record costs d + 2 complex transforms (4 at 2-d, 5 at 3-d) and
-    1 + d real ones (the interaction's d inverse transforms on half spectra);
-    without the interaction it makes no real transform.
+    Transforms: ``grads`` one forward and one inverse transform along each
+    axis j for d_j (2d n^(d-1) line transforms, no full one),
+    ``cutoff_power`` 1 full complex, ``mod2_hat`` 1 real. With the full
+    standard bundle a record costs 1 full complex transform, the d axis
+    pairs of the gradients and 1 + d real transforms (the interaction's d
+    inverse transforms on half spectra); without the interaction it makes
+    no real transform.
     """
 
     def __init__(self, u: Field):

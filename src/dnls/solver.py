@@ -356,9 +356,22 @@ def simulate(
     warned = False
     n_steps = cfg.n_steps
 
-    def record(st: SimulationState, final: bool):
+    def record(st: SimulationState, final: bool) -> float:
+        """Guard and observe ``st``, and return its peak |u|. One Frame,
+        freed on return, gives the guards, the shell check and the monitors
+        the same |u|^2; step 0 has no guard."""
         nonlocal warned
         frame = Frame(st.u)
+        # one pass: NaN and inf reach the peak through max
+        peak = float(np.sqrt(frame.mod2.max()))
+        if st.step > 0:
+            if not np.isfinite(peak):
+                raise StabilityError(
+                    f"solution became non-finite at step {st.step}")
+            # defocusing dynamics cannot blow up; norm explosion means instability
+            if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
+                raise propagator.stability_error(
+                    f"norm explosion at step {st.step} (t={st.t:.6g})")
         for mon in monitors:
             if st.step % mon.every == 0 or final:
                 value = float(mon.fn(st, frame))
@@ -381,21 +394,13 @@ def simulate(
                     stacklevel=2,
                 )
                 warned = True
+        return peak
 
-    record(state, final=False)
-    initial_peak = float(np.abs(state.u.values).max())
+    initial_peak = record(state, final=False)
     for i in range(1, n_steps + 1):
         final = i == n_steps
         observed = final or any(i % every == 0 for every in cadences)
         state = step(state, propagator, close=observed)
-        # one pass: NaN and inf reach the peak through max
-        peak = np.abs(state.u.values).max()
-        if not np.isfinite(peak):
-            raise StabilityError(f"solution became non-finite at step {i}")
-        # defocusing dynamics cannot blow up; norm explosion means instability
-        if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
-            raise propagator.stability_error(
-                f"norm explosion at step {i} (t={state.t:.6g})")
         record(state, final)
     return SimulationResult(
         state=state,

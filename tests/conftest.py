@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import settings
 
+import dnls.grid
 from dnls.geometry import build_preset
 from dnls.grid import Field, GridSpec, weight_tables
 from dnls.observables import Frame, standard_monitors
@@ -63,6 +65,30 @@ def local_integrals(u: Field, radius: float) -> dict[str, float]:
     state, frame = SimulationState(u, 0.0, 0), Frame(u)
     return {name: mon.fn(state, frame)
             for name, mon in local_monitors(u.spec, radius).items()}
+
+
+def logged_transforms(monkeypatch) -> list[tuple]:
+    """Route the ``scipy.fft`` calls of ``dnls.grid`` through a log, and
+    return it: each call appends (name, axis, lines, input). A one-axis
+    transform (``fft``, ``rfft``, ...) takes ``lines`` one-dimensional lines,
+    its input's size over the length of its axis; an n-d one (``fftn``, ...)
+    logs None for both."""
+    log = []
+
+    class Logged:
+        def __getattr__(self, name):
+            fn = getattr(scipy.fft, name)
+
+            def logged(x, *args, **kwargs):
+                axis = None if name.endswith("n") else kwargs.get("axis", -1)
+                lines = None if axis is None else x.size // x.shape[axis]
+                log.append((name, axis, lines, x))
+                return fn(x, *args, **kwargs)
+
+            return logged
+
+    monkeypatch.setattr(dnls.grid, "_fft", Logged())
+    return log
 
 
 @pytest.fixture(autouse=True)

@@ -24,8 +24,12 @@ ship them.
   ``div_G_grad_coeffs`` and ``flux_divergence``, a :class:`FluxKernel` on
   all modes). The package applies G only in the solver, on the 2/3 band,
   and to fixed real tables through ``grid.real_derivatives``, which works
-  on half spectra; ``real_derivatives_full`` is that function by full
-  complex transforms.
+  by one-dimensional real transforms on the lines through the tables'
+  supports; ``real_derivatives_full`` is that function by full complex
+  transforms.
+* The spectral gradient by full transforms, ``gradient_full``; the
+  package's ``grid.gradient`` takes each component by one-dimensional
+  transforms along its axis.
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
 * A second ray-ensemble loop: one ray per row of an (n, 2 dim) state,
@@ -109,6 +113,15 @@ def laplacian_G(f: Field, metric) -> Field:
     complex in and out, every mode kept."""
     spec = f.spec
     return Field(spec.ifft(div_G_grad_coeffs(spec.fft(f.values), metric)), spec)
+
+
+def gradient_full(f: Field) -> list[Field]:
+    """The spectral gradient by full transforms: one forward transform and d
+    inverse ones of ik_j times the coefficients. The package takes d_j by
+    one-dimensional transforms along axis j."""
+    spec = f.spec
+    coeffs = spec.fft(f.values)
+    return [Field(spec.ifft(1j * k * coeffs), spec) for k in spec.wavenumbers]
 
 
 def real_derivatives_full(table: np.ndarray, metric):

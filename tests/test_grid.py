@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls.errors import DomainError, GridMismatchError
-from dnls.geometry import MetricField, build_preset
+from dnls.geometry import DampingField, MetricField, build_preset
 from dnls.grid import (
     Field,
     GridSpec,
@@ -14,16 +14,23 @@ from dnls.grid import (
     rk4,
     sobolev_norm,
     sobolev_weights,
+    support_box,
     weight_tables,
 )
 
-from conftest import band_limited_random, gaussian_field, local_integrals
+from conftest import (
+    band_limited_random,
+    gaussian_field,
+    local_integrals,
+    logged_transforms,
+)
 from reference import (
     band_flux,
     flux_divergence,
     flux_divergence_full,
     flux_divergence_table,
     grad_rho,
+    gradient_full,
     hess_chi,
     homogeneous_sobolev_norm,
     homogeneous_sobolev_weights,
@@ -384,8 +391,8 @@ def test_laplacian_G_rejects_nonfinite_metric():
 
 # -- derivatives of fixed real tables ---------------------------------------------
 #
-# ``real_derivatives`` works on half spectra with the odd multipliers ik_j set
-# to 0 on their Nyquist index. The tables are damping tables on coarse grids,
+# ``real_derivatives`` works on one-axis half spectra, whose inverse ignores
+# the imaginary part that ik_j gives the Nyquist index. The tables are damping tables on coarse grids,
 # whose Nyquist modes carry weight; the oblique direction gives the rank-one
 # flux more than one live component.
 
@@ -461,6 +468,103 @@ def test_real_derivatives_pair_by_parts(dim, kind):
         rhs = -sum(spec.quadrature(dj * wj) for dj, wj in zip(df, flux))
         scale = sum(spec.quadrature(np.abs(dj * wj)) for dj, wj in zip(df, flux))
         assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def _real_table_of_shape(spec, shape):
+    """A damping table of ``shape``: a ball, its copy rolled half a box
+    along the first axis (the support wraps the periodic edge), an annulus,
+    or zero."""
+    if shape == "zero":
+        return DampingField(spec, amplitude=0.0).table
+    if shape == "annulus":
+        return DampingField(spec, shape="annulus", inner_radius=1.5,
+                            outer_radius=3.5, center=[0.5] * spec.dim).table
+    table = DampingField(spec, radius=2.0, center=[1.0] * spec.dim).table
+    return np.roll(table, spec.n // 2, axis=0) if shape == "wrap" else table
+
+
+_EDGE_METRICS = dict(
+    _REAL_DERIVATIVE_METRICS,
+    rank_one_axis=lambda spec: MetricField(spec, amplitude=0.4, radius=2.5,
+                                           direction=(0.6, 0.0, 0.8)[:spec.dim]),
+)
+
+
+@pytest.mark.parametrize("shape", ["ball", "wrap", "annulus", "zero"])
+@pytest.mark.parametrize("kind", sorted(_EDGE_METRICS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_real_derivatives_on_any_support_match_the_full_reference(dim, kind,
+                                                                  shape):
+    # the line transforms are exact whatever the support: a support across
+    # the periodic edge gives a full-axis box, a zero table gives zeros, and
+    # a rank-one v with a zero component skips that axis's flux
+    spec = GridSpec(dim, {1: 32, 2: 32, 3: 16}[dim], 6.0)
+    table = _real_table_of_shape(spec, shape)
+    metric = _EDGE_METRICS[kind](spec)
+    lap, grads = real_derivatives(table, metric)
+    want_lap, want_grads = real_derivatives_full(table, metric)
+    for got, want in zip([lap] + grads, [want_lap] + want_grads):
+        assert got.dtype == np.float64 and got.shape == spec.shape
+        assert got.flags.c_contiguous and got.base is None
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if shape == "zero":
+        assert not any(np.any(got) for got in [lap] + grads)
+
+
+@pytest.mark.parametrize("preset,flux_lines", [
+    ("conformal_bump", [(0, 49), (1, 49), (2, 49)]),
+    ("anisotropic_bump", [(0, 49)]),
+])
+def test_real_derivatives_line_transforms_on_the_evolve3d_damping_table(
+    monkeypatch, preset, flux_lines
+):
+    # the evolve3d geometry (48^3, L = 12): the damping table's box is 15^3
+    # and p's 7^3. Per axis one rfft and two irfft (grad t, then the
+    # Laplacian with the flux folded in) on the 15^2 lines through the
+    # table's box, and the flux's rfft on the 7^2 lines through p's box:
+    # every axis for a conformal metric, only v's nonzero axis for rank-one
+    # v = e_1. Full transforms would take 3 * 48^2 lines each
+    spec = GridSpec(3, 48, 12.0)
+    metric, damping = build_preset(preset, spec, {
+        "metric_amplitude": -0.95, "metric_radius": 2.0, "damping_radius": 4.0})
+    assert support_box(damping.table) == (slice(17, 32),) * 3
+    assert support_box(metric.perturbation) == (slice(21, 28),) * 3
+    log = logged_transforms(monkeypatch)
+    real_derivatives(damping.table, metric)
+    calls = [(name, axis, lines) for name, axis, lines, _ in log]
+    assert calls == (
+        [call for j in range(3) for call in (("rfft", j, 225), ("irfft", j, 225))]
+        + [("rfft", j, lines) for j, lines in flux_lines]
+        + [("irfft", j, 225) for j in range(3)])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (1, 8), (2, 10), (2, 16), (3, 6),
+                                   (3, 12)])
+def test_gradient_matches_the_full_transform_reference(dim, n):
+    # one-axis transforms are the same DFT as the full one, for any field:
+    # white noise, so every mode up to the Nyquist one carries weight; n both
+    # a multiple of 4 and 2 mod 4 (GridSpec refuses odd n)
+    spec = GridSpec(dim, n, 3.0)
+    rng = np.random.default_rng(n + dim)
+    f = Field(rng.standard_normal(spec.shape)
+              + 1j * rng.standard_normal(spec.shape), spec)
+    got, want = gradient(f), gradient_full(f)
+    assert len(got) == dim
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.values - w.values)) <= 1e-14 * np.max(np.abs(w.values))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_support_box_is_the_bounding_box_of_the_nonzeros(dim):
+    spec = GridSpec(dim, 16, 6.0)
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        table = rng.standard_normal(spec.shape) * (rng.random(spec.shape) < 0.02)
+        nonzero = np.nonzero(table)
+        want = None if not nonzero[0].size else tuple(
+            slice(ix.min(), ix.max() + 1) for ix in nonzero)
+        assert support_box(table) == want
+    assert support_box(np.zeros(spec.shape)) is None
 
 
 # -- Sobolev norms --------------------------------------------------------------

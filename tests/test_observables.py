@@ -38,7 +38,13 @@ from dnls.observables import (
 )
 from dnls.solver import SimulationState, SolverConfig, simulate, stability_probe
 
-from conftest import band_limited_random, gaussian_field, local_integrals, local_monitors
+from conftest import (
+    band_limited_random,
+    gaussian_field,
+    local_integrals,
+    local_monitors,
+    logged_transforms,
+)
 from reference import (
     bilinear_interaction_full_spectrum,
     grad_rho,
@@ -773,8 +779,9 @@ def test_full_record_peak_allocation_3d():
 
 
 def _transforms_per_record(monkeypatch, dim, n, interaction_every):
-    """Complex and real transforms each record of a run makes inside its
-    monitors, by step: {step: (complex, real)}."""
+    """The transforms each record of a run makes inside its monitors, by
+    step: {step: (full complex, one-axis complex, full real)}, with the
+    one-axis ones as (name, axis, lines)."""
     spec = GridSpec(dim, n, 8.0)
     metric, damping = build_preset("conformal_bump", spec)
     tables = weight_tables(spec)
@@ -783,24 +790,22 @@ def _transforms_per_record(monkeypatch, dim, n, interaction_every):
                                  local_radius=2.5,
                                  cutoff=cutoff_field(spec, 4.5, 6.5))
     tables.grad_rho_hat  # the kernel transforms, taken once per set of tables
-    calls = []
-    for name, kind in (("fft", 0), ("ifft", 0), ("rfft", 1), ("irfft", 1)):
-        original = getattr(GridSpec, name)
-
-        def counted(self, values, _original=original, _kind=kind):
-            calls.append(_kind)
-            return _original(self, values)
-
-        monkeypatch.setattr(GridSpec, name, counted)
+    log = logged_transforms(monkeypatch)
     per_record = {}
     for mon in monitors:
         def fn(state, frame, _fn=mon.fn):
-            before = len(calls)
+            before = len(log)
             value = _fn(state, frame)
-            made = calls[before:]
-            old = per_record.get(state.step, (0, 0))
-            per_record[state.step] = (old[0] + made.count(0),
-                                      old[1] + made.count(1))
+            full, axes, real = per_record.setdefault(state.step, (0, [], 0))
+            for name, axis, lines, _ in log[before:]:
+                if name in ("fftn", "ifftn"):
+                    full += 1
+                elif name in ("fft", "ifft"):
+                    axes.append((name, axis, lines))
+                else:
+                    assert name in ("rfftn", "irfftn")
+                    real += 1
+            per_record[state.step] = (full, axes, real)
             return value
 
         mon.fn = fn
@@ -812,39 +817,30 @@ def _transforms_per_record(monkeypatch, dim, n, interaction_every):
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 def test_fft_count_per_record(monkeypatch, dim, n):
-    # one frame per record. Complex: u_hat and its d gradients (1 + d) and
-    # one transform of cutoff*u for all exponents. Real, for the interaction
-    # only: the half spectrum of |u|^2 (1) and its d convolutions. A record
-    # without the interaction pays for none of the real ones, so the frame
-    # is lazy
-    full = (dim + 2, 1 + dim)
+    # one frame per record. Full complex: one transform of cutoff*u for all
+    # exponents. One-axis complex: the gradients, a forward and an inverse
+    # transform of all n^(d-1) lines along each axis. Real, for the
+    # interaction only: the half spectrum of |u|^2 (1) and its d
+    # convolutions. A record without the interaction pays for none of the
+    # real ones, so the frame is lazy
+    axes = [(name, j, n ** (dim - 1)) for j in range(dim)
+            for name in ("fft", "ifft")]
     per_record = _transforms_per_record(monkeypatch, dim, n, interaction_every=2)
-    assert per_record == {0: full, 1: (dim + 2, 0), 2: full}
+    assert per_record == {0: (1, axes, 1 + dim), 1: (1, axes, 0),
+                          2: (1, axes, 1 + dim)}
 
 
 def test_damping_table_transformed_once_per_monitor_build(monkeypatch):
     # G grad a (the flux-form monitor) and div(G grad a) (the mass-term
-    # monitor) come from one real transform of the damping table, and no
-    # complex one
+    # monitor) come from one real transform of the damping table along each
+    # axis, on the lines through its support box, and no n-d transform
     spec = GridSpec(2, 32, 8.0)
     metric, damping = build_preset("conformal_bump", spec)
-    on_table = {"fft": 0, "rfft": 0}
-
-    def counting(name):
-        original = getattr(GridSpec, name)
-
-        def counted(self, values):
-            if values.shape == spec.shape and np.array_equal(values,
-                                                             damping.table):
-                on_table[name] += 1
-            return original(self, values)
-
-        monkeypatch.setattr(GridSpec, name, counted)
-
-    counting("fft")
-    counting("rfft")
+    log = logged_transforms(monkeypatch)
     standard_monitors(metric, damping, weight_tables(spec))
-    assert on_table == {"fft": 0, "rfft": 1}
+    on_table = [(name, axis) for name, axis, _, x in log
+                if np.shares_memory(x, damping.table)]
+    assert on_table == [("rfft", 0), ("rfft", 1)]
 
 
 # -- golden monitor values ----------------------------------------------------------

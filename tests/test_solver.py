@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -409,6 +411,33 @@ def test_simulate_aborts_on_a_norm_explosion(monkeypatch):
     expected = cfl_suggestion(SPEC, metric, cfg.duration)
     assert excinfo.value.dt_suggestion == expected
     assert f"suggested dt bound {expected:.3g}" in str(excinfo.value)
+
+
+def test_simulate_holds_no_frame_while_it_steps(monkeypatch):
+    # each step's Frame serves its guards, shell check and monitors, and is
+    # freed before the next step: a record's densities (the gradients, |u|^2,
+    # ...) are not carried through the step, where they would raise its peak
+    alive = weakref.WeakSet()
+
+    class TrackedFrame(Frame):
+        def __init__(self, u):
+            super().__init__(u)
+            alive.add(self)
+
+    original = dnls.solver.step
+
+    def checked(state, propagator, close=True):
+        gc.collect()
+        assert not alive
+        return original(state, propagator, close=close)
+
+    monkeypatch.setattr(dnls.solver, "Frame", TrackedFrame)
+    monkeypatch.setattr(dnls.solver, "step", checked)
+    metric, damping = build_preset("conformal_bump", SPEC)
+    monitors = [Monitor("mass", lambda state, frame: mass(frame), 1)]
+    result = simulate(gaussian_field(SPEC), metric, damping,
+                      SolverConfig(dt=0.01, duration=0.03), monitors=monitors)
+    assert len(result.series["mass"]) == 4
 
 
 # -- step-size suggestion ------------------------------------------------------------
