@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import warnings
@@ -23,8 +22,7 @@ import scipy
 
 from . import __version__
 from . import config, geometry, grid, observables, scattering, snapshots, solver
-from .errors import (ConfigError, DomainError, GridMismatchError, SamplingError,
-                     StabilityError)
+from .errors import ConfigError, DomainError, GridMismatchError, StabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -275,53 +273,11 @@ def _cmd_simulate(args) -> int:
 
     for name, series in result.series.items():
         _write_series_csv(run, name, series.times, series.values)
-
-    series = result.series
-    reports: dict = {"control": _control_report_dict(control)}
-    r_mass = observables.mass_law_residual(series["mass"], series["damping_mass"])
-    _write_series_csv(run, r_mass.name, r_mass.times, r_mass.values)
-    reports["mass_law_max_residual"] = float(np.max(np.abs(r_mass.values)))
-    r_energy = observables.energy_law_residual(
-        series["energy"], series["damping_energy"], series["mass_lapGa"]
-    )
-    _write_series_csv(run, r_energy.name, r_energy.times, r_energy.values)
-    reports["energy_law_max_residual"] = float(np.max(np.abs(r_energy.values)))
-    r_energy_alt = observables.energy_law_residual_flux_form(
-        series["energy"], series["damping_energy"], series["energy_flux_alt"]
-    )
-    reports["energy_law_two_form_gap"] = float(
-        np.max(np.abs(r_energy.values - r_energy_alt.values))
-    )
-    lam = observables.lambda_accumulator(series["lambda_density"])
-    _write_series_csv(run, "lambda", lam.times, lam.values)
-    bound = observables.energy_lambda_bound_check(
-        series["energy"], lam, metric, damping, tables
-    )
-    reports["energy_lambda_bound"] = dataclasses.asdict(bound)
-    try:
-        mor = observables.morawetz_rate_residual(
-            series["virial"], series["virial_rhs"], series.get("morawetz_proxy")
-        )
-        _write_series_csv(run, mor.residual.name, mor.residual.times,
-                          mor.residual.values)
-        reports["morawetz_rate"] = {
-            "max_residual": float(np.max(np.abs(mor.residual.values))),
-            "fitted_constant": mor.fitted_constant,
-        }
-    except SamplingError as exc:  # sparse cadence: report instead of failing the run
-        reports["morawetz_rate"] = {"error": str(exc)}
-    l4_report = observables.l4_accumulator(series["l4"])
-    _write_series_csv(run, "l4_accumulator", l4_report.accumulator.times,
-                      l4_report.accumulator.values)
-    reports["l4_tail"] = {
-        "tail_fraction": l4_report.tail_fraction,
-        "bounded": l4_report.bounded,
-    }
-    inter = observables.interaction_inequality_check(
-        series["l4"], series["interaction"], series["h1_sq"], series["supp_a_h1"]
-    )
-    reports["interaction_inequality"] = dataclasses.asdict(inter)
-    _write_json(run.path("reports.json"), reports)
+    reports = observables.run_reports(result.series, metric, damping, tables)
+    for name, series in reports.series.items():
+        _write_series_csv(run, name, series.times, series.values)
+    _write_json(run.path("reports.json"),
+                {"control": _control_report_dict(control), **reports.payload})
 
     run.finalize(extra={
         "final_time": result.state.t,

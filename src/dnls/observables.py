@@ -10,7 +10,7 @@ tracks the recording cadence squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -51,6 +51,8 @@ __all__ = [
     "energy_lambda_bound_check",
     "l4_accumulator",
     "interaction_inequality_check",
+    "RunReports",
+    "run_reports",
 ]
 
 
@@ -745,3 +747,56 @@ def interaction_inequality_check(
         worst = float(margins.min())
         passed = bool(np.all(margins >= -1e-12))
     return InteractionReport(passed, fitted, worst)
+
+
+@dataclass
+class RunReports:
+    """The residual and accumulator ``series`` of a run by name, in write
+    order, and ``payload``, every ``reports.json`` entry but ``control``."""
+
+    series: dict[str, ObservableSeries]
+    payload: dict
+
+
+def run_reports(
+    series: dict[str, ObservableSeries],
+    metric: MetricField,
+    damping: DampingField,
+    tables: WeightTables,
+) -> RunReports:
+    """Every law check of the ``series`` of a :func:`standard_monitors` run:
+    the series ``mass_law_residual``, ``energy_law_residual``, ``lambda``,
+    ``morawetz_rate_residual`` (with >= 3 virial records) and
+    ``l4_accumulator``, and the reports. A sparser virial is reported as an
+    ``{"error": ...}`` entry; any other error propagates."""
+    r_mass = mass_law_residual(series["mass"], series["damping_mass"])
+    r_energy = energy_law_residual(series["energy"], series["damping_energy"],
+                                   series["mass_lapGa"])
+    r_energy_alt = energy_law_residual_flux_form(
+        series["energy"], series["damping_energy"], series["energy_flux_alt"])
+    lam = lambda_accumulator(series["lambda_density"])
+    written = [r_mass, r_energy, lam]
+    try:
+        mor = morawetz_rate_residual(series["virial"], series["virial_rhs"],
+                                     series.get("morawetz_proxy"))
+    except SamplingError as exc:  # sparse cadence: report instead of failing the run
+        morawetz = {"error": str(exc)}
+    else:
+        written.append(mor.residual)
+        morawetz = {"max_residual": float(np.max(np.abs(mor.residual.values))),
+                    "fitted_constant": mor.fitted_constant}
+    l4 = l4_accumulator(series["l4"])
+    written.append(l4.accumulator)
+    return RunReports({s.name: s for s in written}, {
+        "mass_law_max_residual": float(np.max(np.abs(r_mass.values))),
+        "energy_law_max_residual": float(np.max(np.abs(r_energy.values))),
+        "energy_law_two_form_gap": float(
+            np.max(np.abs(r_energy.values - r_energy_alt.values))),
+        "energy_lambda_bound": asdict(energy_lambda_bound_check(
+            series["energy"], lam, metric, damping, tables)),
+        "morawetz_rate": morawetz,
+        "l4_tail": {"tail_fraction": l4.tail_fraction, "bounded": l4.bounded},
+        "interaction_inequality": asdict(interaction_inequality_check(
+            series["l4"], series["interaction"], series["h1_sq"],
+            series["supp_a_h1"])),
+    })

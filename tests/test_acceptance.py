@@ -21,13 +21,9 @@ from dnls.observables import (
     Monitor,
     bilinear_interaction,
     energy,
-    energy_lambda_bound_check,
-    energy_law_residual,
-    energy_law_residual_flux_form,
-    lambda_accumulator,
     mass,
-    mass_law_residual,
     morawetz_rate_residual,
+    run_reports,
     standard_monitors,
 )
 from dnls.rays import (
@@ -78,7 +74,8 @@ def trapping_run_2d():
         return simulate(u0, metric, damping, cfg, monitors=monitors)
 
 
-def _damped_2d_run(dt, duration=1.0, record_every=1):
+def _damped_2d_reports(dt, duration=1.0, record_every=1):
+    """The reports a run writes (:func:`run_reports`) of a damped 2d run."""
     spec = GridSpec(2, 128, 12.0)
     tables = weight_tables(spec)
     metric, damping = build_preset("identity", spec, {"damping_radius": 4.0})
@@ -86,7 +83,8 @@ def _damped_2d_run(dt, duration=1.0, record_every=1):
     monitors = standard_monitors(metric, damping, tables,
                                  record_every=record_every, local_radius=2.0)
     cfg = SolverConfig(dt=dt, duration=duration)
-    return simulate(u0, metric, damping, cfg, monitors=monitors)
+    res = simulate(u0, metric, damping, cfg, monitors=monitors)
+    return run_reports(res.series, metric, damping, tables).payload
 
 
 # -- criteria ---------------------------------------------------------------------------
@@ -124,9 +122,7 @@ def test_criterion_1_conservation():
 def test_criterion_2_mass_law_order():
     maxima = []
     for dt in (0.01, 0.005):
-        res = _damped_2d_run(dt)
-        r = mass_law_residual(res.series["mass"], res.series["damping_mass"])
-        maxima.append(np.max(np.abs(r.values)))
+        maxima.append(_damped_2d_reports(dt)["mass_law_max_residual"])
     ratio = maxima[0] / maxima[1]
     ok = ratio >= 3.5
     assert _report(2, ok,
@@ -137,14 +133,9 @@ def test_criterion_2_mass_law_order():
 def test_criterion_3_energy_law_order_and_two_forms():
     maxima, gaps = [], []
     for dt in (0.01, 0.005):
-        res = _damped_2d_run(dt)
-        r = energy_law_residual(res.series["energy"], res.series["damping_energy"],
-                                res.series["mass_lapGa"])
-        r_alt = energy_law_residual_flux_form(
-            res.series["energy"], res.series["damping_energy"],
-            res.series["energy_flux_alt"])
-        maxima.append(np.max(np.abs(r.values)))
-        gaps.append(np.max(np.abs(r.values - r_alt.values)))
+        reports = _damped_2d_reports(dt)
+        maxima.append(reports["energy_law_max_residual"])
+        gaps.append(reports["energy_law_two_form_gap"])
     ratio = maxima[0] / maxima[1]
     ok = ratio >= 3.5 and max(gaps) < 1e-9
     assert _report(3, ok,
@@ -191,13 +182,13 @@ def test_criterion_5_lambda_monotone_and_energy_bound():
         monitors = standard_monitors(metric, damping, tables, record_every=5)
         res = simulate(u0, metric, damping,
                        SolverConfig(dt=0.01, duration=10.0), monitors=monitors)
-        lam = lambda_accumulator(res.series["lambda_density"])
-        monotone = bool(np.all(np.diff(lam.values) >= 0.0))
-        bound = energy_lambda_bound_check(res.series["energy"], lam, metric,
-                                          damping, tables, tol=1e-9)
-        ok &= monotone and bound.passed
-        details.append(f"{name}: monotone={monotone} margin={bound.worst_margin:.2e} "
-                       f"at t={bound.worst_time:g}, used={bound.used_fraction:.2e}")
+        reports = run_reports(res.series, metric, damping, tables)
+        monotone = bool(np.all(np.diff(reports.series["lambda"].values) >= 0.0))
+        bound = reports.payload["energy_lambda_bound"]
+        ok &= monotone and bound["passed"]
+        details.append(f"{name}: monotone={monotone} "
+                       f"margin={bound['worst_margin']:.2e} at "
+                       f"t={bound['worst_time']:g}, used={bound['used_fraction']:.2e}")
     assert _report(5, ok, "lambda/energy bound over T=10 (2d): " + "; ".join(details))
 
 

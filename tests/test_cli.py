@@ -153,6 +153,40 @@ def test_simulate_reports_only_the_sparse_virial_cadence(tmp_path, monkeypatch):
               str(tmp_path / "p"), "--quiet"])
 
 
+def _read_series(path):
+    from dnls.observables import ObservableSeries
+
+    times, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    return ObservableSeries(path.stem.removeprefix("series_"), times, values)
+
+
+def test_reports_json_is_run_reports_of_the_written_series(tmp_path):
+    # reports.json is the control report plus observables.run_reports of the
+    # series the run wrote (%.17g reads back to the same bits)
+    from dnls import config, geometry, grid, observables
+    from dnls.cli import _control_report_dict
+
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, TINY_1D), "--out",
+                 str(out), "--quiet"]) == EXIT_OK
+    cfg = config.parse_config(out / "config.ini")
+    metric, damping = cfg.build_geometry()
+    control = geometry.check_control(metric, damping, cfg.geometry.g_tol,
+                                     cfg.geometry.a_min)
+    series = {s.name: s for s in map(_read_series, sorted(out.glob("series_*.csv")))}
+    reports = observables.run_reports(series, metric, damping,
+                                      grid.weight_tables(metric.spec))
+    expected = {"control": _control_report_dict(control), **reports.payload}
+    assert json.loads((out / "reports.json").read_text()) \
+        == json.loads(json.dumps(expected))
+    assert list(reports.series) == ["mass_law_residual", "energy_law_residual",
+                                    "lambda", "morawetz_rate_residual",
+                                    "l4_accumulator"]
+    for name, written in reports.series.items():
+        assert np.array_equal(series[name].values, written.values), name
+        assert np.array_equal(series[name].times, written.times), name
+
+
 def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
     import dnls.config
 
