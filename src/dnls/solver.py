@@ -310,7 +310,6 @@ def simulate(
     monitors: Sequence[Monitor] = (),
     snapshot_every: int = 0,
     t0: float = 0.0,
-    control_satisfied: bool | None = None,
     snapshot_sink: SnapshotSink | None = None,
 ) -> SimulationResult:
     """Run the solver from t0 to t0 + duration, recording monitors and snapshots.
@@ -341,12 +340,6 @@ def simulate(
     if propagator.spec != spec:
         raise GridMismatchError("initial data and coefficients on different grids")
     u0.validate()
-    if control_satisfied is False:
-        warnings.warn(
-            "geometry violates the exterior control condition; "
-            "decay diagnostics are not expected to hold",
-            stacklevel=2,
-        )
     state = SimulationState(Field(propagator.project(u0.values), spec), t0, 0)
 
     recorded: dict[str, list] = {mon.name: [] for mon in monitors}  # (t, value)

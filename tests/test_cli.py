@@ -187,6 +187,22 @@ def test_reports_json_is_run_reports_of_the_written_series(tmp_path):
         assert np.array_equal(series[name].times, written.times), name
 
 
+def test_simulate_records_the_control_warning_first(tmp_path):
+    # the CLI, not the solver, records the control violation, ahead of the
+    # warnings the run raises
+    wide = TINY_1D.replace("preset = identity", "preset = uncontrolled_bump")
+    wide = wide.replace("[solver]", "[initial_data]\nwidth = 3.0\n\n[solver]")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, wide), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    control, shell = manifest["warnings"]
+    assert control == ("geometry violates the exterior control condition; "
+                       "decay diagnostics are not expected to hold")
+    assert shell.startswith("boundary-shell mass fraction")
+
+
 def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
     import dnls.config
 

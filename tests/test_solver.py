@@ -362,14 +362,6 @@ def test_resumed_run_matches_uninterrupted_run_exactly():
     assert np.max(np.abs(resumed.u.values - straight.u.values)) < 1e-13
 
 
-def test_simulate_warns_when_control_violated():
-    metric, damping = build_preset("uncontrolled_bump", SPEC)
-    u0 = gaussian_field(SPEC, amplitude=0.1)
-    with pytest.warns(UserWarning, match="control condition"):
-        simulate(u0, metric, damping, SolverConfig(dt=0.05, duration=0.1),
-                 control_satisfied=False)
-
-
 def test_simulate_boundary_mass_warning():
     metric, damping = build_preset("identity", SPEC, {"damping_amplitude": 0.0})
     u0 = Field(np.ones(SPEC.shape, dtype=complex), SPEC)
