@@ -257,9 +257,6 @@ class Field:
             raise DomainError("field contains non-finite values")
         return self
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.spec)
-
     def l2_norm(self) -> float:
         return float(np.sqrt(norm_sq(self.values) * self.spec.dx**self.spec.dim))
 

@@ -55,6 +55,11 @@ __all__ = [
     "run_reports",
 ]
 
+# the slacks of the energy/lambda bound and of the interaction inequality;
+# the l4 tail is bounded when the last quarter of the horizon adds below 5 %
+_BOUND_TOL, _INTERACTION_TOL = 1e-9, 1e-6
+_L4_TAIL_WINDOW, _L4_TAIL_TOL = 0.25, 0.05
+
 
 def _cumulative_trapezoid(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of samples v at stamps t, starting at 0:
@@ -632,10 +637,9 @@ def energy_lambda_bound_check(
     metric: MetricField,
     damping: DampingField,
     tables: WeightTables,
-    tol: float = 1e-9,
     constant: float | None = None,
 ) -> BoundCheckReport:
-    """Verify E(t) <= E(0) + C0 lambda(t) + tol with
+    """Verify E(t) <= E(0) + C0 lambda(t) + tol (``_BOUND_TOL``) with
     C0 = (1/2) max |div(G grad a)| / (15/chi^7) over supp a, the grid points
     with a > 0 (0 without damping): off supp a the spectral div(G grad a) is
     only the ringing of the damping table, largest at the box edge where
@@ -654,7 +658,7 @@ def energy_lambda_bound_check(
                                       where=damping.table > 0.0, initial=0.0))
     e = energy_series.values
     allowance = constant * lambda_series.values
-    margins = e[0] + allowance + tol - e
+    margins = e[0] + allowance + _BOUND_TOL - e
     start = 1 if len(times) > 1 else 0
     worst = start + int(np.argmin(margins[start:]))
     growth, allowed = e[start:] - e[0], allowance[start:]
@@ -677,9 +681,7 @@ class AccumulatorReport:
     bounded: bool
 
 
-def l4_accumulator(
-    l4_series: ObservableSeries, tail_window: float = 0.25, tail_tol: float = 0.05
-) -> AccumulatorReport:
+def l4_accumulator(l4_series: ObservableSeries) -> AccumulatorReport:
     """Running int |u|^4 with a bounded-trend verdict: the increment over the
     last quarter of the horizon must stay below 5% of the total."""
     acc = l4_series.integrated("l4_accumulator")
@@ -687,11 +689,11 @@ def l4_accumulator(
     total = values[-1]
     if total <= 0.0:
         return AccumulatorReport(acc, 0.0, True)
-    t_split = times[-1] - tail_window * (times[-1] - times[0])
+    t_split = times[-1] - _L4_TAIL_WINDOW * (times[-1] - times[0])
     idx = int(np.searchsorted(times, t_split))
     idx = min(max(idx, 0), len(values) - 1)
     tail = (total - values[idx]) / total
-    return AccumulatorReport(acc, float(tail), bool(tail < tail_tol))
+    return AccumulatorReport(acc, float(tail), bool(tail < _L4_TAIL_TOL))
 
 
 def _join(a: ObservableSeries, b: ObservableSeries):
@@ -719,10 +721,10 @@ def interaction_inequality_check(
     interaction_series: ObservableSeries,
     h1_sq_series: ObservableSeries,
     supp_a_h1_series: ObservableSeries,
-    tol: float = 1e-6,
 ) -> InteractionReport:
     """Verify 4*pi int_0^t |u|^4 <= C sup_s ||u||_H1^2 int_0^t int_{supp a}(..)
     + B(t) - B(0) + tol at the recorded interaction stamps (3d constant)."""
+    tol = _INTERACTION_TOL
     l4_acc = l4_series.integrated("l4_acc")
     _check_aligned(l4_series, h1_sq_series, supp_a_h1_series)
     h1_sup = np.maximum.accumulate(h1_sq_series.values)
