@@ -170,8 +170,9 @@ def integrate_ray(
     dt: float,
 ) -> Trajectory:
     """Integrate one ray to the horizon, recording every step."""
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DomainError("integrate_ray needs dt > 0 and horizon > 0")
+    if not 0.0 < dt <= horizon:
+        raise DomainError("integrate_ray needs dt > 0 and a horizon of one "
+                          f"step at least, got dt = {dt}, horizon = {horizon}")
     y = _initial_state(np.reshape(x0, (1, -1)), np.reshape(xi0, (1, -1)), metric)
     flow = _Flow(metric)
     n_steps = int(round(horizon / dt))
@@ -372,8 +373,9 @@ def verify_exterior_control(
 
     Exterior control holds empirically iff no ray is trapped at the horizon.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DomainError("ensemble integration needs dt > 0 and horizon > 0")
+    if not 0.0 < dt <= horizon:
+        raise DomainError("ensemble integration needs dt > 0 and a horizon of "
+                          f"one step at least, got dt = {dt}, horizon = {horizon}")
     reach = max(metric.support_radius, damping.support_radius)
     if escape_radius <= reach:
         raise DomainError(

@@ -110,7 +110,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(abs(self.duration) / self.dt)))
+        return int(round(abs(self.duration) / self.dt))
 
     @property
     def signed_dt(self) -> float:

@@ -203,6 +203,17 @@ def test_simulate_records_the_control_warning_first(tmp_path):
     assert shell.startswith("boundary-shell mass fraction")
 
 
+def test_a_horizon_not_a_whole_number_of_steps_exits_2(tmp_path, capsys):
+    short = RAYS_UNCONTROLLED.replace("horizon = 25.0", "horizon = 0.01")
+    short = short.replace("dt = 0.002", "dt = 0.05")
+    out = tmp_path / "o"
+    assert main(["rays", "--config", _write(tmp_path, short), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "[rays] horizon = 0.01 is not a whole number" in err[0]
+    assert not out.exists()
+
+
 def test_simulate_builds_the_preset_once(tmp_path, monkeypatch):
     import dnls.config
 

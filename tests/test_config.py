@@ -115,6 +115,31 @@ def test_run_lengths_are_finite_and_capped(section, key, value, message):
     parse_config_text(MINIMAL + f"\n[{section}]\n{at_cap}\n")
 
 
+@pytest.mark.parametrize("section, lines", [
+    # each ran to another time than asked, without a message
+    pytest.param("solver", "duration = 1.0\ndt = 0.3", id="ended_at_0.9"),
+    pytest.param("solver", "duration = 0.05\ndt = 0.03", id="ended_at_0.06"),
+    pytest.param("solver", "duration = 1.0\ndt = 0.003", id="ended_at_0.999"),
+    # took no step, so every ray read controlled
+    pytest.param("rays", "horizon = 0.01\ndt = 0.05", id="no_ray_step"),
+])
+def test_run_lengths_not_a_whole_number_of_steps_are_refused(section, lines):
+    with pytest.raises(ConfigError,
+                       match=rf"\[{section}\] .* is not a whole number of steps"):
+        parse_config_text(MINIMAL + f"\n[{section}]\n{lines}\n")
+
+
+@pytest.mark.parametrize("section, lines", [
+    ("solver", "duration = 0.7\ndt = 0.1"),     # 6.999999999999999 steps
+    ("solver", "duration = -0.3\ndt = 0.1"),    # backward, 2.9999999999999996
+    ("solver", "duration = 0.01\ndt = 0.01"),
+    ("rays", "horizon = 0.3\ndt = 0.1"),        # 2.9999999999999996 steps
+    ("rays", "horizon = 0.002\ndt = 0.002"),
+])
+def test_run_lengths_a_whole_number_of_steps_to_rounding_pass(section, lines):
+    parse_config_text(MINIMAL + f"\n[{section}]\n{lines}\n")
+
+
 @pytest.mark.parametrize("section, line, message", [
     # each ended in a traceback or an abort once the run started
     pytest.param("geometry", "metric_radius = 1e-300",

@@ -414,6 +414,20 @@ def test_ensemble_evaluates_the_symbol_once_per_step(monkeypatch):
     assert len(calls) == int(round(horizon / dt)) + 1
 
 
+def test_whole_number_of_ray_steps_at_least_one():
+    # horizon 0.01 at dt 0.05 took no step: 8 rays sampled inside the damping
+    # all read controlled, and the ensemble said exterior control holds
+    metric, damping = build_preset("conformal_bump", SPEC, {"damping_radius": 4.0})
+    x0, xi0 = sample_ensemble(2, 8, 3.0, seed=0)
+    with pytest.raises(DomainError, match="one step at least"):
+        verify_exterior_control(metric, damping, x0, xi0, horizon=0.01, dt=0.05,
+                                escape_radius=default_escape_radius(metric, damping))
+    with pytest.raises(DomainError, match="one step at least"):
+        integrate_ray(np.zeros(2), np.ones(2), metric, 0.01, 0.05)
+    # one step is a run
+    assert len(integrate_ray(np.zeros(2), np.ones(2), metric, 0.05, 0.05).times) == 2
+
+
 def test_escape_radius_must_clear_coefficient_support():
     metric, damping = build_preset("conformal_bump", SPEC, {"damping_radius": 4.0})
     x0, xi0 = sample_ensemble(2, 4, 1.0, seed=0)
