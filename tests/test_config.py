@@ -130,11 +130,12 @@ def test_run_lengths_not_a_whole_number_of_steps_are_refused(section, lines):
 
 
 @pytest.mark.parametrize("section, lines", [
-    ("solver", "duration = 0.7\ndt = 0.1"),     # 6.999999999999999 steps
-    ("solver", "duration = -0.3\ndt = 0.1"),    # backward, 2.9999999999999996
-    ("solver", "duration = 0.01\ndt = 0.01"),
-    ("rays", "horizon = 0.3\ndt = 0.1"),        # 2.9999999999999996 steps
-    ("rays", "horizon = 0.002\ndt = 0.002"),
+    # 6.999999999999999 and 2.9999999999999996 steps
+    pytest.param("solver", "duration = 0.7\ndt = 0.1", id="7_steps"),
+    pytest.param("solver", "duration = -0.3\ndt = 0.1", id="3_steps_backward"),
+    pytest.param("solver", "duration = 0.01\ndt = 0.01", id="one_step"),
+    pytest.param("rays", "horizon = 0.3\ndt = 0.1", id="3_ray_steps"),
+    pytest.param("rays", "horizon = 0.002\ndt = 0.002", id="one_ray_step"),
 ])
 def test_run_lengths_a_whole_number_of_steps_to_rounding_pass(section, lines):
     parse_config_text(MINIMAL + f"\n[{section}]\n{lines}\n")
