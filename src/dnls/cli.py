@@ -1,7 +1,9 @@
 """Command-line entry point: simulate, rays, check-geometry, scatter.
 
-Exit codes: 0 success, 2 configuration error or unreadable input file,
-3 stability abort, 4 negative verdict under --strict. Each run owns its
+Exit codes: 0 success, 2 configuration error or unreadable input file (a
+snapshot that fails its checksum, a resume from another configuration's
+snapshot, a scan over snapshots of mixed grids or layouts), 3 stability
+abort, 4 negative verdict under --strict. Each run owns its
 output directory and writes a manifest.json listing every file produced plus
 the config hash; partial outputs after an abort are flagged
 status=incomplete.
@@ -213,15 +215,23 @@ def _cmd_rays(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg, metric, damping, control = _configured(args)
     spec = metric.spec
+    config_hash = cfg.config_hash()
     if args.resume:
-        u0, t0 = _snapshot_input(snapshots.read_snapshot, args.resume)
-        if u0.spec != spec:
+        # the run continues the stored step index; a v1 file records none
+        start = _snapshot_input(snapshots.load_snapshot, args.resume)
+        if start.spec != spec:
             raise ConfigError(
-                f"snapshot grid {u0.spec} does not match configured grid {spec}"
+                f"snapshot grid {start.spec} does not match configured grid {spec}"
             )
+        if start.config_hash not in (None, config_hash):
+            raise ConfigError(
+                f"snapshot {args.resume} was written under config hash "
+                f"{start.config_hash[:12]}, not this run's {config_hash[:12]}")
+        u0, t0, step0 = start.field, start.t, start.step
+        del start
     else:
-        u0, t0 = cfg.initial_field(spec), 0.0
-    run = _RunDir(Path(args.out), "simulate", cfg.config_hash(), cfg.run.seed)
+        u0, t0, step0 = cfg.initial_field(spec), 0.0, 0
+    run = _RunDir(Path(args.out), "simulate", config_hash, cfg.run.seed)
     run.write_config(cfg)
     if not control.satisfied:
         run.warnings.append("geometry violates the exterior control condition; "
@@ -245,10 +255,11 @@ def _cmd_simulate(args) -> int:
     snapshot_files: list[str] = []
     run.manifest["snapshots"] = snapshot_files
 
-    def store(snapshot: tuple[float, grid.Field]) -> None:
-        t, field = snapshot
+    def store(snapshot: snapshots.Snapshot) -> None:
         name = f"snap_{len(snapshot_files):06d}.dnls"
-        snapshots.write_snapshot(run.path(name), field, t)
+        snapshots.write_snapshot(run.path(name), snapshot.field, snapshot.t,
+                                 step=snapshot.step, config_hash=config_hash,
+                                 band=snapshot.band)
         snapshot_files.append(name)
         run.write_manifest()
 
@@ -262,6 +273,7 @@ def _cmd_simulate(args) -> int:
                 snapshot_every=cfg.scattering.snapshot_every,
                 t0=t0,
                 snapshot_sink=store,
+                step0=step0,
             )
         except StabilityError as exc:
             abort = str(exc)
@@ -313,17 +325,20 @@ def _cmd_scatter(args) -> int:
         raise _InputError(
             f"manifest lists {len(snapshot_names)} snapshots; scatter needs >= 3 "
             "(set [scattering] snapshot_every > 0 in the simulate run)")
-    # ordered by the times in their headers, then read one at a time: the
-    # scan keeps each field's pullback coefficients, not the field
+    # ordered by the times in their headers, then read one at a time as the
+    # files hold them: the scan keeps each one's pullback coefficients only
     paths = sorted(
         (base / name for name in snapshot_names),
         key=lambda path: _snapshot_input(snapshots.read_snapshot_time, path))
+    final_step = 0
 
     def stored():
+        nonlocal final_step
         for path in paths:
-            field, t = _snapshot_input(snapshots.read_snapshot, path)
-            yield t, field
-            del field  # before the next read allocates its field
+            snapshot = _snapshot_input(snapshots.load_snapshot, path)
+            final_step = snapshot.step
+            yield snapshot
+            del snapshot  # before the next read allocates its payload
 
     try:
         report = scattering.extract_profile(
@@ -335,12 +350,14 @@ def _cmd_scatter(args) -> int:
 
     # default to a subdirectory so the simulate manifest is never clobbered
     out_dir = Path(args.out) if args.out else base / "scatter"
-    run = _RunDir(out_dir, "scatter", cfg.config_hash(), cfg.run.seed)
+    config_hash = cfg.config_hash()
+    run = _RunDir(out_dir, "scatter", config_hash, cfg.run.seed)
     for s in report.s_values:
         _write_matrix_csv(run, f"cauchy_s{s:g}.csv", report.times, report.cauchy[s])
         _write_series_csv(run, f"mismatch_s{s:g}", report.times, report.mismatch[s])
     snapshots.write_snapshot(run.path("u_plus.dnls"), report.u_plus,
-                             report.times[-1])
+                             report.times[-1], step=final_step,
+                             config_hash=config_hash, band=report.u_plus_band)
     payload = {
         "s_values": list(report.s_values),
         "verdicts": {f"{s:g}": bool(v) for s, v in report.verdicts.items()},

@@ -23,7 +23,7 @@ from .geometry import (
     cutoff_field,
     default_escape_radius,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, step_count
 from .observables import smooth_random_field
 from .solver import MAX_STEPS, SolverConfig
 
@@ -253,8 +253,6 @@ class RunConfig:
             replace(self.solver)
         except DomainError as exc:
             raise ConfigError(f"[solver] {exc}") from exc
-        _check_whole_steps("solver", "|duration|", abs(self.solver.duration),
-                           self.solver.dt)
         if self.scattering.snapshot_every < 0:
             raise ConfigError("[scattering] snapshot_every must be >= 0, got "
                               f"{self.scattering.snapshot_every}")
@@ -287,19 +285,13 @@ class RunConfig:
         if r.horizon / r.dt > MAX_STEPS:  # the solver's cap, per ray
             raise ConfigError(f"[rays] horizon / dt = {r.horizon / r.dt:.3g} steps "
                               f"exceeds the cap of {MAX_STEPS}")
-        _check_whole_steps("rays", "horizon", r.horizon, r.dt)
+        try:
+            step_count(r.horizon, r.dt, "horizon")
+        except DomainError as exc:
+            raise ConfigError(f"[rays] {exc}") from exc
         if r.sampling not in ("random", "lattice"):
             raise ConfigError(f"[rays] sampling must be random or lattice, got {r.sampling!r}")
         return self
-
-
-def _check_whole_steps(section: str, name: str, span: float, dt: float) -> None:
-    """Refuse a finite run length ``span`` that is not a whole number >= 1 of
-    steps ``dt`` to 1e-9 relative: the run would end at another time."""
-    steps = span / dt
-    if not (span >= dt and abs(steps - round(steps)) <= 1e-9 * steps):
-        raise ConfigError(f"[{section}] {name} = {span!r} is not a whole number "
-                          f"of steps dt = {dt!r} ({steps:.6g} steps)")
 
 
 # the [section] names in file order: RunConfig's init fields

@@ -39,6 +39,7 @@ __all__ = [
     "sobolev_norm",
     "weight_tables",
     "rk4",
+    "step_count",
 ]
 
 
@@ -61,17 +62,27 @@ class GridSpec:
             raise DomainError(f"dim must be 1, 2 or 3, got {dim}")
         if n < 4 or n % 2 != 0:
             raise DomainError(f"n_per_axis must be an even integer >= 4, got {n}")
-        if not length > 0:
-            raise DomainError(f"half-length must be positive, got {length}")
+        if not 0 < length < np.inf:
+            raise DomainError(f"half-length must be positive and finite, got {length}")
         self.dim = int(dim)
         self.n = int(n)
         self.length = float(length)
         self.dx = 2.0 * self.length / self.n
         self.shape = (self.n,) * self.dim
         self.size = self.n**self.dim
-        # 1d samples: x_i = -L + i*dx; wave numbers in fft order
-        self.x1d = -self.length + self.dx * np.arange(self.n)
-        self.k1d = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+    # 1d samples and wave numbers are built on first use, so a spec read from
+    # a file header allocates nothing before the file's size is checked
+
+    @cached_property
+    def x1d(self) -> np.ndarray:
+        """Samples x_i = -L + i dx along an axis."""
+        return -self.length + self.dx * np.arange(self.n)
+
+    @cached_property
+    def k1d(self) -> np.ndarray:
+        """Wave numbers along an axis, in fft order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     # -- equality / hashing on the defining triple ---------------------------
 
@@ -134,6 +145,11 @@ class GridSpec:
         :attr:`band_slabs` with ``dealias``, all n without."""
         return np.r_[self.band_slabs] if dealias else np.arange(self.n)
 
+    def band_shape(self, dealias: bool) -> tuple[int, ...]:
+        """Shape of the coefficients on the :meth:`retained` modes, (nb,) * dim
+        with nb = 2 (n // 3) + 1 with ``dealias``, the grid's shape without."""
+        return (2 * (self.n // 3) + 1,) * self.dim if dealias else self.shape
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask in fft order: :meth:`retained` on every axis."""
@@ -157,11 +173,17 @@ class GridSpec:
             )
         return self.radius_squared <= radius**2
 
-    def free_factors(self, t: float) -> list[np.ndarray]:
+    def free_factors(self, t: float, dealias: bool = False) -> list[np.ndarray]:
         """The free flow e^{it lap} over time t as d broadcastable
         one-dimensional multipliers e^{-i k_j^2 t}, one per axis: multiplying
-        Fourier coefficients by each in turn applies e^{-i|k|^2 t}."""
-        return [np.exp(-1j * k**2 * t) for k in self.wavenumbers]
+        Fourier coefficients by each in turn applies e^{-i|k|^2 t}. With
+        ``dealias`` each keeps the :meth:`retained` modes of its axis, for
+        coefficients on the band."""
+        factors = [np.exp(-1j * k**2 * t) for k in self.wavenumbers]
+        if not dealias:
+            return factors
+        retained = self.retained(True)
+        return [np.take(factor, retained, axis=j) for j, factor in enumerate(factors)]
 
     # -- transforms and quadrature -------------------------------------------
 
@@ -232,10 +254,14 @@ class GridSpec:
                             workers=_fft_workers())
         return out
 
-    def band_limit(self, values: np.ndarray) -> np.ndarray:
+    def band_limit(self, values: np.ndarray, keep: bool = False):
         """Project onto the 2/3 dealias band: the pruned transforms
-        :meth:`band_fft` and :meth:`band_ifft`, no full-grid coefficients."""
-        return self.band_ifft(self.band_fft(values, True), True)
+        :meth:`band_fft` and :meth:`band_ifft`, no full-grid coefficients.
+        With ``keep``, the pair of the projection and the band coefficients
+        it went through."""
+        band = self.band_fft(values, True)
+        projected = self.band_ifft(band, True)
+        return (projected, band) if keep else projected
 
 
 @dataclass
@@ -277,6 +303,17 @@ def gradient(f: Field) -> list[Field]:
                                    overwrite_x=True, workers=_fft_workers()),
                          spec))
     return out
+
+
+def step_count(span: float, dt: float, name: str = "span") -> int:
+    """The number of steps dt in the run length ``span``, which must be a
+    whole number >= 1 to 1e-9 relative: otherwise the run would end at another
+    time, and :class:`DomainError` names ``name``."""
+    steps = span / dt
+    if not (span >= dt and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise DomainError(f"{name} = {span!r} is not a whole number of steps "
+                          f"dt = {dt!r} ({steps:.6g} steps)")
+    return int(round(steps))
 
 
 def rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float,
@@ -456,15 +493,21 @@ def norm_sq(values: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=8)
-def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...]) -> np.ndarray:
+def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...],
+                    dealias: bool = False) -> np.ndarray:
     """The H^s multipliers (1+|k|^2)^s, one flattened row per exponent:
     shape (len(s_values), spec.size), read-only and kept for the grid and
-    exponents, so a run builds each row once."""
+    exponents, so a run builds each row once. With ``dealias`` the rows hold
+    the :meth:`GridSpec.retained` modes only, in the order of
+    :meth:`GridSpec.band_fft`."""
     for s in s_values:
         if s < 0:
             raise DomainError(f"Sobolev index must be >= 0, got {s}")
-    base = 1.0 + spec.k_squared.reshape(-1)
-    rows = np.empty((len(s_values), spec.size))
+    k_squared = spec.k_squared
+    if dealias:
+        k_squared = k_squared[np.ix_(*[spec.retained(True)] * spec.dim)]
+    base = 1.0 + k_squared.reshape(-1)
+    rows = np.empty((len(s_values), base.size))
     for row, s in zip(rows, s_values):
         row[...] = base**s
     rows.flags.writeable = False
@@ -472,11 +515,15 @@ def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...]) -> np.ndarray:
 
 
 def sobolev_norms(power: np.ndarray, spec: GridSpec,
-                  s_values: tuple[float, ...]) -> np.ndarray:
+                  s_values: tuple[float, ...], dealias: bool = False) -> np.ndarray:
     """H^s norms sqrt(volume * sum_k (1+|k|^2)^s |c_k|^2), one per exponent,
-    of the squared coefficient moduli ``power`` (``abs2`` of a spectrum):
-    one :func:`dot` against the :func:`sobolev_weights` rows."""
-    return np.sqrt(dot(sobolev_weights(spec, s_values), power) * spec.volume)
+    of the squared coefficient moduli ``power`` (``abs2`` of a spectrum, or
+    of its retained modes with ``dealias``): one :func:`dot` against the
+    :func:`sobolev_weights` rows."""
+    # the grid's own rows keep the two-argument cache key every caller shares
+    rows = (sobolev_weights(spec, s_values, True) if dealias
+            else sobolev_weights(spec, s_values))
+    return np.sqrt(dot(rows, power) * spec.volume)
 
 
 def sobolev_norm(f: Field, s: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import rk4
+from .grid import rk4, step_count
 
 __all__ = [
     "RayFate",
@@ -175,7 +175,7 @@ def integrate_ray(
                           f"step at least, got dt = {dt}, horizon = {horizon}")
     y = _initial_state(np.reshape(x0, (1, -1)), np.reshape(xi0, (1, -1)), metric)
     flow = _Flow(metric)
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt, "horizon")
     states = np.empty((n_steps + 1, len(y)))
     hams = np.empty(n_steps + 1)
     h, k1 = flow.evaluate(y)
@@ -384,7 +384,7 @@ def verify_exterior_control(
     y = _initial_state(x0, xi0, metric)
     flow = _Flow(metric)
     d = flow.dim
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt, "horizon")
     h, k1 = flow.evaluate(y)
     rule = _FateRule(damping, y[:d], h, dt, escape_radius, a_min)
     for i in range(1, n_steps + 1):

@@ -31,7 +31,8 @@ dealiased run (the pair of the trailing band limit too). With dealiasing
 each is pruned to the lines that reach the band: n^2 + n nb + nb^2 line
 transforms at 3-d instead of 3 n^2, 4977 instead of 6912 at n = 48, nb = 33.
 Without it the band is every mode, each is a full transform and there is no
-band limit, so every step makes 2. The flux kernel, applied four times per
+band limit, so every step makes 2. A snapshot step hands its sink the band
+coefficients of its trailing band limit, so a snapshot costs no transform. The flux kernel, applied four times per
 inner RK4 step, makes none. The blow-up guard reads the coefficients' L2
 norm (Parseval, no transform).
 
@@ -51,8 +52,10 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, StabilityError
 from .geometry import DampingField, MetricField
-from .grid import Field, FluxKernel, GridSpec, abs2, norm_sq, rk4, support_box
+from .grid import (Field, FluxKernel, GridSpec, abs2, norm_sq, rk4, step_count,
+                   support_box)
 from .observables import Frame, Monitor, ObservableSeries, smooth_random_field
+from .snapshots import Snapshot
 
 __all__ = [
     "MAX_STEPS",
@@ -77,8 +80,8 @@ _BLOWUP_FACTOR = 1e6
 # for more are refused up front rather than run for days.
 MAX_STEPS = 10_000_000
 
-# Receives each snapshot (t, u) of a run as it is taken.
-SnapshotSink = Callable[[tuple[float, Field]], None]
+# Receives each snapshot of a run as it is taken.
+SnapshotSink = Callable[[Snapshot], None]
 
 
 @dataclass
@@ -105,12 +108,13 @@ class SolverConfig:
             raise DomainError(
                 f"|duration| / dt = {abs(self.duration) / self.dt:.3g} steps "
                 f"exceeds the cap of {MAX_STEPS}")
+        step_count(abs(self.duration), self.dt, "|duration|")
         if self.inner_perturbation_steps < 1:
             raise DomainError("inner_perturbation_steps must be >= 1")
 
     @property
     def n_steps(self) -> int:
-        return int(round(abs(self.duration) / self.dt))
+        return step_count(abs(self.duration), self.dt, "|duration|")
 
     @property
     def signed_dt(self) -> float:
@@ -125,6 +129,9 @@ class SimulationState:
     # u still lacks the closing N(dt/2) of its last step, which the next step
     # takes in its opening N(dt) (see :func:`step`)
     pending: bool = False
+    # the retained Fourier coefficients of u that the closing band limit
+    # computed, kept only when the step was asked for them
+    band: np.ndarray | None = None
 
 
 @dataclass
@@ -175,9 +182,13 @@ class Propagator:
         self.flux = None if metric.is_identity else FluxKernel(
             spec, metric.perturbation, metric.direction, retained)
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """``values`` limited to the dealias band if the run dealiases."""
-        return self.spec.band_limit(values) if self.cfg.dealias else values
+    def project(self, values: np.ndarray, keep: bool = False):
+        """``values`` limited to the dealias band if the run dealiases. With
+        ``keep``, the pair of that and the retained Fourier coefficients the
+        band limit went through (None without dealiasing)."""
+        if not self.cfg.dealias:
+            return (values, None) if keep else values
+        return self.spec.band_limit(values, keep)
 
     def stability_error(self, reason: str) -> StabilityError:
         """The run's abort for ``reason``, with its :func:`cfl_suggestion`."""
@@ -260,7 +271,7 @@ def linear_substep(u: Field, propagator: Propagator) -> Field:
 
 
 def step(state: SimulationState, propagator: Propagator,
-         close: bool = True) -> SimulationState:
+         close: bool = True, band: bool = False) -> SimulationState:
     """Advance one Strang step of the run's ``propagator``.
 
     The step is N(dt/2), the linear substep L, N(dt/2), then the band limit
@@ -268,7 +279,8 @@ def step(state: SimulationState, propagator: Propagator,
     ``state`` is pending: that is its own opening N(dt/2) and the previous
     step's closing one, composed exactly. Without ``close`` it stops after L
     and returns a pending state; the next step's L applies the band limit
-    in its forward transform.
+    in its forward transform. With ``band`` a closed state keeps the
+    coefficients its band limit computed, for a snapshot.
     """
     u = nonlinear_damping_substep(state.u, propagator, whole=state.pending)
     u = linear_substep(u, propagator)
@@ -276,6 +288,9 @@ def step(state: SimulationState, propagator: Propagator,
     if not close:
         return SimulationState(u, t, index, pending=True)
     u = nonlinear_damping_substep(u, propagator)
+    if band:
+        values, coeffs = propagator.project(u.values, keep=True)
+        return SimulationState(Field(values, u.spec), t, index, band=coeffs)
     return SimulationState(Field(propagator.project(u.values), u.spec), t, index)
 
 
@@ -311,14 +326,21 @@ def simulate(
     snapshot_every: int = 0,
     t0: float = 0.0,
     snapshot_sink: SnapshotSink | None = None,
+    step0: int = 0,
 ) -> SimulationResult:
     """Run the solver from t0 to t0 + duration, recording monitors and snapshots.
 
-    Monitors fire at step 0, at their cadence, and at the final step. Snapshots
-    (when snapshot_every > 0) follow the same rule: each (t, u) goes to
-    ``snapshot_sink`` the moment it is taken, and the run keeps none. The run
-    never writes into a field it has handed out, so the sink may hold or store
-    it without a copy; ``list.append`` collects a run's snapshots in memory.
+    The steps are numbered from ``step0`` (a resumed run passes the index of
+    the state it resumes from), and every cadence counts on that index.
+    Monitors fire at the first and the final step and at every multiple of
+    their cadence. Snapshots (when snapshot_every > 0) follow the same rule:
+    each goes to ``snapshot_sink`` the moment it is taken, as a
+    :class:`snapshots.Snapshot` of the time, the step index, the state and,
+    when the run dealiases, the retained coefficients its closing band
+    limit computed (no extra transform). The run keeps none, and no step
+    without a snapshot keeps its coefficients. The run never writes into a
+    field it has handed out, so the sink may hold or store it without a
+    copy; ``list.append`` collects a run's snapshots in memory.
     A boundary-shell mass above ``cfg.boundary_mass_warn`` of the total
     triggers a one-shot warning.
 
@@ -340,24 +362,33 @@ def simulate(
     if propagator.spec != spec:
         raise GridMismatchError("initial data and coefficients on different grids")
     u0.validate()
-    state = SimulationState(Field(propagator.project(u0.values), spec), t0, 0)
+    last = step0 + cfg.n_steps
+
+    def snapshot_at(i: int) -> bool:
+        return snapshot_every > 0 and (i % snapshot_every == 0 or i in (step0, last))
+
+    values, band = propagator.project(u0.values, keep=True)
+    state = SimulationState(Field(values, spec), t0, step0,
+                            band=band if snapshot_at(step0) else None)
+    del values, band  # the state alone holds them, and drops them as it steps
 
     recorded: dict[str, list] = {mon.name: [] for mon in monitors}  # (t, value)
     cadences = {mon.every for mon in monitors} | (
         {snapshot_every} if snapshot_every > 0 else set())
     shell = spec.boundary_shell
     warned = False
-    n_steps = cfg.n_steps
 
-    def record(st: SimulationState, final: bool) -> float:
+    def record(st: SimulationState) -> float:
         """Guard and observe ``st``, and return its peak |u|. One Frame,
         freed on return, gives the guards, the shell check and the monitors
-        the same |u|^2; step 0 has no guard."""
+        the same |u|^2; the first step has no guard. The state gives its
+        band coefficients to the snapshot and keeps none."""
         nonlocal warned
         frame = Frame(st.u)
+        edge = st.step in (step0, last)
         # one pass: NaN and inf reach the peak through max
         peak = float(np.sqrt(frame.mod2.max()))
-        if st.step > 0:
+        if st.step > step0:
             if not np.isfinite(peak):
                 raise StabilityError(
                     f"solution became non-finite at step {st.step}")
@@ -365,16 +396,19 @@ def simulate(
             if initial_peak > 0 and peak > _BLOWUP_FACTOR * initial_peak:
                 raise propagator.stability_error(
                     f"norm explosion at step {st.step} (t={st.t:.6g})")
+        # before the monitors, so the band coefficients are gone while they run
+        if snapshot_at(st.step):
+            band, st.band = st.band, None
+            snapshot_sink(Snapshot(st.t, st.step, spec, field=st.u, band=band))
+            del band
         for mon in monitors:
-            if st.step % mon.every == 0 or final:
+            if st.step % mon.every == 0 or edge:
                 value = float(mon.fn(st, frame))
                 if not np.isfinite(value):
                     raise StabilityError(
                         f"observable {mon.name!r} became non-finite at t={st.t:.6g}"
                     )
                 recorded[mon.name].append((st.t, value))
-        if snapshot_every > 0 and (st.step % snapshot_every == 0 or final):
-            snapshot_sink((st.t, st.u))
         if not warned and cfg.boundary_mass_warn > 0:
             total = frame.mod2
             shell_mass = float(total[shell].sum())
@@ -389,12 +423,11 @@ def simulate(
                 warned = True
         return peak
 
-    initial_peak = record(state, final=False)
-    for i in range(1, n_steps + 1):
-        final = i == n_steps
-        observed = final or any(i % every == 0 for every in cadences)
-        state = step(state, propagator, close=observed)
-        record(state, final)
+    initial_peak = record(state)
+    for i in range(step0 + 1, last + 1):
+        observed = i == last or any(i % every == 0 for every in cadences)
+        state = step(state, propagator, close=observed, band=snapshot_at(i))
+        record(state)
     return SimulationResult(
         state=state,
         series={name: ObservableSeries(name, *zip(*pairs))
