@@ -496,10 +496,10 @@ def norm_sq(values: np.ndarray) -> float:
 def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...],
                     dealias: bool = False) -> np.ndarray:
     """The H^s multipliers (1+|k|^2)^s, one flattened row per exponent:
-    shape (len(s_values), spec.size), read-only and kept for the grid and
-    exponents, so a run builds each row once. With ``dealias`` the rows hold
-    the :meth:`GridSpec.retained` modes only, in the order of
-    :meth:`GridSpec.band_fft`."""
+    shape (len(s_values), spec.size), read-only and kept for the grid,
+    exponents and layout, so a run builds each row once. With ``dealias`` the
+    rows hold the :meth:`GridSpec.retained` modes only, in the order of
+    :meth:`GridSpec.band_fft`: shape (len(s_values), nb^dim)."""
     for s in s_values:
         if s < 0:
             raise DomainError(f"Sobolev index must be >= 0, got {s}")

@@ -176,11 +176,9 @@ class Propagator:
         # (tau, decay, phase) of the pointwise flow, by whether it spans dt
         self.pointwise = {whole: (span, *_pointwise_tables(damping, self.box, span))
                           for whole, span in ((False, tau), (True, dt))}
-        retained = spec.retained(cfg.dealias)
-        self.free = [np.take(factor, retained, axis=j) for j, factor in
-                     enumerate(spec.free_factors(dt if metric.is_identity else tau))]
+        self.free = spec.free_factors(dt if metric.is_identity else tau, cfg.dealias)
         self.flux = None if metric.is_identity else FluxKernel(
-            spec, metric.perturbation, metric.direction, retained)
+            spec, metric.perturbation, metric.direction, spec.retained(cfg.dealias))
 
     def project(self, values: np.ndarray, keep: bool = False):
         """``values`` limited to the dealias band if the run dealiases. With
