@@ -32,11 +32,19 @@ ship them.
   transforms along its axis.
 * The homogeneous H^s norm, the |k|^(2s) multiplier; the package's norms
   are the inhomogeneous (1+|k|^2)^s ones.
+* The full-grid Cauchy scan, ``full_grid_scan``: a full transform of every
+  snapshot's field, the full-grid free multiplier and the full-grid H^s
+  rows. The package scans a band snapshot's retained coefficients with the
+  band's factors and rows, and makes no transform.
+* The version-1 snapshot writer, ``write_snapshot_v1``: a 32-byte header and
+  the grid values. The package writes version 2 and still reads version 1.
 * A second ray-ensemble loop: one ray per row of an (n, 2 dim) state,
   grad p as an (n, dim) array, the symbol evaluated apart from the slope,
   and the live rays gathered and scattered on every step. The package keeps
   one ray per column and reuses each new state's radial evaluation.
 """
+
+import struct
 
 import numpy as np
 
@@ -319,6 +327,37 @@ def pulled_coefficients(snapshots) -> list[np.ndarray]:
     built on the full grid."""
     return [np.exp(1j * u.spec.k_squared * t) * u.spec.fft(u.values)
             for t, u in snapshots]
+
+
+def full_grid_scan(snapshots, s_values) -> tuple[np.ndarray, dict, Field]:
+    """Times, H^s Cauchy matrices (by exponent) and u_plus of (t, u)
+    snapshots, each field taken by a full transform and reduced against the
+    full-grid weights (1+|k|^2)^s."""
+    times = np.array([t for t, _ in snapshots])
+    coeffs = pulled_coefficients(snapshots)
+    spec = snapshots[0][1].spec
+    m = len(coeffs)
+    cauchy = {}
+    for s in s_values:
+        weights = (1.0 + spec.k_squared) ** s
+        matrix = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                power = np.abs(coeffs[i] - coeffs[j]) ** 2
+                matrix[i, j] = matrix[j, i] = np.sqrt(
+                    spec.volume * np.sum(weights * power))
+        cauchy[s] = matrix
+    return times, cauchy, Field(spec.ifft(coeffs[-1]), spec)
+
+
+def write_snapshot_v1(path, field: Field, time: float) -> None:
+    """A version-1 snapshot: magic, version 1, dim, n, half-length and time,
+    then the grid values as little-endian complex128."""
+    spec = field.spec
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIIdd", b"DNLS", 1, spec.dim, spec.n,
+                             spec.length, float(time)))
+        fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
 def bilinear_interaction_full_spectrum(u: Field) -> float:

@@ -9,7 +9,9 @@ import pytest
 
 from dnls.cli import EXIT_CONFIG, EXIT_OK, EXIT_STABILITY, EXIT_VERDICT, main
 from dnls.observables import BoundCheckReport, InteractionReport
-from dnls.snapshots import read_snapshot
+from dnls.snapshots import load_snapshot, read_snapshot, write_snapshot
+
+from reference import write_snapshot_v1
 
 TINY_1D = """\
 [grid]
@@ -346,6 +348,154 @@ def test_simulate_resume_from_snapshot(tmp_path):
                  "--resume", str(snap)]) == 0
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["final_time"] == pytest.approx(0.2)
+
+
+RESUME_2D = """\
+[grid]
+dim = 2
+n = 32
+box_half_length = 8.0
+
+[geometry]
+preset = identity
+damping_radius = 3.0
+
+[solver]
+dt = 0.01
+duration = 0.12
+
+[observables]
+record_every = 3
+interaction_every = 3
+local_radius = 2.0
+
+[scattering]
+snapshot_every = 2
+
+[run]
+seed = 3
+"""
+
+# the series run_reports derives from the monitors: integrals from the run's
+# start, which a resumed run moves
+_DERIVED = {"mass_law_residual", "energy_law_residual", "lambda",
+            "morawetz_rate_residual", "l4_accumulator"}
+
+
+def _monitor_series(run_dir) -> dict:
+    return {path.stem.removeprefix("series_"): _read_series(path)
+            for path in sorted(run_dir.glob("series_*.csv"))
+            if path.stem.removeprefix("series_") not in _DERIVED}
+
+
+def test_resume_continues_the_step_index(tmp_path):
+    # resumed from its step-4 snapshot, the run numbers its steps 5, 6, ...
+    # and keeps the cadences of the straight run: records at 6, 9, 12 and
+    # snapshots at 6, 8, 10, 12 (not at 7, 10, 13 and 6, 8, ... counted
+    # from 0), and the series agree on the common steps
+    cfg = _write(tmp_path, RESUME_2D)
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert main(["simulate", "--config", cfg, "--out", str(straight), "--quiet"]) == 0
+    names = json.loads((straight / "manifest.json").read_text())["snapshots"]
+    assert [load_snapshot(straight / name).step for name in names] == [0, 2, 4, 6, 8,
+                                                                     10, 12]
+    start = straight / names[2]
+    assert main(["simulate", "--config", cfg, "--out", str(resumed), "--quiet",
+                 "--resume", str(start)]) == 0
+    manifest = json.loads((resumed / "manifest.json").read_text())
+    assert manifest["steps"] == 16
+    assert [load_snapshot(resumed / name).step
+            for name in manifest["snapshots"]] == [4, 6, 8, 10, 12, 14, 16]
+    for name in manifest["snapshots"][1:5]:
+        snapshot = load_snapshot(resumed / name)
+        twin = load_snapshot(straight / names[snapshot.step // 2])
+        assert snapshot.t == twin.t
+        assert np.max(np.abs(snapshot.band - twin.band)) <= 1e-12 * np.max(
+            np.abs(twin.band))
+    ahead, behind = _monitor_series(straight), _monitor_series(resumed)
+    assert sorted(ahead) == sorted(behind) and "mass" in ahead
+    t = {step: ahead["mass"].times[k] for k, step in enumerate((0, 3, 6, 9, 12))}
+    for name, series in behind.items():
+        assert list(series.times[:4]) == [load_snapshot(start).t, t[6], t[9], t[12]]
+        want = ahead[name].values[2:]
+        assert np.max(np.abs(series.values[1:4] - want)) <= 1e-12 * max(
+            np.max(np.abs(want)), 1e-300)
+
+
+def test_resume_refuses_a_snapshot_of_another_config(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D)
+    first = tmp_path / "first"
+    assert main(["simulate", "--config", cfg, "--out", str(first), "--quiet"]) == 0
+    snap = first / json.loads((first / "manifest.json").read_text())["snapshots"][1]
+    other = _write(tmp_path, TINY_1D.replace("duration = 0.1", "duration = 0.2"),
+                   "other.ini")
+    capsys.readouterr()
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--config", other, "--out", str(out), "--quiet",
+                 "--resume", str(snap)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "config hash" in err[0]
+    assert not out.exists()
+
+
+def test_version_1_snapshots_still_scan_and_resume_at_index_0(tmp_path):
+    # a run's snapshots rewritten as v1 files: the scan reads their fields
+    # (one transform each), and a resume starts its step index at 0
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet",
+                 "--out", str(tmp_path / "band")]) == EXIT_OK
+    names = json.loads((run_dir / "manifest.json").read_text())["snapshots"]
+    for name in names:
+        field, t = read_snapshot(run_dir / name)
+        write_snapshot_v1(run_dir / name, field, t)
+    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet",
+                 "--out", str(tmp_path / "v1")]) == EXIT_OK
+    band = np.loadtxt(tmp_path / "band" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
+    v1 = np.loadtxt(tmp_path / "v1" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(band - v1)) <= 1e-13 * np.max(np.abs(band))
+    assert load_snapshot(tmp_path / "v1" / "u_plus.dnls").band is None
+    resumed = tmp_path / "resumed"
+    assert main(["simulate", "--config", cfg, "--out", str(resumed), "--quiet",
+                 "--resume", str(run_dir / names[1])]) == EXIT_OK
+    manifest = json.loads((resumed / "manifest.json").read_text())
+    assert manifest["steps"] == 20
+    assert load_snapshot(resumed / manifest["snapshots"][0]).step == 0
+
+
+def test_scatter_on_mixed_layouts_or_a_checksum_mismatch_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    snap = run_dir / json.loads((run_dir / "manifest.json").read_text())["snapshots"][1]
+    original = snap.read_bytes()
+    field, t = read_snapshot(snap)
+    write_snapshot(snap, field, t, step=5)  # the grid layout
+    changed = bytearray(original)
+    changed[-3] ^= 0x01
+    for data, message in ((snap.read_bytes(), "band and grid layouts"),
+                          (bytes(changed), "checksum mismatch")):
+        snap.write_bytes(data)
+        capsys.readouterr()
+        assert main(["scatter", "--manifest", str(run_dir / "manifest.json"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+    assert not (run_dir / "scatter").exists()
+
+
+def test_runs_without_dealiasing_write_grid_snapshots(tmp_path):
+    cfg = _write(tmp_path, TINY_1D.replace("duration = 0.1",
+                                           "duration = 0.1\ndealias = false"))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"),
+                 "--quiet"]) == EXIT_OK
+    names = json.loads((run_dir / "manifest.json").read_text())["snapshots"]
+    for path in [run_dir / name for name in names] + [run_dir / "scatter" / "u_plus.dnls"]:
+        assert load_snapshot(path).band is None
+        assert path.stat().st_size == 80 + 16 * 64
 
 
 def test_simulate_resume_from_a_missing_snapshot_exits_2(tmp_path, capsys):

@@ -12,8 +12,11 @@ from dnls.grid import (
     gradient,
     real_derivatives,
     rk4,
+    abs2,
     sobolev_norm,
+    sobolev_norms,
     sobolev_weights,
+    step_count,
     support_box,
     weight_tables,
 )
@@ -227,6 +230,49 @@ def test_free_factors_multiply_to_the_full_grid_multiplier():
             phase = spec.k_squared.max() * abs(t)
             bound = 8.0 * np.finfo(float).eps * (1.0 + phase)
             assert np.max(np.abs(product - full)) <= bound
+
+
+def test_band_free_factors_are_the_grid_factors_on_the_retained_modes():
+    for spec in (GridSpec(1, 16, 3.0), GridSpec(3, 12, 3.0)):
+        retained = spec.retained(True)
+        for j, (band, full) in enumerate(zip(spec.free_factors(0.37, True),
+                                             spec.free_factors(0.37))):
+            assert band.shape[j] == len(retained) == spec.band_shape(True)[j]
+            assert np.array_equal(band, np.take(full, retained, axis=j))
+
+
+def test_band_limit_keeps_the_band_it_went_through():
+    spec = GridSpec(3, 12, 4.0)
+    values = band_limited_random(spec, seed=3).values + 0.1 * gaussian_field(spec).values
+    projected, band = spec.band_limit(values, keep=True)
+    assert np.array_equal(projected, spec.band_limit(values))
+    assert np.array_equal(band, spec.band_fft(values, True))
+    assert band.shape == spec.band_shape(True) == (9, 9, 9)
+    assert spec.band_shape(False) == spec.shape
+
+
+def test_grid_spec_is_built_without_tables():
+    # a spec read from a corrupt header builds no per-axis array before the
+    # file's size is checked, and a half-length must be finite
+    spec = GridSpec(3, 2**30, 1.0)
+    assert "x1d" not in vars(spec) and "k1d" not in vars(spec)
+    assert spec.size == 2**90
+    for length in (np.inf, np.nan, 0.0):
+        with pytest.raises(DomainError, match="half-length"):
+            GridSpec(1, 16, length)
+
+
+@pytest.mark.parametrize("span, dt, steps", [
+    (0.7, 0.1, 7), (0.3, 0.1, 3), (0.01, 0.01, 1), (1.0, 0.25, 4)])
+def test_step_count_of_whole_steps(span, dt, steps):
+    assert step_count(span, dt) == steps
+
+
+@pytest.mark.parametrize("span, dt", [(1.0, 0.3), (0.01, 0.05), (0.05, 0.03),
+                                      (1.0, 0.003)])
+def test_step_count_refuses_what_is_not_whole_steps(span, dt):
+    with pytest.raises(DomainError, match="length = .* is not a whole number of steps"):
+        step_count(span, dt, "length")
 
 
 # -- variable-coefficient Laplacian --------------------------------------------
@@ -601,6 +647,21 @@ def test_sobolev_rejects_negative_index():
     spec = GridSpec(1, 16, 2.0)
     with pytest.raises(DomainError):
         sobolev_norm(Field(np.ones(spec.shape, dtype=complex), spec), -0.5)
+
+
+def test_band_sobolev_rows_are_the_grid_rows_on_the_retained_modes():
+    spec = GridSpec(2, 24, 3.0)
+    s_values = (0.0, 0.5, 0.9)
+    index = np.ix_(*[spec.retained(True)] * 2)
+    full = sobolev_weights(spec, s_values).reshape(3, 24, 24)
+    band = sobolev_weights(spec, s_values, True)
+    assert band.shape == (3, 17 * 17) and not band.flags.writeable
+    assert np.array_equal(band, full[(slice(None),) + index].reshape(3, -1))
+    # a band-limited field's norms from its retained coefficients
+    u = band_limited_random(spec, seed=2)
+    coeffs = spec.band_fft(u.values, True)
+    assert np.allclose(sobolev_norms(abs2(coeffs), spec, s_values, True),
+                       [sobolev_norm(u, s) for s in s_values], rtol=1e-13, atol=0)
 
 
 def test_sobolev_weights_rows_are_the_multipliers():

@@ -428,6 +428,18 @@ def test_whole_number_of_ray_steps_at_least_one():
     assert len(integrate_ray(np.zeros(2), np.ones(2), metric, 0.05, 0.05).times) == 2
 
 
+def test_ray_horizons_not_a_whole_number_of_steps_are_refused():
+    # horizon 1.0 at dt 0.3 stopped at t = 0.9, and its trapped rays still
+    # reported the horizon 1.0
+    metric, damping = build_preset("conformal_bump", SPEC, {"damping_radius": 4.0})
+    x0, xi0 = sample_ensemble(2, 4, 3.0, seed=0)
+    with pytest.raises(DomainError, match="horizon = 1.0 is not a whole number of steps"):
+        verify_exterior_control(metric, damping, x0, xi0, horizon=1.0, dt=0.3,
+                                escape_radius=default_escape_radius(metric, damping))
+    with pytest.raises(DomainError, match="horizon = 1.0 is not a whole number of steps"):
+        integrate_ray(np.zeros(2), np.ones(2), metric, 1.0, 0.3)
+
+
 def test_escape_radius_must_clear_coefficient_support():
     metric, damping = build_preset("conformal_bump", SPEC, {"damping_radius": 4.0})
     x0, xi0 = sample_ensemble(2, 4, 1.0, seed=0)

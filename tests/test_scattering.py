@@ -23,8 +23,9 @@ from dnls.scattering import (
 )
 from dnls.solver import SolverConfig, simulate
 
-from conftest import band_limited_random, gaussian_field, peak_traced_bytes
-from reference import laplacian_G, pulled_coefficients
+from conftest import (band_limited_random, gaussian_field, logged_transforms,
+                      peak_traced_bytes)
+from reference import full_grid_scan, laplacian_G, pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
 
@@ -331,6 +332,75 @@ def test_extract_profile_streams_its_snapshots():
     peak = peak_traced_bytes(lambda: extract_profile(snapshots(m), s_values))
     assert peak <= 1.01 * (m + 1.5) * 16 * spec.size
     _assert_matches_reference(list(snapshots(m)), s_values)
+
+
+def _run_snapshots(spec, dealias, preset="identity", params=None, steps=40,
+                   every=8):
+    metric, damping = build_preset(preset, spec, params or {"damping_radius": 3.0})
+    u0 = gaussian_field(spec, amplitude=0.4, width=1.2, momentum=0.5)
+    cfg = SolverConfig(dt=0.02, duration=0.02 * steps, dealias=dealias)
+    snapshots = []
+    simulate(u0, metric, damping, cfg, snapshot_every=every,
+             snapshot_sink=snapshots.append)
+    return snapshots
+
+
+@pytest.mark.parametrize("spec, preset", [
+    (GridSpec(2, 64, 10.0), "identity"),
+    (GridSpec(3, 24, 8.0), "identity"),
+    (GridSpec(2, 48, 10.0), "conformal_bump"),
+])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_band_scan_matches_the_full_grid_oracle(spec, preset, dealias):
+    # a dealiased run's snapshots carry their band and are scanned on it;
+    # the oracle transforms every field on the full grid. The entries agree
+    # to roundoff of the largest pullback, u_plus to 1e-13 in L2
+    snapshots = _run_snapshots(spec, dealias, preset)
+    assert all((s.band is not None) == dealias for s in snapshots)
+    s_values = (0.0, 0.5, 0.9)
+    report = extract_profile(snapshots, s_values)
+    times, cauchy, u_plus = full_grid_scan(snapshots, s_values)
+    assert np.array_equal(report.times, times)
+    assert (np.linalg.norm(report.u_plus.values - u_plus.values)
+            <= 1e-13 * np.linalg.norm(u_plus.values))
+    for s in s_values:
+        scale = sobolev_norm(u_plus, s)
+        assert np.max(np.abs(report.cauchy[s] - cauchy[s])) <= 1e-13 * scale
+        assert np.array_equal(report.cauchy[s], cauchy_scan(snapshots, s_values).cauchy[s])
+    if dealias:
+        # the band is the band_fft of the snapshot's field, roundoff apart
+        for snapshot in snapshots:
+            want = spec.band_fft(snapshot.field.values, True)
+            assert (np.max(np.abs(snapshot.band - want))
+                    <= 1e-15 * np.max(np.abs(want)))
+        assert np.array_equal(spec.band_ifft(report.u_plus_band, True),
+                              report.u_plus.values)
+    else:
+        assert report.u_plus_band is None
+
+
+def test_band_scan_makes_no_transform(monkeypatch):
+    # m band snapshots: no transform in the scan, one pruned inverse (d
+    # one-axis passes) for u_plus, and no full-grid transform anywhere
+    spec = GridSpec(3, 16, 6.0)
+    snapshots = _run_snapshots(spec, True)
+    counts = _count_transforms(monkeypatch)
+    log = logged_transforms(monkeypatch)
+    cauchy_scan(snapshots, s_values=REFERENCE_S)
+    assert counts == {"fft": 0, "ifft": 0} and log == []
+    extract_profile(snapshots, s_values=REFERENCE_S)
+    assert counts == {"fft": 0, "ifft": 0}
+    assert [(name, axis) for name, axis, *_ in log] == [("ifft", 0), ("ifft", 1),
+                                                         ("ifft", 2)]
+
+
+def test_band_scan_refuses_mixed_layouts():
+    spec = GridSpec(2, 32, 8.0)
+    band = _run_snapshots(spec, True)
+    grid = [(t, u) for t, u in _run_snapshots(spec, False)]
+    for mixed in (band[:-1] + grid[-1:], grid[:-1] + band[-1:]):
+        with pytest.raises(GridMismatchError, match="band and grid layouts"):
+            extract_profile(mixed)
 
 
 def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():

@@ -1,13 +1,29 @@
+import contextlib
+import io
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dnls.cli import EXIT_CONFIG, main
 from dnls.errors import DomainError
 from dnls.grid import GridSpec
-from dnls.snapshots import MAGIC, read_snapshot, read_snapshot_time, write_snapshot
+from dnls.snapshots import (
+    LAYOUT_BAND,
+    LAYOUT_GRID,
+    MAGIC,
+    load_snapshot,
+    read_snapshot,
+    read_snapshot_time,
+    write_snapshot,
+)
 
 from conftest import band_limited_random, peak_traced_bytes
+from reference import write_snapshot_v1
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -44,21 +60,85 @@ def test_snapshot_time_is_read_from_the_header(tmp_path):
 
 
 def test_snapshot_header_layout(tmp_path):
+    # version 2: the v1 fields, then step, config hash, layout and a CRC32 of
+    # the 76 header bytes before it and the payload
     spec = GridSpec(2, 16, 3.0)
     field = band_limited_random(spec, seed=1)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, field, 0.5)
+    digest = "ab" * 32
+    write_snapshot(path, field, 0.5, step=7, config_hash=digest)
     raw = path.read_bytes()
-    header_size = struct.calcsize("<4sIIIdd")
-    magic, version, dim, n, length, time = struct.unpack("<4sIIIdd", raw[:header_size])
+    header_size = struct.calcsize("<4sIIIddq32sII")
+    assert header_size == 80
+    magic, version, dim, n, length, time, step, hashed, layout, crc = struct.unpack(
+        "<4sIIIddq32sII", raw[:header_size])
     assert magic == MAGIC
-    assert (version, dim, n) == (1, 2, 16)
-    assert (length, time) == (3.0, 0.5)
+    assert (version, dim, n, step, layout) == (2, 2, 16, 7, LAYOUT_GRID)
+    assert (length, time, hashed.hex()) == (3.0, 0.5, digest)
+    assert crc == zlib.crc32(raw[header_size:], zlib.crc32(raw[:header_size - 4]))
     # payload is interleaved (re, im) float64 pairs in row-major order
     pairs = np.frombuffer(raw[header_size:], dtype="<f8").reshape(-1, 2)
     flat = field.values.reshape(-1)
     assert np.array_equal(pairs[:, 0], flat.real)
     assert np.array_equal(pairs[:, 1], flat.imag)
+
+
+def test_band_snapshot_stores_the_retained_coefficients(tmp_path):
+    # 11^2 of 16^2 coefficients in band_fft order; the file is read back
+    # without a transform, and read_snapshot returns their band_ifft
+    spec = GridSpec(2, 16, 3.0)
+    field = band_limited_random(spec, seed=1)
+    band = spec.band_fft(field.values, True)
+    path = tmp_path / "state.dnls"
+    write_snapshot(path, field, 0.25, step=3, band=band)
+    raw = path.read_bytes()
+    assert len(raw) == 80 + 16 * 11**2
+    assert struct.unpack_from("<I", raw, 72)[0] == LAYOUT_BAND
+    assert np.array_equal(np.frombuffer(raw[80:], dtype="<c16").reshape(11, 11), band)
+    loaded = load_snapshot(path)
+    assert (loaded.t, loaded.step, loaded.spec, loaded.config_hash) == (0.25, 3, spec, None)
+    assert np.array_equal(loaded.band, band)
+    values, t = read_snapshot(path)
+    assert t == 0.25
+    assert np.array_equal(values.values, spec.band_ifft(band, True))
+    assert np.max(np.abs(values.values - field.values)) <= 1e-15 * np.max(
+        np.abs(field.values))
+
+
+def test_version_1_snapshots_still_read(tmp_path):
+    spec = GridSpec(2, 16, 3.0)
+    field = band_limited_random(spec, seed=2)
+    path = tmp_path / "old.dnls"
+    write_snapshot_v1(path, field, 0.75)
+    loaded = load_snapshot(path)
+    assert (loaded.t, loaded.step, loaded.config_hash, loaded.band) == (0.75, 0, None, None)
+    assert np.array_equal(loaded.field.values, field.values)
+    t, u = loaded
+    assert t == 0.75 and u is loaded.field and loaded[1] is u and len(loaded) == 2
+
+
+def test_snapshot_checksum_catches_a_changed_byte(tmp_path):
+    spec = GridSpec(1, 16, 2.0)
+    path = tmp_path / "state.dnls"
+    write_snapshot(path, band_limited_random(spec, seed=3), 0.5, step=2)
+    raw = bytearray(path.read_bytes())
+    for at in (26, 33, 45, 100):  # time, step, config hash and payload
+        changed = bytearray(raw)
+        changed[at] ^= 0x10
+        path.write_bytes(bytes(changed))
+        with pytest.raises(DomainError, match="checksum mismatch"):
+            read_snapshot(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_snapshot_refuses_values_that_are_not_finite(tmp_path, value):
+    spec = GridSpec(1, 16, 2.0)
+    field = band_limited_random(spec, seed=3)
+    field.values[5] = value
+    path = tmp_path / "state.dnls"
+    write_snapshot_v1(path, field, 0.5)
+    with pytest.raises(DomainError, match="not finite"):
+        read_snapshot(path)
 
 
 def test_snapshot_rejects_corruption(tmp_path):
@@ -126,3 +206,94 @@ def test_failed_snapshot_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypat
     assert path.read_bytes() == original
     assert [p.name for p in tmp_path.iterdir()] == ["state.dnls"]
     assert read_snapshot(path)[1] == 0.5
+
+
+# -- corrupted snapshot bytes ----------------------------------------------------
+
+FUZZ_RUN = """\
+[grid]
+dim = 1
+n = 16
+box_half_length = 5.0
+
+[geometry]
+preset = identity
+damping_radius = 2.0
+
+[solver]
+dt = 0.01
+duration = 0.04
+
+[observables]
+local_radius = 1.0
+
+[scattering]
+snapshot_every = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A run of five band snapshots, and the bytes of its third as a v2 band
+    file, a v2 grid file and a v1 file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "run.ini"
+    config.write_text(FUZZ_RUN)
+    run = root / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run),
+                 "--quiet"]) == 0
+    target = run / json.loads((run / "manifest.json").read_text())["snapshots"][2]
+    field, t = read_snapshot(target)
+    write_snapshot(root / "grid.dnls", field, t, step=2)
+    write_snapshot_v1(root / "v1.dnls", field, t)
+    kinds = {"v2-band": target.read_bytes(),
+             "v2-grid": (root / "grid.dnls").read_bytes(),
+             "v1": (root / "v1.dnls").read_bytes()}
+    return root, config, target, kinds
+
+
+def _one_line_exit_2(argv) -> bool:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code == EXIT_CONFIG and len(err.getvalue().strip().splitlines()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupt_snapshot_bytes_raise_domain_error_and_exit_2(fuzz_run, data):
+    # a truncation at any length, a changed header byte and, in a v2 file, a
+    # changed payload byte: the reader raises DomainError and nothing else
+    # (a v2 file always raises; a v1 file has no checksum and may read), and
+    # dnls scatter and simulate --resume on the file exit 2 on one line
+    root, config, target, kinds = fuzz_run
+    kind = data.draw(st.sampled_from(sorted(kinds)))
+    raw = bytearray(kinds[kind])
+    header = 32 if kind == "v1" else 80
+    change = data.draw(st.sampled_from(
+        ["truncate", "header"] + ([] if kind == "v1" else ["payload"])))
+    if change == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        at = data.draw(st.integers(*((0, header - 1) if change == "header"
+                                     else (header, len(raw) - 1))))
+        raw[at] ^= data.draw(st.integers(1, 255))
+    original = target.read_bytes()
+    target.write_bytes(bytes(raw))
+    try:
+        try:
+            read_snapshot(target)
+        except DomainError:
+            refused = True
+        else:
+            refused = False
+        assert refused or kind == "v1"
+        if refused:
+            assert _one_line_exit_2(["scatter", "--manifest",
+                                     str(target.parent / "manifest.json"),
+                                     "--out", str(root / "scatter"), "--quiet"])
+            assert _one_line_exit_2(["simulate", "--config", str(config), "--out",
+                                     str(root / "resumed"), "--quiet",
+                                     "--resume", str(target)])
+    finally:
+        target.write_bytes(original)

@@ -338,6 +338,43 @@ def test_simulate_never_writes_into_a_snapshot_it_handed_out():
             assert np.array_equal(u.values, copy)
 
 
+def test_simulate_keeps_no_band_past_its_snapshot(monkeypatch):
+    # a snapshot step's band coefficients go to the sink and nowhere else:
+    # a sink that drops them frees them before the next step, the state
+    # keeps none, and steps without a snapshot are asked for none
+    handed = []
+    asked = []
+    original = dnls.solver.step
+
+    def checked(state, propagator, **kwargs):
+        gc.collect()
+        assert all(band() is None for band in handed) and state.band is None
+        asked.append(kwargs["band"])
+        return original(state, propagator, **kwargs)
+
+    def sink(snapshot):
+        assert snapshot.band.shape == SPEC.band_shape(True)
+        handed.append(weakref.ref(snapshot.band))
+
+    monkeypatch.setattr(dnls.solver, "step", checked)
+    metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
+    result = simulate(gaussian_field(SPEC), metric, damping,
+                      SolverConfig(dt=0.01, duration=0.07),
+                      snapshot_every=3, snapshot_sink=sink,
+                      monitors=[Monitor("mass", lambda s, frame: mass(frame), 2)])
+    assert asked == [False, False, True, False, False, True, True]
+    assert len(handed) == 4 and result.state.band is None
+
+
+def test_run_lengths_not_a_whole_number_of_steps_are_refused_by_the_api():
+    # 1.0 / 0.3 ended at t = 0.9 without a message
+    with pytest.raises(DomainError, match="not a whole number of steps"):
+        SolverConfig(dt=0.3, duration=1.0)
+    with pytest.raises(DomainError, match="not a whole number of steps"):
+        SolverConfig(dt=0.3, duration=-1.0)
+    assert SolverConfig(dt=0.1, duration=0.7).n_steps == 7
+
+
 def test_snapshots_need_a_sink():
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     with pytest.raises(DomainError, match="snapshot_sink"):
