@@ -1,9 +1,9 @@
 """Command-line entry point: simulate, rays, check-geometry, scatter.
 
 Exit codes: 0 success, 2 configuration error or unreadable input file (a
-snapshot that fails its checksum, a resume from another configuration's
-snapshot, a scan over snapshots of mixed grids or layouts), 3 stability
-abort, 4 negative verdict under --strict. Each run owns its
+snapshot that fails its checksum, a resume from or a scan over another
+configuration's snapshot, a scan over snapshots of mixed grids or layouts),
+3 stability abort, 4 negative verdict under --strict. Each run owns its
 output directory and writes a manifest.json listing every file produced plus
 the config hash; partial outputs after an abort are flagged
 status=incomplete.
@@ -134,12 +134,19 @@ def _configured(args):
     return cfg, metric, damping, control
 
 
-def _snapshot_input(read, path):
-    """``read(path)`` of a snapshot reader, an unreadable file an input error."""
+def _load_snapshot(path, config_hash: str) -> snapshots.Snapshot:
+    """The snapshot stored at ``path``; a file that does not read, or that
+    records a config hash other than ``config_hash`` (a v1 file records
+    none), is an input error."""
     try:
-        return read(path)
+        snapshot = snapshots.load_snapshot(path)
     except (OSError, DomainError) as exc:
         raise _InputError(f"cannot read snapshot: {exc}") from exc
+    if snapshot.config_hash not in (None, config_hash):
+        raise _InputError(
+            f"snapshot {path} was written under config hash "
+            f"{snapshot.config_hash[:12]}, not this run's {config_hash[:12]}")
+    return snapshot
 
 
 def _cmd_check_geometry(args) -> int:
@@ -218,15 +225,11 @@ def _cmd_simulate(args) -> int:
     config_hash = cfg.config_hash()
     if args.resume:
         # the run continues the stored step index; a v1 file records none
-        start = _snapshot_input(snapshots.load_snapshot, args.resume)
+        start = _load_snapshot(args.resume, config_hash)
         if start.spec != spec:
             raise ConfigError(
                 f"snapshot grid {start.spec} does not match configured grid {spec}"
             )
-        if start.config_hash not in (None, config_hash):
-            raise ConfigError(
-                f"snapshot {args.resume} was written under config hash "
-                f"{start.config_hash[:12]}, not this run's {config_hash[:12]}")
         u0, t0, step0 = start.field, start.t, start.step
         del start
     else:
@@ -257,9 +260,7 @@ def _cmd_simulate(args) -> int:
 
     def store(snapshot: snapshots.Snapshot) -> None:
         name = f"snap_{len(snapshot_files):06d}.dnls"
-        snapshots.write_snapshot(run.path(name), snapshot.field, snapshot.t,
-                                 step=snapshot.step, config_hash=config_hash,
-                                 band=snapshot.band)
+        snapshots.write_snapshot(run.path(name), snapshot, config_hash=config_hash)
         snapshot_files.append(name)
         run.write_manifest()
 
@@ -321,28 +322,18 @@ def _cmd_scatter(args) -> int:
                           "object whose \"snapshots\" is a list of file names")
     base = manifest_path.parent
     cfg = config.parse_config(base / "config.ini")
+    config_hash = cfg.config_hash()
     if len(snapshot_names) < 3:
         raise _InputError(
             f"manifest lists {len(snapshot_names)} snapshots; scatter needs >= 3 "
             "(set [scattering] snapshot_every > 0 in the simulate run)")
-    # ordered by the times in their headers, then read one at a time as the
-    # files hold them: the scan keeps each one's pullback coefficients only
-    paths = sorted(
-        (base / name for name in snapshot_names),
-        key=lambda path: _snapshot_input(snapshots.read_snapshot_time, path))
-    final_step = 0
-
-    def stored():
-        nonlocal final_step
-        for path in paths:
-            snapshot = _snapshot_input(snapshots.load_snapshot, path)
-            final_step = snapshot.step
-            yield snapshot
-            del snapshot  # before the next read allocates its payload
-
+    # read one at a time, in the manifest's order and as the files hold
+    # them: the scan keeps each one's pullback coefficients only, and orders
+    # them by time
+    stored = (_load_snapshot(base / name, config_hash) for name in snapshot_names)
     try:
         report = scattering.extract_profile(
-            stored(), cfg.scattering.s_values, cfg.scattering.tol_mono
+            stored, cfg.scattering.s_values, cfg.scattering.tol_mono
         )
     except (DomainError, GridMismatchError) as exc:
         raise _InputError(
@@ -350,14 +341,12 @@ def _cmd_scatter(args) -> int:
 
     # default to a subdirectory so the simulate manifest is never clobbered
     out_dir = Path(args.out) if args.out else base / "scatter"
-    config_hash = cfg.config_hash()
     run = _RunDir(out_dir, "scatter", config_hash, cfg.run.seed)
     for s in report.s_values:
         _write_matrix_csv(run, f"cauchy_s{s:g}.csv", report.times, report.cauchy[s])
         _write_series_csv(run, f"mismatch_s{s:g}", report.times, report.mismatch[s])
     snapshots.write_snapshot(run.path("u_plus.dnls"), report.u_plus,
-                             report.times[-1], step=final_step,
-                             config_hash=config_hash, band=report.u_plus_band)
+                             config_hash=config_hash)
     payload = {
         "s_values": list(report.s_values),
         "verdicts": {f"{s:g}": bool(v) for s, v in report.verdicts.items()},

@@ -7,24 +7,26 @@ at the final time.
 
 The pullback is a unit-modulus Fourier multiplier, so the scan works on the
 coefficients v_hat_i = e^{+i|k|^2 t_i} u_hat_i and never goes back to real
-space. A :class:`snapshots.Snapshot` that holds the retained band of a
-dealiased run (a v2 band file, or a snapshot ``simulate`` handed out) gives
+space. A :class:`snapshots.Snapshot` of a dealiased run holds its retained
+band (a v2 band file, or a snapshot ``simulate`` handed out) and gives
 u_hat_i without a transform, and the scan runs on the band: the free factors
 and the H^s rows restricted to the retained modes, 33^3 of 48^3 at n = 48.
-Any other snapshot, a (t, field) pair or a grid-layout file, costs one
-transform. So m band snapshots cost no transform in ``cauchy_scan`` and one
-in ``extract_profile`` (u_plus = band_ifft(v_hat_last)); m grid snapshots
-cost m and m + 1, whatever the number of pairs or exponents. One scan takes
-one layout: a mix of band and grid snapshots is a grid mismatch. Each Cauchy
-entry is sqrt(volume * sum_k (1+|k|^2)^s |v_hat_i - v_hat_j|^2), one squared
+A grid-layout snapshot (a run without dealiasing, or a v1 file) costs one
+transform. So m band snapshots cost no transform in ``cauchy_scan`` or in
+``extract_profile``, whose u_plus is the last coefficients as a band
+snapshot; m grid snapshots cost m and m + 1 (u_plus = ifft(v_hat_last)),
+whatever the number of pairs or exponents. One scan takes one layout: a mix
+of band and grid snapshots is a grid mismatch. Each Cauchy entry is
+sqrt(volume * sum_k (1+|k|^2)^s |v_hat_i - v_hat_j|^2), one squared
 difference per pair reduced against every exponent's weights at once. Since
 e^{it lap} preserves the H^s norm, ||u(t_i) - e^{it_i lap} u_plus||_{H^s} =
 ||v_i - v_last||_{H^s}: the mismatch series is the last Cauchy row, and the
 final mismatch is 0 by construction.
 
-The snapshots may come from any iterable, a generator reading files one at a
-time included: each is turned into its coefficients as it arrives and is not
-kept, so a scan holds the m coefficient arrays and one snapshot.
+The snapshots may come in any order and from any iterable, a generator
+reading files one at a time included: each is turned into its coefficients
+as it arrives and is not kept, so a scan holds the m coefficient arrays and
+one snapshot, and it orders the coefficients by time.
 
 The module works on snapshots alone and depends on ``grid``, ``snapshots``
 and ``errors`` only.
@@ -54,8 +56,6 @@ __all__ = [
     "extract_profile",
 ]
 
-SnapshotLike = Snapshot | tuple[float, Field]
-
 
 def _free_coefficients(u: Field, t: float) -> np.ndarray:
     """Fourier coefficients of exp(i t lap) u: fft(u) times the
@@ -84,9 +84,7 @@ class ScatterReport:
     s_values: tuple[float, ...]
     cauchy: dict[float, np.ndarray]
     verdicts: dict[float, bool]
-    u_plus: Field | None = None
-    # the retained coefficients of u_plus when the snapshots held their band
-    u_plus_band: np.ndarray | None = None
+    u_plus: Snapshot | None = None
     mismatch: dict[float, np.ndarray] = field(default_factory=dict)
     final_mismatch: dict[float, float] = field(default_factory=dict)
 
@@ -109,47 +107,45 @@ def _monotone_tail_verdict(
 
 
 def _pulled_coefficients(
-    snapshots: Iterable[SnapshotLike],
-) -> tuple[np.ndarray, GridSpec, bool, list[np.ndarray]]:
-    """Times, grid, layout (True for the band) and pullback coefficients
-    e^{+i|k|^2 t} u_hat of the snapshots, in the order given: a band snapshot
-    times the band's free factors, any other one transform and the grid's;
-    no snapshot is kept."""
-    times: list[float] = []
-    coeffs: list[np.ndarray] = []
+    snapshots: Iterable[Snapshot],
+) -> tuple[np.ndarray, int, GridSpec, bool, list[np.ndarray]]:
+    """Times in increasing order, the step of the last, grid, layout (True
+    for the band) and pullback coefficients e^{+i|k|^2 t} u_hat of the
+    snapshots in that order: a band snapshot's coefficients times the band's
+    free factors, a grid one's transform times the grid's; no snapshot is
+    kept."""
+    pulled: list[tuple[float, int, np.ndarray]] = []
     layout = None
     for snapshot in snapshots:
-        band = snapshot.band if isinstance(snapshot, Snapshot) else None
-        if band is not None:
-            t, spec = snapshot.t, snapshot.spec
-        else:
-            t, u = snapshot
-            spec = u.spec
-        if times and not t > times[-1]:
-            raise DomainError("snapshot times must be strictly increasing")
+        spec, band = snapshot.spec, snapshot.band
         if layout is None:
-            layout = (spec, band is not None)
+            layout = (spec, band)
         elif spec != layout[0]:
             raise GridMismatchError("snapshots live on different grids")
-        elif (band is not None) != layout[1]:
+        elif band != layout[1]:
             raise GridMismatchError("snapshots mix the band and grid layouts")
-        factors = spec.free_factors(-t, layout[1])
+        factors = spec.free_factors(-snapshot.t, band)
         # the band is the snapshot's own, so its first factor makes the copy
-        if band is not None:
-            pulled, factors = band * factors[0], factors[1:]
+        if band:
+            coeffs, factors = snapshot.values * factors[0], factors[1:]
         else:
-            pulled = spec.fft(u.values)
+            coeffs = spec.fft(snapshot.values)
         for factor in factors:
-            pulled *= factor
-        times.append(t)
-        coeffs.append(pulled)
-        # the loop variables would hold the snapshot until the next arrives
-        snapshot = band = u = None
-    if len(coeffs) < 3:
+            coeffs *= factor
+        pulled.append((snapshot.t, snapshot.step, coeffs))
+        # the loop variable would hold the snapshot until the next arrives
+        snapshot = None
+    if len(pulled) < 3:
         raise SamplingError(
-            f"cauchy scan needs at least 3 snapshots, got {len(coeffs)}"
+            f"cauchy scan needs at least 3 snapshots, got {len(pulled)}"
         )
-    return np.asarray(times), *layout, coeffs
+    pulled.sort(key=lambda entry: entry[0])
+    times, steps, coeffs = zip(*pulled)
+    for earlier, later in zip(times, times[1:]):
+        if not later > earlier:
+            raise DomainError("snapshot times must be strictly increasing once "
+                              f"ordered; t = {later:g} repeats")
+    return np.asarray(times), steps[-1], *layout, list(coeffs)
 
 
 def _difference_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,29 +186,30 @@ def _scan(
 
 
 def cauchy_scan(
-    snapshots: Iterable[SnapshotLike],
+    snapshots: Iterable[Snapshot],
     s_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9),
     tol_mono: float = 0.05,
 ) -> ScatterReport:
-    """Pairwise H^s distances of the pullbacks v(t_i) = e^{-i t_i lap} u(t_i)."""
-    return _scan(*_pulled_coefficients(snapshots), s_values, tol_mono)
+    """Pairwise H^s distances of the pullbacks v(t_i) = e^{-i t_i lap} u(t_i),
+    the snapshots taken in the order of their times."""
+    times, _, *layout, coeffs = _pulled_coefficients(snapshots)
+    return _scan(times, *layout, coeffs, s_values, tol_mono)
 
 
 def extract_profile(
-    snapshots: Iterable[SnapshotLike],
+    snapshots: Iterable[Snapshot],
     s_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9),
     tol_mono: float = 0.05,
 ) -> ScatterReport:
-    """Complete report: Cauchy scan plus the profile u_plus = pullback at T and
-    the mismatch ||u(t) - e^{it lap} u_plus||_{H^s} over the snapshots, which
-    equals the last Cauchy row by H^s isometry of the free flow."""
-    times, spec, band, coeffs = _pulled_coefficients(snapshots)
+    """Complete report: Cauchy scan plus the profile u_plus = pullback at the
+    last time, a :class:`Snapshot` at that time and step in the snapshots'
+    layout, and the mismatch ||u(t) - e^{it lap} u_plus||_{H^s} over the
+    snapshots, which equals the last Cauchy row by H^s isometry of the free
+    flow."""
+    times, step, spec, band, coeffs = _pulled_coefficients(snapshots)
     report = _scan(times, spec, band, coeffs, s_values, tol_mono)
-    if band:
-        report.u_plus = Field(spec.band_ifft(coeffs[-1], True), spec)
-        report.u_plus_band = coeffs[-1]
-    else:
-        report.u_plus = Field(spec.ifft(coeffs[-1]), spec)
+    last = coeffs[-1] if band else spec.ifft(coeffs[-1])
+    report.u_plus = Snapshot(float(times[-1]), step, spec, last, band)
     for s in report.s_values:
         report.mismatch[s] = report.cauchy[s][-1].copy()
         report.final_mismatch[s] = float(report.mismatch[s][-1])

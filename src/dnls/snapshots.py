@@ -28,6 +28,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,41 +44,39 @@ _HEADER = struct.Struct("<4sIIIddq32sII")
 _NO_HASH = bytes(32)
 
 
+@dataclass(eq=False)
 class Snapshot:
-    """One state of a run: time ``t``, step index ``step`` and either its
-    retained Fourier coefficients ``band`` (:meth:`GridSpec.band_fft` of a
-    dealiased run) or its grid field.
+    """One stored state of a run: time ``t``, step index ``step``, its grid
+    and one payload ``values``, the retained Fourier coefficients
+    (:meth:`GridSpec.band_fft` order) of a dealiased run when ``band``, the
+    grid values otherwise.
 
-    :func:`solver.simulate` hands its sink snapshots that hold both, the
-    field being the run's state itself; :func:`load_snapshot` returns one that
-    holds what the file stores, so a band file is read without a transform.
-    A snapshot reads as the pair (t, u), the form the scan also takes.
-    ``config_hash`` is the hex digest a file records, None if it records none.
+    :func:`solver.simulate` hands its sink the band its closing band limit
+    computed, or the grid values of a run without dealiasing;
+    :func:`load_snapshot` returns what the file stores, and
+    :func:`write_snapshot` stores the layout it is given. ``config_hash`` is
+    the hex digest a file records, None if it records none.
     """
 
-    def __init__(self, t: float, step: int, spec: GridSpec, *,
-                 field: Field | None = None, band: np.ndarray | None = None,
-                 config_hash: str | None = None):
-        self.t, self.step, self.spec = t, step, spec
-        self.band, self._field, self.config_hash = band, field, config_hash
+    t: float
+    step: int
+    spec: GridSpec
+    values: np.ndarray
+    band: bool
+    config_hash: str | None = None
+
+    def __post_init__(self):
+        if self.values.shape != self.spec.band_shape(self.band):
+            raise DomainError(f"snapshot payload of shape {self.values.shape} "
+                              f"does not fit the layout on {self.spec}")
 
     @property
     def field(self) -> Field:
-        """The state on the grid: the field held, else :meth:`GridSpec.band_ifft`
-        of the band."""
-        if self._field is not None:
-            return self._field
-        return Field(self.spec.band_ifft(self.band, True), self.spec)
-
-    def __iter__(self):
-        yield self.t
-        yield self.field
-
-    def __getitem__(self, index: int):
-        return (self.t, self.field)[index]
-
-    def __len__(self) -> int:
-        return 2
+        """The state on the grid: the grid values, or
+        :meth:`GridSpec.band_ifft` of the band."""
+        if self.band:
+            return Field(self.spec.band_ifft(self.values, True), self.spec)
+        return Field(self.values, self.spec)
 
 
 @contextlib.contextmanager
@@ -99,99 +98,75 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         raise
 
 
-def write_snapshot(path: str | Path, field: Field, time: float, *, step: int = 0,
-                   config_hash: str | None = None,
-                   band: np.ndarray | None = None) -> None:
-    """Store ``field`` at ``time`` and ``step`` in ``path`` (version 2),
-    writing the field's own buffer (no copy unless it is not little-endian
-    contiguous complex128). ``band``, the retained coefficients of a dealiased
-    field, is stored in its place when given; ``config_hash`` is the run's
-    hex digest."""
-    spec = field.spec
-    layout, data = (LAYOUT_GRID, field.values) if band is None else (LAYOUT_BAND, band)
-    payload = np.ascontiguousarray(data, dtype="<c16")
-    if payload.shape != spec.band_shape(layout == LAYOUT_BAND):
-        raise DomainError(f"snapshot payload of shape {payload.shape} does not "
-                          f"fit the layout on {spec}")
+def write_snapshot(path: str | Path, snapshot: Snapshot, *,
+                   config_hash: str | None = None) -> None:
+    """Store ``snapshot`` in ``path`` (version 2) in its own layout, writing
+    its payload's own buffer (no copy unless it is not little-endian
+    contiguous complex128); ``config_hash`` is the run's hex digest."""
+    spec = snapshot.spec
+    payload = np.ascontiguousarray(snapshot.values, dtype="<c16")
     digest = _NO_HASH if config_hash is None else bytes.fromhex(config_hash)
     head = _HEADER.pack(MAGIC, VERSION, spec.dim, spec.n, spec.length,
-                        float(time), step, digest, layout, 0)[:-4]
+                        float(snapshot.t), snapshot.step, digest,
+                        LAYOUT_BAND if snapshot.band else LAYOUT_GRID, 0)[:-4]
     crc = zlib.crc32(payload.data, zlib.crc32(head))
     with atomic_open(path, "wb") as fh:
         fh.write(head + struct.pack("<I", crc))
         fh.write(payload.data)
 
 
-def _read_header(fh, path) -> tuple[Snapshot, bool, int | None, bytes]:
-    """The snapshot open in ``fh`` without its payload, whether that payload
-    is the band, its stored CRC32 (None for version 1) and the header bytes
-    the CRC covers. The size of the file is checked against the header, which
-    leaves ``fh`` at the start of the payload."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) < _HEADER_V1.size:
-        raise DomainError(f"{path}: truncated snapshot header")
-    magic, version, dim, n, length, time = _HEADER_V1.unpack_from(raw)
-    if magic != MAGIC:
-        raise DomainError(f"{path}: bad magic {magic!r}")
-    if version == 1:
-        header_size, step, digest, layout, crc = (_HEADER_V1.size, 0, _NO_HASH,
-                                                  LAYOUT_GRID, None)
-    elif version == VERSION:
-        if len(raw) != _HEADER.size:
-            raise DomainError(f"{path}: truncated snapshot header")
-        header_size = _HEADER.size
-        *_, step, digest, layout, crc = _HEADER.unpack(raw)
-    else:
-        raise DomainError(f"{path}: unsupported snapshot version {version}")
-    try:
-        spec = GridSpec(dim, n, length)
-    except DomainError as exc:
-        raise DomainError(f"{path}: bad snapshot grid: {exc}") from exc
-    if not (np.isfinite(time) and step >= 0 and layout in (LAYOUT_GRID, LAYOUT_BAND)):
-        raise DomainError(f"{path}: bad snapshot header (time {time}, step {step}, "
-                          f"layout {layout})")
-    band = layout == LAYOUT_BAND
-    # checked before reading, so a corrupt header allocates nothing
-    expected = header_size + 16 * math.prod(spec.band_shape(band))
-    size = os.fstat(fh.fileno()).st_size
-    if size < expected:
-        raise DomainError(f"{path}: truncated snapshot payload")
-    if size > expected:
-        raise DomainError(f"{path}: {size - expected} bytes past the snapshot payload")
-    fh.seek(header_size)
-    snapshot = Snapshot(float(time), step, spec,
-                        config_hash=None if digest == _NO_HASH else digest.hex())
-    return snapshot, band, crc, raw[:header_size - 4]
-
-
-def read_snapshot_time(path: str | Path) -> float:
-    """The time stored at ``path``, read from the header alone; a file whose
-    header or size is not a snapshot's raises as :func:`read_snapshot` does."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)[0].t
-
-
 def load_snapshot(path: str | Path) -> Snapshot:
     """The :class:`Snapshot` stored at ``path`` as the file holds it: the band
-    coefficients of a band file (no transform), else the grid field. A file
+    coefficients of a band file (no transform), else the grid values. A file
     that is not a complete snapshot, fails its checksum or holds a value that
     is not finite raises a :class:`DomainError` naming it."""
     with open(path, "rb") as fh:
-        snapshot, band, crc, head = _read_header(fh, path)
-        values = np.empty(snapshot.spec.band_shape(band), dtype="<c16")
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER_V1.size:
+            raise DomainError(f"{path}: truncated snapshot header")
+        magic, version, dim, n, length, time = _HEADER_V1.unpack_from(raw)
+        if magic != MAGIC:
+            raise DomainError(f"{path}: bad magic {magic!r}")
+        if version == 1:
+            header_size, step, digest, layout, crc = (_HEADER_V1.size, 0, _NO_HASH,
+                                                      LAYOUT_GRID, None)
+        elif version == VERSION:
+            if len(raw) != _HEADER.size:
+                raise DomainError(f"{path}: truncated snapshot header")
+            header_size = _HEADER.size
+            *_, step, digest, layout, crc = _HEADER.unpack(raw)
+        else:
+            raise DomainError(f"{path}: unsupported snapshot version {version}")
+        try:
+            spec = GridSpec(dim, n, length)
+        except DomainError as exc:
+            raise DomainError(f"{path}: bad snapshot grid: {exc}") from exc
+        if not (np.isfinite(time) and step >= 0
+                and layout in (LAYOUT_GRID, LAYOUT_BAND)):
+            raise DomainError(f"{path}: bad snapshot header (time {time}, "
+                              f"step {step}, layout {layout})")
+        band = layout == LAYOUT_BAND
+        # checked before reading, so a corrupt header allocates nothing
+        expected = header_size + 16 * math.prod(spec.band_shape(band))
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise DomainError(f"{path}: truncated snapshot payload")
+        if size > expected:
+            raise DomainError(
+                f"{path}: {size - expected} bytes past the snapshot payload")
+        fh.seek(header_size)
+        values = np.empty(spec.band_shape(band), dtype="<c16")
         if fh.readinto(values.data.cast("B")) != values.nbytes:
             raise DomainError(f"{path}: truncated snapshot payload")
+    head = raw[:header_size - 4]
     if crc is not None and zlib.crc32(values.data, zlib.crc32(head)) != crc:
         raise DomainError(f"{path}: snapshot checksum mismatch")
     # min and max carry any nan, and neither makes a temporary array
     flat = values.view(np.float64)
     if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
         raise DomainError(f"{path}: snapshot holds values that are not finite")
-    if band:
-        snapshot.band = values
-    else:
-        snapshot._field = Field(values, snapshot.spec)
-    return snapshot
+    return Snapshot(float(time), step, spec, values, band,
+                    None if digest == _NO_HASH else digest.hex())
 
 
 def read_snapshot(path: str | Path) -> tuple[Field, float]:

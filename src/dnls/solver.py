@@ -32,9 +32,9 @@ each is pruned to the lines that reach the band: n^2 + n nb + nb^2 line
 transforms at 3-d instead of 3 n^2, 4977 instead of 6912 at n = 48, nb = 33.
 Without it the band is every mode, each is a full transform and there is no
 band limit, so every step makes 2. A snapshot step hands its sink the band
-coefficients of its trailing band limit, so a snapshot costs no transform. The flux kernel, applied four times per
-inner RK4 step, makes none. The blow-up guard reads the coefficients' L2
-norm (Parseval, no transform).
+coefficients of its trailing band limit, so a snapshot costs no transform.
+The flux kernel, applied four times per inner RK4 step, makes none. The
+blow-up guard reads the coefficients' L2 norm (Parseval, no transform).
 
 Strang splitting is second order for cubic NLS (Lubich, Math. Comp. 77,
 2008). The tests cross-check it against a method-of-lines reference, the
@@ -333,12 +333,13 @@ def simulate(
     Monitors fire at the first and the final step and at every multiple of
     their cadence. Snapshots (when snapshot_every > 0) follow the same rule:
     each goes to ``snapshot_sink`` the moment it is taken, as a
-    :class:`snapshots.Snapshot` of the time, the step index, the state and,
-    when the run dealiases, the retained coefficients its closing band
-    limit computed (no extra transform). The run keeps none, and no step
-    without a snapshot keeps its coefficients. The run never writes into a
-    field it has handed out, so the sink may hold or store it without a
-    copy; ``list.append`` collects a run's snapshots in memory.
+    :class:`snapshots.Snapshot` of the time, the step index and either the
+    retained coefficients the closing band limit computed (no extra
+    transform) or, when the run does not dealias, the grid values. The run
+    keeps none, and no step without a snapshot keeps its coefficients. The
+    run never writes into a payload it has handed out, so the sink may hold
+    or store it without a copy; ``list.append`` collects a run's snapshots
+    in memory.
     A boundary-shell mass above ``cfg.boundary_mass_warn`` of the total
     triggers a one-shot warning.
 
@@ -397,7 +398,8 @@ def simulate(
         # before the monitors, so the band coefficients are gone while they run
         if snapshot_at(st.step):
             band, st.band = st.band, None
-            snapshot_sink(Snapshot(st.t, st.step, spec, field=st.u, band=band))
+            snapshot_sink(Snapshot(st.t, st.step, spec,
+                                   band if cfg.dealias else st.u.values, cfg.dealias))
             del band
         for mon in monitors:
             if st.step % mon.every == 0 or edge:

@@ -11,6 +11,7 @@ import dnls.grid
 from dnls.geometry import build_preset
 from dnls.grid import Field, GridSpec, weight_tables
 from dnls.observables import Frame, standard_monitors
+from dnls.snapshots import Snapshot
 from dnls.solver import SimulationState
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples are derived from the test
@@ -36,6 +37,12 @@ def band_limited_random(spec: GridSpec, seed=0, k_scale=1.5) -> Field:
     coeffs *= np.exp(-spec.k_squared / k_scale**2)
     coeffs[~spec.dealias_mask] = 0.0
     return Field(spec.ifft(coeffs), spec)
+
+
+def grid_snapshots(pairs) -> list[Snapshot]:
+    """Grid-layout snapshots of (t, field) pairs, the i-th at step i."""
+    return [Snapshot(t, step, u.spec, u.values, False)
+            for step, (t, u) in enumerate(pairs)]
 
 
 def peak_traced_bytes(fn) -> int:

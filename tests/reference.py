@@ -323,19 +323,19 @@ def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:
 
 
 def pulled_coefficients(snapshots) -> list[np.ndarray]:
-    """e^{+i|k|^2 t} fft(u) of each (t, u) snapshot, with the multiplier
-    built on the full grid."""
-    return [np.exp(1j * u.spec.k_squared * t) * u.spec.fft(u.values)
-            for t, u in snapshots]
+    """e^{+i|k|^2 t} fft(u) of each snapshot's field u at its time t, with
+    the multiplier built on the full grid."""
+    return [np.exp(1j * snap.spec.k_squared * snap.t) * snap.spec.fft(snap.field.values)
+            for snap in snapshots]
 
 
 def full_grid_scan(snapshots, s_values) -> tuple[np.ndarray, dict, Field]:
-    """Times, H^s Cauchy matrices (by exponent) and u_plus of (t, u)
-    snapshots, each field taken by a full transform and reduced against the
-    full-grid weights (1+|k|^2)^s."""
-    times = np.array([t for t, _ in snapshots])
+    """Times, H^s Cauchy matrices (by exponent) and u_plus of snapshots in
+    increasing time, each field taken by a full transform and reduced
+    against the full-grid weights (1+|k|^2)^s."""
+    times = np.array([snap.t for snap in snapshots])
     coeffs = pulled_coefficients(snapshots)
-    spec = snapshots[0][1].spec
+    spec = snapshots[0].spec
     m = len(coeffs)
     cauchy = {}
     for s in s_values:

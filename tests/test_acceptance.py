@@ -323,7 +323,7 @@ def test_criterion_10_scattering_consistency():
         report = extract_profile(snapshots, s_values=(0.5,), tol_mono=0.05)
         wall = time.perf_counter() - start
         mismatch = report.final_mismatch[0.5]
-        profile_norm = sobolev_norm(report.u_plus, 0.5)
+        profile_norm = sobolev_norm(report.u_plus.field, 0.5)
         run_ok = (report.verdicts[0.5] and mismatch < 0.10 * profile_norm
                   and wall < 300.0)
         ok &= run_ok

@@ -30,6 +30,7 @@ from dnls.geometry import MetricField
 from dnls.grid import FluxKernel, GridSpec
 from dnls.observables import smooth_random_field
 from dnls.scattering import cauchy_scan
+from conftest import grid_snapshots
 
 out = {}
 for preset in GOLDEN_MONITOR_PRESETS:
@@ -38,7 +39,8 @@ for preset in GOLDEN_MONITOR_PRESETS:
             out[f"{preset}-{dim}d {name}"] = float(value).hex()
 for dim, n in ((2, 128), (3, 24)):
     spec = GridSpec(dim, n, 8.0)
-    snapshots = [(0.1 * i, smooth_random_field(spec, seed=i)) for i in range(4)]
+    snapshots = grid_snapshots([(0.1 * i, smooth_random_field(spec, seed=i))
+                                for i in range(4)])
     for s, matrix in cauchy_scan(snapshots).cauchy.items():
         out[f"scan {dim}d s={s}"] = [float(x).hex() for x in matrix.ravel()]
 spec = GridSpec(3, 24, 8.0)

@@ -9,8 +9,9 @@ import pytest
 
 from dnls.cli import EXIT_CONFIG, EXIT_OK, EXIT_STABILITY, EXIT_VERDICT, main
 from dnls.observables import BoundCheckReport, InteractionReport
-from dnls.snapshots import load_snapshot, read_snapshot, write_snapshot
+from dnls.snapshots import Snapshot, load_snapshot, read_snapshot, write_snapshot
 
+from conftest import grid_snapshots
 from reference import write_snapshot_v1
 
 TINY_1D = """\
@@ -410,8 +411,8 @@ def test_resume_continues_the_step_index(tmp_path):
         snapshot = load_snapshot(resumed / name)
         twin = load_snapshot(straight / names[snapshot.step // 2])
         assert snapshot.t == twin.t
-        assert np.max(np.abs(snapshot.band - twin.band)) <= 1e-12 * np.max(
-            np.abs(twin.band))
+        assert np.max(np.abs(snapshot.values - twin.values)) <= 1e-12 * np.max(
+            np.abs(twin.values))
     ahead, behind = _monitor_series(straight), _monitor_series(resumed)
     assert sorted(ahead) == sorted(behind) and "mass" in ahead
     t = {step: ahead["mass"].times[k] for k, step in enumerate((0, 3, 6, 9, 12))}
@@ -455,7 +456,7 @@ def test_version_1_snapshots_still_scan_and_resume_at_index_0(tmp_path):
     band = np.loadtxt(tmp_path / "band" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
     v1 = np.loadtxt(tmp_path / "v1" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
     assert np.max(np.abs(band - v1)) <= 1e-13 * np.max(np.abs(band))
-    assert load_snapshot(tmp_path / "v1" / "u_plus.dnls").band is None
+    assert not load_snapshot(tmp_path / "v1" / "u_plus.dnls").band
     resumed = tmp_path / "resumed"
     assert main(["simulate", "--config", cfg, "--out", str(resumed), "--quiet",
                  "--resume", str(run_dir / names[1])]) == EXIT_OK
@@ -471,7 +472,7 @@ def test_scatter_on_mixed_layouts_or_a_checksum_mismatch_exits_2(tmp_path, capsy
     snap = run_dir / json.loads((run_dir / "manifest.json").read_text())["snapshots"][1]
     original = snap.read_bytes()
     field, t = read_snapshot(snap)
-    write_snapshot(snap, field, t, step=5)  # the grid layout
+    write_snapshot(snap, Snapshot(t, 5, field.spec, field.values, False))
     changed = bytearray(original)
     changed[-3] ^= 0x01
     for data, message in ((snap.read_bytes(), "band and grid layouts"),
@@ -494,7 +495,7 @@ def test_runs_without_dealiasing_write_grid_snapshots(tmp_path):
                  "--quiet"]) == EXIT_OK
     names = json.loads((run_dir / "manifest.json").read_text())["snapshots"]
     for path in [run_dir / name for name in names] + [run_dir / "scatter" / "u_plus.dnls"]:
-        assert load_snapshot(path).band is None
+        assert not load_snapshot(path).band
         assert path.stat().st_size == 80 + 16 * 64
 
 
@@ -656,6 +657,61 @@ def test_scatter_orders_snapshots_by_their_times(tmp_path):
                 == (tmp_path / "shuffled" / name).read_bytes())
 
 
+def test_scatter_loads_each_listed_snapshot_once(tmp_path, monkeypatch):
+    # one load_snapshot per listed file, in the manifest's order, and no
+    # other read of a snapshot: ordering them costs no pass over the headers
+    import builtins
+
+    import dnls.snapshots
+
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    names = manifest["snapshots"][::-1]
+    manifest["snapshots"] = names
+    manifest_path.write_text(json.dumps(manifest))
+    loaded, opened = [], []
+    load, real_open = dnls.snapshots.load_snapshot, builtins.open
+
+    def counted_load(path):
+        loaded.append(Path(path).name)
+        return load(path)
+
+    def logged_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".dnls") and "r" in mode:
+            opened.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dnls.snapshots, "load_snapshot", counted_load)
+    monkeypatch.setattr(builtins, "open", logged_open)
+    assert main(["scatter", "--manifest", str(manifest_path), "--quiet"]) == EXIT_OK
+    monkeypatch.undo()
+    assert loaded == opened == names
+
+
+def test_scatter_refuses_a_snapshot_of_another_config(tmp_path, capsys):
+    # snap_000002.dnls replaced by the one of a longer run (same time, same
+    # step, another config hash): exit 2 on one line, no outputs
+    cfg = _write(tmp_path, TINY_1D)
+    other = _write(tmp_path, TINY_1D.replace("duration = 0.1", "duration = 0.2"),
+                   "other.ini")
+    run_dir, other_dir = tmp_path / "run", tmp_path / "other"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    assert main(["simulate", "--config", other, "--out", str(other_dir),
+                 "--quiet"]) == 0
+    (run_dir / "snap_000002.dnls").write_bytes(
+        (other_dir / "snap_000002.dnls").read_bytes())
+    assert load_snapshot(run_dir / "snap_000002.dnls").t == pytest.approx(0.05)
+    capsys.readouterr()
+    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"),
+                 "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "snap_000002.dnls" in err[0] and "config hash" in err[0]
+    assert not (run_dir / "scatter").exists()
+
+
 def test_scatter_needs_snapshots(tmp_path):
     no_snaps = TINY_1D.replace("snapshot_every = 5", "snapshot_every = 0")
     cfg = _write(tmp_path, no_snaps)
@@ -736,9 +792,11 @@ def test_scatter_strict_fails_on_non_monotone_pullbacks(tmp_path):
     run_dir.mkdir()
     (run_dir / "config.ini").write_text(cfg.to_text())
     names = []
-    for i, (t, w) in enumerate([(0.0, base), (0.5, bumped), (1.0, base)]):
+    for i, snapshot in enumerate(grid_snapshots(
+            [(t, free_evolve(w, t)) for t, w in [(0.0, base), (0.5, bumped),
+                                                 (1.0, base)]])):
         name = f"snap_{i:06d}.dnls"
-        write_snapshot(run_dir / name, free_evolve(w, t), t)
+        write_snapshot(run_dir / name, snapshot)
         names.append(name)
     manifest = {"snapshots": names, "config_hash": cfg.config_hash()}
     (run_dir / "manifest.json").write_text(json.dumps(manifest))

@@ -21,10 +21,11 @@ from dnls.scattering import (
     free_evolve,
     free_pullback,
 )
+from dnls.snapshots import Snapshot
 from dnls.solver import SolverConfig, simulate
 
-from conftest import (band_limited_random, gaussian_field, logged_transforms,
-                      peak_traced_bytes)
+from conftest import (band_limited_random, gaussian_field, grid_snapshots,
+                      logged_transforms, peak_traced_bytes)
 from reference import full_grid_scan, laplacian_G, pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
@@ -58,9 +59,8 @@ def test_pullback_roundtrip_identity():
 
 def test_pullback_recovers_initial_datum_of_linear_run():
     snapshots = _linear_free_snapshots()
-    t0, u0 = snapshots[0]
-    tT, uT = snapshots[-1]
-    pulled = free_pullback(uT, tT)
+    u0 = snapshots[0].field
+    pulled = free_pullback(snapshots[-1].field, snapshots[-1].t)
     assert np.max(np.abs(pulled.values - u0.values)) < 1e-12
 
 
@@ -75,8 +75,8 @@ def test_free_evolve_is_hs_isometry():
 def test_pulled_coefficients_match_the_full_grid_multiplier():
     # the d one-dimensional factors against e^{+i|k|^2 t} built on the grid
     for spec in (SPEC, GridSpec(3, 16, 6.0)):
-        snapshots = [(t, band_limited_random(spec, seed=i))
-                     for i, t in enumerate((0.0, 0.35, 1.7, 4.0))]
+        snapshots = grid_snapshots([(t, band_limited_random(spec, seed=i))
+                                    for i, t in enumerate((0.0, 0.35, 1.7, 4.0))])
         *_, coeffs = _pulled_coefficients(snapshots)
         for got, want in zip(coeffs, pulled_coefficients(snapshots),
                              strict=True):
@@ -92,8 +92,8 @@ def test_cauchy_scan_reads_the_cached_sobolev_weight_rows():
     import dnls.grid
 
     dnls.grid.sobolev_weights.cache_clear()
-    snapshots = [(t, band_limited_random(SPEC, seed=i))
-                 for i, t in enumerate((0.0, 0.5, 1.0))]
+    snapshots = grid_snapshots([(t, band_limited_random(SPEC, seed=i))
+                                for i, t in enumerate((0.0, 0.5, 1.0))])
     first = cauchy_scan(snapshots, s_values=(0.0, 0.5))
     after_first = dnls.grid.sobolev_weights.cache_info()
     second = cauchy_scan(snapshots, s_values=(0.0, 0.5))
@@ -104,7 +104,7 @@ def test_cauchy_scan_reads_the_cached_sobolev_weight_rows():
     for s in (0.0, 0.5):
         assert np.array_equal(first.cauchy[s], second.cauchy[s])
     # the same rows serve a norm of the same exponent set
-    u = snapshots[0][1]
+    u = snapshots[0].field
     dnls.grid.sobolev_norms(dnls.grid.abs2(SPEC.fft(u.values)), SPEC, (0, 0.5))
     assert dnls.grid.sobolev_weights.cache_info().misses == 1
 
@@ -175,7 +175,7 @@ def test_extract_profile_linear_run_zero_mismatch():
         assert np.max(report.mismatch[s]) < 1e-12
         assert report.final_mismatch[s] < 1e-14
     # profile equals the initial datum for the exactly-invertible linear flow
-    assert np.max(np.abs(report.u_plus.values - snapshots[0][1].values)) < 1e-12
+    assert np.max(np.abs(report.u_plus.field.values - snapshots[0].field.values)) < 1e-12
 
 
 def test_extract_profile_mismatch_ordering_in_s():
@@ -209,12 +209,11 @@ def test_extract_profile_mismatch_equals_cauchy_last_row():
 def _reference_report(snapshots, s_values, tol_mono=0.05):
     """The real-space algorithm the Fourier scan replaces, built from the public
     free_pullback / free_evolve / sobolev_norm."""
-    times = np.asarray([t for t, _ in snapshots])
-    pulled = [free_pullback(u, t) for t, u in snapshots]
-    spec = snapshots[0][1].spec
+    times = np.asarray([snap.t for snap in snapshots])
+    pulled = [free_pullback(snap.field, snap.t) for snap in snapshots]
+    spec = snapshots[0].spec
     m = len(pulled)
-    t_final, u_final = snapshots[-1]
-    u_plus = free_pullback(u_final, t_final)
+    u_plus = free_pullback(snapshots[-1].field, snapshots[-1].t)
     cauchy, verdicts, mismatch = {}, {}, {}
     for s in s_values:
         matrix = np.zeros((m, m))
@@ -225,8 +224,9 @@ def _reference_report(snapshots, s_values, tol_mono=0.05):
         cauchy[s] = matrix
         verdicts[s] = _monotone_tail_verdict(times, matrix[-1], tol_mono)
         mismatch[s] = np.array([
-            sobolev_norm(Field(u.values - free_evolve(u_plus, t).values, spec), s)
-            for t, u in snapshots
+            sobolev_norm(Field(snap.field.values - free_evolve(u_plus, snap.t).values,
+                               spec), s)
+            for snap in snapshots
         ])
     return cauchy, verdicts, mismatch, u_plus
 
@@ -237,7 +237,7 @@ def _assert_matches_reference(snapshots, s_values, rel=1e-12):
     cauchy, verdicts, mismatch, u_plus = _reference_report(snapshots, s_values)
     m = len(snapshots)
     off = ~np.eye(m, dtype=bool)
-    assert np.max(np.abs(report.u_plus.values - u_plus.values)) <= 1e-14
+    assert np.max(np.abs(report.u_plus.field.values - u_plus.values)) <= 1e-14
     for s in s_values:
         ref = cauchy[s][off]
         assert np.all(ref > 0.0)
@@ -285,8 +285,8 @@ def test_fourier_scan_matches_reference_on_3d_run():
 def test_fourier_scan_matches_reference_on_random_fields(seed, steps, s_values):
     spec = GridSpec(2, 16, 5.0)
     times = np.cumsum(steps)
-    snapshots = [(float(t), band_limited_random(spec, seed=seed + i))
-                 for i, t in enumerate(times)]
+    snapshots = grid_snapshots([(float(t), band_limited_random(spec, seed=seed + i))
+                                for i, t in enumerate(times)])
     _assert_matches_reference(snapshots, tuple(s_values))
 
 
@@ -306,8 +306,8 @@ def _count_transforms(monkeypatch):
 @pytest.mark.parametrize("m", [3, 5, 9])
 def test_transform_counts_one_per_snapshot(monkeypatch, m):
     spec = GridSpec(2, 16, 5.0)
-    snapshots = [(0.1 * (i + 1), band_limited_random(spec, seed=i))
-                 for i in range(m)]
+    snapshots = grid_snapshots([(0.1 * (i + 1), band_limited_random(spec, seed=i))
+                                for i in range(m)])
     counts = _count_transforms(monkeypatch)
     cauchy_scan(snapshots, s_values=REFERENCE_S)
     assert counts == {"fft": m, "ifft": 0}
@@ -325,7 +325,7 @@ def test_extract_profile_streams_its_snapshots():
     m, s_values = 20, (0.0, 0.5)
 
     def snapshots(count):
-        return ((0.05 * i, Field(base.values * (1.0 + 0.01 * i), spec))
+        return (grid_snapshots([(0.05 * i, Field(base.values * (1.0 + 0.01 * i), spec))])[0]
                 for i in range(count))
 
     extract_profile(snapshots(3), s_values)  # transform plans, Sobolev weights
@@ -356,63 +356,86 @@ def test_band_scan_matches_the_full_grid_oracle(spec, preset, dealias):
     # the oracle transforms every field on the full grid. The entries agree
     # to roundoff of the largest pullback, u_plus to 1e-13 in L2
     snapshots = _run_snapshots(spec, dealias, preset)
-    assert all((s.band is not None) == dealias for s in snapshots)
+    assert all(s.band == dealias for s in snapshots)
     s_values = (0.0, 0.5, 0.9)
     report = extract_profile(snapshots, s_values)
     times, cauchy, u_plus = full_grid_scan(snapshots, s_values)
     assert np.array_equal(report.times, times)
-    assert (np.linalg.norm(report.u_plus.values - u_plus.values)
+    assert (np.linalg.norm(report.u_plus.field.values - u_plus.values)
             <= 1e-13 * np.linalg.norm(u_plus.values))
     for s in s_values:
         scale = sobolev_norm(u_plus, s)
         assert np.max(np.abs(report.cauchy[s] - cauchy[s])) <= 1e-13 * scale
         assert np.array_equal(report.cauchy[s], cauchy_scan(snapshots, s_values).cauchy[s])
+    # u_plus is a snapshot of the last time and step in the input layout
+    assert (report.u_plus.t, report.u_plus.step, report.u_plus.band) == (
+        snapshots[-1].t, snapshots[-1].step, dealias)
     if dealias:
         # the band is the band_fft of the snapshot's field, roundoff apart
         for snapshot in snapshots:
             want = spec.band_fft(snapshot.field.values, True)
-            assert (np.max(np.abs(snapshot.band - want))
+            assert (np.max(np.abs(snapshot.values - want))
                     <= 1e-15 * np.max(np.abs(want)))
-        assert np.array_equal(spec.band_ifft(report.u_plus_band, True),
-                              report.u_plus.values)
-    else:
-        assert report.u_plus_band is None
 
 
 def test_band_scan_makes_no_transform(monkeypatch):
-    # m band snapshots: no transform in the scan, one pruned inverse (d
-    # one-axis passes) for u_plus, and no full-grid transform anywhere
+    # m band snapshots: no transform in the scan, and none in the profile
+    # either, whose u_plus is the last coefficients as a band snapshot
     spec = GridSpec(3, 16, 6.0)
     snapshots = _run_snapshots(spec, True)
     counts = _count_transforms(monkeypatch)
     log = logged_transforms(monkeypatch)
     cauchy_scan(snapshots, s_values=REFERENCE_S)
     assert counts == {"fft": 0, "ifft": 0} and log == []
-    extract_profile(snapshots, s_values=REFERENCE_S)
-    assert counts == {"fft": 0, "ifft": 0}
-    assert [(name, axis) for name, axis, *_ in log] == [("ifft", 0), ("ifft", 1),
-                                                         ("ifft", 2)]
+    report = extract_profile(snapshots, s_values=REFERENCE_S)
+    assert counts == {"fft": 0, "ifft": 0} and log == []
+    assert report.u_plus.band
 
 
 def test_band_scan_refuses_mixed_layouts():
     spec = GridSpec(2, 32, 8.0)
     band = _run_snapshots(spec, True)
-    grid = [(t, u) for t, u in _run_snapshots(spec, False)]
+    grid = _run_snapshots(spec, False)
     for mixed in (band[:-1] + grid[-1:], grid[:-1] + band[-1:]):
         with pytest.raises(GridMismatchError, match="band and grid layouts"):
             extract_profile(mixed)
 
 
-def test_cauchy_scan_refuses_decreasing_times_and_negative_exponent():
-    snapshots = _linear_free_snapshots()
-    with pytest.raises(DomainError):
-        cauchy_scan(snapshots[::-1])
+def _assert_same_report(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert got.verdicts == want.verdicts
+    assert got.final_mismatch == want.final_mismatch
+    for s in want.s_values:
+        assert np.array_equal(got.cauchy[s], want.cauchy[s])
+        assert np.array_equal(got.mismatch[s], want.mismatch[s])
+    assert (got.u_plus.t, got.u_plus.step, got.u_plus.band) == (
+        want.u_plus.t, want.u_plus.step, want.u_plus.band)
+    assert np.array_equal(got.u_plus.values, want.u_plus.values)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_scan_orders_its_snapshots_by_time_and_refuses_repeated_times(dealias):
+    # reversed and shuffled inputs give the in-order report bit for bit; a
+    # repeated time, a negative exponent and another grid still raise
+    snapshots = _run_snapshots(GridSpec(2, 32, 8.0), dealias)
+    in_order = extract_profile(snapshots)
+    shuffled = [snapshots[i] for i in np.random.default_rng(5).permutation(
+        len(snapshots))]
+    assert [s.t for s in shuffled] != [s.t for s in snapshots]
+    for other in (snapshots[::-1], shuffled):
+        _assert_same_report(extract_profile(other), in_order)
+        scan = cauchy_scan(other)
+        for s in in_order.s_values:
+            assert np.array_equal(scan.cauchy[s], in_order.cauchy[s])
+    with pytest.raises(DomainError, match="strictly increasing"):
+        cauchy_scan(snapshots + snapshots[2:3])
     with pytest.raises(DomainError):
         cauchy_scan(snapshots, s_values=(-0.5,))
-    other = GridSpec(2, 64, 12.0)
-    mixed = snapshots[:-1] + [(snapshots[-1][0], band_limited_random(other))]
-    with pytest.raises(GridMismatchError):
-        extract_profile(mixed)
+    other = GridSpec(2, 32, 12.0)
+    last = snapshots[-1]
+    moved = Snapshot(last.t, last.step, other, last.values, last.band)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        extract_profile(snapshots[:-1] + [moved])
 
 
 # -- cutoff diagnostics ---------------------------------------------------------------

@@ -16,13 +16,13 @@ from dnls.snapshots import (
     LAYOUT_BAND,
     LAYOUT_GRID,
     MAGIC,
+    Snapshot,
     load_snapshot,
     read_snapshot,
-    read_snapshot_time,
     write_snapshot,
 )
 
-from conftest import band_limited_random, peak_traced_bytes
+from conftest import band_limited_random, grid_snapshots, peak_traced_bytes
 from reference import write_snapshot_v1
 
 
@@ -30,7 +30,7 @@ def test_snapshot_roundtrip(tmp_path):
     spec = GridSpec(3, 16, 5.0)
     field = band_limited_random(spec, seed=4)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, field, 1.25)
+    write_snapshot(path, grid_snapshots([(1.25, field)])[0])
     loaded, t = read_snapshot(path)
     assert t == 1.25
     assert loaded.spec == spec
@@ -40,23 +40,13 @@ def test_snapshot_roundtrip(tmp_path):
 def test_snapshot_io_makes_no_copy_of_the_field(tmp_path):
     # the write sends the field's own buffer and the read fills one array
     spec = GridSpec(3, 24, 5.0)
-    field = band_limited_random(spec, seed=4)
+    [snapshot] = grid_snapshots([(0.5, band_limited_random(spec, seed=4))])
     path = tmp_path / "state.dnls"
-    write_snapshot(path, field, 0.5)
+    write_snapshot(path, snapshot)
     read_snapshot(path)
     size = 16 * spec.size
-    assert peak_traced_bytes(lambda: write_snapshot(path, field, 0.5)) < 0.1 * size
+    assert peak_traced_bytes(lambda: write_snapshot(path, snapshot)) < 0.1 * size
     assert peak_traced_bytes(lambda: read_snapshot(path)) < 1.1 * size
-
-
-def test_snapshot_time_is_read_from_the_header(tmp_path):
-    spec = GridSpec(2, 16, 3.0)
-    path = tmp_path / "state.dnls"
-    write_snapshot(path, band_limited_random(spec, seed=1), 0.75)
-    assert read_snapshot_time(path) == 0.75
-    path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(DomainError, match="truncated snapshot payload"):
-        read_snapshot_time(path)
 
 
 def test_snapshot_header_layout(tmp_path):
@@ -66,7 +56,8 @@ def test_snapshot_header_layout(tmp_path):
     field = band_limited_random(spec, seed=1)
     path = tmp_path / "state.dnls"
     digest = "ab" * 32
-    write_snapshot(path, field, 0.5, step=7, config_hash=digest)
+    write_snapshot(path, Snapshot(0.5, 7, spec, field.values, False),
+                   config_hash=digest)
     raw = path.read_bytes()
     header_size = struct.calcsize("<4sIIIddq32sII")
     assert header_size == 80
@@ -90,14 +81,15 @@ def test_band_snapshot_stores_the_retained_coefficients(tmp_path):
     field = band_limited_random(spec, seed=1)
     band = spec.band_fft(field.values, True)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, field, 0.25, step=3, band=band)
+    write_snapshot(path, Snapshot(0.25, 3, spec, band, True))
     raw = path.read_bytes()
     assert len(raw) == 80 + 16 * 11**2
     assert struct.unpack_from("<I", raw, 72)[0] == LAYOUT_BAND
     assert np.array_equal(np.frombuffer(raw[80:], dtype="<c16").reshape(11, 11), band)
     loaded = load_snapshot(path)
-    assert (loaded.t, loaded.step, loaded.spec, loaded.config_hash) == (0.25, 3, spec, None)
-    assert np.array_equal(loaded.band, band)
+    assert (loaded.t, loaded.step, loaded.spec, loaded.band, loaded.config_hash) == (
+        0.25, 3, spec, True, None)
+    assert np.array_equal(loaded.values, band)
     values, t = read_snapshot(path)
     assert t == 0.25
     assert np.array_equal(values.values, spec.band_ifft(band, True))
@@ -111,16 +103,25 @@ def test_version_1_snapshots_still_read(tmp_path):
     path = tmp_path / "old.dnls"
     write_snapshot_v1(path, field, 0.75)
     loaded = load_snapshot(path)
-    assert (loaded.t, loaded.step, loaded.config_hash, loaded.band) == (0.75, 0, None, None)
+    assert (loaded.t, loaded.step, loaded.config_hash, loaded.band) == (
+        0.75, 0, None, False)
     assert np.array_equal(loaded.field.values, field.values)
-    t, u = loaded
-    assert t == 0.75 and u is loaded.field and loaded[1] is u and len(loaded) == 2
+
+
+@pytest.mark.parametrize("band", [True, False])
+def test_snapshot_refuses_a_payload_that_does_not_fit_its_layout(band):
+    # the grid values do not fit the band layout, nor the band the grid's
+    spec = GridSpec(2, 16, 3.0)
+    values = np.zeros(spec.band_shape(not band), dtype=complex)
+    with pytest.raises(DomainError, match="does not fit the layout"):
+        Snapshot(0.5, 1, spec, values, band)
 
 
 def test_snapshot_checksum_catches_a_changed_byte(tmp_path):
     spec = GridSpec(1, 16, 2.0)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, band_limited_random(spec, seed=3), 0.5, step=2)
+    write_snapshot(path, Snapshot(0.5, 2, spec, band_limited_random(spec, seed=3).values,
+                                  False))
     raw = bytearray(path.read_bytes())
     for at in (26, 33, 45, 100):  # time, step, config hash and payload
         changed = bytearray(raw)
@@ -145,7 +146,7 @@ def test_snapshot_rejects_corruption(tmp_path):
     spec = GridSpec(1, 16, 2.0)
     field = band_limited_random(spec, seed=2)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, field, 0.0)
+    write_snapshot(path, grid_snapshots([(0.0, field)])[0])
     raw = bytearray(path.read_bytes())
 
     truncated = tmp_path / "short.dnls"
@@ -178,7 +179,7 @@ def test_failed_snapshot_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypat
 
     spec = GridSpec(2, 16, 5.0)
     path = tmp_path / "state.dnls"
-    write_snapshot(path, band_limited_random(spec, seed=1), 0.5)
+    write_snapshot(path, grid_snapshots([(0.5, band_limited_random(spec, seed=1))])[0])
     original = path.read_bytes()
 
     class _BrokenFile:
@@ -200,7 +201,8 @@ def test_failed_snapshot_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypat
                         lambda *a, **k: _BrokenFile(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="disk full"):
-        write_snapshot(path, band_limited_random(spec, seed=2), 1.0)
+        write_snapshot(path,
+                       grid_snapshots([(1.0, band_limited_random(spec, seed=2))])[0])
     monkeypatch.undo()
 
     assert path.read_bytes() == original
@@ -244,7 +246,7 @@ def fuzz_run(tmp_path_factory):
                  "--quiet"]) == 0
     target = run / json.loads((run / "manifest.json").read_text())["snapshots"][2]
     field, t = read_snapshot(target)
-    write_snapshot(root / "grid.dnls", field, t, step=2)
+    write_snapshot(root / "grid.dnls", Snapshot(t, 2, field.spec, field.values, False))
     write_snapshot_v1(root / "v1.dnls", field, t)
     kinds = {"v2-band": target.read_bytes(),
              "v2-grid": (root / "grid.dnls").read_bytes(),

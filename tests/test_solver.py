@@ -297,8 +297,9 @@ def test_simulate_records_final_step_and_snapshots():
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.25)
     assert len(snapshots) == 4  # steps 0, 10, 20, 25
-    assert snapshots[-1][0] == pytest.approx(0.25)
-    assert snapshots[-1][1] is res.state.u
+    assert snapshots[-1].t == pytest.approx(0.25)
+    # the band the closing band limit went through: the state is its inverse
+    assert np.array_equal(snapshots[-1].field.values, res.state.u.values)
 
 
 def test_streamed_snapshots_cost_no_memory():
@@ -328,14 +329,15 @@ def test_simulate_never_writes_into_a_snapshot_it_handed_out():
 
         def sink(snapshot):
             handed.append(snapshot)
-            copies.append(snapshot[1].values.copy())
+            copies.append(snapshot.values.copy())
 
         cfg = SolverConfig(dt=0.01, duration=0.1, dealias=dealias)
         simulate(u0, metric, damping, cfg, snapshot_every=1, snapshot_sink=sink,
                  monitors=[Monitor("mass", lambda s, frame: mass(frame))])
         assert len(handed) == 11
-        for (_, u), copy in zip(handed, copies):
-            assert np.array_equal(u.values, copy)
+        assert all(snapshot.band == dealias for snapshot in handed)
+        for snapshot, copy in zip(handed, copies):
+            assert np.array_equal(snapshot.values, copy)
 
 
 def test_simulate_keeps_no_band_past_its_snapshot(monkeypatch):
@@ -353,8 +355,8 @@ def test_simulate_keeps_no_band_past_its_snapshot(monkeypatch):
         return original(state, propagator, **kwargs)
 
     def sink(snapshot):
-        assert snapshot.band.shape == SPEC.band_shape(True)
-        handed.append(weakref.ref(snapshot.band))
+        assert snapshot.band and snapshot.values.shape == SPEC.band_shape(True)
+        handed.append(weakref.ref(snapshot.values))
 
     monkeypatch.setattr(dnls.solver, "step", checked)
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
