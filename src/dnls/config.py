@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .grid import Field, GridSpec, step_count
 from .observables import smooth_random_field
-from .solver import MAX_STEPS, SolverConfig
+from .solver import SolverConfig
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
@@ -270,8 +270,8 @@ class RunConfig:
                     f"[observables] cutoff_exponents must lie in [0, 1), got {s}"
                 )
         r = self.rays
-        if r.count < 1 or r.dt <= 0 or r.horizon <= 0 or r.sample_radius <= 0:
-            raise ConfigError("[rays] count, dt, horizon, sample_radius must be positive")
+        if r.count < 1 or r.sample_radius <= 0:
+            raise ConfigError("[rays] count and sample_radius must be positive")
         if not np.isfinite(r.sample_radius):
             raise ConfigError(f"[rays] sample_radius must be finite, got {r.sample_radius}")
         # nan takes the default, which clears the support by construction
@@ -279,12 +279,6 @@ class RunConfig:
         if not (np.isnan(r.escape_radius) or r.escape_radius > reach):
             raise ConfigError(f"[rays] escape_radius = {r.escape_radius} must exceed "
                               f"the coefficient support {reach}")
-        if not (np.isfinite(r.dt) and np.isfinite(r.horizon)):
-            raise ConfigError(f"[rays] dt and horizon must be finite, got "
-                              f"{r.dt} and {r.horizon}")
-        if r.horizon / r.dt > MAX_STEPS:  # the solver's cap, per ray
-            raise ConfigError(f"[rays] horizon / dt = {r.horizon / r.dt:.3g} steps "
-                              f"exceeds the cap of {MAX_STEPS}")
         try:
             step_count(r.horizon, r.dt, "horizon")
         except DomainError as exc:

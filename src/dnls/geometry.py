@@ -18,7 +18,6 @@ from .errors import DomainError, GridMismatchError, InvalidMetricError
 from .grid import GridSpec, real_derivatives
 
 __all__ = [
-    "bump_profile",
     "smooth_transition",
     "cutoff_field",
     "MetricField",
@@ -60,12 +59,6 @@ def _bump(s2: np.ndarray, slope: bool = False):
     b_s2 = np.zeros(s2.shape)
     b_s2[inside] = -b_in / t / t
     return b, b_s2
-
-
-def bump_profile(r: np.ndarray, radius: float) -> np.ndarray:
-    """b(r) = exp(1 - 1/(1-(r/R)^2)) for r < R, 0 otherwise; b(0) = 1."""
-    r = np.asarray(r, dtype=np.float64)
-    return _bump((r / radius) ** 2)
 
 
 def smooth_transition(s: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
     "sobolev_norm",
     "weight_tables",
     "rk4",
+    "MAX_STEPS",
     "step_count",
 ]
 
@@ -305,14 +306,29 @@ def gradient(f: Field) -> list[Field]:
     return out
 
 
+# The most time steps one run (or one ray) may take: a run length whose
+# ratio to dt asks for more is refused up front rather than run for days.
+MAX_STEPS = 10_000_000
+
+
 def step_count(span: float, dt: float, name: str = "span") -> int:
-    """The number of steps dt in the run length ``span``, which must be a
-    whole number >= 1 to 1e-9 relative: otherwise the run would end at another
-    time, and :class:`DomainError` names ``name``."""
+    """The number of steps dt in the run length ``span``: the one run-length
+    rule of the package. dt must be positive and finite, ``span`` finite and
+    a whole number >= 1 of steps to 1e-9 relative (otherwise the run would
+    end at another time), and the count at most :data:`MAX_STEPS`; each
+    refusal is a :class:`DomainError` that names ``name``."""
+    if not 0.0 < dt < np.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    if not -np.inf < span < np.inf:
+        raise DomainError(f"{name} must be finite, got {span!r}")
     steps = span / dt
+    if steps > MAX_STEPS:
+        raise DomainError(f"{name} / dt = {steps:.3g} steps exceeds the cap "
+                          f"of {MAX_STEPS}")
     if not (span >= dt and abs(steps - round(steps)) <= 1e-9 * steps):
         raise DomainError(f"{name} = {span!r} is not a whole number of steps "
-                          f"dt = {dt!r} ({steps:.6g} steps)")
+                          f"dt = {dt!r} ({steps:.6g} steps; a run takes one "
+                          "step at least)")
     return int(round(steps))
 
 
@@ -501,8 +517,8 @@ def sobolev_weights(spec: GridSpec, s_values: tuple[float, ...],
     rows hold the :meth:`GridSpec.retained` modes only, in the order of
     :meth:`GridSpec.band_fft`: shape (len(s_values), nb^dim)."""
     for s in s_values:
-        if s < 0:
-            raise DomainError(f"Sobolev index must be >= 0, got {s}")
+        if not 0 <= s < np.inf:
+            raise DomainError(f"Sobolev index must be finite and >= 0, got {s}")
     k_squared = spec.k_squared
     if dealias:
         k_squared = k_squared[np.ix_(*[spec.retained(True)] * spec.dim)]

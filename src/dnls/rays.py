@@ -169,13 +169,11 @@ def integrate_ray(
     horizon: float,
     dt: float,
 ) -> Trajectory:
-    """Integrate one ray to the horizon, recording every step."""
-    if not 0.0 < dt <= horizon:
-        raise DomainError("integrate_ray needs dt > 0 and a horizon of one "
-                          f"step at least, got dt = {dt}, horizon = {horizon}")
+    """Integrate one ray to the horizon, recording every step; the horizon
+    must be a run length :func:`grid.step_count` counts."""
+    n_steps = step_count(horizon, dt, "horizon")
     y = _initial_state(np.reshape(x0, (1, -1)), np.reshape(xi0, (1, -1)), metric)
     flow = _Flow(metric)
-    n_steps = step_count(horizon, dt, "horizon")
     states = np.empty((n_steps + 1, len(y)))
     hams = np.empty(n_steps + 1)
     h, k1 = flow.evaluate(y)
@@ -371,11 +369,10 @@ def verify_exterior_control(
 ) -> EnsembleSummary:
     """Advance an ensemble and classify every ray; vectorized over rays.
 
-    Exterior control holds empirically iff no ray is trapped at the horizon.
+    Exterior control holds empirically iff no ray is trapped at the horizon,
+    a run length :func:`grid.step_count` counts.
     """
-    if not 0.0 < dt <= horizon:
-        raise DomainError("ensemble integration needs dt > 0 and a horizon of "
-                          f"one step at least, got dt = {dt}, horizon = {horizon}")
+    n_steps = step_count(horizon, dt, "horizon")
     reach = max(metric.support_radius, damping.support_radius)
     if escape_radius <= reach:
         raise DomainError(
@@ -384,7 +381,6 @@ def verify_exterior_control(
     y = _initial_state(x0, xi0, metric)
     flow = _Flow(metric)
     d = flow.dim
-    n_steps = step_count(horizon, dt, "horizon")
     h, k1 = flow.evaluate(y)
     rule = _FateRule(damping, y[:d], h, dt, escape_radius, a_min)
     for i in range(1, n_steps + 1):

@@ -172,6 +172,9 @@ def _scan(
     exponent at once by :func:`grid.sobolev_norms`, on the band's rows for
     band coefficients.
     """
+    # a nan slack would pass every monotone-tail verdict
+    if not 0 <= tol_mono < np.inf:
+        raise DomainError(f"tol_mono must be finite and >= 0, got {tol_mono}")
     s_values = tuple(float(s) for s in s_values)
     m = len(coeffs)
     matrices = np.zeros((len(s_values), m, m))

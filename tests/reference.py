@@ -17,8 +17,9 @@ ship them.
 * Tables and multipliers the package builds in another form: the
   full-grid flux (the package takes the DFT restricted to the band and the
   support box of p, one matrix per axis), the grad|x| table (the package
-  keeps only its half spectra), the radial slope of the bump (the package
-  forms grad p inside ``MetricField.eval_radial``) and the full-grid free
+  keeps only its half spectra), the bump profile and its radial slope (the
+  package forms p and grad p inside ``MetricField.eval_radial``) and the
+  full-grid free
   multiplier (the package applies it as d one-dimensional factors).
 * div(G grad .) of a complex field on every mode, ``laplacian_G`` (by
   ``div_G_grad_coeffs`` and ``flux_divergence``, a :class:`FluxKernel` on
@@ -48,7 +49,6 @@ import struct
 
 import numpy as np
 
-from dnls.geometry import bump_profile
 from dnls.grid import (
     Field,
     _grad_rho_components,
@@ -309,6 +309,16 @@ def homogeneous_sobolev_norm(f: Field, s: float) -> float:
     spec = f.spec
     weights = homogeneous_sobolev_weights(spec, s)
     return float(np.sqrt(spec.volume * np.sum(weights * abs2(spec.fft(f.values)))))
+
+
+def bump_profile(r: np.ndarray, radius: float) -> np.ndarray:
+    """b(r) = exp(1 - 1/(1-(r/R)^2)) for r < R, 0 otherwise; b(0) = 1."""
+    r = np.asarray(r, dtype=np.float64)
+    s2 = (r / radius) ** 2
+    inside = s2 < 1.0
+    out = np.zeros_like(r)
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    return out
 
 
 def bump_profile_derivative(r: np.ndarray, radius: float) -> np.ndarray:

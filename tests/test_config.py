@@ -100,11 +100,11 @@ def test_cadences_validated(section, key, value):
     ("solver", "dt", "inf", "dt must be positive and finite"),
     ("rays", "horizon", "nan", "must be finite"),
     ("rays", "horizon", "inf", "must be finite"),
-    ("rays", "dt", "nan", "must be finite"),
+    ("rays", "dt", "nan", "dt must be positive and finite"),
     ("rays", "dt", "1e-300", "exceeds the cap"),
 ])
 def test_run_lengths_are_finite_and_capped(section, key, value, message):
-    from dnls.solver import MAX_STEPS
+    from dnls.grid import MAX_STEPS
 
     bad = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"\[{section}\] .*{message}"):

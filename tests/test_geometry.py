@@ -7,7 +7,6 @@ from dnls.geometry import (
     MetricField,
     PRESET_NAMES,
     build_preset,
-    bump_profile,
     check_control,
     coercivity_constant,
     cutoff_field,
@@ -17,28 +16,35 @@ from dnls.geometry import (
 from dnls.grid import GridSpec
 from dnls.solver import cfl_suggestion
 
-from reference import bump_profile_derivative, metric_table, real_derivatives_full
+from reference import (
+    bump_profile,
+    bump_profile_derivative,
+    metric_table,
+    real_derivatives_full,
+)
 
 
 SPEC = GridSpec(2, 64, 10.0)
 SPEC3 = GridSpec(3, 24, 10.0)
 
 
-def _radial_slope(r: np.ndarray, radius: float) -> np.ndarray:
-    """db/dr as the package forms it: grad p = c x of a unit-amplitude 1-d
-    bump, sampled at x = r >= 0 by ``MetricField.eval_radial``."""
+def _radial_bump(r: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """b and db/dr as the package forms them: p and grad p = c x of a
+    unit-amplitude 1-d bump, sampled at x = r >= 0 by
+    ``MetricField.eval_radial``."""
     metric = MetricField(GridSpec(1, 16, 10.0), amplitude=1.0, radius=radius)
     r = np.asarray(r, dtype=float)
-    return metric.eval_radial(r[:, None])[1] * r
+    p, c = metric.eval_radial(r[:, None])
+    return p, c * r
 
 
 def test_bump_profile_shape():
     r = np.array([0.0, 1.0, 1.999, 2.0, 5.0])
-    b = bump_profile(r, 2.0)
-    assert b[0] == pytest.approx(1.0)
+    b, db = _radial_bump(r, 2.0)
+    assert b[0] == 1.0
     assert 0 < b[1] < 1
     assert b[3] == 0.0 and b[4] == 0.0
-    db = _radial_slope(r, 2.0)
+    assert np.allclose(b, bump_profile(r, 2.0), rtol=1e-14, atol=0.0)
     assert db[0] == 0.0
     assert db[1] < 0.0
     assert db[3] == 0.0
@@ -48,7 +54,7 @@ def test_bump_derivative_matches_finite_differences():
     r = np.linspace(0.05, 1.9, 40)
     h = 1e-6
     fd = (bump_profile(r + h, 2.0) - bump_profile(r - h, 2.0)) / (2 * h)
-    assert np.max(np.abs(fd - _radial_slope(r, 2.0))) < 1e-7
+    assert np.max(np.abs(fd - _radial_bump(r, 2.0)[1])) < 1e-7
     assert np.max(np.abs(fd - bump_profile_derivative(r, 2.0))) < 1e-7
 
 

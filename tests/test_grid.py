@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from dnls.errors import DomainError, GridMismatchError
 from dnls.geometry import DampingField, MetricField, build_preset
 from dnls.grid import (
+    MAX_STEPS,
     Field,
     GridSpec,
     gradient,
@@ -273,6 +274,31 @@ def test_step_count_of_whole_steps(span, dt, steps):
 def test_step_count_refuses_what_is_not_whole_steps(span, dt):
     with pytest.raises(DomainError, match="length = .* is not a whole number of steps"):
         step_count(span, dt, "length")
+
+
+@pytest.mark.parametrize("span, dt, message", [
+    # dt = 0 was ZeroDivisionError and an infinite span OverflowError from
+    # round(inf); no cap was checked
+    (1.0, 0.0, "dt must be positive and finite"),
+    (1.0, -0.1, "dt must be positive and finite"),
+    (1.0, np.nan, "dt must be positive and finite"),
+    (1.0, np.inf, "dt must be positive and finite"),
+    (np.inf, 0.1, "length must be finite"),
+    (-np.inf, 0.1, "length must be finite"),
+    (np.nan, 0.1, "length must be finite"),
+    (1.0, 1e-300, "length / dt = 1e\\+300 steps exceeds the cap"),
+    (1.0, 5e-324, "length / dt = inf steps exceeds the cap"),
+    (-1.0, 0.1, "length = -1.0 is not a whole number of steps .* one step at least"),
+])
+def test_step_count_refuses_a_length_it_cannot_count(span, dt, message):
+    with pytest.raises(DomainError, match=message):
+        step_count(span, dt, "length")
+
+
+def test_step_count_takes_max_steps_and_not_one_more():
+    assert step_count(MAX_STEPS * 1e-6, 1e-6) == MAX_STEPS
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        step_count((MAX_STEPS + 1) * 1e-6, 1e-6)
 
 
 # -- variable-coefficient Laplacian --------------------------------------------
@@ -681,6 +707,13 @@ def test_sobolev_weights_rows_are_the_multipliers():
     assert sobolev_weights(spec, ()).shape == (0, 256)
     with pytest.raises(DomainError, match="Sobolev index"):
         sobolev_weights(spec, (0.5, -0.1))
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_sobolev_weights_refuse_an_exponent_that_is_not_finite(s):
+    # a nan row made every H^s norm nan, and every Cauchy verdict true
+    with pytest.raises(DomainError, match="Sobolev index must be finite and >= 0"):
+        sobolev_weights(GridSpec(2, 16, 4.0), (0.5, s))
 
 
 def test_parseval_quadrature_vs_spectrum():

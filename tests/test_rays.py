@@ -105,11 +105,11 @@ def test_integrate_ray_input_validation():
         integrate_ray(np.zeros(2), np.ones(2), metric, -1.0, 1e-2)
 
 
-def _run_rays(how, metric, damping, x0, xi0):
+def _run_rays(how, metric, damping, x0, xi0, horizon=1.0, dt=1e-2):
     if how == "ensemble":
-        return verify_exterior_control(metric, damping, x0, xi0, horizon=1.0,
-                                       dt=1e-2, escape_radius=9.0)
-    return integrate_ray(x0, xi0, metric, 1.0, 1e-2)
+        return verify_exterior_control(metric, damping, x0, xi0, horizon=horizon,
+                                       dt=dt, escape_radius=9.0)
+    return integrate_ray(x0, xi0, metric, horizon, dt)
 
 
 @pytest.mark.parametrize("how", ["ensemble", "single"])
@@ -426,6 +426,23 @@ def test_whole_number_of_ray_steps_at_least_one():
         integrate_ray(np.zeros(2), np.ones(2), metric, 0.01, 0.05)
     # one step is a run
     assert len(integrate_ray(np.zeros(2), np.ones(2), metric, 0.05, 0.05).times) == 2
+
+
+@pytest.mark.parametrize("how", ["ensemble", "single"])
+@pytest.mark.parametrize("horizon, message", [
+    # was OverflowError from round(inf)
+    pytest.param(np.inf, "horizon must be finite", id="infinite"),
+    # integrate_ray asked numpy for 10^13 recorded states (291 TiB), and the
+    # ensemble would have stepped 10^13 times
+    pytest.param(1e12, "horizon / dt = 1e\\+13 steps exceeds the cap", id="over_the_cap"),
+])
+def test_ray_step_count_refuses_before_it_allocates_or_steps(how, horizon, message):
+    metric, damping = build_preset("conformal_bump", SPEC, {"damping_radius": 4.0})
+    x0, xi0 = sample_ensemble(2, 4, 3.0, seed=0)
+    if how == "single":
+        x0, xi0 = x0[0], xi0[0]
+    with pytest.raises(DomainError, match=message):
+        _run_rays(how, metric, damping, x0, xi0, horizon=horizon, dt=0.1)
 
 
 def test_ray_horizons_not_a_whole_number_of_steps_are_refused():

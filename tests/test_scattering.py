@@ -138,6 +138,32 @@ def test_cauchy_scan_refuses_few_snapshots():
         cauchy_scan(snapshots)
 
 
+def _rescaled_free_snapshots(scales):
+    """Grid snapshots of the free flow times (1 + c_i), at t_i = i/4: the
+    last Cauchy row is |c_j - c_last| ||u0||_{H^s}."""
+    u0 = gaussian_field(SPEC)
+    return grid_snapshots((0.25 * i, Field(free_evolve(u0, 0.25 * i).values * (1 + c),
+                                           SPEC))
+                          for i, c in enumerate(scales))
+
+
+@pytest.mark.parametrize("scan", [cauchy_scan, extract_profile])
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"tol_mono": np.nan}, id="tol_mono_nan"),
+    pytest.param({"tol_mono": np.inf}, id="tol_mono_inf"),
+    pytest.param({"tol_mono": -0.01}, id="tol_mono_negative"),
+    pytest.param({"s_values": (0.5, np.nan)}, id="sobolev_nan"),
+    pytest.param({"s_values": (np.inf,)}, id="sobolev_inf"),
+])
+def test_scan_refuses_a_slack_or_sobolev_exponent_that_is_not_finite(scan, kwargs):
+    # the tail row 0, 0.5 grows, so the verdict at tol_mono 0.05 is false; a
+    # nan slack, or nan norms from a nan exponent, read it true
+    scales = (0.0, 0.1, 0.0, 0.5, 0.0)
+    assert not scan(_rescaled_free_snapshots(scales), s_values=(0.5,)).verdicts[0.5]
+    with pytest.raises(DomainError, match="must be finite and >= 0"):
+        scan(_rescaled_free_snapshots(scales), **kwargs)
+
+
 def test_cauchy_scan_small_data_verdict_positive():
     metric, damping = build_preset("identity", SPEC, {"damping_radius": 4.0})
     u0 = gaussian_field(SPEC, amplitude=0.2, width=1.2)
