@@ -136,8 +136,8 @@ def _configured(args):
 
 def _load_snapshot(path, config_hash: str) -> snapshots.Snapshot:
     """The snapshot stored at ``path``; a file that does not read, or that
-    records a config hash other than ``config_hash`` (a v1 file records
-    none), is an input error."""
+    records a config hash other than ``config_hash`` (a file written
+    without one records none), is an input error."""
     try:
         snapshot = snapshots.load_snapshot(path)
     except (OSError, DomainError) as exc:
@@ -224,7 +224,7 @@ def _cmd_simulate(args) -> int:
     spec = metric.spec
     config_hash = cfg.config_hash()
     if args.resume:
-        # the run continues the stored step index; a v1 file records none
+        # the run continues the stored step index
         start = _load_snapshot(args.resume, config_hash)
         if start.spec != spec:
             raise ConfigError(

@@ -389,6 +389,13 @@ def build_preset(
     ``uncontrolled_bump`` deliberately places the damping away from the metric
     perturbation so that the control condition fails; everything else must pass
     check_control with the default thresholds.
+
+    At its default amplitude -0.9 (``DEFAULT_METRIC_AMPLITUDE``) the
+    ``uncontrolled_bump`` fails that static check but traps no ray: the bump
+    holds circular rays only for amplitudes A < A* ~ -0.906. An ensemble of
+    400 rays sampled in B(0, 2), seed 7, horizon 30, dt 5e-3 has 0 trapped
+    in 2-d and in 3-d at -0.9, and 42 and 31 at -0.95; criterion 9 and the
+    rays benchmark workload set -0.95.
     """
     if name not in PRESET_NAMES:
         raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

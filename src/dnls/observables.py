@@ -1,11 +1,12 @@
 """Functionals and identity residuals evaluated on simulation snapshots.
 
 Everything here is a pure function of fields and recorded series, and the
-monitors a run records, the commutator [lap, chi] u among them, are built
-from it. Time integrals use the trapezoid rule on the recorded cadence, in
-the expression (and so with the bits) of scipy's ``cumulative_trapezoid``;
-rate residuals use centered differences, so their discretization error
-tracks the recording cadence squared.
+monitors a run records are built from it; each recorded series feeds a
+report of :func:`run_reports` or an acceptance criterion. Time integrals
+use the trapezoid rule on the recorded cadence, in the expression (and so
+with the bits) of scipy's ``cumulative_trapezoid``; rate residuals use
+centered differences, so their discretization error tracks the recording
+cadence squared.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .grid import (
     abs2,
     dot,
     gradient,
-    norm_sq,
-    real_derivatives,
     sobolev_norms,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "morawetz_rate_rhs",
     "bilinear_interaction",
     "local_sobolev_decay",
-    "commutator_with_cutoff",
     "smooth_random_field",
     "standard_monitors",
     "mass_law_residual",
@@ -372,23 +370,6 @@ def local_sobolev_decay(frame: Frame, cutoff: np.ndarray, s: float) -> float:
     return float(sobolev_norms(frame.cutoff_power(cutoff), frame.spec, (s,))[0])
 
 
-def commutator_with_cutoff(
-    u: Field,
-    grads: Sequence[Field],
-    derivatives: tuple[np.ndarray, list[np.ndarray]],
-) -> Field:
-    """[lap, chi] u evaluated by the product rule (lap chi) u + 2 grad chi . grad u,
-    given ``grads``, the spectral gradients of u, and ``derivatives``, the
-    :func:`grid.real_derivatives` of chi under the identity metric."""
-    lap_chi, grad_chi = derivatives
-    out = lap_chi * u.values
-    for gc, gu in zip(grad_chi, grads):  # in real arithmetic, in place
-        two_gc = 2.0 * gc
-        out.real += two_gc * gu.values.real
-        out.imag += two_gc * gu.values.imag
-    return Field(out, u.spec)
-
-
 def smooth_random_field(spec: GridSpec, seed: int = 0, k_scale: float = 2.0) -> Field:
     """Unit-L2 random field with Gaussian spectral envelope exp(-|k|^2/k_scale^2)."""
     rng = np.random.default_rng(seed)
@@ -421,7 +402,11 @@ def standard_monitors(
     """Monitors for every law and functional the workbench verifies.
 
     Each reads the record's :class:`Frame`; the tables fixed for the run
-    (damping support, balls, cutoff derivatives) are built here, once.
+    (damping support, perturbation support, ball) are built here, once.
+    Every series has a reader. :func:`run_reports` reads all of them but
+    ``local_energy`` (recorded with ``local_radius``) and ``cutoff_hs_<s>``
+    (with a ``cutoff``), the series of the local energy and local H^s decay
+    criteria; ``morawetz_proxy`` is recorded for a non-identity metric only.
     """
     spec = metric.spec
     dv = spec.dx**spec.dim
@@ -499,19 +484,13 @@ def standard_monitors(
     if local_radius is not None:
         ball = spec.ball_mask(local_radius)
 
-        # quadratures over B(0, local_radius) of |u|^2 + |grad u|^2 and |u|^2
+        # quadrature over B(0, local_radius) of |u|^2 + |grad u|^2
         def mon_local_energy(state, frame):
             return float(frame.h1_density[ball].sum() * dv)
 
-        def mon_local_mass(state, frame):
-            return float(frame.mod2[ball].sum() * dv)
-
         monitors.append(Monitor("local_energy", mon_local_energy, record_every))
-        monitors.append(Monitor("local_mass", mon_local_mass, record_every))
 
     if cutoff is not None:
-        cut_derivatives = real_derivatives(cutoff, MetricField(spec))
-
         for s in cutoff_exponents:
             def mon_cut(state, frame, s=s):
                 return local_sobolev_decay(frame, cutoff, s)
@@ -519,12 +498,6 @@ def standard_monitors(
             monitors.append(
                 Monitor(f"cutoff_hs_{s:g}", mon_cut, record_every)
             )
-
-        def mon_commutator(state, frame):
-            comm = commutator_with_cutoff(state.u, frame.grads, cut_derivatives)
-            return norm_sq(comm.values) * dv
-
-        monitors.append(Monitor("commutator_l2_sq", mon_commutator, record_every))
 
     return monitors
 

@@ -11,7 +11,7 @@ space. A :class:`snapshots.Snapshot` of a dealiased run holds its retained
 band (a v2 band file, or a snapshot ``simulate`` handed out) and gives
 u_hat_i without a transform, and the scan runs on the band: the free factors
 and the H^s rows restricted to the retained modes, 33^3 of 48^3 at n = 48.
-A grid-layout snapshot (a run without dealiasing, or a v1 file) costs one
+A grid-layout snapshot (a run without dealiasing) costs one
 transform. So m band snapshots cost no transform in ``cauchy_scan`` or in
 ``extract_profile``, whose u_plus is the last coefficients as a band
 snapshot; m grid snapshots cost m and m + 1 (u_plus = ifft(v_hat_last)),

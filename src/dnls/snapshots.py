@@ -1,10 +1,10 @@
 """Binary field snapshot format.
 
-Version 2, which the package writes (little-endian): magic ``DNLS``,
-version u32, dim u32, n_per_axis u32, half-length f64, time f64, step i64
-(the run's step index), config hash (32 bytes: the SHA-256 digest of the
-run's configuration, zeros if none was given), layout u32, then a CRC32 u32
-of the 76 header bytes before it and the payload. The payload is complex128
+Version 2, the one the package writes and reads (little-endian): magic
+``DNLS``, version u32, dim u32, n_per_axis u32, half-length f64, time f64,
+step i64 (the run's step index), config hash (32 bytes: the SHA-256 digest
+of the run's configuration, zeros if none was given), layout u32, then a
+CRC32 u32 of the 76 header bytes before it and the payload. The payload is complex128
 values as interleaved (re, im) float64 pairs in row-major order, in one of
 two layouts:
 
@@ -14,8 +14,8 @@ two layouts:
 * ``LAYOUT_GRID`` (0): the grid values, n^dim of them (1.77 MB at 48^3), for
   a run without dealiasing.
 
-Version 1, still read: magic, version, dim, n, half-length and time as in
-version 2 (32 bytes), then the grid values; no step, hash or checksum.
+Any other version is refused: version 1 files (a 32-byte header and the
+grid values) carry no checksum, so a corrupt one could read silently.
 
 Every file the package writes, snapshots and CLI outputs alike, goes
 through :func:`atomic_open`, so a crash mid-write never leaves a torn file.
@@ -39,7 +39,6 @@ from .grid import Field, GridSpec
 MAGIC = b"DNLS"
 VERSION = 2
 LAYOUT_GRID, LAYOUT_BAND = 0, 1
-_HEADER_V1 = struct.Struct("<4sIIIdd")
 _HEADER = struct.Struct("<4sIIIddq32sII")
 _NO_HASH = bytes(32)
 
@@ -122,20 +121,13 @@ def load_snapshot(path: str | Path) -> Snapshot:
     is not finite raises a :class:`DomainError` naming it."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER_V1.size:
+        if len(raw) != _HEADER.size:
             raise DomainError(f"{path}: truncated snapshot header")
-        magic, version, dim, n, length, time = _HEADER_V1.unpack_from(raw)
+        (magic, version, dim, n, length, time, step, digest, layout,
+         crc) = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise DomainError(f"{path}: bad magic {magic!r}")
-        if version == 1:
-            header_size, step, digest, layout, crc = (_HEADER_V1.size, 0, _NO_HASH,
-                                                      LAYOUT_GRID, None)
-        elif version == VERSION:
-            if len(raw) != _HEADER.size:
-                raise DomainError(f"{path}: truncated snapshot header")
-            header_size = _HEADER.size
-            *_, step, digest, layout, crc = _HEADER.unpack(raw)
-        else:
+        if version != VERSION:
             raise DomainError(f"{path}: unsupported snapshot version {version}")
         try:
             spec = GridSpec(dim, n, length)
@@ -147,19 +139,17 @@ def load_snapshot(path: str | Path) -> Snapshot:
                               f"step {step}, layout {layout})")
         band = layout == LAYOUT_BAND
         # checked before reading, so a corrupt header allocates nothing
-        expected = header_size + 16 * math.prod(spec.band_shape(band))
+        expected = _HEADER.size + 16 * math.prod(spec.band_shape(band))
         size = os.fstat(fh.fileno()).st_size
         if size < expected:
             raise DomainError(f"{path}: truncated snapshot payload")
         if size > expected:
             raise DomainError(
                 f"{path}: {size - expected} bytes past the snapshot payload")
-        fh.seek(header_size)
         values = np.empty(spec.band_shape(band), dtype="<c16")
         if fh.readinto(values.data.cast("B")) != values.nbytes:
             raise DomainError(f"{path}: truncated snapshot payload")
-    head = raw[:header_size - 4]
-    if crc is not None and zlib.crc32(values.data, zlib.crc32(head)) != crc:
+    if zlib.crc32(values.data, zlib.crc32(raw[:-4])) != crc:
         raise DomainError(f"{path}: snapshot checksum mismatch")
     # min and max carry any nan, and neither makes a temporary array
     flat = values.view(np.float64)

@@ -57,18 +57,18 @@ def peak_traced_bytes(fn) -> int:
 
 
 def local_monitors(spec: GridSpec, radius: float) -> dict:
-    """The run's ``local_mass`` and ``local_energy`` monitors on B(0, radius),
-    by name, built as ``simulate`` builds them."""
+    """The run's ``local_energy`` monitor on B(0, radius), by name, built as
+    ``simulate`` builds it."""
     metric, damping = build_preset("identity", spec, {"damping_amplitude": 0.0,
                                                       "damping_radius": 1.0})
     monitors = standard_monitors(metric, damping, weight_tables(spec),
                                  local_radius=radius)
-    return {m.name: m for m in monitors if m.name.startswith("local_")}
+    return {m.name: m for m in monitors if m.name == "local_energy"}
 
 
 def local_integrals(u: Field, radius: float) -> dict[str, float]:
-    """The quadratures of |u|^2 and |u|^2 + |grad u|^2 over B(0, radius), as
-    the ``local_mass`` and ``local_energy`` monitors record them."""
+    """The quadrature of |u|^2 + |grad u|^2 over B(0, radius), by name, as
+    the ``local_energy`` monitor records it."""
     state, frame = SimulationState(u, 0.0, 0), Frame(u)
     return {name: mon.fn(state, frame)
             for name, mon in local_monitors(u.spec, radius).items()}

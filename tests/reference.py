@@ -38,7 +38,8 @@ ship them.
   rows. The package scans a band snapshot's retained coefficients with the
   band's factors and rows, and makes no transform.
 * The version-1 snapshot writer, ``write_snapshot_v1``: a 32-byte header and
-  the grid values. The package writes version 2 and still reads version 1.
+  the grid values, no checksum. The package writes and reads version 2 only;
+  the tests write a version-1 file to see it refused.
 * A second ray-ensemble loop: one ray per row of an (n, 2 dim) state,
   grad p as an (n, dim) array, the symbol evaluated apart from the slope,
   and the live rays gathered and scattered on every step. The package keeps

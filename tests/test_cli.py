@@ -12,7 +12,6 @@ from dnls.observables import BoundCheckReport, InteractionReport
 from dnls.snapshots import Snapshot, load_snapshot, read_snapshot, write_snapshot
 
 from conftest import grid_snapshots
-from reference import write_snapshot_v1
 
 TINY_1D = """\
 [grid]
@@ -437,32 +436,6 @@ def test_resume_refuses_a_snapshot_of_another_config(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "config hash" in err[0]
     assert not out.exists()
-
-
-def test_version_1_snapshots_still_scan_and_resume_at_index_0(tmp_path):
-    # a run's snapshots rewritten as v1 files: the scan reads their fields
-    # (one transform each), and a resume starts its step index at 0
-    cfg = _write(tmp_path, TINY_1D)
-    run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
-    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet",
-                 "--out", str(tmp_path / "band")]) == EXIT_OK
-    names = json.loads((run_dir / "manifest.json").read_text())["snapshots"]
-    for name in names:
-        field, t = read_snapshot(run_dir / name)
-        write_snapshot_v1(run_dir / name, field, t)
-    assert main(["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet",
-                 "--out", str(tmp_path / "v1")]) == EXIT_OK
-    band = np.loadtxt(tmp_path / "band" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
-    v1 = np.loadtxt(tmp_path / "v1" / "cauchy_s0.5.csv", delimiter=",", skiprows=1)
-    assert np.max(np.abs(band - v1)) <= 1e-13 * np.max(np.abs(band))
-    assert not load_snapshot(tmp_path / "v1" / "u_plus.dnls").band
-    resumed = tmp_path / "resumed"
-    assert main(["simulate", "--config", cfg, "--out", str(resumed), "--quiet",
-                 "--resume", str(run_dir / names[1])]) == EXIT_OK
-    manifest = json.loads((resumed / "manifest.json").read_text())
-    assert manifest["steps"] == 20
-    assert load_snapshot(resumed / manifest["snapshots"][0]).step == 0
 
 
 def test_scatter_on_mixed_layouts_or_a_checksum_mismatch_exits_2(tmp_path, capsys):

@@ -725,14 +725,15 @@ def test_parseval_quadrature_vs_spectrum():
     assert by_quadrature == pytest.approx(by_spectrum, rel=1e-12)
 
 
-# -- localized integrals (the run's local_mass and local_energy monitors) -------
+# -- localized integrals (the run's local_energy monitor) -----------------------
 
 
 def test_localized_integral_ball_volume():
+    # u = 1 has grad u = 0, so its local energy is the ball's volume
     spec = GridSpec(3, 48, 6.0)
     f = Field(np.ones(spec.shape, dtype=complex), spec)
     R = 3.0
-    vol = local_integrals(f, R)["local_mass"]
+    vol = local_integrals(f, R)["local_energy"]
     exact = 4.0 / 3.0 * np.pi * R**3
     assert abs(vol - exact) < 2.0 * (4 * np.pi * R**2) * spec.dx
 
@@ -740,17 +741,19 @@ def test_localized_integral_ball_volume():
 def test_localized_integral_zero_field():
     spec = GridSpec(2, 32, 4.0)
     f = Field(np.zeros(spec.shape, dtype=complex), spec)
-    assert local_integrals(f, 2.0) == {"local_energy": 0.0, "local_mass": 0.0}
+    assert local_integrals(f, 2.0) == {"local_energy": 0.0}
 
 
 def test_localized_integral_gaussian_radial_oracle():
-    # int_{|x|<R} e^{-|x|^2/sigma^2} via dense radial quadrature
+    # int_{|x|<R} |f|^2 + |grad f|^2 = int (1 + r^2/sigma^4) e^{-r^2/sigma^2}
+    # via dense radial quadrature
     sigma = 1.0
     R = 3.0 * sigma
     spec = GridSpec(3, 64, 8.0)
     f = gaussian_field(spec, amplitude=1.0, width=sigma)  # |f|^2 = e^{-r^2/sigma^2}
-    got = local_integrals(f, R)["local_mass"]
-    oracle, err = quad(lambda r: 4 * np.pi * r**2 * np.exp(-(r**2) / sigma**2), 0, R)
+    got = local_integrals(f, R)["local_energy"]
+    oracle, err = quad(lambda r: 4 * np.pi * r**2 * (1 + r**2 / sigma**4)
+                       * np.exp(-(r**2) / sigma**2), 0, R)
     assert err < 1e-7 * oracle
     assert got == pytest.approx(oracle, rel=1e-3)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from dnls.observables import (
     morawetz_rate_residual,
     morawetz_rate_rhs,
     morawetz_virial,
+    run_reports,
     smooth_random_field,
     standard_monitors,
 )
@@ -772,10 +774,11 @@ def test_full_record_peak_allocation_3d():
     # interaction kernels, u_hat kept in the frame and complex products for
     # the monitors, these read 32.3 (first record) and 26.2 (later records)
     # real fields; the half-spectrum kernels, the real-arithmetic densities
-    # and the in-place commutator bring them to 26.4 and 21.1
+    # and the in-place commutator brought them to 26.4 and 21.1, and
+    # recording no commutator to 24.4 and 20.1
     cold, warm = _record_peaks_3d()
-    assert cold <= 27.0
-    assert warm <= 22.0
+    assert cold <= 25.0
+    assert warm <= 21.0
 
 
 def _transforms_per_record(monkeypatch, dim, n, interaction_every):
@@ -848,8 +851,8 @@ def test_damping_table_transformed_once_per_monitor_build(monkeypatch):
 # Every monitor of the standard bundle (local radius and cutoff set) on a fixed
 # field without symmetry: an off-center boosted packet plus band-limited noise.
 # The values were recorded with the monitors that looped over the d x d table of
-# G and kept their own copies of the virial, the commutator and the local
-# energy. A rewrite that keeps each functional may change rounding only.
+# G and kept their own copies of the virial and the local energy. A rewrite
+# that keeps each functional may change rounding only.
 # One exception: ``mass_lapGa`` of the 3-d conformal and anisotropic cases
 # was re-pinned when div(G grad a) stopped feeding the inner gradient's
 # imaginary Nyquist artifact into the flux. That changed the table only on
@@ -896,10 +899,8 @@ GOLDEN_MONITORS = {
         "interaction": 0.018050696249412017,
         "morawetz_proxy": 3.693390551259788,
         "local_energy": 3.944305475160964,
-        "local_mass": 1.2980937090373834,
         "cutoff_hs_0": 1.169027657057693,
         "cutoff_hs_0.5": 1.5221476131776575,
-        "commutator_l2_sq": 0.11894271367185752,
     },
     "anisotropic_bump-3d": {
         "mass": 3.675078369565811,
@@ -917,10 +918,8 @@ GOLDEN_MONITORS = {
         "interaction": -0.34628398368873814,
         "morawetz_proxy": 6.31580564467793,
         "local_energy": 8.346310818845856,
-        "local_mass": 2.307597139328263,
         "cutoff_hs_0": 1.6053812740516096,
         "cutoff_hs_0.5": 2.1951384865464676,
-        "commutator_l2_sq": 0.5860772008465049,
     },
     "conformal_bump-2d": {
         "mass": 1.4420056418644345,
@@ -938,10 +937,8 @@ GOLDEN_MONITORS = {
         "interaction": 0.018050696249412017,
         "morawetz_proxy": 3.693390551259788,
         "local_energy": 3.944305475160964,
-        "local_mass": 1.2980937090373834,
         "cutoff_hs_0": 1.169027657057693,
         "cutoff_hs_0.5": 1.5221476131776575,
-        "commutator_l2_sq": 0.11894271367185752,
     },
     "conformal_bump-3d": {
         "mass": 3.675078369565811,
@@ -959,10 +956,8 @@ GOLDEN_MONITORS = {
         "interaction": -0.34628398368873814,
         "morawetz_proxy": 6.31580564467793,
         "local_energy": 8.346310818845856,
-        "local_mass": 2.307597139328263,
         "cutoff_hs_0": 1.6053812740516096,
         "cutoff_hs_0.5": 2.1951384865464676,
-        "commutator_l2_sq": 0.5860772008465049,
     },
     "identity-2d": {
         "mass": 1.4420056418644345,
@@ -979,10 +974,8 @@ GOLDEN_MONITORS = {
         "supp_a_h1": 4.143121332992263,
         "interaction": 0.018050696249412017,
         "local_energy": 3.944305475160964,
-        "local_mass": 1.2980937090373834,
         "cutoff_hs_0": 1.169027657057693,
         "cutoff_hs_0.5": 1.5221476131776575,
-        "commutator_l2_sq": 0.11894271367185752,
     },
     "identity-3d": {
         "mass": 3.675078369565811,
@@ -999,10 +992,8 @@ GOLDEN_MONITORS = {
         "supp_a_h1": 9.096417348441602,
         "interaction": -0.34628398368873814,
         "local_energy": 8.346310818845856,
-        "local_mass": 2.307597139328263,
         "cutoff_hs_0": 1.6053812740516096,
         "cutoff_hs_0.5": 2.1951384865464676,
-        "commutator_l2_sq": 0.5860772008465049,
     },
 }
 
@@ -1015,3 +1006,66 @@ def test_golden_monitor_values(preset, dim):
     assert sorted(got) == sorted(gold)
     for name, value in gold.items():
         assert abs(got[name] - value) <= 1e-12 * abs(value), name
+
+
+# -- every recorded series has a reader ---------------------------------------------
+#
+# The reader of each series of the full bundle: ("reports", key) for the
+# reports.json entry of run_reports that it feeds, or ("criterion", k) for
+# the acceptance test of criterion k.
+
+SERIES_READERS = {
+    "mass": ("reports", "mass_law_max_residual"),
+    "damping_mass": ("reports", "mass_law_max_residual"),
+    "energy": ("reports", "energy_law_max_residual"),
+    "damping_energy": ("reports", "energy_law_max_residual"),
+    "mass_lapGa": ("reports", "energy_law_max_residual"),
+    "energy_flux_alt": ("reports", "energy_law_two_form_gap"),
+    "virial": ("reports", "morawetz_rate"),
+    "virial_rhs": ("reports", "morawetz_rate"),
+    "morawetz_proxy": ("reports", "morawetz_rate"),
+    "lambda_density": ("reports", "energy_lambda_bound"),
+    "l4": ("reports", "l4_tail"),
+    "h1_sq": ("reports", "interaction_inequality"),
+    "supp_a_h1": ("reports", "interaction_inequality"),
+    "interaction": ("reports", "interaction_inequality"),
+    "local_energy": ("criterion", 6),
+    "cutoff_hs_0": ("criterion", 7),
+    "cutoff_hs_0.5": ("criterion", 7),
+}
+
+
+def test_every_recorded_series_has_a_reader():
+    # every option on: a non-identity metric, a local ball, a cutoff and the
+    # default exponents. Each claim is checked on a run's series with the
+    # claimed one left out: run_reports raises KeyError for it or its entry
+    # changes, and the criterion's test raises KeyError for it
+    import test_acceptance
+
+    criteria = {6: test_acceptance.test_criterion_6_local_energy_decay_trend,
+                7: test_acceptance.test_criterion_7_local_sobolev_decay}
+    spec = GridSpec(2, 32, 8.0)
+    metric, damping = build_preset("conformal_bump", spec)
+    tables = weight_tables(spec)
+    monitors = standard_monitors(metric, damping, tables, interaction_every=1,
+                                 local_radius=2.5,
+                                 cutoff=cutoff_field(spec, 4.5, 6.5))
+    series = simulate(gaussian_field(spec, momentum=1.0), metric, damping,
+                      SolverConfig(dt=0.01, duration=0.05),
+                      monitors=monitors).series
+    assert [name for name in series if name not in SERIES_READERS] == []
+    assert sorted(series) == sorted(SERIES_READERS)
+    full = run_reports(series, metric, damping, tables).payload
+    for name, (kind, reader) in SERIES_READERS.items():
+        without = {k: v for k, v in series.items() if k != name}
+        if kind == "reports":
+            try:
+                payload = run_reports(without, metric, damping, tables).payload
+            except KeyError as exc:
+                assert exc.args == (name,)
+            else:
+                assert payload[reader] != full[reader], name
+        else:
+            with pytest.raises(KeyError) as exc:
+                criteria[reader](SimpleNamespace(series=without))
+            assert exc.value.args == (name,)

@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.errors import DomainError, GridMismatchError, SamplingError
-from dnls.geometry import DampingField, MetricField, build_preset, cutoff_field
+from dnls.geometry import DampingField, build_preset, cutoff_field
 from dnls.grid import (
     Field,
     GridSpec,
-    gradient,
-    real_derivatives,
     sobolev_norm,
 )
-from dnls.observables import commutator_with_cutoff
 from dnls.scattering import (
     _monotone_tail_verdict,
     _pulled_coefficients,
@@ -26,7 +23,7 @@ from dnls.solver import SolverConfig, simulate
 
 from conftest import (band_limited_random, gaussian_field, grid_snapshots,
                       logged_transforms, peak_traced_bytes)
-from reference import full_grid_scan, laplacian_G, pulled_coefficients
+from reference import full_grid_scan, pulled_coefficients
 
 SPEC = GridSpec(2, 64, 10.0)
 
@@ -465,31 +462,6 @@ def test_scan_orders_its_snapshots_by_time_and_refuses_repeated_times(dealias):
 
 
 # -- cutoff diagnostics ---------------------------------------------------------------
-
-
-def test_commutator_vanishes_for_constant_cutoff():
-    u = band_limited_random(SPEC, seed=5)
-    derivatives = real_derivatives(np.ones(SPEC.shape), MetricField(SPEC))
-    comm = commutator_with_cutoff(u, gradient(u), derivatives)
-    assert np.max(np.abs(comm.values)) < 1e-12
-
-
-def test_commutator_two_path_identity():
-    # product rule vs direct lap(chi u) - chi lap(u), both spectral; needs a
-    # cutoff whose spectrum fits under the band headroom and whose seam value
-    # underflows, hence the finer grid
-    spec = GridSpec(2, 128, 10.0)
-    chi = np.exp(-spec.radius_squared / (2 * 1.2**2))
-    free = MetricField(spec)  # div(I grad .), the -|k|^2 multiplier
-    derivatives = real_derivatives(chi, free)
-    for seed in range(3):
-        u = band_limited_random(spec, seed=seed)
-        via_rule = commutator_with_cutoff(u, gradient(u), derivatives)
-        chi_u = Field(chi * u.values, spec)
-        direct = (laplacian_G(chi_u, free).values
-                  - chi * laplacian_G(u, free).values)
-        scale = np.max(np.abs(direct)) + 1.0
-        assert np.max(np.abs(via_rule.values - direct)) < 1e-10 * scale
 
 
 def test_far_field_vanishes_when_data_sits_in_flat_region():

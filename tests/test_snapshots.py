@@ -50,8 +50,9 @@ def test_snapshot_io_makes_no_copy_of_the_field(tmp_path):
 
 
 def test_snapshot_header_layout(tmp_path):
-    # version 2: the v1 fields, then step, config hash, layout and a CRC32 of
-    # the 76 header bytes before it and the payload
+    # version 2: magic, version, dim, n, half-length and time, then step,
+    # config hash, layout and a CRC32 of the 76 header bytes before it and the
+    # payload
     spec = GridSpec(2, 16, 3.0)
     field = band_limited_random(spec, seed=1)
     path = tmp_path / "state.dnls"
@@ -97,17 +98,6 @@ def test_band_snapshot_stores_the_retained_coefficients(tmp_path):
         np.abs(field.values))
 
 
-def test_version_1_snapshots_still_read(tmp_path):
-    spec = GridSpec(2, 16, 3.0)
-    field = band_limited_random(spec, seed=2)
-    path = tmp_path / "old.dnls"
-    write_snapshot_v1(path, field, 0.75)
-    loaded = load_snapshot(path)
-    assert (loaded.t, loaded.step, loaded.config_hash, loaded.band) == (
-        0.75, 0, None, False)
-    assert np.array_equal(loaded.field.values, field.values)
-
-
 @pytest.mark.parametrize("band", [True, False])
 def test_snapshot_refuses_a_payload_that_does_not_fit_its_layout(band):
     # the grid values do not fit the band layout, nor the band the grid's
@@ -137,7 +127,7 @@ def test_snapshot_refuses_values_that_are_not_finite(tmp_path, value):
     field = band_limited_random(spec, seed=3)
     field.values[5] = value
     path = tmp_path / "state.dnls"
-    write_snapshot_v1(path, field, 0.5)
+    write_snapshot(path, grid_snapshots([(0.5, field)])[0])
     with pytest.raises(DomainError, match="not finite"):
         read_snapshot(path)
 
@@ -167,8 +157,8 @@ def test_snapshot_rejects_corruption(tmp_path):
 ])
 def test_snapshot_header_errors_name_the_file(tmp_path, dim, n, message):
     path = tmp_path / "corrupt.dnls"
-    path.write_bytes(struct.pack("<4sIIIdd", MAGIC, 1, dim, n, 2.0, 0.0)
-                     + bytes(64))
+    path.write_bytes(struct.pack("<4sIIIddq32sII", MAGIC, 2, dim, n, 2.0, 0.0,
+                                 0, bytes(32), LAYOUT_GRID, 0) + bytes(64))
     with pytest.raises(DomainError, match=message) as excinfo:
         read_snapshot(path)
     assert str(path) in str(excinfo.value)
@@ -236,8 +226,8 @@ snapshot_every = 1
 
 @pytest.fixture(scope="module")
 def fuzz_run(tmp_path_factory):
-    """A run of five band snapshots, and the bytes of its third as a v2 band
-    file, a v2 grid file and a v1 file."""
+    """A run of five band snapshots, and the bytes of its third as a band
+    file and as a grid file."""
     root = tmp_path_factory.mktemp("fuzz")
     config = root / "run.ini"
     config.write_text(FUZZ_RUN)
@@ -247,10 +237,8 @@ def fuzz_run(tmp_path_factory):
     target = run / json.loads((run / "manifest.json").read_text())["snapshots"][2]
     field, t = read_snapshot(target)
     write_snapshot(root / "grid.dnls", Snapshot(t, 2, field.spec, field.values, False))
-    write_snapshot_v1(root / "v1.dnls", field, t)
-    kinds = {"v2-band": target.read_bytes(),
-             "v2-grid": (root / "grid.dnls").read_bytes(),
-             "v1": (root / "v1.dnls").read_bytes()}
+    kinds = {"band": target.read_bytes(),
+             "grid": (root / "grid.dnls").read_bytes()}
     return root, config, target, kinds
 
 
@@ -264,16 +252,14 @@ def _one_line_exit_2(argv) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_corrupt_snapshot_bytes_raise_domain_error_and_exit_2(fuzz_run, data):
-    # a truncation at any length, a changed header byte and, in a v2 file, a
-    # changed payload byte: the reader raises DomainError and nothing else
-    # (a v2 file always raises; a v1 file has no checksum and may read), and
-    # dnls scatter and simulate --resume on the file exit 2 on one line
+    # a truncation at any length, a changed header byte or a changed payload
+    # byte: the reader raises DomainError and nothing else, and dnls scatter
+    # and simulate --resume on the file exit 2 on one line
     root, config, target, kinds = fuzz_run
     kind = data.draw(st.sampled_from(sorted(kinds)))
     raw = bytearray(kinds[kind])
-    header = 32 if kind == "v1" else 80
-    change = data.draw(st.sampled_from(
-        ["truncate", "header"] + ([] if kind == "v1" else ["payload"])))
+    header = 80
+    change = data.draw(st.sampled_from(["truncate", "header", "payload"]))
     if change == "truncate":
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
     else:
@@ -283,19 +269,37 @@ def test_corrupt_snapshot_bytes_raise_domain_error_and_exit_2(fuzz_run, data):
     original = target.read_bytes()
     target.write_bytes(bytes(raw))
     try:
-        try:
+        with pytest.raises(DomainError):
             read_snapshot(target)
-        except DomainError:
-            refused = True
-        else:
-            refused = False
-        assert refused or kind == "v1"
-        if refused:
-            assert _one_line_exit_2(["scatter", "--manifest",
-                                     str(target.parent / "manifest.json"),
-                                     "--out", str(root / "scatter"), "--quiet"])
-            assert _one_line_exit_2(["simulate", "--config", str(config), "--out",
-                                     str(root / "resumed"), "--quiet",
-                                     "--resume", str(target)])
+        assert _refused_by_the_cli(root, config, target)
+    finally:
+        target.write_bytes(original)
+
+
+def _refused_by_the_cli(root, config, target) -> bool:
+    """dnls scatter on the run whose snapshot ``target`` is, and simulate
+    --resume from it, each exit 2 on one line."""
+    return (_one_line_exit_2(["scatter", "--manifest",
+                              str(target.parent / "manifest.json"),
+                              "--out", str(root / "scatter"), "--quiet"])
+            and _one_line_exit_2(["simulate", "--config", str(config), "--out",
+                                  str(root / "resumed"), "--quiet",
+                                  "--resume", str(target)]))
+
+
+def test_version_1_snapshots_are_refused(fuzz_run):
+    # a version-1 file (a 32-byte header and the grid values, no checksum):
+    # the reader refuses it by its version, and so do dnls scatter and
+    # simulate --resume, each exiting 2 on one line
+    root, config, target, _ = fuzz_run
+    field, t = read_snapshot(target)
+    original = target.read_bytes()
+    write_snapshot_v1(target, field, t)
+    try:
+        with pytest.raises(DomainError,
+                           match="unsupported snapshot version 1") as excinfo:
+            load_snapshot(target)
+        assert str(target) in str(excinfo.value)
+        assert _refused_by_the_cli(root, config, target)
     finally:
         target.write_bytes(original)
