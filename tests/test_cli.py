@@ -12,6 +12,7 @@ from dnls.observables import BoundCheckReport, InteractionReport
 from dnls.snapshots import Snapshot, load_snapshot, read_snapshot, write_snapshot
 
 from conftest import grid_snapshots
+from reference import write_snapshot_v1
 
 TINY_1D = """\
 [grid]
@@ -436,6 +437,29 @@ def test_resume_refuses_a_snapshot_of_another_config(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "config hash" in err[0]
     assert not out.exists()
+
+
+def test_version_1_snapshots_are_refused_by_scatter_and_resume(tmp_path, capsys):
+    # a run's snapshots rewritten as v1 files (no checksum): dnls scatter and
+    # simulate --resume each exit 2 on one line naming the version, and write
+    # no output
+    cfg = _write(tmp_path, TINY_1D)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    names = json.loads((run_dir / "manifest.json").read_text())["snapshots"]
+    for name in names:
+        field, t = read_snapshot(run_dir / name)
+        write_snapshot_v1(run_dir / name, field, t)
+    resumed = tmp_path / "resumed"
+    for argv in (["scatter", "--manifest", str(run_dir / "manifest.json"), "--quiet"],
+                 ["simulate", "--config", cfg, "--out", str(resumed), "--quiet",
+                  "--resume", str(run_dir / names[1])]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "unsupported snapshot version 1" in err[0]
+    assert not (run_dir / "scatter").exists()
+    assert not resumed.exists()
 
 
 def test_scatter_on_mixed_layouts_or_a_checksum_mismatch_exits_2(tmp_path, capsys):
